@@ -1,8 +1,9 @@
 """Command line surface.
 
 Subcommands: enumerate, classify, invariants, verify, export.  Exit
-statuses: 0 success / all checks passed, 1 usage or parse error, 2
-classification answered "no complex structure", 3 verification failure.
+statuses: 0 success / all checks passed, 1 usage or parse error or an
+--output path that cannot be written, 2 classification answered "no
+complex structure", 3 verification failure.
 All output is deterministic: identical inputs give identical bytes.
 """
 
@@ -103,11 +104,17 @@ def build_parser():
 
 
 def _emit(text, output):
+    """Write to stdout or to the --output path; returns the exit status."""
     if output is None:
         sys.stdout.write(text)
-    else:
+        return EXIT_OK
+    try:
         with open(output, "w") as handle:
             handle.write(text)
+    except OSError as exc:
+        sys.stderr.write("error: cannot write %s: %s\n" % (output, exc.strerror or exc))
+        return EXIT_USAGE
+    return EXIT_OK
 
 
 def _model_from_args(parser, args):
@@ -177,20 +184,15 @@ def cmd_invariants(parser, args):
     model = _model_from_args(parser, args)
     record = ExportRecord.for_model(model, source="oracle" if args.oracle else "closed-form")
     if args.format == "json":
-        _emit(record.to_json(), args.output)
-    else:
-        _emit(_render_text_tables(record), args.output)
-    return EXIT_OK
+        return _emit(record.to_json(), args.output)
+    return _emit(_render_text_tables(record), args.output)
 
 
 def cmd_export(parser, args):
     model = _model_from_args(parser, args)
     if args.format == "salamon":
-        _emit(compact_equations(structure_equations(model)) + "\n", args.output)
-    else:
-        record = ExportRecord.for_model(model)
-        _emit(record.to_json(), args.output)
-    return EXIT_OK
+        return _emit(compact_equations(structure_equations(model)) + "\n", args.output)
+    return _emit(ExportRecord.for_model(model).to_json(), args.output)
 
 
 # -- verification sweep ---------------------------------------------------------
@@ -293,6 +295,9 @@ def _worker_count():
     try:
         requested = int(raw)
     except ValueError:
+        sys.stderr.write(
+            "warning: ignoring %s=%r: not an integer; using 1 worker\n" % (WORKERS_ENV, raw)
+        )
         return 1
     return max(1, min(requested, os.cpu_count() or 1))
 

@@ -90,82 +90,102 @@ def hodge_closed(model):
 
 
 # -- monomial differentials ---------------------------------------------------
+#
+# A wedge monomial is an int bitmask: bit k set means generator k is a
+# factor, and the factors are read in ascending order.  The sign of
+# moving a factor into place is the parity of the set bits below it,
+# (mask & (bit - 1)).bit_count().
 
 
-def _insert_factor(mono, x):
-    """Insert a degree-one factor into an ascending monomial; (tuple, sign) or None."""
-    pos = 0
-    while pos < len(mono) and mono[pos] < x:
-        pos += 1
-    if pos < len(mono) and mono[pos] == x:
+def _pair_mask(x, y):
+    """The 2-form g^x ^ g^y as (sign, ascending bitmask), or None if x == y."""
+    if x == y:
         return None
-    return mono[:pos] + (x,) + mono[pos:], -1 if pos % 2 else 1
+    return (-1 if x > y else 1), (1 << x) | (1 << y)
 
 
-def _sorted_tuple_sign(seq):
-    """Ascending reordering with permutation sign; None on repeats."""
-    out = ()
-    sign = 1
-    for x in seq:
-        step = _insert_factor(out, x)
-        if step is None:
-            return None
-        out, s = step
-        sign *= s
-    return out, sign
+def _slot_terms(d1):
+    """Per-generator rules for the derivation extension of d1.
 
-
-def _d_monomial(mono, d1):
-    """Image of a monomial under the derivation extension of d1.
-
-    d1 maps a generator index to ((coef, (x, y)), ...); each slot is
-    replaced by the corresponding two-form, which commutes with the
-    remaining degree-one factors, so only the Koszul sign (-1)^slot and
-    the resorting signs enter.
+    d1 maps a generator index to ((coef, pair mask), ...), each pair
+    mask an ascending 2-form.  Replacing generator g of a monomial by
+    coef * g^x ^ g^y (x < y) costs the Koszul sign (-1)^slot, where slot
+    counts the factors below g, and the sorting signs of y and then x
+    into the rest, which count the rest's factors below y and below x.
+    All three parities are those of the rest under one mask,
+    (g_bit - 1) ^ (y_bit - 1) ^ (x_bit - 1), so each rule is
+    (coef, pair mask, sign mask).
     """
+    terms = {}
+    for g, rules in d1.items():
+        below = (1 << g) - 1
+        out = []
+        for coef, pair in rules:
+            low = pair & -pair
+            out.append((coef, pair, below ^ (pair - low - 1) ^ (low - 1)))
+        terms[g] = tuple(out)
+    return terms
+
+
+def _d_mask(mono, terms):
+    """Image of a monomial under the derivation extension, as {mask: coef}."""
     out = {}
-    for t, g in enumerate(mono):
-        terms = d1[g]
-        if not terms:
-            continue
-        rest = mono[:t] + mono[t + 1 :]
-        slot_sign = -1 if t % 2 else 1
-        for coef, (x, y) in terms:
-            step = _insert_factor(rest, y)
-            if step is None:
+    bits = mono
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        rest = mono ^ low
+        for coef, pair, sign in terms[low.bit_length() - 1]:
+            if rest & pair:
                 continue
-            with_y, s1 = step
-            step = _insert_factor(with_y, x)
-            if step is None:
-                continue
-            target, s2 = step
-            out[target] = out.get(target, 0) + coef * slot_sign * s1 * s2
+            target = rest | pair
+            if (rest & sign).bit_count() & 1:
+                out[target] = out.get(target, 0) - coef
+            else:
+                out[target] = out.get(target, 0) + coef
     return {k: v for k, v in out.items() if v}
 
 
-def _rank_of_map(columns, index_of_target):
-    """Exact rank of a linear map given by per-column target dicts."""
+def _masks(symbols, k):
+    """Bitmasks of the degree-k monomials in `symbols`, in lexicographic order."""
+    return [sum(1 << s for s in c) for c in combinations(symbols, k)]
+
+
+def _rank_of_map(columns):
+    """Exact rank of a linear map given by per-column {target mask: coef} dicts."""
     row_entries = {}
     for cix, col in enumerate(columns):
         for target, val in col.items():
-            row_entries.setdefault(index_of_target[target], {})[cix] = val
+            row_entries.setdefault(target, {})[cix] = val
     return sparse_rank(list(row_entries.values()))
 
 
-def _check_d2_on_generators(d1):
+def _squares_vanish(images, degrees, masks_of):
+    """D^2 = 0 on every monomial of the given degrees, for D given by
+    images(mask) -> {mask: coef} and the monomials of degree k by
+    masks_of(k).  Each image is computed once, and those of one degree
+    are kept only while it and the degree below it are checked."""
+    above = None
+    for k in degrees:
+        here = above if above is not None else {m: images(m) for m in masks_of(k)}
+        above = {m: images(m) for m in masks_of(k + 1)}
+        for img in here.values():
+            acc = {}
+            for target, val in img.items():
+                for t2, v2 in above[target].items():
+                    acc[t2] = acc.get(t2, 0) + val * v2
+            if any(acc.values()):
+                return False
+    return True
+
+
+def _check_d2_on_generators(d1, terms):
     """d^2 = 0 on every generator (enough, by the graded Leibniz rule)."""
-    for terms in d1.values():
+    for rules in d1.values():
         acc = {}
-        for coef, (x, y) in terms:
-            # d(x ^ y) = dx ^ y - x ^ dy
-            for c2, pair in d1[x]:
-                key = _sorted_tuple_sign(pair + (y,))
-                if key:
-                    acc[key[0]] = acc.get(key[0], 0) + coef * c2 * key[1]
-            for c2, pair in d1[y]:
-                key = _sorted_tuple_sign((x,) + pair)
-                if key:
-                    acc[key[0]] = acc.get(key[0], 0) - coef * c2 * key[1]
+        for coef, pair in rules:
+            for target, val in _d_mask(pair, terms).items():
+                acc[target] = acc.get(target, 0) + coef * val
         if any(acc.values()):
             return False
     return True
@@ -178,8 +198,9 @@ def _ce_generator_differentials(alg):
     """d on each dual generator of the CE complex, from the bracket tensor."""
     d1 = {k: () for k in range(alg.dim)}
     for (x, y), targets in alg.bracket_tensor().items():
+        sign, mask = _pair_mask(x, y)
         for b, c in targets.items():
-            d1[b] = d1[b] + ((-c, (x, y)),)
+            d1[b] = d1[b] + ((-c * sign, mask),)
     return d1
 
 
@@ -189,14 +210,13 @@ def betti_oracle(alg):
     Raises DifferentialError if d^2 fails on a generator.
     """
     d1 = _ce_generator_differentials(alg)
-    if not _check_d2_on_generators(d1):
+    terms = _slot_terms(d1)
+    if not _check_d2_on_generators(d1, terms):
         raise DifferentialError("d^2 != 0 on a generator")
     dim = alg.dim
-    monos = [list(combinations(range(dim), k)) for k in range(dim + 1)]
     ranks = []
     for k in range(dim):
-        index_of = {m: i for i, m in enumerate(monos[k + 1])}
-        ranks.append(_rank_of_map([_d_monomial(m, d1) for m in monos[k]], index_of))
+        ranks.append(_rank_of_map([_d_mask(m, terms) for m in _masks(range(dim), k)]))
     ranks.append(0)  # top degree maps to zero
     betti = []
     for k in range(dim + 1):
@@ -208,19 +228,14 @@ def betti_oracle(alg):
 def d_squared_vanishes(alg, max_degree=None):
     """Check d^2 = 0 on the full monomial basis of the CE complex."""
     d1 = _ce_generator_differentials(alg)
-    if not _check_d2_on_generators(d1):
+    terms = _slot_terms(d1)
+    if not _check_d2_on_generators(d1, terms):
         return False
     dim = alg.dim
     top = dim if max_degree is None else min(max_degree, dim)
-    for k in range(1, top + 1):
-        for mono in combinations(range(dim), k):
-            acc = {}
-            for target, val in _d_monomial(mono, d1).items():
-                for t2, v2 in _d_monomial(target, d1).items():
-                    acc[t2] = acc.get(t2, 0) + val * v2
-            if any(acc.values()):
-                return False
-    return True
+    return _squares_vanish(
+        lambda m: _d_mask(m, terms), range(1, top + 1), lambda k: _masks(range(dim), k)
+    )
 
 
 # -- Dolbeault oracle ----------------------------------------------------------
@@ -231,8 +246,8 @@ def _dolbeault_symbols(eqs):
 
     Symbols are integers: s < g is generator s in the order of
     eqs.generators, s >= g its conjugate.  Returns (symbol count, d1,
-    g); conjugated rules pick up reordering signs only, since all
-    stated coefficients are integers (hence real).
+    g) with d1 as for _slot_terms; conjugated rules pick up reordering
+    signs only, since all stated coefficients are integers (hence real).
     """
     gens = eqs.generators
     g = len(gens)
@@ -249,28 +264,22 @@ def _dolbeault_symbols(eqs):
         plain = []
         conj = []
         for coef, (f1, f2) in terms:
-            key = _sorted_tuple_sign((symbol(f1), symbol(f2)))
+            key = _pair_mask(symbol(f1), symbol(f2))
             if key:
-                plain.append((coef * key[1], key[0]))
-            key = _sorted_tuple_sign((symbol(f1, True), symbol(f2, True)))
+                plain.append((coef * key[0], key[1]))
+            key = _pair_mask(symbol(f1, True), symbol(f2, True))
             if key:
-                conj.append((coef * key[1], key[0]))
+                conj.append((coef * key[0], key[1]))
         d1[index[name]] = tuple(plain)
         d1[index[name] + g] = tuple(conj)
     return 2 * g, d1, g
 
 
-def _signature(mono, g):
-    p = sum(1 for s in mono if s < g)
-    return p, len(mono) - p
-
-
-def _dbar_of(mono, d1, g):
-    """The antiholomorphic-degree-raising component of d."""
-    p, q = _signature(mono, g)
-    return {
-        t: v for t, v in _d_monomial(mono, d1).items() if _signature(t, g) == (p, q + 1)
-    }
+def _dbar_of(mono, terms, holo):
+    """The antiholomorphic-degree-raising component of d: the terms that
+    keep the count of holomorphic bits (`holo` masks them)."""
+    p = (mono & holo).bit_count()
+    return {t: v for t, v in _d_mask(mono, terms).items() if (t & holo).bit_count() == p}
 
 
 def hodge_oracle(model, block_sizes=None):
@@ -285,43 +294,36 @@ def hodge_oracle(model, block_sizes=None):
     """
     eqs = structure_equations(model, block_sizes=block_sizes)
     nsym, d1, g = _dolbeault_symbols(eqs)
+    terms = _slot_terms(d1)
+    holo = (1 << g) - 1
     for s in range(nsym):
         acc = {}
-        for target, val in _dbar_of((s,), d1, g).items():
-            for t2, v2 in _dbar_of(target, d1, g).items():
+        for target, val in _dbar_of(1 << s, terms, holo).items():
+            for t2, v2 in _dbar_of(target, terms, holo).items():
                 acc[t2] = acc.get(t2, 0) + val * v2
         if any(acc.values()):
             raise DifferentialError("dbar^2 != 0 on a generator")
-    monos = {}
-    for p in range(g + 1):
-        for q in range(g + 1):
-            monos[(p, q)] = [
-                u + b
-                for u in combinations(range(g), p)
-                for b in combinations(range(g, nsym), q)
-            ]
+    holo_masks = [_masks(range(g), p) for p in range(g + 1)]
+    anti_masks = [_masks(range(g, nsym), q) for q in range(g + 1)]
 
     def dbar_columns(p, q):
         cols = []
-        for mono in monos[(p, q)]:
-            img = {}
-            for target, val in _d_monomial(mono, d1).items():
-                sig = _signature(target, g)
-                if sig == (p, q + 1):
-                    img[target] = val
-                elif sig != (p + 1, q):
-                    raise DifferentialError("d does not split into (1,0)+(0,1) parts")
-            cols.append(img)
+        for u in holo_masks[p]:
+            for b in anti_masks[q]:
+                img = {}
+                for target, val in _d_mask(u | b, terms).items():
+                    tp = (target & holo).bit_count()
+                    if tp == p:
+                        img[target] = val
+                    elif tp != p + 1:
+                        raise DifferentialError("d does not split into (1,0)+(0,1) parts")
+                cols.append(img)
         return cols
 
     ranks = {}
     for p in range(g + 1):
         for q in range(g + 1):
-            if q == g:
-                ranks[(p, q)] = 0
-                continue
-            index_of = {m: i for i, m in enumerate(monos[(p, q + 1)])}
-            ranks[(p, q)] = _rank_of_map(dbar_columns(p, q), index_of)
+            ranks[(p, q)] = 0 if q == g else _rank_of_map(dbar_columns(p, q))
     grid = []
     for p in range(g + 1):
         row = []
@@ -338,25 +340,22 @@ def dbar_squared_vanishes(model):
     """Check dbar^2 = 0 on the full monomial basis of the Dolbeault complex."""
     eqs = structure_equations(model)
     nsym, d1, g = _dolbeault_symbols(eqs)
-    for k in range(1, nsym + 1):
-        for mono in combinations(range(nsym), k):
-            acc = {}
-            for target, val in _dbar_of(mono, d1, g).items():
-                for t2, v2 in _dbar_of(target, d1, g).items():
-                    acc[t2] = acc.get(t2, 0) + val * v2
-            if any(acc.values()):
-                return False
-    return True
+    terms = _slot_terms(d1)
+    holo = (1 << g) - 1
+    return _squares_vanish(
+        lambda m: _dbar_of(m, terms, holo), range(1, nsym + 1), lambda k: _masks(range(nsym), k)
+    )
 
 
 def d_splits_by_bidegree(model):
     """Sanity check: d of every generator lands in (2,0)+(1,1) or (1,1)+(0,2)."""
     eqs = structure_equations(model)
     nsym, d1, g = _dolbeault_symbols(eqs)
+    holo = (1 << g) - 1
     for s in range(nsym):
-        p, q = _signature((s,), g)
+        p = 1 if s < g else 0
         for _, pair in d1[s]:
-            if _signature(pair, g) not in ((p + 1, q), (p, q + 1)):
+            if (pair & holo).bit_count() not in (p + 1, p):
                 return False
     return True
 
@@ -388,27 +387,30 @@ def betti_via_ideal_action(alg):
             a = alg.A[r][c]
             if a:
                 # coadjoint action sends dual generator r to -A[r][c] times c
-                action.setdefault(r, []).append((c, -a))
+                action.setdefault(1 << r, []).append((1 << c, -a))
 
     def l_of(mono):
+        # each factor is replaced in turn; the sign sorts the new factor
+        # into the rest of the monomial
         out = {}
-        for t, g in enumerate(mono):
-            rest = mono[:t] + mono[t + 1 :]
-            for target, coef in action.get(g, ()):
-                step = _insert_factor(rest, target)
-                if step is None:
+        bits = mono
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            rest = mono ^ low
+            for target, coef in action.get(low, ()):
+                if rest & target:
                     continue
-                tgt, s = step
-                out[tgt] = out.get(tgt, 0) + coef * s
+                if (rest & (target - 1)).bit_count() & 1:
+                    coef = -coef
+                out[rest | target] = out.get(rest | target, 0) + coef
         return {k: v for k, v in out.items() if v}
 
     betti = []
     prev_coker = 0
     for k in range(size + 2):
         if k <= size:
-            monos = list(combinations(range(size), k))
-            index_of = {m: i for i, m in enumerate(monos)}
-            rank = _rank_of_map([l_of(m) for m in monos], index_of)
+            rank = _rank_of_map([l_of(m) for m in _masks(range(size), k)])
             kernel = coker = comb(size, k) - rank
         else:
             kernel = coker = 0

@@ -1,14 +1,16 @@
 """Exact linear algebra over the rationals.
 
 Everything here works on plain Python ints and fractions.Fraction, so
-all results are exact; no floating point is used anywhere.  Ranks are
-computed by fraction-free elimination: dense Bareiss for small or dense
-matrices, a gcd-normalised sparse elimination for the large sparse
-differentials produced by the cohomology oracles.  The two paths are
-cross-checked in the test suite.
+all results are exact; no floating point is used anywhere.  Every rank
+goes through one kernel: a gcd-normalised, fraction-free sparse
+elimination whose pivot column comes from a lazy min-heap keyed by the
+number of active rows (Markowitz-style).  Dense matrices are passed to
+it as sparse rows; the test suite cross-checks it against textbook
+Gaussian elimination over Fraction.
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 
@@ -112,17 +114,9 @@ class RationalMatrix:
         return out
 
     def rank(self):
-        """Exact rank over Q, by fraction-free elimination with pivoting."""
-        if self.rows == 0 or self.cols == 0:
-            return 0
-        rows = self._integer_rows()
-        cells = self.rows * self.cols
-        if cells <= 4096:
-            return _rank_bareiss(rows)
-        nnz = sum(1 for row in rows for x in row if x)
-        if 4 * nnz > cells:
-            return _rank_bareiss(rows)
-        return _rank_sparse([{j: x for j, x in enumerate(row) if x} for row in rows])
+        """Exact rank over Q, by fraction-free sparse elimination."""
+        rows = [{j: x for j, x in enumerate(row) if x} for row in self._integer_rows()]
+        return _rank_sparse([row for row in rows if row])
 
     def kernel_dim(self):
         return self.cols - self.rank()
@@ -165,73 +159,38 @@ class RationalMatrix:
         return basis
 
 
-def _rank_bareiss(m):
-    """Bareiss fraction-free elimination with row pivoting.
-
-    All divisions below are exact (Sylvester's identity); the pivot is
-    the nonzero entry of least magnitude to limit coefficient growth.
-    """
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        if r == nrows:
-            break
-        best = -1
-        best_abs = None
-        for i in range(r, nrows):
-            x = m[i][c]
-            if x and (best_abs is None or abs(x) < best_abs):
-                best, best_abs = i, abs(x)
-        if best < 0:
-            continue
-        if best != r:
-            m[r], m[best] = m[best], m[r]
-        piv = m[r][c]
-        mr = m[r]
-        for i in range(r + 1, nrows):
-            mi = m[i]
-            xi = mi[c]
-            if xi:
-                for j in range(c + 1, ncols):
-                    mi[j] = (mi[j] * piv - xi * mr[j]) // prev
-            elif piv != prev:
-                for j in range(c + 1, ncols):
-                    if mi[j]:
-                        mi[j] = mi[j] * piv // prev
-            mi[c] = 0
-        prev = piv
-        r += 1
-    return r
-
-
 def _rank_sparse(rows):
     """Fraction-free sparse elimination, gcd-normalised rows.
 
-    Pivots are chosen in the column with fewest active rows and then in
-    the shortest row, which keeps fill-in low on the very sparse
-    differential matrices this is used for.  Row updates are integer
-    cross-multiplications followed by division by the row content, so
-    entries stay small and exact.
+    Pivots are chosen in the column with fewest active rows (ties: the
+    lowest column index) and then in the shortest row, which keeps
+    fill-in low on the very sparse differential matrices this is used
+    for.  The pivot column comes from a lazy min-heap of (active rows,
+    column): each pivot step pushes a fresh entry for every column whose
+    count it changed, and a popped entry whose count is out of date is
+    dropped.  Row updates are integer cross-multiplications followed by
+    division by the row content, so entries stay small and exact.
     """
     rows = {i: row for i, row in enumerate(rows) if row}
     cols = {}
     for i, row in rows.items():
         for j in row:
             cols.setdefault(j, set()).add(i)
+    heap = [(len(s), j) for j, s in cols.items()]
+    heapify(heap)
     rank = 0
     while rows:
-        c = min(cols, key=lambda j: (len(cols[j]), j))
-        pr = min(cols[c], key=lambda i: (len(rows[i]), abs(rows[i][c]), i))
+        count, c = heappop(heap)
+        active = cols.get(c)
+        if active is None or len(active) != count:
+            continue
+        pr = min(active, key=lambda i: (len(rows[i]), abs(rows[i][c]), i))
         prow = rows.pop(pr)
+        touched = set(prow)
         for j in prow:
-            s = cols[j]
-            s.discard(pr)
-            if not s:
-                del cols[j]
-        targets = list(cols.get(c, ()))
+            cols[j].discard(pr)
         p = prow[c]
-        for i in targets:
+        for i in list(active):
             row = rows[i]
             a = row[c]
             new = {}
@@ -243,25 +202,28 @@ def _rank_sparse(rows):
                     g = gcd(g, v)
             for j, x in prow.items():
                 if j not in row:
-                    v = -a * x
-                    if v:
-                        new[j] = v
-                        g = gcd(g, v)
+                    new[j] = v = -a * x
+                    g = gcd(g, v)
             if g > 1:
                 new = {j: v // g for j, v in new.items()}
             for j in row:
                 if j not in new:
-                    s = cols[j]
-                    s.discard(i)
-                    if not s:
-                        del cols[j]
+                    cols[j].discard(i)
+                    touched.add(j)
             for j in new:
                 if j not in row:
                     cols.setdefault(j, set()).add(i)
+                    touched.add(j)
             if new:
                 rows[i] = new
             else:
                 del rows[i]
+        for j in touched:
+            s = cols[j]
+            if s:
+                heappush(heap, (len(s), j))
+            else:
+                del cols[j]
         rank += 1
     return rank
 

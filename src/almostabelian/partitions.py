@@ -95,17 +95,18 @@ def partitions_of(n):
 def restricted_count(m, n, r):
     """A(m, n, r): partitions of m into at most n parts, each of size <= r.
 
-    Box recursion: either no part equals r, or removing one part equal
-    to r leaves a partition in the (n-1) x r box.  All arithmetic stays
-    in plain integers.
+    No partition of m has more than m parts or a part above m, so n and
+    r are clamped to m first.  Box recursion: either no part equals r,
+    or removing one part equal to r leaves a partition in the (n-1) x r
+    box.  Unrolled over r, A(m, n, r) is the sum over the largest part
+    s = 1..r of A(m - s, n - 1, s), so the recursion only descends in n
+    (depth at most min(n, m)).  All arithmetic stays in plain integers.
     """
     if m < 0 or n < 0 or r < 0:
         raise ValueError("arguments must be non-negative")
     if m == 0:
         return 1
+    n, r = min(n, m), min(r, m)
     if n == 0 or r == 0:
         return 0
-    total = restricted_count(m, n, r - 1)
-    if m >= r:
-        total += restricted_count(m - r, n - 1, r)
-    return total
+    return sum(restricted_count(m - s, n - 1, s) for s in range(1, r + 1))

@@ -148,6 +148,16 @@ class TestInvariants:
         data = json.loads(target.read_text())
         jsonschema.validate(data, EXPORT_SCHEMA)
 
+    @pytest.mark.parametrize("command", ["invariants", "export"])
+    def test_unwritable_output_is_one_line_error(self, capsys, tmp_path, command):
+        base = [command, "--q", "2", "--j", "3", "--format", "json", "--output"]
+        for target in (tmp_path / "missing" / "record.json", tmp_path):
+            code, out, err = run_cli(base + [str(target)], capsys)
+            assert code == 1 and out == ""
+            assert err.startswith("error: cannot write %s: " % target)
+            assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "missing").exists()
+
     def test_byte_determinism(self, capsys):
         args = ["invariants", "--q", "2,1", "--j", "2", "--format", "json"]
         _, first, _ = run_cli(args, capsys)
@@ -218,6 +228,15 @@ class TestVerify:
         assert cli._worker_count() == 1
         monkeypatch.setenv(cli.WORKERS_ENV, "0")
         assert cli._worker_count() == 1
+
+    def test_non_integer_workers_warns_on_stderr(self, capsys, monkeypatch):
+        _, expected, quiet = run_cli(["verify", "--max-dim", "6"], capsys)
+        assert quiet == ""
+        monkeypatch.setenv(cli.WORKERS_ENV, "abc")
+        code, out, err = run_cli(["verify", "--max-dim", "6"], capsys)
+        assert code == 0 and out == expected
+        assert err.count("\n") == 1
+        assert err.startswith("warning: ignoring %s='abc'" % cli.WORKERS_ENV)
 
 
 class TestEntryPoint:

@@ -12,7 +12,7 @@ from almostabelian.exactla import (
     power_ranks,
     sparse_rank,
 )
-from almostabelian.exactla import _rank_bareiss, _rank_sparse
+from almostabelian.exactla import _rank_sparse
 
 
 def naive_gaussian_rank(data):
@@ -33,6 +33,12 @@ def naive_gaussian_rank(data):
                 m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+def kernel_rank(data):
+    """The rank kernel on a dense integer matrix, passed as nonzero sparse rows."""
+    rows = [{j: x for j, x in enumerate(row) if x} for row in data]
+    return _rank_sparse([row for row in rows if row])
 
 
 def random_int_matrix(rng, rows, cols, lo=-4, hi=4, density=1.0):
@@ -86,15 +92,16 @@ class TestRank:
             assert RationalMatrix(shuffled).rank() == r
             assert m.transpose().rank() == r
 
-    def test_bareiss_matches_naive_gaussian_up_to_30(self):
+    def test_kernel_matches_naive_gaussian_up_to_30(self):
         rng = random.Random(77)
         for size in (5, 10, 18, 25, 30):
             data = random_int_matrix(rng, size, size, density=0.5)
-            assert _rank_bareiss([row[:] for row in data]) == naive_gaussian_rank(data)
+            assert kernel_rank(data) == naive_gaussian_rank(data)
+            assert RationalMatrix(data).rank() == naive_gaussian_rank(data)
         # rank-deficient by construction: repeat and combine rows
         base = random_int_matrix(rng, 4, 9)
         data = base + [[a + b for a, b in zip(base[0], base[2])] for _ in range(3)]
-        assert _rank_bareiss([row[:] for row in data]) == naive_gaussian_rank(data)
+        assert kernel_rank(data) == naive_gaussian_rank(data)
 
     def test_sparse_matches_dense_paths(self):
         rng = random.Random(123)
@@ -102,19 +109,57 @@ class TestRank:
             rows, cols = rng.randint(1, 25), rng.randint(1, 25)
             data = random_int_matrix(rng, rows, cols, density=0.25)
             expected = naive_gaussian_rank(data)
-            assert _rank_bareiss([row[:] for row in data]) == expected
-            sparse_rows = [
-                {j: x for j, x in enumerate(row) if x} for row in data
-            ]
-            sparse_rows = [r for r in sparse_rows if r]
-            got = _rank_sparse(sparse_rows) if sparse_rows else 0
-            assert got == expected
+            assert RationalMatrix(data).rank() == expected
+            assert kernel_rank(data) == expected
+            assert sparse_rank([dict(enumerate(row)) for row in data]) == expected
+
+    def test_permuted_block_diagonal(self):
+        # Column counts fall block by block, so the heap holds many
+        # entries whose count has gone stale by the time they are popped.
+        rng = random.Random(4242)
+        for _ in range(12):
+            sizes = [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(rng.randint(2, 6))]
+            nrows = sum(r for r, _ in sizes)
+            ncols = sum(c for _, c in sizes)
+            data = [[0] * ncols for _ in range(nrows)]
+            r0 = c0 = 0
+            for r, c in sizes:
+                block = random_int_matrix(rng, r, c, lo=-3, hi=3, density=0.6)
+                for i in range(r):
+                    data[r0 + i][c0 : c0 + c] = block[i]
+                r0, c0 = r0 + r, c0 + c
+            row_perm = rng.sample(range(nrows), nrows)
+            col_perm = rng.sample(range(ncols), ncols)
+            permuted = [[data[i][j] for j in col_perm] for i in row_perm]
+            expected = naive_gaussian_rank(data)
+            assert naive_gaussian_rank(permuted) == expected
+            assert kernel_rank(permuted) == expected
+            assert RationalMatrix(permuted).rank() == expected
+
+    def test_repeated_and_combined_rows(self):
+        # Eliminating copies and combinations of a pivot row empties rows
+        # and columns mid-step, which leaves stale heap entries behind.
+        rng = random.Random(606)
+        for _ in range(15):
+            cols = rng.randint(2, 14)
+            base = random_int_matrix(rng, rng.randint(1, 6), cols, lo=-3, hi=3, density=0.5)
+            data = [row[:] for row in base]
+            for _ in range(rng.randint(1, 10)):
+                a, b = rng.choice(base), rng.choice(base)
+                s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+                data.append([s * x + t * y for x, y in zip(a, b)])
+            data.extend(row[:] for row in rng.sample(base, len(base)))
+            rng.shuffle(data)
+            expected = naive_gaussian_rank(base)
+            assert naive_gaussian_rank(data) == expected
+            assert kernel_rank(data) == expected
+            assert RationalMatrix(data).rank() == expected
 
     def test_sparse_rank_helper(self):
         assert sparse_rank([]) == 0
         assert sparse_rank([{0: 1, 2: -1}, {0: 2, 2: -2}, {1: 5}]) == 2
 
-    def test_large_dispatch_consistency(self):
+    def test_large_sparse_matrix(self):
         rng = random.Random(5150)
         data = random_int_matrix(rng, 80, 90, lo=-2, hi=2, density=0.04)
         m = RationalMatrix(data)

@@ -94,6 +94,13 @@ class TestRestrictedCount:
         with pytest.raises(ValueError):
             restricted_count(-1, 2, 2)
 
+    def test_box_larger_than_m(self):
+        # parts above m and more than m parts never occur, so a huge box
+        # counts like the m x m box, and needs no deep recursion
+        assert restricted_count(10, 3, 1000) == restricted_count(10, 3, 10) == 14
+        assert restricted_count(10, 1000, 3) == restricted_count(10, 10, 3) == 14
+        assert restricted_count(12, 5000, 5000) == len(partitions_of(12))
+
     @pytest.mark.parametrize("n", range(0, 8))
     @pytest.mark.parametrize("r", range(0, 8))
     def test_matches_brute_force(self, n, r):
