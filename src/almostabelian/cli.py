@@ -1,10 +1,16 @@
 """Command line surface.
 
 Subcommands: enumerate, classify, invariants, verify, export.  Exit
-statuses: 0 success / all checks passed, 1 usage or parse error or an
---output path that cannot be written, 2 classification answered "no
-complex structure", 3 verification failure.
+statuses: 0 success / all checks passed, 1 usage or parse error, input
+over a size limit or an --output path that cannot be written, 2
+classification answered "no complex structure", 3 verification failure.
 All output is deterministic: identical inputs give identical bytes.
+
+Size limits, checked before any work starts (one "error:" line on
+stderr and exit status 1 above them): invariants and export take models
+with n = sum(q) <= 24, and invariants --oracle n <= 8; enumerate takes
+--dim <= 60; classify takes Jordan types of total size <= 101; verify
+takes --max-dim <= 16.
 """
 
 import argparse
@@ -48,6 +54,17 @@ EXIT_NO_COMPLEX = 2
 EXIT_VERIFY_FAILED = 3
 
 WORKERS_ENV = "ALMOSTABELIAN_WORKERS"
+
+# Size limits (see the module docstring), each set where its slowest
+# input takes up to about a minute on one CPU: the closed forms grow
+# steeply with the largest part of q, the rank oracles and the verify
+# sweep exponentially in n, and enumerate and classify walk every
+# partition of n.
+MAX_MODEL_N = 24
+MAX_ORACLE_N = 8
+MAX_ENUMERATE_DIM = 60
+MAX_CLASSIFY_TOTAL = 101
+MAX_VERIFY_DIM = 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,6 +134,12 @@ def _emit(text, output):
     return EXIT_OK
 
 
+def _over_limit(what, value, limit):
+    """One error line for input above a size limit; returns the exit status."""
+    sys.stderr.write("error: %s is %d, above the limit of %d\n" % (what, value, limit))
+    return EXIT_USAGE
+
+
 def _model_from_args(parser, args):
     try:
         return ComplexModel(args.q.n, args.q, args.j)
@@ -127,6 +150,8 @@ def _model_from_args(parser, args):
 def cmd_enumerate(parser, args):
     if args.dim < 4 or args.dim % 2:
         parser.error("--dim must be an even integer >= 4")
+    if args.dim > MAX_ENUMERATE_DIM:
+        return _over_limit("--dim", args.dim, MAX_ENUMERATE_DIM)
     n = (args.dim - 2) // 2
     for c in enumerate_models(n):
         alg = build_algebra(c)
@@ -141,6 +166,8 @@ def cmd_classify(parser, args):
     m = args.jordan
     if m.n % 2 == 0 or m.n < 3:
         parser.error("--jordan must sum to an odd number >= 3")
+    if m.n > MAX_CLASSIFY_TOTAL:
+        return _over_limit("the total size of --jordan", m.n, MAX_CLASSIFY_TOTAL)
     witness = admits_complex_structure(m)
     if witness is None:
         sys.stdout.write("no complex structure for m=%s\n" % m)
@@ -181,6 +208,10 @@ def _render_text_tables(record):
 
 
 def cmd_invariants(parser, args):
+    if args.oracle and args.q.n > MAX_ORACLE_N:
+        return _over_limit("n with --oracle", args.q.n, MAX_ORACLE_N)
+    if args.q.n > MAX_MODEL_N:
+        return _over_limit("n", args.q.n, MAX_MODEL_N)
     model = _model_from_args(parser, args)
     record = ExportRecord.for_model(model, source="oracle" if args.oracle else "closed-form")
     if args.format == "json":
@@ -189,6 +220,8 @@ def cmd_invariants(parser, args):
 
 
 def cmd_export(parser, args):
+    if args.q.n > MAX_MODEL_N:
+        return _over_limit("n", args.q.n, MAX_MODEL_N)
     model = _model_from_args(parser, args)
     if args.format == "salamon":
         return _emit(compact_equations(structure_equations(model)) + "\n", args.output)
@@ -362,7 +395,10 @@ def run_verify(max_dim):
 def cmd_verify(parser, args):
     if args.max_dim < 4:
         parser.error("--max-dim must be >= 4")
-    lines, all_ok = run_verify(args.max_dim if args.max_dim % 2 == 0 else args.max_dim - 1)
+    max_dim = args.max_dim - args.max_dim % 2
+    if max_dim > MAX_VERIFY_DIM:
+        return _over_limit("--max-dim", args.max_dim, MAX_VERIFY_DIM)
+    lines, all_ok = run_verify(max_dim)
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 

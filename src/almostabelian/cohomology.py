@@ -366,8 +366,9 @@ def betti_via_ideal_action(alg):
                 action.setdefault(1 << r, []).append((1 << c, -a))
 
     def l_of(mono):
-        # each factor is replaced in turn; the sign sorts the new factor
-        # into the rest of the monomial
+        # each factor is replaced in its own slot; the sign moves the new
+        # factor from that slot past the factors lying between the old
+        # and the new index
         out = {}
         bits = mono
         while bits:
@@ -377,7 +378,7 @@ def betti_via_ideal_action(alg):
             for target, coef in action.get(low, ()):
                 if rest & target:
                     continue
-                if (rest & (target - 1)).bit_count() & 1:
+                if (rest & ((low - 1) ^ (target - 1))).bit_count() & 1:
                     coef = -coef
                 out[rest | target] = out.get(rest | target, 0) + coef
         return {k: v for k, v in out.items() if v}

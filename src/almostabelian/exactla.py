@@ -1,17 +1,19 @@
 """Exact linear algebra over the rationals.
 
 Everything here works on plain Python ints and fractions.Fraction, so
-all results are exact; no floating point is used anywhere.  Every rank
-goes through one kernel: a gcd-normalised, fraction-free sparse
-elimination whose pivot column comes from a lazy min-heap keyed by the
-number of active rows (Markowitz-style).  Dense matrices are passed to
-it as sparse rows; the test suite cross-checks it against textbook
-Gaussian elimination over Fraction.
+all results are exact; no floating point is used anywhere.  Echelon
+forms, kernels and subspaces are kept as primitive integer rows, so no
+Fraction arises on integer input.  Every rank goes through one kernel:
+a gcd-normalised, fraction-free sparse elimination whose pivot column
+comes from a lazy min-heap keyed by the number of active rows
+(Markowitz-style).  Dense matrices are passed to it as sparse rows; the
+test suite cross-checks it against textbook Gaussian elimination over
+Fraction.
 """
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 
 
 class NotNilpotentError(ValueError):
@@ -32,7 +34,9 @@ class RationalMatrix:
                 if len(row) != cols:
                     raise ValueError("ragged rows")
                 for x in row:
-                    if not isinstance(x, (int, Fraction)) or isinstance(x, bool):
+                    if type(x) is not int and (
+                        not isinstance(x, (int, Fraction)) or isinstance(x, bool)
+                    ):
                         raise ValueError("entries must be int or Fraction, got %r" % (x,))
         elif cols is None:
             cols = 0
@@ -101,17 +105,7 @@ class RationalMatrix:
 
     def _integer_rows(self):
         """Rows rescaled to integers (rank preserving)."""
-        out = []
-        for row in self.data:
-            denom = 1
-            for x in row:
-                if isinstance(x, Fraction):
-                    denom = denom * x.denominator // gcd(denom, x.denominator)
-            if denom == 1:
-                out.append([int(x) for x in row])
-            else:
-                out.append([int(x * denom) for x in row])
-        return out
+        return [_integer_vector(row) for row in self.data]
 
     def rank(self):
         """Exact rank over Q, by fraction-free sparse elimination."""
@@ -121,42 +115,87 @@ class RationalMatrix:
     def kernel_dim(self):
         return self.cols - self.rank()
 
-    def rref(self):
-        """Reduced row echelon form: (nonzero rows as Fraction tuples, pivot columns)."""
-        m = [[Fraction(x) for x in row] for row in self.data]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            if r == len(m):
-                break
-            piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(len(m)):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-        return [tuple(row) for row in m[:r]], pivots
-
     def nullspace(self):
-        """Basis of the right kernel, as tuples of Fractions."""
-        rows, pivots = self.rref()
+        """Basis of the right kernel, as primitive integer tuples.
+
+        One vector per free column f of the echelon form: it has the
+        common multiple L of the pivots at f, -row[f] * L / pivot at each
+        pivot column, and zeros elsewhere.
+        """
+        rows, pivots = echelon(self._integer_rows(), self.cols)
         pivot_set = set(pivots)
         basis = []
         for free in range(self.cols):
             if free in pivot_set:
                 continue
-            vec = [Fraction(0)] * self.cols
-            vec[free] = Fraction(1)
+            scale = lcm(*(row[pc] for row, pc in zip(rows, pivots) if row[free]))
+            vec = [0] * self.cols
+            vec[free] = scale
             for row, pc in zip(rows, pivots):
-                vec[pc] = -row[free]
-            basis.append(tuple(vec))
+                vec[pc] = -row[free] * scale // row[pc]
+            basis.append(_primitive(vec))
         return basis
+
+
+def _integer_vector(vec):
+    """A vector of ints and Fractions scaled by its least common denominator."""
+    if set(map(type, vec)) <= {int}:
+        return list(vec)
+    denom = lcm(*(x.denominator for x in vec))
+    return [int(x * denom) for x in vec]
+
+
+def _primitive(vec):
+    """An integer vector divided by the gcd of its entries, as a tuple."""
+    g = gcd(*vec)
+    if g > 1:
+        return tuple(x // g for x in vec)
+    return tuple(vec)
+
+
+def echelon(vectors, d):
+    """Canonical reduced echelon basis of the span of integer vectors in Z^d.
+
+    Returns (rows, pivots): each row is primitive, with a positive entry
+    at its pivot column and zeros at every other pivot column, so it is
+    the reduced row echelon row over Q times its least common
+    denominator.  Elimination is fraction-free: a row update is the
+    integer cross-multiplication p * row - a * pivot_row with p > 0,
+    divided by the gcd of the result, so no sign changes after a row
+    becomes a pivot row.  Inputs are made primitive, with a positive
+    first entry, and deduplicated first.
+    """
+    pending = {}
+    for v in vectors:
+        if any(v):
+            v = _primitive(v)
+            if next(x for x in v if x) < 0:
+                v = tuple(-x for x in v)
+            pending[v] = None
+    pending = list(pending)
+    done = []
+    for c in range(d):
+        if not pending:
+            break
+        hits = [i for i, row in enumerate(pending) if row[c]]
+        if not hits:
+            continue
+        prow = pending.pop(min(hits, key=lambda i: abs(pending[i][c])))
+        p = prow[c]
+        if p < 0:
+            prow = tuple(-x for x in prow)
+            p = -p
+        pending = [_eliminate(row, c, prow, p) if row[c] else row for row in pending]
+        pending = [row for row in pending if any(row)]
+        done = [(pc, _eliminate(row, c, prow, p) if row[c] else row) for pc, row in done]
+        done.append((c, prow))
+    return [row for _, row in done], [pc for pc, _ in done]
+
+
+def _eliminate(row, c, prow, p):
+    """p * row - row[c] * prow, made primitive: zero at column c."""
+    a = row[c]
+    return _primitive([p * x - a * y for x, y in zip(row, prow)])
 
 
 def _rank_sparse(rows):
@@ -287,21 +326,20 @@ def jordan_type(matrix):
 class Subspace:
     """Subspace of Q^d, stored by a reduced row-echelon basis.
 
-    The RREF basis is canonical, so equality of subspaces is structural
-    equality of the stored rows.
+    The basis rows are primitive integer rows (see `echelon`), which are
+    canonical, so equality of subspaces is structural equality of the
+    stored rows.  Vectors may hold ints or Fractions; Fraction vectors
+    are scaled to integers first.
     """
 
     __slots__ = ("d", "basis", "pivots")
 
     def __init__(self, d, vectors=()):
-        vectors = [list(v) for v in vectors]
+        vectors = [_integer_vector(v) for v in vectors]
         for v in vectors:
             if len(v) != d:
                 raise ValueError("vector length != ambient dimension")
-        if vectors:
-            rows, pivots = RationalMatrix(vectors, cols=d).rref()
-        else:
-            rows, pivots = [], []
+        rows, pivots = echelon(vectors, d)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "basis", tuple(rows))
         object.__setattr__(self, "pivots", tuple(pivots))
@@ -315,14 +353,16 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, vec):
-        vec = [Fraction(x) for x in vec]
+        """Membership, by integer elimination against the echelon rows."""
         if len(vec) != self.d:
             raise ValueError("vector length != ambient dimension")
+        vec = _integer_vector(vec)
         for row, pc in zip(self.basis, self.pivots):
             f = vec[pc]
             if f:
-                vec = [a - f * b for a, b in zip(vec, row)]
-        return all(x == 0 for x in vec)
+                p = row[pc]
+                vec = [p * a - f * b for a, b in zip(vec, row)]
+        return not any(vec)
 
     def __le__(self, other):
         return all(other.contains(v) for v in self.basis)

@@ -284,56 +284,58 @@ def nijenhuis_vanishes(alg):
     return True
 
 
-def _ad_matrices(alg):
-    """For each basis vector e_i, the matrix of x -> [e_i, x]."""
-    dim = alg.dim
-    mats = []
-    for i in range(dim):
-        cols = []
-        for k in range(dim):
-            ek = tuple(1 if t == k else 0 for t in range(dim))
-            ei = tuple(1 if t == i else 0 for t in range(dim))
-            cols.append(alg.bracket(ei, ek))
-        mats.append(RationalMatrix([[cols[k][r] for k in range(dim)] for r in range(dim)]))
-    return mats
+def _ad_action(alg):
+    """The map x -> ([e_0, x], ..., [e_{dim-1}, x]), read straight off A.
+
+    [e_0, x] is A applied to the ideal coordinates of x, and for k >= 1
+    [e_k, x] = -x_0 [e_0, e_k] = -x_0 A e_k.
+    """
+    rows = [[(c + 1, a) for c, a in enumerate(row) if a] for row in alg.A]
+    cols = list(zip(*alg.A))
+    zero = (0,) * alg.dim
+
+    def images(x):
+        out = [(0,) + tuple(sum(a * x[c] for c, a in row) for row in rows)]
+        x0 = x[0]
+        if x0:
+            out.extend((0,) + tuple(-x0 * a for a in col) for col in cols)
+        else:
+            out.extend(zero for _ in cols)
+        return out
+
+    return images
 
 
-def _ascending_centre(alg, ads, prev):
-    """{x : [g, x] in prev for every basis vector g}."""
+def _ascending_centre(alg, prev):
+    """{x : [g, x] in prev for every basis vector g}.
+
+    A functional f vanishing on prev gives the constraint f o ad(e_i)
+    for every i: f o ad(e_0) = (0, f_ideal A), and for k >= 1
+    f o ad(e_k) = -(f_ideal A e_k) e^0.
+    """
     dim = alg.dim
     if prev.dim == dim:
         return prev
-    basis_rows = [list(v) for v in prev.basis]
     annihilator = (
-        RationalMatrix(basis_rows, cols=dim).nullspace()
-        if basis_rows
-        else [tuple(1 if t == i else 0 for t in range(dim)) for i in range(dim)]
+        RationalMatrix(prev.basis, cols=dim).nullspace()
+        if prev.dim
+        else RationalMatrix.identity(dim).data
     )
+    cols = list(zip(*alg.A))
     constraints = []
-    for ad in ads:
-        for f in annihilator:
-            constraints.append(
-                [
-                    sum(f[r] * ad[r, c] for r in range(dim))
-                    for c in range(dim)
-                ]
-            )
-    if not constraints:
-        return Subspace.full(dim)
+    for f in annihilator:
+        fa = [sum(a * v for a, v in zip(col, f[1:])) for col in cols]
+        constraints.append([0] + fa)
+        constraints.extend([-v] + [0] * (dim - 1) for v in fa)
     return Subspace(dim, RationalMatrix(constraints, cols=dim).nullspace())
 
 
-def _descending_series(alg, ads):
-    """Descending central series from the bracket tensor, until it vanishes."""
+def _descending_series(alg, ad):
+    """Descending central series from the ad action, until it vanishes."""
     dim = alg.dim
     series = [Subspace.full(dim)]
     while series[-1].dim > 0:
-        vecs = []
-        for ad in ads:
-            for v in series[-1].basis:
-                img = ad.apply(v)
-                if any(img):
-                    vecs.append(img)
+        vecs = [img for v in series[-1].basis for img in ad(v) if any(img)]
         nxt = Subspace(dim, vecs)
         if nxt == series[-1]:
             raise StableSeriesError("descending series stabilised; algebra not nilpotent")
@@ -349,11 +351,11 @@ def stable_series(alg, model):
     the corresponding quotient; violations raise StableSeriesError.
     """
     dim = alg.dim
-    ads = _ad_matrices(alg)
     centres = [Subspace(dim)]
     for _ in range(model.j - 1):
-        centres.append(_ascending_centre(alg, ads, centres[-1]))
-    descending = _descending_series(alg, ads)
+        centres.append(_ascending_centre(alg, centres[-1]))
+    ad = _ad_action(alg)
+    descending = _descending_series(alg, ad)
     nu = len(descending) - 1
     if nu != model.step:
         raise StableSeriesError(
@@ -376,9 +378,8 @@ def stable_series(alg, model):
                 raise StableSeriesError("term of dimension %d is not J-invariant" % t.dim)
     for prev, nxt in zip(filtration, filtration[1:]):
         for v in nxt.basis:
-            for i in range(dim):
-                ei = tuple(1 if r == i else 0 for r in range(dim))
-                if not prev.contains(alg.bracket(ei, v)):
+            for img in ad(v):
+                if not prev.contains(img):
                     raise StableSeriesError("quotient step is not central")
     return filtration
 

@@ -91,22 +91,28 @@ def partitions_of(n):
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def restricted_count(m, n, r):
     """A(m, n, r): partitions of m into at most n parts, each of size <= r.
 
-    No partition of m has more than m parts or a part above m, so n and
-    r are clamped to m first.  Box recursion: either no part equals r,
-    or removing one part equal to r leaves a partition in the (n-1) x r
-    box.  Unrolled over r, A(m, n, r) is the sum over the largest part
-    s = 1..r of A(m - s, n - 1, s), so the recursion only descends in n
-    (depth at most min(n, m)).  All arithmetic stays in plain integers.
+    A(m, n, r) is the coefficient of q^m in the Gaussian binomial
+    [n+r choose r]_q = prod_{i=1..r} (1 - q^(n+i)) / (1 - q^i).  No
+    partition of m has more than m parts or a part above m, so n and r
+    are clamped to m first.  The product is built one factor at a time
+    on coefficients truncated at degree m: multiplying by 1 - q^(n+i),
+    then dividing by 1 - q^i as a power series.  After factor i the list
+    holds [n+i choose i]_q, so every division is exact.  The work is
+    O(r m) integer additions and there is no recursion.
     """
     if m < 0 or n < 0 or r < 0:
         raise ValueError("arguments must be non-negative")
-    if m == 0:
-        return 1
     n, r = min(n, m), min(r, m)
-    if n == 0 or r == 0:
+    if m > n * r:
         return 0
-    return sum(restricted_count(m - s, n - 1, s) for s in range(1, r + 1))
+    coeffs = [1] + [0] * m
+    for i in range(1, r + 1):
+        for k in range(m, n + i - 1, -1):
+            coeffs[k] -= coeffs[k - n - i]
+        for k in range(i, m + 1):
+            coeffs[k] += coeffs[k - i]
+    return coeffs[m]

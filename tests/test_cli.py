@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
@@ -237,6 +238,49 @@ class TestVerify:
         assert code == 0 and out == expected
         assert err.count("\n") == 1
         assert err.startswith("warning: ignoring %s='abc'" % cli.WORKERS_ENV)
+
+
+class TestSizeLimits:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["invariants", "--q", "99999999999999999999", "--j", "1"],
+            ["invariants", "--q", "25", "--j", "1"],
+            ["invariants", "--q", "9", "--j", "1", "--oracle"],
+            ["export", "--q", "20,5", "--j", "1", "--format", "json"],
+            ["enumerate", "--dim", "200"],
+            ["enumerate", "--dim", "62"],
+            ["classify", "--jordan", "53,50"],
+            ["classify", "--jordan", "99999999999999999999"],
+            ["verify", "--max-dim", "18"],
+            ["verify", "--max-dim", "1000000"],
+        ],
+    )
+    def test_rejected_before_any_work(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "above the limit" in lines[0]
+
+    def test_limits_admit_the_documented_sizes(self):
+        assert cli.MAX_CLASSIFY_TOTAL >= 101  # classify --jordan 51,50
+        assert cli.MAX_VERIFY_DIM >= 16
+        assert cli.MAX_ORACLE_N <= cli.MAX_MODEL_N
+
+    def test_odd_max_dim_rounds_down_before_the_limit(self, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setattr(cli, "run_verify", lambda d: seen.append(d) or (["result: PASS"], True))
+        code, out, _ = run_cli(["verify", "--max-dim", "17"], capsys)
+        assert code == 0 and seen == [16] and out == "result: PASS\n"
+
+    def test_at_the_limit_is_accepted(self, capsys):
+        ones = ",".join(["1"] * cli.MAX_MODEL_N)
+        code, out, _ = run_cli(["invariants", "--q", ones, "--j", "2"], capsys)
+        assert code == 0 and out.startswith("model: n=%d " % cli.MAX_MODEL_N)
 
 
 class TestEntryPoint:

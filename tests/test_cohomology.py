@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import pytest
@@ -21,7 +22,7 @@ from almostabelian.cohomology import (
     verify_frolicher,
     verify_symmetry,
 )
-from almostabelian.model import ComplexModel, build_algebra, enumerate_models
+from almostabelian.model import AlgebraModel, ComplexModel, build_algebra, enumerate_models
 from almostabelian.partitions import Partition
 from almostabelian.sl2 import irreducible as W
 
@@ -183,12 +184,34 @@ class TestOracleEquivalence:
         assert hodge_oracle(c2) == hodge_oracle(c2, block_sizes=[2, 1, 2])
 
 
+def algebra_of(a):
+    """The almost abelian algebra with ad(e_0) = a on the ideal (J unused)."""
+    dim = len(a) + 1
+    return AlgebraModel(
+        dim=dim, A=tuple(tuple(r) for r in a), J=tuple((0,) * dim for _ in range(dim))
+    )
+
+
 class TestThirdRoute:
-    @pytest.mark.parametrize("n", range(1, 4))
+    @pytest.mark.parametrize("n", range(1, 6))
     def test_ideal_action_matches(self, n):
         for c in enumerate_models(n):
             alg = build_algebra(c)
             assert betti_via_ideal_action(alg) == betti_closed(c)
+
+    def test_entry_off_the_subdiagonal(self):
+        # a slot sign that is dropped turns (1,3,4,4,3,1) into (1,3,5,5,3,1)
+        alg = algebra_of([[0, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0], [-1, -1, -1, 0]])
+        assert betti_oracle(alg) == (1, 3, 4, 4, 3, 1)
+        assert betti_via_ideal_action(alg) == (1, 3, 4, 4, 3, 1)
+
+    def test_random_nilpotent_matches_oracle(self):
+        rng = random.Random(2025)
+        for _ in range(180):
+            size = rng.randint(3, 5)
+            a = [[rng.randint(-2, 2) if c < r else 0 for c in range(size)] for r in range(size)]
+            alg = algebra_of(a)
+            assert betti_via_ideal_action(alg) == betti_oracle(alg), a
 
 
 class TestJordanBlockModule:

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import permutations
+from math import gcd
 
 import pytest
 
@@ -7,6 +9,7 @@ from almostabelian.exactla import (
     NotNilpotentError,
     RationalMatrix,
     Subspace,
+    echelon,
     jordan_block,
     jordan_type,
     power_ranks,
@@ -218,13 +221,19 @@ class TestMatrixBasics:
         assert len(basis) == 2
         for v in basis:
             assert m.apply(v) == (0, 0)
+            assert all(type(x) is int for x in v) and gcd(*v) == 1
+        assert basis == [(-2, 1, 0), (-3, 0, 1)]
+        assert RationalMatrix([[2, 0, 3], [0, 4, 1]]).nullspace() == [(-6, -1, 4)]
+        assert RationalMatrix([[Fraction(1, 2), Fraction(1, 3)]]).nullspace() == [(-2, 3)]
 
     def test_rref_pivots(self):
         m = RationalMatrix([[0, 1, 2], [0, 2, 4], [1, 0, 0]])
-        rows, pivots = m.rref()
+        rows, pivots = echelon(m.data, m.cols)
         assert pivots == [0, 1]
         assert rows[0] == (1, 0, 0)
         assert rows[1] == (0, 1, 2)
+        # the rational RREF row (0, 1, 2/3) times its denominator
+        assert echelon([(0, -3, -2), (5, 0, 0)], 3) == ([(1, 0, 0), (0, 3, 2)], [0, 1])
 
 
 class TestSubspace:
@@ -252,3 +261,50 @@ class TestSubspace:
     def test_full_and_zero(self):
         assert Subspace.full(4).dim == 4
         assert Subspace(4).dim == 0
+
+    def test_rows_primitive_reduced_positive_pivot(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            d = rng.randint(1, 7)
+            vecs = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(rng.randint(0, 6))]
+            s = Subspace(d, vecs)
+            assert s.dim == naive_gaussian_rank(vecs)
+            assert list(s.pivots) == sorted(s.pivots)
+            for row, pc in zip(s.basis, s.pivots):
+                assert all(type(x) is int for x in row)
+                assert gcd(*row) == 1
+                assert row[pc] > 0
+                assert all(x == 0 for x in row[:pc])
+                for other in s.pivots:
+                    if other != pc:
+                        assert row[other] == 0
+            for v in vecs:
+                assert s.contains(v)
+
+    def test_rows_are_scaled_rational_rref(self):
+        # the rational RREF rows (1, 0, 1/2, -1/3) and (0, 1, 2/5, 0)
+        s = Subspace(4, [(6, 0, 3, -2), (0, 5, 2, 0)])
+        assert s.basis == ((6, 0, 3, -2), (0, 5, 2, 0))
+        t = Subspace(4, [(Fraction(1), 0, Fraction(1, 2), Fraction(-1, 3)),
+                         (6, 5, 5, -2)])
+        assert t == s and hash(t) == hash(s)
+
+    def test_equality_ignores_order_and_scaling(self):
+        vecs = [(1, 2, 0, -1), (0, 3, 1, 1), (2, 1, -1, 0)]
+        ref = Subspace(4, vecs)
+        for perm in permutations(vecs):
+            for scales in ((1, 1, 1), (-2, 3, 5), (7, -1, -4)):
+                scaled = [tuple(k * x for x in v) for k, v in zip(scales, perm)]
+                other = Subspace(4, scaled + [scaled[0]])
+                assert other == ref and hash(other) == hash(ref)
+                assert other.basis == ref.basis
+
+    def test_contains_and_inclusion(self):
+        s = Subspace(4, [(2, 0, 1, 0), (0, 3, 0, 1)])
+        assert s.contains((4, 3, 2, 1))
+        assert s.contains((Fraction(1), Fraction(1, 3), Fraction(1, 2), Fraction(1, 9)))
+        assert not s.contains((1, 0, 0, 0))
+        assert Subspace(4, [(4, 3, 2, 1)]) <= s
+        assert not Subspace(4, [(4, 3, 2, 2)]) <= s
+        with pytest.raises(ValueError):
+            s.contains((1, 2))

@@ -1,8 +1,9 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from almostabelian.exactla import RationalMatrix, jordan_type, power_ranks
+from almostabelian.exactla import RationalMatrix, Subspace, jordan_type, power_ranks
 from almostabelian.model import (
     AlgebraModel,
     ComplexModel,
@@ -77,6 +78,80 @@ def d_of_coordinates(alg, coords):
 def model_of(qparts, j):
     q = Partition(qparts)
     return ComplexModel(q.n, q, j)
+
+
+# -- a Fraction reference for the stable series -----------------------------
+
+
+def fraction_rref(vectors, d):
+    """Reduced row echelon rows of the span, textbook elimination over Fraction."""
+    m = [[Fraction(x) for x in v] for v in vectors]
+    rows = []
+    for c in range(d):
+        piv = next((i for i, row in enumerate(m) if row[c]), None)
+        if piv is None:
+            continue
+        prow = m.pop(piv)
+        prow = [x / prow[c] for x in prow]
+        m = [[a - row[c] * b for a, b in zip(row, prow)] if row[c] else row for row in m]
+        m = [row for row in m if any(row)]
+        rows = [[a - row[c] * b for a, b in zip(row, prow)] if row[c] else row for row in rows]
+        rows.append(prow)
+    return [tuple(row) for row in rows]
+
+
+def fraction_kernel(vectors, d):
+    rows = fraction_rref(vectors, d)
+    pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
+    basis = []
+    for free in range(d):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * d
+        vec[free] = Fraction(1)
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[free]
+        basis.append(vec)
+    return basis
+
+
+def reference_series(alg, model):
+    """The stable series from the bracket tensor over Fraction, unchecked."""
+    dim = alg.dim
+    unit = [tuple(1 if t == i else 0 for t in range(dim)) for i in range(dim)]
+    ads = [[alg.bracket_basis(i, k) for k in range(dim)] for i in range(dim)]
+
+    def apply(i, v):  # [e_i, v] = sum_k v_k [e_i, e_k]
+        out = [0] * dim
+        for k, x in enumerate(v):
+            if x:
+                for r, coef in ads[i][k].items():
+                    out[r] += x * coef
+        return out
+
+    centres = [[]]
+    for _ in range(model.j - 1):
+        ann = fraction_kernel(centres[-1], dim) if centres[-1] else unit
+        constraints = [
+            [sum(f[r] * coef for r, coef in ads[i][c].items()) for c in range(dim)]
+            for i in range(dim)
+            for f in ann
+        ]
+        centres.append(fraction_rref(fraction_kernel(constraints, dim), dim))
+    descending = [fraction_rref(unit, dim)]
+    while descending[-1]:
+        descending.append(
+            fraction_rref([apply(i, v) for v in descending[-1] for i in range(dim)], dim)
+        )
+    terms = list(centres)
+    for k in range(len(descending) - 1 - model.j, 0, -1):
+        terms.append(fraction_rref(centres[-1] + descending[k], dim))
+    terms.append(fraction_rref(unit, dim))
+    filtration = [terms[0]]
+    for t in terms[1:]:
+        if len(t) != len(filtration[-1]):
+            filtration.append(t)
+    return filtration
 
 
 class TestJordanPartition:
@@ -289,6 +364,47 @@ class TestStableSeries:
             assert terms[0].dim == 0 and terms[-1].dim == c.dim
             dims = [t.dim for t in terms]
             assert dims == sorted(set(dims))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_fraction_reference(self, n):
+        for c in enumerate_models(n):
+            alg = build_algebra(c)
+            terms = stable_series(alg, c)
+            ref = reference_series(alg, c)
+            assert len(terms) == len(ref), c
+            for term, rows in zip(terms, ref):
+                assert term == Subspace(alg.dim, rows), c
+                # the integer rows are the rational RREF rows times their
+                # least common denominator
+                for row, frow in zip(term.basis, rows):
+                    scale = lcm(*(x.denominator for x in frow))
+                    assert row == tuple(int(x * scale) for x in frow), c
+
+    def test_no_fraction_on_the_path(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Fraction created")
+
+        models = [c for n in range(1, 4) for c in enumerate_models(n)]
+        algebras = [build_algebra(c) for c in models]
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(forbidden))
+        if hasattr(Fraction, "_from_coprime_ints"):
+            monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(forbidden))
+        with pytest.raises(AssertionError, match="Fraction created"):
+            Fraction(1, 2)
+        for c, alg in zip(models, algebras):
+            stable_series(alg, c)
+
+    def test_not_nilpotent_raises_stabilised(self):
+        c = model_of([2], 1)
+        alg = build_algebra(c)
+        # A + identity is invertible, so [g, g] = [g, [g, g]] = the ideal
+        a = tuple(
+            tuple(x + (1 if r == k else 0) for k, x in enumerate(row))
+            for r, row in enumerate(alg.A)
+        )
+        bad = AlgebraModel(dim=alg.dim, A=a, J=alg.J)
+        with pytest.raises(StableSeriesError, match="stabilised"):
+            stable_series(bad, c)
 
     def test_detects_broken_j(self):
         c = model_of([2], 3)

@@ -101,6 +101,14 @@ class TestRestrictedCount:
         assert restricted_count(10, 1000, 3) == restricted_count(10, 10, 3) == 14
         assert restricted_count(12, 5000, 5000) == len(partitions_of(12))
 
+    def test_large_m_without_recursion(self):
+        # p(1000); the seed's recursion over n raised RecursionError here
+        assert restricted_count(1000, 1000, 1000) == 24061467864032622473692149727991
+        assert restricted_count(1000, 1000, 1000) == restricted_count(1000, 10**6, 10**6)
+
+    def test_cache_is_bounded(self):
+        assert restricted_count.cache_info().maxsize is not None
+
     @pytest.mark.parametrize("n", range(0, 8))
     @pytest.mark.parametrize("r", range(0, 8))
     def test_matches_brute_force(self, n, r):
