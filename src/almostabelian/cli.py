@@ -8,9 +8,9 @@ All output is deterministic: identical inputs give identical bytes.
 
 Size limits, checked before any work starts (one "error:" line on
 stderr and exit status 1 above them): invariants and export take models
-with n = sum(q) <= 24, and invariants --oracle n <= 8; enumerate takes
---dim <= 60; classify takes Jordan types of total size <= 101; verify
-takes --max-dim <= 16.
+with n = sum(q) <= 40, and invariants --oracle n <= 8; enumerate takes
+--dim <= 100; classify takes Jordan types of total size <= 1000000;
+verify takes --max-dim <= 16.
 """
 
 import argparse
@@ -27,7 +27,6 @@ from .cohomology import (
     structural_checks,
     verify_symmetry,
 )
-from .exactla import jordan_type
 from .model import (
     ComplexModel,
     InvalidModelError,
@@ -58,12 +57,13 @@ WORKERS_ENV = "ALMOSTABELIAN_WORKERS"
 # Size limits (see the module docstring), each set where its slowest
 # input takes up to about a minute on one CPU: the closed forms grow
 # steeply with the largest part of q, the rank oracles and the verify
-# sweep exponentially in n, and enumerate and classify walk every
-# partition of n.
-MAX_MODEL_N = 24
+# sweep exponentially in n, and enumerate walks every partition of n.
+# classify is linear in the number of parts of --jordan, so memory
+# (about 100 MB per million parts) sets its limit before time does.
+MAX_MODEL_N = 40
 MAX_ORACLE_N = 8
-MAX_ENUMERATE_DIM = 60
-MAX_CLASSIFY_TOTAL = 101
+MAX_ENUMERATE_DIM = 100
+MAX_CLASSIFY_TOTAL = 10**6
 MAX_VERIFY_DIM = 16
 
 
@@ -154,10 +154,10 @@ def cmd_enumerate(parser, args):
         return _over_limit("--dim", args.dim, MAX_ENUMERATE_DIM)
     n = (args.dim - 2) // 2
     for c in enumerate_models(n):
-        alg = build_algebra(c)
+        m = c.m
         sys.stdout.write(
             "m=%s q=%s j=%d eps=%d step=%d commutator=%d\n"
-            % (c.m, c.q, c.j, c.epsilon, c.step, commutator_dimension(alg))
+            % (m, c.q, c.j, c.epsilon, c.step, 2 * n + 1 - len(m))
         )
     return EXIT_OK
 
@@ -317,7 +317,7 @@ def _model_sweep_entry(payload):
             "serre": rep_closed.serre and rep_oracle.serre,
             "commutator_rule": (commutator_dimension(alg) == 1)
             == (model.m == expected_heisenberg),
-            "jordan_rank_recovery": Partition(jordan_type(alg.a_matrix())) == model.m,
+            "commutator_formula": commutator_dimension(alg) == 2 * n + 1 - len(model.m),
         }
     )
     return checks
@@ -336,7 +336,8 @@ def _worker_count():
 
 
 def run_verify(max_dim):
-    """The full sweep; returns (summary lines, all passed)."""
+    """The full sweep; returns (summary lines, then one line per failing
+    model check, and whether all passed)."""
     categories = []
     categories.append(("representation identities", _representation_identity_checks()))
     categories.append(("partition identities", _partition_identity_checks()))
@@ -361,7 +362,7 @@ def run_verify(max_dim):
         "dbar_squared",
         "d_splits",
         "jordan_recovery",
-        "jordan_rank_recovery",
+        "commutator_formula",
         "step_formula",
         "stable_series",
         "commutator_rule",
@@ -369,16 +370,21 @@ def run_verify(max_dim):
     oracle_names = ("betti_oracle_eq", "hodge_oracle_eq")
     frolicher_names = ("frolicher_closed", "frolicher_oracle")
     symmetry_names = ("symmetry_closed", "symmetry_oracle", "poincare", "serre")
-    for title, names in (
+    groups = (
         ("structural checks", structural_names),
         ("oracle agreement", oracle_names),
         ("frolicher", frolicher_names),
         ("symmetry and duality", symmetry_names),
-    ):
-        bucket = []
-        for checks in per_model:
-            bucket.extend(checks[name] for name in names)
-        categories.append((title, bucket))
+    )
+    for title, names in groups:
+        categories.append((title, [checks[name] for checks in per_model for name in names]))
+    failures = [
+        "failed: q=%s j=%d check=%s" % (Partition(qparts), j, name)
+        for (_, qparts, j), checks in zip(payloads, per_model)
+        for _, names in groups
+        for name in names
+        if not checks[name]
+    ]
 
     lines = []
     all_ok = True
@@ -389,7 +395,7 @@ def run_verify(max_dim):
         lines.append("%s: %d passed, %d failed" % (title, passed, failed))
     lines.append("models checked: %d" % len(payloads))
     lines.append("result: %s" % ("PASS" if all_ok else "FAIL"))
-    return lines, all_ok
+    return lines + failures, all_ok
 
 
 def cmd_verify(parser, args):

@@ -26,7 +26,7 @@ from .model import (
     structure_equations,
 )
 from .partitions import Partition
-from .sl2 import Sl2Module, delta, tensor, wedge
+from .sl2 import Sl2Module, delta, delta_tensor, wedge
 
 
 class DifferentialError(RuntimeError):
@@ -81,9 +81,9 @@ def hodge_closed(model):
         wg = wedge(triple.g10, p)
         row = []
         for q in range(n + 2):
-            h = delta(tensor(wb[q], wg))
+            h = delta_tensor(wb[q], wg)
             if q:
-                h += delta(tensor(wb[q - 1], wg))
+                h += delta_tensor(wb[q - 1], wg)
             row.append(h)
         grid.append(tuple(row))
     return tuple(grid)

@@ -106,24 +106,26 @@ def admits_complex_structure(m):
     """Witness (as a ComplexModel) that the algebra with Jordan type m
     carries a complex structure, or None.
 
-    Exhaustive search over the partitions of n = (sum(m) - 1) / 2; ties
-    are broken by smallest j, then lexicographically largest q.
+    Inverts jordan_partition, which is injective: the parts of odd
+    multiplicity in m are exactly {1} for j = 1 (m not all ones) and
+    exactly {j-1, j} for j > 1; undoing that one change leaves even
+    multiplicities, whose halves are q.  Any other m has no witness.
     """
-    total = m.n
-    if total % 2 == 0:
+    if m.n % 2 == 0:
         raise ValueError("a Jordan type of odd total size is required")
-    n = (total - 1) // 2
-    if n < 1:
+    mult = m.multiplicities()
+    odd = sorted(i for i, c in mult.items() if c % 2)
+    if odd == [1] and len(mult) > 1:
+        j = 1
+        mult[1] -= 1
+    elif len(odd) == 2 and odd[1] == odd[0] + 1:
+        j = odd[1]
+        mult[j] -= 1
+        mult[j - 1] += 1
+    else:
         return None
-    matches = []
-    for q in partitions_of(n):
-        for j in _overlap_indices(q):
-            if jordan_partition(q, j) == m:
-                matches.append(ComplexModel(n, q, j))
-    if not matches:
-        return None
-    matches.sort(key=lambda c: (c.j, tuple(-p for p in c.q.parts)))
-    return matches[0]
+    q = Partition.from_multiplicities({i: c // 2 for i, c in mult.items()})
+    return ComplexModel(q.n, q, j)
 
 
 def _overlap_indices(q):

@@ -2,10 +2,12 @@
 
 A module is recorded by the multiset of dimensions of its irreducible
 summands; the irreducible of dimension i has weight string
-i-1, i-3, ..., -(i-1).  Tensor products expand by the Clebsch-Gordan
-rule, exterior powers by the direct-sum expansion over summands, with
-exterior powers of a single irreducible resolved through its weights.
-Two brute-force weight oracles are provided for cross-checking.
+i-1, i-3, ..., -(i-1).  Exterior powers are read off weights: one
+knapsack over the full weight multiset of a module gives the weights of
+every exterior power at once, and each is decomposed by peeling weight
+strings.  Tensor products expand by the Clebsch-Gordan rule, and their
+summands can also be counted without the expansion.  Two brute-force
+weight oracles are provided for cross-checking.
 """
 
 from collections import Counter
@@ -119,6 +121,12 @@ def tensor(v, w):
     return Sl2Module(acc)
 
 
+def delta_tensor(v, w):
+    """Number of irreducible summands of the tensor product of v and w,
+    counted without expanding it: W(i) (x) W(k) has min(i, k)."""
+    return sum(mi * mk * min(i, k) for i, mi in v.items() for k, mk in w.items())
+
+
 def decompose_from_weights(weights):
     """The unique module with the given weight multiset.
 
@@ -147,60 +155,32 @@ def decompose_from_weights(weights):
     return out
 
 
-@lru_cache(maxsize=None)
-def _wedge_irreducible(i, r):
-    """Exterior power of one irreducible, via its weight string.
+@lru_cache(maxsize=256)
+def _wedge_sum(v):
+    """Every exterior power of v, degrees 0 to dim v, as a tuple.
 
-    Computes the weight multiset of the r-th exterior power as the
-    degree-r elementary symmetric layer over the weights (0/1 knapsack,
-    so each weight slot is used at most once), then decomposes.
+    A 0/1 knapsack over the full weight multiset of v (each weight slot
+    is used at most once) keeps the weights of degree k in one Counter;
+    each layer is then decomposed.
     """
-    if r < 0 or r > i:
-        return ZERO
-    layers = [Counter() for _ in range(r + 1)]
-    layers[0][0] = 1
-    for w in range(i - 1, -i, -2):
-        for k in range(r, 0, -1):
-            below = layers[k - 1]
-            if below:
+    layers = [Counter({0: 1})]
+    for w, c in v.weights().items():
+        for _ in range(c):
+            layers.append(Counter())
+            for k in range(len(layers) - 1, 0, -1):
                 tgt = layers[k]
-                for s, c in below.items():
-                    tgt[s + w] += c
-    return decompose_from_weights(layers[r])
-
-
-@lru_cache(maxsize=None)
-def _wedge_sum(v, r):
-    if r == 0:
-        return irreducible(1)
-    if r > v.dim():
-        return ZERO
-    items = v.items()
-    i, m = items[0]
-    if len(items) == 1 and m == 1:
-        return _wedge_irreducible(i, r)
-    # peel one copy of the largest irreducible and expand
-    rest = Sl2Module(((i, m - 1),) + items[1:])
-    acc = Counter()
-    for a in range(0, min(i, r) + 1):
-        left = _wedge_irreducible(i, a)
-        right = _wedge_sum(rest, r - a)
-        if left.is_zero() or right.is_zero():
-            continue
-        for d, c in tensor(left, right).items():
-            acc[d] += c
-    return Sl2Module(acc)
+                for s, n in layers[k - 1].items():
+                    tgt[s + w] += n
+    return tuple(decompose_from_weights(layer) for layer in layers)
 
 
 def wedge(v, r):
-    """r-th exterior power of v.
-
-    Expands over the summands of v (the exterior algebra of a direct
-    sum is the graded tensor product), memoised on (module, power).
-    """
+    """r-th exterior power of v, read off the memoised exterior algebra of v."""
     if r < 0:
         raise ValueError("exterior power must be non-negative")
-    return _wedge_sum(v, r)
+    if r > v.dim():
+        return ZERO
+    return _wedge_sum(v)[r]
 
 
 def wedge_irreducible_oracle(i, r):

@@ -8,7 +8,7 @@ import pytest
 
 from almostabelian import cli
 from almostabelian.cli import main
-from almostabelian.model import ComplexModel
+from almostabelian.model import ComplexModel, build_algebra, commutator_dimension, enumerate_models
 from almostabelian.partitions import Partition
 from almostabelian.records import EXPORT_SCHEMA, ExportRecord, compact_equations
 from almostabelian.model import structure_equations
@@ -47,6 +47,16 @@ class TestEnumerate:
     def test_too_small(self, capsys):
         code, _, _ = run_cli(["enumerate", "--dim", "2"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("dim", range(4, 16, 2))
+    def test_commutator_is_the_rank_of_a(self, capsys, dim):
+        _, out, _ = run_cli(["enumerate", "--dim", str(dim)], capsys)
+        lines = out.splitlines()
+        models = enumerate_models((dim - 2) // 2)
+        assert len(lines) == len(models)
+        for line, c in zip(lines, models):
+            assert line.startswith("m=%s q=%s j=%d " % (c.m, c.q, c.j))
+            assert line.endswith(" commutator=%d" % commutator_dimension(build_algebra(c)))
 
     def test_deterministic(self, capsys):
         _, first, _ = run_cli(["enumerate", "--dim", "8"], capsys)
@@ -209,6 +219,22 @@ class TestVerify:
         assert "models checked: 4" in out
         assert "0 failed" in out and "failed" in out
 
+    def test_failure_names_model_and_check(self, capsys, monkeypatch):
+        real = cli.structural_checks
+
+        def one_failure(model):
+            checks = real(model)
+            if (model.q, model.j) == (Partition([2]), 3):
+                checks["step_formula"] = False
+            return checks
+
+        monkeypatch.setattr(cli, "structural_checks", one_failure)
+        code, out, _ = run_cli(["verify", "--max-dim", "6"], capsys)
+        assert code == 3
+        lines = out.splitlines()
+        assert "structural checks: 39 passed, 1 failed" in lines
+        assert lines[-2:] == ["result: FAIL", "failed: q=[2] j=3 check=step_formula"]
+
     def test_dim8_model_count(self, capsys):
         code, out, _ = run_cli(["verify", "--max-dim", "8"], capsys)
         assert code == 0
@@ -245,12 +271,12 @@ class TestSizeLimits:
         "argv",
         [
             ["invariants", "--q", "99999999999999999999", "--j", "1"],
-            ["invariants", "--q", "25", "--j", "1"],
+            ["invariants", "--q", "41", "--j", "1"],
             ["invariants", "--q", "9", "--j", "1", "--oracle"],
-            ["export", "--q", "20,5", "--j", "1", "--format", "json"],
+            ["export", "--q", "36,5", "--j", "1", "--format", "json"],
             ["enumerate", "--dim", "200"],
-            ["enumerate", "--dim", "62"],
-            ["classify", "--jordan", "53,50"],
+            ["enumerate", "--dim", "102"],
+            ["classify", "--jordan", "500001,500000"],
             ["classify", "--jordan", "99999999999999999999"],
             ["verify", "--max-dim", "18"],
             ["verify", "--max-dim", "1000000"],

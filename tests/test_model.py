@@ -220,7 +220,7 @@ class TestAdmitsComplexStructure:
     def test_degenerate_total_one(self):
         assert admits_complex_structure(Partition([1])) is None
 
-    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_agrees_with_enumeration(self, n):
         admitted = {c.m for c in enumerate_models(n)}
         for m in partitions_of(2 * n + 1):

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
@@ -8,8 +10,10 @@ from almostabelian.sl2 import (
     ZERO,
     InvalidWeightSystemError,
     Sl2Module,
+    _wedge_sum,
     decompose_from_weights,
     delta,
+    delta_tensor,
     irreducible,
     tensor,
     wedge,
@@ -18,6 +22,16 @@ from almostabelian.sl2 import (
 )
 
 W = irreducible
+
+
+def small_modules(max_summands, max_dim):
+    """Every module with at most max_summands summands, each of
+    dimension at most max_dim, the zero module included."""
+    return [
+        Sl2Module(Counter(dims))
+        for k in range(max_summands + 1)
+        for dims in combinations_with_replacement(range(1, max_dim + 1), k)
+    ]
 
 
 class TestModuleType:
@@ -88,6 +102,12 @@ class TestTensor:
             v = Sl2Module({i: rng.randrange(0, 3) for i in range(1, 6)})
             w = Sl2Module({i: rng.randrange(0, 3) for i in range(1, 6)})
             assert tensor(v, w).dim() == v.dim() * w.dim()
+
+    def test_counted_delta_matches_expansion(self):
+        mods = small_modules(3, 6)
+        for v in mods:
+            for w in mods:
+                assert delta_tensor(v, w) == delta(tensor(v, w))
 
     def test_weights_add(self):
         v, w = W(3) + W(2), 2 * W(2)
@@ -175,6 +195,15 @@ class TestWedge:
                 continue
             for r in range(0, v.dim() + 1):
                 assert wedge(v, r) == wedge_weight_oracle(v, r)
+
+
+    def test_matches_weight_oracle_on_small_modules(self):
+        for v in small_modules(3, 5):
+            for r in range(0, v.dim() + 1):
+                assert wedge(v, r) == wedge_weight_oracle(v, r)
+
+    def test_memo_is_bounded(self):
+        assert _wedge_sum.cache_info().maxsize is not None
 
 
 class TestWedgeIrreducibleOracle:
