@@ -19,20 +19,11 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from math import comb
 
-from .cohomology import (
-    closed_table,
-    frolicher_holds,
-    jordan_block_module_cohomology,
-    oracle_table,
-    structural_checks,
-    verify_symmetry,
-)
+from .cohomology import CHECKS, jordan_block_module_cohomology, run_checks
 from .model import (
     ComplexModel,
     InvalidModelError,
     admits_complex_structure,
-    build_algebra,
-    commutator_dimension,
     enumerate_models,
     structure_equations,
 )
@@ -294,33 +285,9 @@ def _enumeration_checks(max_n):
 
 
 def _model_sweep_entry(payload):
-    """All per-model checks; a top-level function so pools can pickle it."""
+    """The registry's checks on one model; top-level so pools can pickle it."""
     n, qparts, j = payload
-    model = ComplexModel(n, Partition(qparts), j)
-    alg = build_algebra(model)
-    structural = structural_checks(model)
-    ct = closed_table(model)
-    ot = oracle_table(model)
-    rep_closed = verify_symmetry(model, table=ct)
-    rep_oracle = verify_symmetry(model, table=ot)
-    expected_heisenberg = Partition([2] + [1] * (2 * n - 1))
-    checks = dict(structural)
-    checks.update(
-        {
-            "betti_oracle_eq": ct.betti == ot.betti,
-            "hodge_oracle_eq": ct.hodge == ot.hodge,
-            "frolicher_closed": frolicher_holds(ct.betti, ct.hodge),
-            "frolicher_oracle": frolicher_holds(ot.betti, ot.hodge),
-            "symmetry_closed": rep_closed.ok,
-            "symmetry_oracle": rep_oracle.ok,
-            "poincare": rep_closed.poincare and rep_oracle.poincare,
-            "serre": rep_closed.serre and rep_oracle.serre,
-            "commutator_rule": (commutator_dimension(alg) == 1)
-            == (model.m == expected_heisenberg),
-            "commutator_formula": commutator_dimension(alg) == 2 * n + 1 - len(model.m),
-        }
-    )
-    return checks
+    return run_checks(ComplexModel(n, Partition(qparts), j))
 
 
 def _worker_count():
@@ -355,35 +322,16 @@ def run_verify(max_dim):
     else:
         per_model = [_model_sweep_entry(p) for p in payloads]
 
-    structural_names = (
-        "j_squared",
-        "nijenhuis",
-        "d_squared",
-        "dbar_squared",
-        "d_splits",
-        "jordan_recovery",
-        "commutator_formula",
-        "step_formula",
-        "stable_series",
-        "commutator_rule",
-    )
-    oracle_names = ("betti_oracle_eq", "hodge_oracle_eq")
-    frolicher_names = ("frolicher_closed", "frolicher_oracle")
-    symmetry_names = ("symmetry_closed", "symmetry_oracle", "poincare", "serre")
-    groups = (
-        ("structural checks", structural_names),
-        ("oracle agreement", oracle_names),
-        ("frolicher", frolicher_names),
-        ("symmetry and duality", symmetry_names),
-    )
-    for title, names in groups:
-        categories.append((title, [checks[name] for checks in per_model for name in names]))
+    buckets = {}
+    for results in per_model:
+        for (_, category, _), ok in zip(CHECKS, results):
+            buckets.setdefault(category, []).append(ok)
+    categories.extend(buckets.items())
     failures = [
         "failed: q=%s j=%d check=%s" % (Partition(qparts), j, name)
-        for (_, qparts, j), checks in zip(payloads, per_model)
-        for _, names in groups
-        for name in names
-        if not checks[name]
+        for (_, qparts, j), results in zip(payloads, per_model)
+        for (name, _, _), ok in zip(CHECKS, results)
+        if not ok
     ]
 
     lines = []

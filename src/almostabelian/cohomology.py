@@ -14,10 +14,17 @@ for the fixed ascending monomial order.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
-from .exactla import RationalMatrix, jordan_block, jordan_type, power_ranks, sparse_rank
+from .exactla import (
+    NotNilpotentError,
+    jordan_block,
+    jordan_type_from_ranks,
+    power_ranks,
+    sparse_rank,
+)
 from .model import (
     StableSeriesError,
     build_algebra,
@@ -151,33 +158,39 @@ def _masks(symbols, k):
     return [sum(1 << s for s in c) for c in combinations(symbols, k)]
 
 
-def _rank_of_map(columns):
-    """Exact rank of a linear map given by per-column {target mask: coef} dicts."""
-    row_entries = {}
-    for cix, col in enumerate(columns):
-        for target, val in col.items():
-            row_entries.setdefault(target, {})[cix] = val
-    return sparse_rank(list(row_entries.values()))
+def _walk(blocks, image, degrees=()):
+    """One pass over the monomials of a graded complex with differential D.
 
-
-def _squares_vanish(image, nsym, degrees):
-    """D^2 = 0 on every monomial in nsym symbols of the given consecutive
-    degrees, for D given by image(mask) -> {mask: coef}.  Degree 1 alone
-    is the check on generators, which is enough for a derivation by the
-    graded Leibniz rule.  Each image is computed once, and those of one
-    degree are kept only while it and the degree below it are checked."""
-    above = None
-    for k in degrees:
-        here = above if above is not None else {m: image(m) for m in _masks(range(nsym), k)}
-        above = {m: image(m) for m in _masks(range(nsym), k + 1)}
-        for img in here.values():
-            acc = {}
+    `blocks` yields (key, masks) in column order; image(mask) is D on a
+    monomial as {mask: coef}.  Returns the rank of D on each block, by
+    key, and whether D^2 = 0 on the monomials whose degree is in
+    `degrees`, which needs D to map each block into the next one or into
+    monomials that D kills.  Degree 1 alone is the check on generators,
+    enough for a derivation by the graded Leibniz rule.  Each image is
+    computed once; a block's images are kept past its rank only while
+    its D^2 check waits for the next block.
+    """
+    ranks = {}
+    squares = True
+    below = {}
+    for key, masks in blocks:
+        here = {m: image(m) for m in masks}
+        if squares and below:
+            for img in below.values():
+                acc = {}
+                for target, val in img.items():
+                    for t2, v2 in here.get(target, {}).items():
+                        acc[t2] = acc.get(t2, 0) + val * v2
+                if any(acc.values()):
+                    squares = False
+                    break
+        rows = {}
+        for cix, img in enumerate(here.values()):
             for target, val in img.items():
-                for t2, v2 in above[target].items():
-                    acc[t2] = acc.get(t2, 0) + val * v2
-            if any(acc.values()):
-                return False
-    return True
+                rows.setdefault(target, {})[cix] = val
+        ranks[key] = sparse_rank(list(rows.values()))
+        below = here if masks and masks[0].bit_count() in degrees else {}
+    return ranks, squares
 
 
 # -- Chevalley-Eilenberg oracle -----------------------------------------------
@@ -193,32 +206,32 @@ def _ce_generator_differentials(alg):
     return d1
 
 
+def _ce_walk(alg, degrees):
+    """The walk of the CE complex: ranks of d on degrees 0..dim-1 (the
+    top degree maps to zero) and d^2 = 0 on the given degrees."""
+    terms = _slot_terms(_ce_generator_differentials(alg))
+    blocks = ((k, _masks(range(alg.dim), k)) for k in range(alg.dim))
+    return _walk(blocks, lambda m: _d_mask(m, terms), degrees)
+
+
+def _betti_numbers(dim, walk):
+    ranks, squares = walk
+    if not squares:
+        raise DifferentialError("d^2 != 0")
+    return tuple(comb(dim, k) - ranks.get(k, 0) - ranks.get(k - 1, 0) for k in range(dim + 1))
+
+
 def betti_oracle(alg):
     """Betti vector from exact ranks of the CE differentials.
 
     Raises DifferentialError if d^2 fails on a generator.
     """
-    terms = _slot_terms(_ce_generator_differentials(alg))
-    dim = alg.dim
-    if not _squares_vanish(lambda m: _d_mask(m, terms), dim, (1,)):
-        raise DifferentialError("d^2 != 0 on a generator")
-    ranks = []
-    for k in range(dim):
-        ranks.append(_rank_of_map([_d_mask(m, terms) for m in _masks(range(dim), k)]))
-    ranks.append(0)  # top degree maps to zero
-    betti = []
-    for k in range(dim + 1):
-        below = ranks[k - 1] if k else 0
-        betti.append(comb(dim, k) - ranks[k] - below)
-    return tuple(betti)
+    return _betti_numbers(alg.dim, _ce_walk(alg, (1,)))
 
 
-def d_squared_vanishes(alg, max_degree=None):
+def d_squared_vanishes(alg):
     """Check d^2 = 0 on the full monomial basis of the CE complex."""
-    terms = _slot_terms(_ce_generator_differentials(alg))
-    dim = alg.dim
-    top = dim if max_degree is None else min(max_degree, dim)
-    return _squares_vanish(lambda m: _d_mask(m, terms), dim, range(1, max(top, 1) + 1))
+    return _ce_walk(alg, range(1, alg.dim + 1))[1]
 
 
 # -- Dolbeault oracle ----------------------------------------------------------
@@ -260,9 +273,44 @@ def _dolbeault_symbols(eqs):
 
 def _dbar_of(mono, terms, holo):
     """The antiholomorphic-degree-raising component of d: the terms that
-    keep the count of holomorphic bits (`holo` masks them)."""
+    keep the count of holomorphic bits (`holo` masks them).  Raises
+    DifferentialError if d does not split into (1,0) + (0,1) parts."""
     p = (mono & holo).bit_count()
-    return {t: v for t, v in _d_mask(mono, terms).items() if (t & holo).bit_count() == p}
+    img = {}
+    for target, val in _d_mask(mono, terms).items():
+        tp = (target & holo).bit_count()
+        if tp == p:
+            img[target] = val
+        elif tp != p + 1:
+            raise DifferentialError("d does not split into (1,0)+(0,1) parts")
+    return img
+
+
+def _dolbeault_walk(symbols, degrees):
+    """The walk of the Dolbeault complex, blocks (p, q) for q < g (dbar
+    kills q = g): ranks of dbar and dbar^2 = 0 on the given total degrees."""
+    nsym, d1, g = symbols
+    terms = _slot_terms(d1)
+    holo = (1 << g) - 1
+    holo_masks = [_masks(range(g), p) for p in range(g + 1)]
+    anti_masks = [_masks(range(g, nsym), q) for q in range(g)]
+    blocks = (
+        ((p, q), [u | b for u in holo_masks[p] for b in anti_masks[q]])
+        for p in range(g + 1)
+        for q in range(g)
+    )
+    return _walk(blocks, lambda m: _dbar_of(m, terms, holo), degrees)
+
+
+def _hodge_numbers(g, walk):
+    ranks, squares = walk
+    if not squares:
+        raise DifferentialError("dbar^2 != 0")
+    sizes = [comb(g, k) for k in range(g + 1)]
+    return tuple(
+        tuple(a * b - ranks.get((p, q), 0) - ranks.get((p, q - 1), 0) for q, b in enumerate(sizes))
+        for p, a in enumerate(sizes)
+    )
 
 
 def hodge_oracle(model, block_sizes=None):
@@ -275,65 +323,23 @@ def hodge_oracle(model, block_sizes=None):
     generator or d fails to split into bidegree (1,0) + (0,1) parts.
     `block_sizes` reorders the chains (the grid must not change).
     """
-    eqs = structure_equations(model, block_sizes=block_sizes)
-    nsym, d1, g = _dolbeault_symbols(eqs)
-    terms = _slot_terms(d1)
-    holo = (1 << g) - 1
-    if not _squares_vanish(lambda m: _dbar_of(m, terms, holo), nsym, (1,)):
-        raise DifferentialError("dbar^2 != 0 on a generator")
-    holo_masks = [_masks(range(g), p) for p in range(g + 1)]
-    anti_masks = [_masks(range(g, nsym), q) for q in range(g + 1)]
-
-    def dbar_columns(p, q):
-        cols = []
-        for u in holo_masks[p]:
-            for b in anti_masks[q]:
-                img = {}
-                for target, val in _d_mask(u | b, terms).items():
-                    tp = (target & holo).bit_count()
-                    if tp == p:
-                        img[target] = val
-                    elif tp != p + 1:
-                        raise DifferentialError("d does not split into (1,0)+(0,1) parts")
-                cols.append(img)
-        return cols
-
-    ranks = {}
-    for p in range(g + 1):
-        for q in range(g + 1):
-            ranks[(p, q)] = 0 if q == g else _rank_of_map(dbar_columns(p, q))
-    grid = []
-    for p in range(g + 1):
-        row = []
-        for q in range(g + 1):
-            h = comb(g, p) * comb(g, q) - ranks[(p, q)]
-            if q:
-                h -= ranks[(p, q - 1)]
-            row.append(h)
-        grid.append(tuple(row))
-    return tuple(grid)
+    symbols = _dolbeault_symbols(structure_equations(model, block_sizes=block_sizes))
+    return _hodge_numbers(symbols[2], _dolbeault_walk(symbols, (1,)))
 
 
 def dbar_squared_vanishes(model):
-    """Check dbar^2 = 0 on the full monomial basis of the Dolbeault complex."""
-    eqs = structure_equations(model)
-    nsym, d1, g = _dolbeault_symbols(eqs)
-    terms = _slot_terms(d1)
-    holo = (1 << g) - 1
-    return _squares_vanish(lambda m: _dbar_of(m, terms, holo), nsym, range(1, nsym + 1))
+    """Check dbar^2 = 0 on the full monomial basis of the Dolbeault
+    complex; raises DifferentialError if d does not split by bidegree."""
+    symbols = _dolbeault_symbols(structure_equations(model))
+    return _dolbeault_walk(symbols, range(1, symbols[0] + 1))[1]
 
 
-def d_splits_by_bidegree(model):
-    """Sanity check: d of every generator lands in (2,0)+(1,1) or (1,1)+(0,2)."""
-    eqs = structure_equations(model)
-    nsym, d1, g = _dolbeault_symbols(eqs)
+def _d_splits(symbols):
+    """d of every generator lands in (2,0)+(1,1) or (1,1)+(0,2)."""
+    _, d1, g = symbols
     holo = (1 << g) - 1
-    for s in range(nsym):
-        p = 1 if s < g else 0
-        for _, pair in d1[s]:
-            if (pair & holo).bit_count() not in (p + 1, p):
-                return False
-    return True
+    # a generator has p = 1 holomorphic factor (s < g) or none; d raises p by 0 or 1
+    return all((pair & holo).bit_count() - (s < g) in (0, 1) for s in d1 for _, pair in d1[s])
 
 
 # -- auxiliary routes ----------------------------------------------------------
@@ -357,43 +363,19 @@ def betti_via_ideal_action(alg):
     dual ideal.
     """
     size = alg.dim - 1
-    action = {}
-    for r in range(size):
-        for c in range(size):
-            a = alg.A[r][c]
-            if a:
-                # coadjoint action sends dual generator r to -A[r][c] times c
-                action.setdefault(1 << r, []).append((1 << c, -a))
-
-    def l_of(mono):
-        # each factor is replaced in its own slot; the sign moves the new
-        # factor from that slot past the factors lying between the old
-        # and the new index
-        out = {}
-        bits = mono
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            rest = mono ^ low
-            for target, coef in action.get(low, ()):
-                if rest & target:
-                    continue
-                if (rest & ((low - 1) ^ (target - 1))).bit_count() & 1:
-                    coef = -coef
-                out[rest | target] = out.get(rest | target, 0) + coef
-        return {k: v for k, v in out.items() if v}
-
-    betti = []
-    prev_coker = 0
-    for k in range(size + 2):
-        if k <= size:
-            rank = _rank_of_map([l_of(m) for m in _masks(range(size), k)])
-            kernel = coker = comb(size, k) - rank
-        else:
-            kernel = coker = 0
-        betti.append(kernel + prev_coker)
-        prev_coker = coker
-    return tuple(betti)
+    # rules in the form _d_mask reads, (coef, new factor, sign mask): the
+    # coadjoint action sends dual generator r to -A[r][c] times c, in the
+    # slot of r, and the sign moves the new factor past the factors lying
+    # between the old and the new index
+    terms = {
+        r: tuple((-a, 1 << c, ((1 << r) - 1) ^ ((1 << c) - 1)) for c, a in enumerate(row) if a)
+        for r, row in enumerate(alg.A)
+    }
+    blocks = ((k, _masks(range(size), k)) for k in range(size + 1))
+    ranks, _ = _walk(blocks, lambda m: _d_mask(m, terms))
+    # L_k is square, so its kernel and cokernel have the same dimension
+    kernel = [comb(size, k) - ranks[k] for k in range(size + 1)] + [0]
+    return tuple(kernel[k] + (kernel[k - 1] if k else 0) for k in range(size + 2))
 
 
 # -- tables and verification ----------------------------------------------------
@@ -487,25 +469,85 @@ def verify_symmetry(model, table=None):
     )
 
 
-def structural_checks(model):
-    """The structural validity checks for one model, as name -> bool."""
-    alg = build_algebra(model)
-    j = alg.j_matrix()
-    minus_id = RationalMatrix(
-        [[-1 if a == b else 0 for b in range(alg.dim)] for a in range(alg.dim)]
-    )
-    checks = {
-        "j_squared": j.mul(j) == minus_id,
-        "nijenhuis": nijenhuis_vanishes(alg),
-        "d_squared": d_squared_vanishes(alg),
-        "dbar_squared": dbar_squared_vanishes(model),
-        "d_splits": d_splits_by_bidegree(model),
-        "jordan_recovery": Partition(jordan_type(alg.a_matrix())) == model.m,
-        "step_formula": model.step == len(power_ranks(alg.a_matrix())) + 1,
-    }
-    try:
-        stable_series(alg, model)
-        checks["stable_series"] = True
-    except StableSeriesError:
-        checks["stable_series"] = False
-    return checks
+# -- the per-model check registry ------------------------------------------------
+
+
+@dataclass
+class _ModelFacts:
+    """What the checks of one model share, each value built on first use
+    and then kept: the algebra, the Dolbeault symbols, the power ranks of
+    A, the closed table, one walk per complex, the oracle table and the
+    symmetry reports of both tables."""
+
+    model: object
+    alg = cached_property(lambda s: build_algebra(s.model))
+    symbols = cached_property(lambda s: _dolbeault_symbols(structure_equations(s.model)))
+    a_ranks = cached_property(lambda s: power_ranks(s.alg.a_matrix()))
+    jordan = cached_property(lambda s: Partition(jordan_type_from_ranks(len(s.alg.A), s.a_ranks)))
+    closed = cached_property(lambda s: closed_table(s.model))
+    ce = cached_property(lambda s: _ce_walk(s.alg, range(1, s.alg.dim + 1)))
+    dolbeault = cached_property(lambda s: _dolbeault_walk(s.symbols, range(1, s.symbols[0] + 1)))
+    betti = cached_property(lambda s: _betti_numbers(s.alg.dim, s.ce))
+    hodge = cached_property(lambda s: _hodge_numbers(s.symbols[2], s.dolbeault))
+    oracle = cached_property(lambda s: CohomologyTable(s.betti, s.hodge, "oracle"))
+    closed_report = cached_property(lambda s: verify_symmetry(s.model, s.closed))
+    oracle_report = cached_property(lambda s: verify_symmetry(s.model, s.oracle))
+
+
+def _j_squared(f):
+    j = f.alg.j_matrix()
+    return j.mul(j).data == [[-int(a == b) for b in range(f.alg.dim)] for a in range(f.alg.dim)]
+
+
+def _commutator_rule(f):
+    """The commutator, of dimension rank A, is one-dimensional exactly for
+    the Heisenberg type."""
+    heisenberg = Partition([2] + [1] * (2 * f.model.n - 1))
+    return (f.a_ranks[0] == 1) == (f.model.m == heisenberg)
+
+
+# (name, category, predicate on _ModelFacts), in the order verify reports them
+CHECKS = (
+    ("j_squared", "structural checks", _j_squared),
+    ("nijenhuis", "structural checks", lambda f: nijenhuis_vanishes(f.alg)),
+    ("d_squared", "structural checks", lambda f: f.ce[1]),
+    ("dbar_squared", "structural checks", lambda f: f.dolbeault[1]),
+    ("d_splits", "structural checks", lambda f: _d_splits(f.symbols)),
+    ("jordan_recovery", "structural checks", lambda f: f.jordan == f.model.m),
+    (
+        "commutator_formula",
+        "structural checks",
+        lambda f: f.a_ranks[0] == len(f.alg.A) - len(f.model.m),
+    ),
+    ("step_formula", "structural checks", lambda f: f.model.step == len(f.a_ranks) + 1),
+    ("stable_series", "structural checks", lambda f: bool(stable_series(f.alg, f.model))),
+    ("commutator_rule", "structural checks", _commutator_rule),
+    ("betti_oracle_eq", "oracle agreement", lambda f: f.closed.betti == f.betti),
+    ("hodge_oracle_eq", "oracle agreement", lambda f: f.closed.hodge == f.hodge),
+    ("frolicher_closed", "frolicher", lambda f: frolicher_holds(f.closed.betti, f.closed.hodge)),
+    ("frolicher_oracle", "frolicher", lambda f: frolicher_holds(f.betti, f.hodge)),
+    ("symmetry_closed", "symmetry and duality", lambda f: f.closed_report.ok),
+    ("symmetry_oracle", "symmetry and duality", lambda f: f.oracle_report.ok),
+    (
+        "poincare",
+        "symmetry and duality",
+        lambda f: f.closed_report.poincare and f.oracle_report.poincare,
+    ),
+    ("serre", "symmetry and duality", lambda f: f.closed_report.serre and f.oracle_report.serre),
+)
+
+
+def run_checks(model):
+    """Every check of CHECKS on one model, as booleans in registry order.
+
+    A DifferentialError, StableSeriesError or NotNilpotentError raised
+    inside a check marks that check failed.
+    """
+    facts = _ModelFacts(model)
+    results = []
+    for _, _, predicate in CHECKS:
+        try:
+            results.append(bool(predicate(facts)))
+        except (DifferentialError, StableSeriesError, NotNilpotentError):
+            results.append(False)
+    return tuple(results)

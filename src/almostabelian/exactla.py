@@ -309,13 +309,15 @@ def power_ranks(matrix):
 
 
 def jordan_type(matrix):
-    """Jordan block sizes of a nilpotent matrix, weakly decreasing.
+    """Jordan block sizes of a nilpotent matrix, weakly decreasing."""
+    return jordan_type_from_ranks(matrix.rows, power_ranks(matrix))
 
-    Recovered from the ranks of powers: the number of blocks of size i
-    is r_{i-1} - 2 r_i + r_{i+1} with r_0 = n and r_k = 0 past the
-    nilpotency index.
-    """
-    ranks = [matrix.rows] + power_ranks(matrix) + [0, 0]
+
+def jordan_type_from_ranks(n, powers):
+    """Jordan type of a nilpotent n x n matrix from power_ranks: there are
+    r_{i-1} - 2 r_i + r_{i+1} blocks of size i, with r_0 = n and r_k = 0
+    past the nilpotency index."""
+    ranks = [n] + list(powers) + [0, 0]
     blocks = []
     for i in range(1, len(ranks) - 1):
         for _ in range(ranks[i - 1] - 2 * ranks[i] + ranks[i + 1]):

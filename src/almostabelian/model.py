@@ -20,10 +20,11 @@ j > 1, plus an extra singleton when j = 1.  The all-ones q with j = 1
 would give the abelian algebra and is excluded.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactla import RationalMatrix, Subspace, jordan_type
+from .exactla import RationalMatrix, Subspace
 from .partitions import Partition, partitions_of
 
 
@@ -207,19 +208,6 @@ class AlgebraModel:
                 out[(0, k)] = entry
         return out
 
-    def bracket(self, x, y):
-        """Bracket of two coordinate vectors (exact arithmetic)."""
-        out = [0] * self.dim
-        for r in range(self.dim - 1):
-            acc = 0
-            row = self.A[r]
-            for c in range(self.dim - 1):
-                a = row[c]
-                if a:
-                    acc += a * (x[0] * y[c + 1] - y[0] * x[c + 1])
-            out[r + 1] = acc
-        return tuple(out)
-
     def apply_j(self, x):
         return tuple(
             sum(self.J[r][c] * x[c] for c in range(self.dim)) for r in range(self.dim)
@@ -263,26 +251,41 @@ def build_algebra(model, block_sizes=None):
     )
 
 
-def commutator_dimension(alg):
-    """Dimension of the commutator ideal (the rank of the adjoint matrix)."""
-    return alg.a_matrix().rank()
-
-
 def nijenhuis_vanishes(alg):
     """Whether N(x, y) = [Jx, Jy] - [x, y] - J[Jx, y] - J[x, Jy] vanishes
-    on all pairs of basis vectors."""
+    on all pairs of basis vectors.
+
+    Vectors are sparse {index: coefficient} dicts: J e_i is column i of
+    J, and brackets expand over the nonzero structure constants only.
+    """
     dim = alg.dim
-    basis = [tuple(1 if t == i else 0 for t in range(dim)) for i in range(dim)]
-    jbasis = [alg.apply_j(b) for b in basis]
+    tensor = alg.bracket_tensor()
+    cols = [{r: alg.J[r][c] for r in range(dim) if alg.J[r][c]} for c in range(dim)]
+
+    def bracket(x, y):
+        out = Counter()
+        for a, xa in x.items():
+            for b, yb in y.items():
+                sign = 1 if a < b else -1
+                for t, c in tensor.get((min(a, b), max(a, b)), {}).items():
+                    out[t] += sign * xa * yb * c
+        return out
+
+    def apply_j(x):
+        out = Counter()
+        for a, xa in x.items():
+            for t, c in cols[a].items():
+                out[t] += xa * c
+        return out
+
     for i in range(dim):
         for k in range(i + 1, dim):
-            lhs = alg.bracket(jbasis[i], jbasis[k])
-            plain = alg.bracket(basis[i], basis[k])
-            mixed1 = alg.apply_j(alg.bracket(jbasis[i], basis[k]))
-            mixed2 = alg.apply_j(alg.bracket(basis[i], jbasis[k]))
-            for t in range(dim):
-                if lhs[t] - plain[t] - mixed1[t] - mixed2[t] != 0:
-                    return False
+            n = bracket(cols[i], cols[k])
+            n.subtract(bracket({i: 1}, {k: 1}))
+            n.subtract(apply_j(bracket(cols[i], {k: 1})))
+            n.subtract(apply_j(bracket({i: 1}, cols[k])))
+            if any(n.values()):
+                return False
     return True
 
 

@@ -86,12 +86,6 @@ def factor_label(factor):
     return name + "_bar" if bar else name
 
 
-def parse_factor(label):
-    if label.endswith("_bar"):
-        return (label[:-4], True)
-    return (label, False)
-
-
 def equations_payload(eqs):
     """Structure equations as plain JSON data, in generator order."""
     rules = eqs.rules_dict()

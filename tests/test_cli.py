@@ -6,12 +6,12 @@ import time
 import jsonschema
 import pytest
 
-from almostabelian import cli
+from almostabelian import cli, cohomology
 from almostabelian.cli import main
-from almostabelian.model import ComplexModel, build_algebra, commutator_dimension, enumerate_models
+from almostabelian.model import ComplexModel, build_algebra, enumerate_models
 from almostabelian.partitions import Partition
 from almostabelian.records import EXPORT_SCHEMA, ExportRecord, compact_equations
-from almostabelian.model import structure_equations
+from almostabelian.model import StructureEquations, structure_equations
 
 
 def run_cli(argv, capsys):
@@ -56,7 +56,7 @@ class TestEnumerate:
         assert len(lines) == len(models)
         for line, c in zip(lines, models):
             assert line.startswith("m=%s q=%s j=%d " % (c.m, c.q, c.j))
-            assert line.endswith(" commutator=%d" % commutator_dimension(build_algebra(c)))
+            assert line.endswith(" commutator=%d" % build_algebra(c).a_matrix().rank())
 
     def test_deterministic(self, capsys):
         _, first, _ = run_cli(["enumerate", "--dim", "8"], capsys)
@@ -211,34 +211,83 @@ class TestExport:
         assert code == 1
 
 
+# The exact stdout of `verify`, pinned before the per-model checks moved
+# into the registry of cohomology.CHECKS.
+VERIFY_STDOUT = {
+    6: (
+        "representation identities: 543 passed, 0 failed\n"
+        "partition identities: 6413 passed, 0 failed\n"
+        "enumeration: 15 passed, 0 failed\n"
+        "structural checks: 40 passed, 0 failed\n"
+        "oracle agreement: 8 passed, 0 failed\n"
+        "frolicher: 8 passed, 0 failed\n"
+        "symmetry and duality: 16 passed, 0 failed\n"
+        "models checked: 4\n"
+        "result: PASS\n"
+    ),
+    8: (
+        "representation identities: 543 passed, 0 failed\n"
+        "partition identities: 6413 passed, 0 failed\n"
+        "enumeration: 34 passed, 0 failed\n"
+        "structural checks: 100 passed, 0 failed\n"
+        "oracle agreement: 20 passed, 0 failed\n"
+        "frolicher: 20 passed, 0 failed\n"
+        "symmetry and duality: 40 passed, 0 failed\n"
+        "models checked: 10\n"
+        "result: PASS\n"
+    ),
+}
+
+
 class TestVerify:
     def test_small_sweep_passes(self, capsys):
         code, out, _ = run_cli(["verify", "--max-dim", "6"], capsys)
         assert code == 0
-        assert "result: PASS" in out
-        assert "models checked: 4" in out
-        assert "0 failed" in out and "failed" in out
+        assert out == VERIFY_STDOUT[6]
 
     def test_failure_names_model_and_check(self, capsys, monkeypatch):
-        real = cli.structural_checks
+        def step_fails_on_q2_j3(name, category, predicate):
+            if name != "step_formula":
+                return name, category, predicate
+            return name, category, lambda f: (f.model.q, f.model.j) != (Partition([2]), 3)
 
-        def one_failure(model):
-            checks = real(model)
-            if (model.q, model.j) == (Partition([2]), 3):
-                checks["step_formula"] = False
-            return checks
-
-        monkeypatch.setattr(cli, "structural_checks", one_failure)
+        patched = tuple(step_fails_on_q2_j3(*entry) for entry in cohomology.CHECKS)
+        monkeypatch.setattr(cohomology, "CHECKS", patched)
         code, out, _ = run_cli(["verify", "--max-dim", "6"], capsys)
         assert code == 3
         lines = out.splitlines()
         assert "structural checks: 39 passed, 1 failed" in lines
         assert lines[-2:] == ["result: FAIL", "failed: q=[2] j=3 check=step_formula"]
 
+    def test_package_error_in_a_check_is_a_failed_check(self, capsys, monkeypatch):
+        real = cohomology.structure_equations
+
+        def alpha_is_not_closed(model, block_sizes=None):
+            eqs = real(model, block_sizes=block_sizes)
+            # d(alpha) = conj(alpha) ^ conj(beta): a (0,2)-form, so d does
+            # not split into (1,0) + (0,1) parts
+            beta = (eqs.generators[1], True)
+            rules = tuple(
+                (name, ((1, (("alpha", True), beta)),) if name == "alpha" else terms)
+                for name, terms in eqs.rules
+            )
+            return StructureEquations(eqs.n, eqs.epsilon, eqs.blocks, eqs.generators, rules)
+
+        monkeypatch.setattr(cohomology, "structure_equations", alpha_is_not_closed)
+        code, out, err = run_cli(["verify", "--max-dim", "6"], capsys)
+        assert code == 3
+        assert "Traceback" not in out + err
+        lines = out.splitlines()
+        for c in enumerate_models(1) + enumerate_models(2):
+            for check in ("d_splits", "dbar_squared", "hodge_oracle_eq"):
+                assert "failed: q=%s j=%d check=%s" % (c.q, c.j, check) in lines
+            for check in ("d_squared", "betti_oracle_eq", "frolicher_closed", "symmetry_closed"):
+                assert "failed: q=%s j=%d check=%s" % (c.q, c.j, check) not in lines
+
     def test_dim8_model_count(self, capsys):
         code, out, _ = run_cli(["verify", "--max-dim", "8"], capsys)
         assert code == 0
-        assert "models checked: 10" in out
+        assert out == VERIFY_STDOUT[8]
 
     def test_usage_error(self, capsys):
         code, _, _ = run_cli(["verify", "--max-dim", "2"], capsys)

@@ -4,12 +4,12 @@ from math import comb
 import pytest
 
 from almostabelian.cohomology import (
+    CHECKS,
     CohomologyTable,
     betti_closed,
     betti_oracle,
     betti_via_ideal_action,
     closed_table,
-    d_splits_by_bidegree,
     d_squared_vanishes,
     dbar_squared_vanishes,
     frolicher_holds,
@@ -18,7 +18,7 @@ from almostabelian.cohomology import (
     jordan_block_module_cohomology,
     module_triple,
     oracle_table,
-    structural_checks,
+    run_checks,
     verify_frolicher,
     verify_symmetry,
 )
@@ -304,15 +304,23 @@ class TestSymmetry:
                     assert betti_closed(c)[1] == 2 * t.b01.delta() + 1
 
 
+def registry_results(c):
+    return {name: ok for (name, _, _), ok in zip(CHECKS, run_checks(c))}
+
+
 class TestDifferentialChecks:
     @pytest.mark.parametrize("n", range(1, 4))
     def test_d_squared_and_dbar_squared(self, n):
         for c in enumerate_models(n):
+            results = registry_results(c)
+            assert results["d_squared"] and results["dbar_squared"] and results["d_splits"]
             assert d_squared_vanishes(build_algebra(c))
             assert dbar_squared_vanishes(c)
-            assert d_splits_by_bidegree(c)
 
     @pytest.mark.parametrize("n", range(1, 4))
     def test_structural_checks_all_pass(self, n):
         for c in enumerate_models(n):
-            assert all(structural_checks(c).values())
+            results = registry_results(c)
+            structural = [name for name, category, _ in CHECKS if category == "structural checks"]
+            assert len(structural) == 10
+            assert all(results[name] for name in structural), results

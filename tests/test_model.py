@@ -11,7 +11,6 @@ from almostabelian.model import (
     StableSeriesError,
     admits_complex_structure,
     build_algebra,
-    commutator_dimension,
     enumerate_models,
     generator_coordinates,
     jordan_partition,
@@ -324,6 +323,61 @@ class TestNijenhuis:
         zero_a = tuple(tuple(0 for _ in r) for r in alg.A)
         assert nijenhuis_vanishes(AlgebraModel(dim=4, A=zero_a, J=alg.J))
 
+    @staticmethod
+    def dense_nijenhuis_vanishes(alg):
+        """N on every basis pair from dense vectors: [x, y] = (0, A (x_0 y' - y_0 x'))."""
+        dim = alg.dim
+
+        def bracket(x, y):
+            return (0,) + tuple(
+                sum(a * (x[0] * y[c + 1] - y[0] * x[c + 1]) for c, a in enumerate(row))
+                for row in alg.A
+            )
+
+        def apply_j(x):
+            return tuple(sum(alg.J[r][c] * x[c] for c in range(dim)) for r in range(dim))
+
+        basis = [tuple(int(t == i) for t in range(dim)) for i in range(dim)]
+        jbasis = [apply_j(b) for b in basis]
+        for i in range(dim):
+            for k in range(i + 1, dim):
+                terms = (
+                    bracket(jbasis[i], jbasis[k]),
+                    bracket(basis[i], basis[k]),
+                    apply_j(bracket(jbasis[i], basis[k])),
+                    apply_j(bracket(basis[i], jbasis[k])),
+                )
+                if any(t[0] - t[1] - t[2] - t[3] for t in zip(*terms)):
+                    return False
+        return True
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_sparse_matches_dense_formula(self, n):
+        # P = I + E_{2,3} fixes e_0 and the ideal, so conjugating both A and J
+        # by it gives an isomorphic, still integrable structure whose J is
+        # not a signed permutation; pairing the new J with the old A need not
+        # be integrable, and both verdicts must agree there too
+        verdicts = set()
+        for c in enumerate_models(n):
+            alg = build_algebra(c)
+            dim = alg.dim
+            p = [[int(r == s) + int((r, s) == (2, 3)) for s in range(dim)] for r in range(dim)]
+            p_inv = [[int(r == s) - int((r, s) == (2, 3)) for s in range(dim)] for r in range(dim)]
+            ad = [[0] * dim] + [[0] + list(row) for row in alg.A]
+
+            def conj(m):
+                return RationalMatrix(p).mul(RationalMatrix(m)).mul(RationalMatrix(p_inv)).data
+
+            new_a = tuple(tuple(row[1:]) for row in conj(ad)[1:])
+            new_j = tuple(tuple(row) for row in conj(alg.J))
+            assert any(sum(1 for x in row if x) > 1 for row in new_j)
+            for variant in (alg, AlgebraModel(dim, new_a, new_j), AlgebraModel(dim, alg.A, new_j)):
+                expected = self.dense_nijenhuis_vanishes(variant)
+                assert nijenhuis_vanishes(variant) == expected
+                verdicts.add(expected)
+            assert nijenhuis_vanishes(AlgebraModel(dim, new_a, new_j))
+        assert n == 1 or False in verdicts  # non-integrable pairs were compared too
+
 
 class TestNilpotencyStep:
     def test_heisenberg(self):
@@ -476,4 +530,4 @@ class TestCommutator:
         for c in enumerate_models(n):
             alg = build_algebra(c)
             expected_type = Partition([2] + [1] * (2 * n - 1))
-            assert (commutator_dimension(alg) == 1) == (c.m == expected_type)
+            assert (alg.a_matrix().rank() == 1) == (c.m == expected_type)
