@@ -15,7 +15,6 @@ from .cohomology import (
     hodge_oracle,
     module_triple,
     oracle_table,
-    verify_frolicher,
     verify_symmetry,
 )
 from .model import (
@@ -64,7 +63,6 @@ __all__ = [
     "stable_series",
     "structure_equations",
     "tensor",
-    "verify_frolicher",
     "verify_symmetry",
     "wedge",
 ]

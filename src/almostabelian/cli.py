@@ -19,7 +19,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from math import comb
 
-from .cohomology import CHECKS, jordan_block_module_cohomology, run_checks
+from .cohomology import CHECKS, run_checks
+from .exactla import jordan_block
 from .model import (
     ComplexModel,
     InvalidModelError,
@@ -29,14 +30,7 @@ from .model import (
 )
 from .partitions import Partition, partitions_of, restricted_count
 from .records import ExportRecord, compact_equations
-from .sl2 import (
-    delta,
-    irreducible,
-    tensor,
-    wedge,
-    wedge_irreducible_oracle,
-    wedge_weight_oracle,
-)
+from .sl2 import delta, irreducible, tensor, wedge, wedge_weight_oracle
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -234,7 +228,7 @@ def _representation_identity_checks():
             checks.append(w == wedge(irreducible(i), i - r))
     for i in range(1, 11):
         for r in range(0, i + 1):
-            checks.append(wedge(irreducible(i), r) == wedge_irreducible_oracle(i, r))
+            checks.append(wedge(irreducible(i), r) == wedge_weight_oracle(irreducible(i), r))
     for n in range(1, 9):
         v = n * irreducible(2)
         checks.append(delta(wedge(v, 1)) == n)
@@ -246,7 +240,8 @@ def _representation_identity_checks():
         for r in range(0, v.dim() + 1):
             checks.append(wedge(v, r) == wedge_weight_oracle(v, r))
     for i in range(1, 11):
-        checks.append(jordan_block_module_cohomology(i) == (1, 1))
+        # the one-block module has one-dimensional kernel and cokernel
+        checks.append(jordan_block(i).rank() == i - 1)
     return checks
 
 
@@ -266,7 +261,7 @@ def _partition_identity_checks():
 def _enumeration_checks(max_n):
     checks = []
     for n in range(1, max_n + 1):
-        models = enumerate_models(n)
+        models = list(enumerate_models(n))
         ms = [c.m for c in models]
         checks.append(len(set(ms)) == len(ms))
         for q in partitions_of(n):
@@ -282,12 +277,6 @@ def _enumeration_checks(max_n):
             else:
                 checks.append(witness is None)
     return checks
-
-
-def _model_sweep_entry(payload):
-    """The registry's checks on one model; top-level so pools can pickle it."""
-    n, qparts, j = payload
-    return run_checks(ComplexModel(n, Partition(qparts), j))
 
 
 def _worker_count():
@@ -311,16 +300,13 @@ def run_verify(max_dim):
     max_n = (max_dim - 2) // 2
     categories.append(("enumeration", _enumeration_checks(min(max_n, 6))))
 
-    payloads = []
-    for n in range(1, max_n + 1):
-        for c in enumerate_models(n):
-            payloads.append((n, c.q.parts, c.j))
+    models = [c for n in range(1, max_n + 1) for c in enumerate_models(n)]
     workers = _worker_count()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_model = list(pool.map(_model_sweep_entry, payloads))
+            per_model = list(pool.map(run_checks, models))
     else:
-        per_model = [_model_sweep_entry(p) for p in payloads]
+        per_model = list(map(run_checks, models))
 
     buckets = {}
     for results in per_model:
@@ -328,8 +314,8 @@ def run_verify(max_dim):
             buckets.setdefault(category, []).append(ok)
     categories.extend(buckets.items())
     failures = [
-        "failed: q=%s j=%d check=%s" % (Partition(qparts), j, name)
-        for (_, qparts, j), results in zip(payloads, per_model)
+        "failed: %s check=%s" % (c, name)
+        for c, results in zip(models, per_model)
         for (name, _, _), ok in zip(CHECKS, results)
         if not ok
     ]
@@ -341,7 +327,7 @@ def run_verify(max_dim):
         failed = len(bucket) - passed
         all_ok = all_ok and failed == 0
         lines.append("%s: %d passed, %d failed" % (title, passed, failed))
-    lines.append("models checked: %d" % len(payloads))
+    lines.append("models checked: %d" % len(models))
     lines.append("result: %s" % ("PASS" if all_ok else "FAIL"))
     return lines + failures, all_ok
 

@@ -20,7 +20,6 @@ from math import comb
 
 from .exactla import (
     NotNilpotentError,
-    jordan_block,
     jordan_type_from_ranks,
     power_ranks,
     sparse_rank,
@@ -345,15 +344,6 @@ def _d_splits(symbols):
 # -- auxiliary routes ----------------------------------------------------------
 
 
-def jordan_block_module_cohomology(i):
-    """(dim kernel, dim cokernel) of the two-term complex given by the
-    nilpotent Jordan block of size i; both equal 1."""
-    if i < 1:
-        raise ValueError("block size must be positive")
-    r = jordan_block(i).rank()
-    return (i - r, i - r)
-
-
 def betti_via_ideal_action(alg):
     """Betti numbers through the action of e_0 on the exterior powers of
     the dual ideal: b_k = dim ker L_k + dim coker L_{k-1}.
@@ -414,11 +404,6 @@ def frolicher_holds(betti, hodge):
     return True
 
 
-def verify_frolicher(model):
-    """Frölicher degeneration identity, on the closed-form tables."""
-    return frolicher_holds(betti_closed(model), hodge_closed(model))
-
-
 @dataclass(frozen=True)
 class SymmetryReport:
     """Outcome of the conjugation/duality checks for one table."""
@@ -471,27 +456,49 @@ def verify_symmetry(model, table=None):
 
 # -- the per-model check registry ------------------------------------------------
 
+# package errors that mark a check failed instead of escaping run_checks
+_CHECK_ERRORS = (DifferentialError, StableSeriesError, NotNilpotentError)
+
+
+class _shared(cached_property):
+    """A cached_property that also keeps a package error its build
+    raised: later reads raise it again instead of rebuilding.  A built
+    value lives in the instance dict, so reads of it skip this code."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        errors = instance.__dict__.setdefault("_errors", {})
+        if self.attrname in errors:
+            raise errors[self.attrname]
+        try:
+            return super().__get__(instance, owner)
+        except _CHECK_ERRORS as exc:
+            errors[self.attrname] = exc
+            raise
+
 
 @dataclass
 class _ModelFacts:
     """What the checks of one model share, each value built on first use
-    and then kept: the algebra, the Dolbeault symbols, the power ranks of
-    A, the closed table, one walk per complex, the oracle table and the
-    symmetry reports of both tables."""
+    and then kept, or the package error its build raised: the algebra,
+    the Dolbeault symbols, the power ranks of A, the closed table, one
+    walk per complex, the oracle table and the symmetry reports of both
+    tables."""
 
     model: object
-    alg = cached_property(lambda s: build_algebra(s.model))
-    symbols = cached_property(lambda s: _dolbeault_symbols(structure_equations(s.model)))
-    a_ranks = cached_property(lambda s: power_ranks(s.alg.a_matrix()))
-    jordan = cached_property(lambda s: Partition(jordan_type_from_ranks(len(s.alg.A), s.a_ranks)))
-    closed = cached_property(lambda s: closed_table(s.model))
-    ce = cached_property(lambda s: _ce_walk(s.alg, range(1, s.alg.dim + 1)))
-    dolbeault = cached_property(lambda s: _dolbeault_walk(s.symbols, range(1, s.symbols[0] + 1)))
-    betti = cached_property(lambda s: _betti_numbers(s.alg.dim, s.ce))
-    hodge = cached_property(lambda s: _hodge_numbers(s.symbols[2], s.dolbeault))
-    oracle = cached_property(lambda s: CohomologyTable(s.betti, s.hodge, "oracle"))
-    closed_report = cached_property(lambda s: verify_symmetry(s.model, s.closed))
-    oracle_report = cached_property(lambda s: verify_symmetry(s.model, s.oracle))
+    alg = _shared(lambda s: build_algebra(s.model))
+    symbols = _shared(lambda s: _dolbeault_symbols(structure_equations(s.model)))
+    a_ranks = _shared(lambda s: power_ranks(s.alg.a_matrix()))
+    jordan = _shared(lambda s: Partition(jordan_type_from_ranks(len(s.alg.A), s.a_ranks)))
+    closed = _shared(lambda s: closed_table(s.model))
+    ce = _shared(lambda s: _ce_walk(s.alg, range(1, s.alg.dim + 1)))
+    dolbeault = _shared(lambda s: _dolbeault_walk(s.symbols, range(1, s.symbols[0] + 1)))
+    betti = _shared(lambda s: _betti_numbers(s.alg.dim, s.ce))
+    hodge = _shared(lambda s: _hodge_numbers(s.symbols[2], s.dolbeault))
+    oracle = _shared(lambda s: CohomologyTable(s.betti, s.hodge, "oracle"))
+    closed_report = _shared(lambda s: verify_symmetry(s.model, s.closed))
+    oracle_report = _shared(lambda s: verify_symmetry(s.model, s.oracle))
 
 
 def _j_squared(f):
@@ -548,6 +555,6 @@ def run_checks(model):
     for _, _, predicate in CHECKS:
         try:
             results.append(bool(predicate(facts)))
-        except (DifferentialError, StableSeriesError, NotNilpotentError):
+        except _CHECK_ERRORS:
             results.append(False)
     return tuple(results)

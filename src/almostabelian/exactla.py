@@ -112,9 +112,6 @@ class RationalMatrix:
         rows = [{j: x for j, x in enumerate(row) if x} for row in self._integer_rows()]
         return _rank_sparse([row for row in rows if row])
 
-    def kernel_dim(self):
-        return self.cols - self.rank()
-
     def nullspace(self):
         """Basis of the right kernel, as primitive integer tuples.
 
@@ -387,13 +384,3 @@ class Subspace:
         if self.d != other.d:
             raise ValueError("ambient dimensions differ")
         return Subspace(self.d, list(self.basis) + list(other.basis))
-
-    def coordinate_indices(self):
-        """Indices i with the i-th standard basis vector inside the subspace."""
-        out = set()
-        for i in range(self.d):
-            e = [0] * self.d
-            e[i] = 1
-            if self.contains(e):
-                out.add(i)
-        return out

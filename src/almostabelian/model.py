@@ -137,23 +137,20 @@ def _overlap_indices(q):
 
 
 def enumerate_models(n):
-    """All models of dimension 2n+2, grouped by q in enumeration order.
+    """Yield the models of dimension 2n+2, grouped by q in enumeration order.
 
-    The resulting Jordan types are checked to be pairwise distinct.
+    Each model's Jordan type must invert back to the model, which keeps
+    the Jordan types pairwise distinct without remembering them.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    models = []
     for q in partitions_of(n):
         for j in _overlap_indices(q):
-            models.append(ComplexModel(n, q, j))
-    seen = {}
-    for c in models:
-        key = c.m
-        if key in seen:
-            raise RuntimeError("duplicate Jordan type %s from %s and %s" % (key, seen[key], c))
-        seen[key] = c
-    return models
+            c = ComplexModel(n, q, j)
+            m = c.m
+            if admits_complex_structure(m) != c:
+                raise RuntimeError("Jordan type %s of %s does not invert to it" % (m, c))
+            yield c
 
 
 def nilpotency_step(model):
@@ -161,13 +158,22 @@ def nilpotency_step(model):
     return max(model.j, model.q.parts[0])
 
 
-def _block_sizes(model):
-    """Block sizes of B: size j-1 first when j > 1, the rest weakly decreasing."""
-    parts = list(model.q.parts)
-    if model.j > 1:
-        parts.remove(model.j - 1)
-        return [model.j - 1] + parts
-    return parts
+def _block_sizes(model, block_sizes=None):
+    """Block sizes of B: by default size j-1 first when j > 1 and the
+    rest weakly decreasing.  An override must form q and, when
+    epsilon = 1, still start with j-1."""
+    if block_sizes is None:
+        parts = list(model.q.parts)
+        if model.j > 1:
+            parts.remove(model.j - 1)
+            return [model.j - 1] + parts
+        return parts
+    sizes = list(block_sizes)
+    if sorted(sizes, reverse=True) != list(model.q.parts):
+        raise InvalidModelError("block sizes must form the partition q")
+    if model.epsilon and sizes[0] != model.j - 1:
+        raise InvalidModelError("the first block must have size j-1")
+    return sizes
 
 
 @dataclass(frozen=True)
@@ -222,11 +228,7 @@ def build_algebra(model, block_sizes=None):
     isomorphic algebra.
     """
     n = model.n
-    sizes = list(_block_sizes(model)) if block_sizes is None else list(block_sizes)
-    if sorted(sizes, reverse=True) != list(model.q.parts):
-        raise InvalidModelError("block sizes must form the partition q")
-    if model.epsilon and sizes[0] != model.j - 1:
-        raise InvalidModelError("the first block must have size j-1")
+    sizes = _block_sizes(model, block_sizes)
     size = 2 * n + 1
     a = [[0] * size for _ in range(size)]
     a[1][0] = model.epsilon
@@ -403,16 +405,7 @@ class StructureEquations:
     epsilon: int
     blocks: tuple  # (label, length) per chain
     generators: tuple
-    rules: tuple  # (generator, ((coef, (factor, factor)), ...)) pairs
-
-    def d(self, gen):
-        for name, terms in self.rules:
-            if name == gen:
-                return terms
-        raise KeyError(gen)
-
-    def rules_dict(self):
-        return dict(self.rules)
+    rules: tuple  # (generator, ((coef, (factor, factor)), ...)) pairs, in generator order
 
 
 def _beta(label, i):
@@ -429,11 +422,7 @@ def structure_equations(model, block_sizes=None):
     order (used by tests for order-invariance checks); the first entry
     must still be j-1 when epsilon = 1.
     """
-    sizes = list(_block_sizes(model)) if block_sizes is None else list(block_sizes)
-    if sorted(sizes, reverse=True) != list(model.q.parts):
-        raise InvalidModelError("block sizes must form the partition q")
-    if model.epsilon and sizes[0] != model.j - 1:
-        raise InvalidModelError("the first block must have size j-1")
+    sizes = _block_sizes(model, block_sizes)
     first_label = 0 if model.epsilon else 1
     blocks = tuple((first_label + t, s) for t, s in enumerate(sizes))
     generators = ["alpha"]
@@ -470,7 +459,7 @@ def generator_coordinates(model, block_sizes=None):
     """
     n = model.n
     dim = 2 * n + 2
-    sizes = list(_block_sizes(model)) if block_sizes is None else list(block_sizes)
+    sizes = _block_sizes(model, block_sizes)
     zero = (Fraction(0), Fraction(0))
 
     def vector(entries):

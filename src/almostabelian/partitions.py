@@ -64,6 +64,10 @@ class Partition:
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
 
+    def __reduce__(self):
+        # rebuilt through __init__, since __setattr__ refuses the slot restore
+        return Partition, (self.parts,)
+
     def __repr__(self):
         return "Partition(%s)" % (list(self.parts),)
 

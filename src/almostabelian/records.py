@@ -88,15 +88,14 @@ def factor_label(factor):
 
 def equations_payload(eqs):
     """Structure equations as plain JSON data, in generator order."""
-    rules = eqs.rules_dict()
     out = []
-    for gen in eqs.generators:
+    for gen, terms in eqs.rules:
         out.append(
             {
                 "gen": gen,
                 "d": [
                     {"coef": coef, "factors": [factor_label(f1), factor_label(f2)]}
-                    for coef, (f1, f2) in rules[gen]
+                    for coef, (f1, f2) in terms
                 ],
             }
         )
@@ -217,11 +216,10 @@ def compact_equations(eqs):
     suffix, e.g. `(0, 11b)` for the smallest overlap model.
     """
     index = {name: i + 1 for i, name in enumerate(eqs.generators)}
-    rules = eqs.rules_dict()
     entries = []
-    for gen in eqs.generators:
+    for _, rule in eqs.rules:
         terms = []
-        for coef, (f1, f2) in rules[gen]:
+        for coef, (f1, f2) in rule:
             pair = _index_token(index[f1[0]], f1[1]) + _index_token(index[f2[0]], f2[1])
             if coef == 1:
                 terms.append(pair)

@@ -6,8 +6,8 @@ i-1, i-3, ..., -(i-1).  Exterior powers are read off weights: one
 knapsack over the full weight multiset of a module gives the weights of
 every exterior power at once, and each is decomposed by peeling weight
 strings.  Tensor products expand by the Clebsch-Gordan rule, and their
-summands can also be counted without the expansion.  Two brute-force
-weight oracles are provided for cross-checking.
+summands can also be counted without the expansion.  A brute-force
+weight oracle is provided for cross-checking.
 """
 
 from collections import Counter
@@ -181,14 +181,6 @@ def wedge(v, r):
     if r > v.dim():
         return ZERO
     return _wedge_sum(v)[r]
-
-
-def wedge_irreducible_oracle(i, r):
-    """Brute-force wedge of one irreducible over all r-subsets of its weights."""
-    if not 0 <= r <= i:
-        raise ValueError("need 0 <= r <= i")
-    string = range(i - 1, -i, -2)
-    return decompose_from_weights(Counter(sum(c) for c in combinations(string, r)))
 
 
 def wedge_weight_oracle(v, r):

@@ -52,7 +52,7 @@ class TestEnumerate:
     def test_commutator_is_the_rank_of_a(self, capsys, dim):
         _, out, _ = run_cli(["enumerate", "--dim", str(dim)], capsys)
         lines = out.splitlines()
-        models = enumerate_models((dim - 2) // 2)
+        models = list(enumerate_models((dim - 2) // 2))
         assert len(lines) == len(models)
         for line, c in zip(lines, models):
             assert line.startswith("m=%s q=%s j=%d " % (c.m, c.q, c.j))
@@ -278,7 +278,7 @@ class TestVerify:
         assert code == 3
         assert "Traceback" not in out + err
         lines = out.splitlines()
-        for c in enumerate_models(1) + enumerate_models(2):
+        for c in list(enumerate_models(1)) + list(enumerate_models(2)):
             for check in ("d_splits", "dbar_squared", "hodge_oracle_eq"):
                 assert "failed: q=%s j=%d check=%s" % (c.q, c.j, check) in lines
             for check in ("d_squared", "betti_oracle_eq", "frolicher_closed", "symmetry_closed"):
@@ -298,6 +298,13 @@ class TestVerify:
         monkeypatch.setattr(cli, "_worker_count", lambda: 2)
         _, pooled, _ = run_cli(["verify", "--max-dim", "6"], capsys)
         assert pooled == sequential
+
+    def test_process_pool_matches_pinned_stdout(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.WORKERS_ENV, "2")
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        assert cli._worker_count() == 2
+        code, out, err = run_cli(["verify", "--max-dim", "8"], capsys)
+        assert (code, out, err) == (0, VERIFY_STDOUT[8], "")
 
     def test_worker_env_cap(self, monkeypatch):
         monkeypatch.setenv(cli.WORKERS_ENV, "banana")

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 from math import lcm
 
@@ -77,6 +78,11 @@ def d_of_coordinates(alg, coords):
 def model_of(qparts, j):
     q = Partition(qparts)
     return ComplexModel(q.n, q, j)
+
+
+def coordinate_span(dim, indices):
+    """The subspace spanned by the standard basis vectors at `indices`."""
+    return Subspace(dim, [[int(k == i) for k in range(dim)] for i in indices])
 
 
 # -- a Fraction reference for the stable series -----------------------------
@@ -196,6 +202,14 @@ class TestComplexModel:
         assert c.m == Partition([3, 2])
         assert c.step == 3
 
+    def test_pickle_round_trip(self):
+        for n in range(1, 4):
+            for c in enumerate_models(n):
+                copy = pickle.loads(pickle.dumps(c))
+                assert copy == c and hash(copy.q) == hash(c.q)
+        with pytest.raises(AttributeError, match="immutable"):
+            pickle.loads(pickle.dumps(Partition([2, 1]))).parts = (3,)
+
 
 class TestAdmitsComplexStructure:
     def test_single_block_has_none(self):
@@ -232,7 +246,7 @@ class TestAdmitsComplexStructure:
 
 class TestEnumerateModels:
     def test_dim_four(self):
-        models = enumerate_models(1)
+        models = list(enumerate_models(1))
         assert len(models) == 1
         assert (models[0].q, models[0].j) == (Partition([1]), 2)
         assert models[0].m == Partition([2, 1])
@@ -244,7 +258,7 @@ class TestEnumerateModels:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_counts_per_partition(self, n):
-        models = enumerate_models(n)
+        models = list(enumerate_models(n))
         for q in partitions_of(n):
             expected = len({p + 1 for p in q.parts}) + 1
             if all(p == 1 for p in q.parts):
@@ -255,6 +269,11 @@ class TestEnumerateModels:
     def test_jordan_types_distinct(self, n):
         ms = [c.m for c in enumerate_models(n)]
         assert len(set(ms)) == len(ms)
+
+    def test_failed_inversion_raises(self, monkeypatch):
+        monkeypatch.setattr("almostabelian.model.admits_complex_structure", lambda m: None)
+        with pytest.raises(RuntimeError, match=r"Jordan type \[2,2,1\] of q=\[2\] j=1"):
+            list(enumerate_models(2))
 
 
 class TestBuildAlgebra:
@@ -401,7 +420,7 @@ class TestStableSeries:
         terms = stable_series(alg, c)
         assert [t.dim for t in terms] == [0, 2, 4]
         centre = terms[1]
-        assert centre.coordinate_indices() == {2, 3}
+        assert centre == coordinate_span(alg.dim, (2, 3))
 
     def test_no_overlap_uses_descending_series(self):
         c = model_of([2], 1)
@@ -409,7 +428,7 @@ class TestStableSeries:
         terms = stable_series(alg, c)
         assert [t.dim for t in terms] == [0, 2, 6]
         # C^1 is spanned by the images of the adjoint matrix (chain ends)
-        assert terms[1].coordinate_indices() == {3, 5}
+        assert terms[1] == coordinate_span(alg.dim, (3, 5))
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_all_models_pass(self, n):
@@ -478,14 +497,18 @@ class TestStructureEquations:
     def test_heisenberg(self):
         eqs = structure_equations(model_of([1], 2))
         assert eqs.generators == ("alpha", "beta0_1")
-        assert eqs.d("alpha") == ()
-        assert eqs.d("beta0_1") == ((1, (("alpha", False), ("alpha", True))),)
+        assert eqs.rules == (
+            ("alpha", ()),
+            ("beta0_1", ((1, (("alpha", False), ("alpha", True))),)),
+        )
 
     def test_single_chain_no_overlap(self):
         eqs = structure_equations(model_of([2], 1))
         assert eqs.generators == ("alpha", "beta1_1", "beta1_2")
-        assert eqs.d("beta1_1") == ()
-        assert eqs.d("beta1_2") == (
+        rules = dict(eqs.rules)
+        assert [name for name, _ in eqs.rules] == list(eqs.generators)
+        assert rules["beta1_1"] == ()
+        assert rules["beta1_2"] == (
             (1, (("alpha", False), ("beta1_1", False))),
             (1, (("alpha", True), ("beta1_1", False))),
         )
@@ -503,10 +526,10 @@ class TestStructureEquations:
             alg = build_algebra(c)
             eqs = structure_equations(c)
             coords = generator_coordinates(c)
-            for gen in eqs.generators:
+            for gen, rule in eqs.rules:
                 got = d_of_coordinates(alg, coords[gen])
                 expect = {}
-                for coef, (f1, f2) in eqs.d(gen):
+                for coef, (f1, f2) in rule:
                     u = coords[f1[0]]
                     v = coords[f2[0]]
                     if f1[1]:
@@ -522,6 +545,13 @@ class TestStructureEquations:
         c = model_of([2, 1], 1)
         eqs = structure_equations(c, block_sizes=[1, 2])
         assert eqs.generators == ("alpha", "beta1_1", "beta2_1", "beta2_2")
+
+    @pytest.mark.parametrize("build", [structure_equations, generator_coordinates])
+    def test_block_order_validation(self, build):
+        with pytest.raises(InvalidModelError, match="form the partition q"):
+            build(model_of([2, 1], 1), block_sizes=[3])
+        with pytest.raises(InvalidModelError, match="first block"):
+            build(model_of([2, 1], 2), block_sizes=[2, 1])
 
 
 class TestCommutator:

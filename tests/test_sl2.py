@@ -17,7 +17,6 @@ from almostabelian.sl2 import (
     irreducible,
     tensor,
     wedge,
-    wedge_irreducible_oracle,
     wedge_weight_oracle,
 )
 
@@ -207,26 +206,29 @@ class TestWedge:
 
 
 class TestWedgeIrreducibleOracle:
+    """The weight oracle on one irreducible: all r-subsets of its weights."""
+
     def test_empty_wedge(self):
         for i in range(1, 8):
-            assert wedge_irreducible_oracle(i, 0) == W(1)
+            assert wedge_weight_oracle(W(i), 0) == W(1)
 
     def test_top_wedge_trivial(self):
         for i in range(1, 8):
-            assert wedge_irreducible_oracle(i, i) == W(1)
+            assert wedge_weight_oracle(W(i), i) == W(1)
 
     def test_five_choose_two(self):
-        got = wedge_irreducible_oracle(5, 2)
+        got = wedge_weight_oracle(W(5), 2)
         assert delta(got) == 2 == restricted_count(3, 3, 2)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            wedge_irreducible_oracle(3, 4)
+            wedge_weight_oracle(W(3), -1)
+        assert wedge_weight_oracle(W(3), 4) == ZERO == wedge(W(3), 4)
 
     def test_agrees_with_wedge(self):
         for i in range(1, 11):
             for r in range(0, i + 1):
-                assert wedge_irreducible_oracle(i, r) == wedge(W(i), r)
+                assert wedge_weight_oracle(W(i), r) == wedge(W(i), r)
 
 
 class TestCountingIdentities:
