@@ -8,7 +8,7 @@ All output is deterministic: identical inputs give identical bytes.
 
 Size limits, checked before any work starts (one "error:" line on
 stderr and exit status 1 above them): invariants and export take models
-with n = sum(q) <= 40, and invariants --oracle n <= 8; enumerate takes
+with n = sum(q) <= 100, and invariants --oracle n <= 8; enumerate takes
 --dim <= 100; classify takes Jordan types of total size <= 1000000;
 verify takes --max-dim <= 16.
 """
@@ -41,11 +41,13 @@ WORKERS_ENV = "ALMOSTABELIAN_WORKERS"
 
 # Size limits (see the module docstring), each set where its slowest
 # input takes up to about a minute on one CPU: the closed forms grow
-# steeply with the largest part of q, the rank oracles and the verify
-# sweep exponentially in n, and enumerate walks every partition of n.
+# with the largest part of q, whose knapsack over the exterior algebra
+# of a* is their cost (q = [100], j = 101 takes about 39 s), the rank
+# oracles and the verify sweep exponentially in n, and enumerate walks
+# every partition of n.
 # classify is linear in the number of parts of --jordan, so memory
 # (about 100 MB per million parts) sets its limit before time does.
-MAX_MODEL_N = 40
+MAX_MODEL_N = 100
 MAX_ORACLE_N = 8
 MAX_ENUMERATE_DIM = 100
 MAX_CLASSIFY_TOTAL = 10**6

@@ -15,7 +15,7 @@ for the fixed ascending monomial order.
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, zip_longest
 from math import comb
 
 from .exactla import (
@@ -32,7 +32,7 @@ from .model import (
     structure_equations,
 )
 from .partitions import Partition
-from .sl2 import Sl2Module, delta, delta_tensor, wedge
+from .sl2 import Sl2Module, tensor_count, wedge_profile
 
 
 class DifferentialError(RuntimeError):
@@ -73,25 +73,27 @@ def betti_closed(model):
     """Betti vector b_0..b_{2n+2} from the representation calculus."""
     a_star = module_triple(model).a_star
     top = 2 * model.n + 2
-    deltas = [delta(wedge(a_star, k)) for k in range(top + 1)]
+    # a(1) of a profile counts every summand; degree top is above dim a* = 2n+1
+    deltas = [wedge_profile(a_star, k)[0] for k in range(top)] + [0]
     return tuple(deltas[k] + (deltas[k - 1] if k else 0) for k in range(top + 1))
 
 
 def hodge_closed(model):
-    """Hodge grid h^{p,q}, 0 <= p, q <= n+1, from the representation calculus."""
+    """Hodge grid h^{p,q}, 0 <= p, q <= n+1, from the representation calculus:
+    h^{p,q} counts the summands of
+    (Lambda^q b01 + Lambda^{q-1} b01) (x) Lambda^p g10."""
     triple = module_triple(model)
-    n = model.n
-    wb = [wedge(triple.b01, q) for q in range(n + 2)]
+    size = model.n + 2
+    wb = [wedge_profile(triple.b01, q) for q in range(size)]
+    # the profile of a direct sum is the sum of the profiles
+    cols = [wb[0]] + [
+        [x + y for x, y in zip_longest(wb[q], wb[q - 1], fillvalue=0)]
+        for q in range(1, size)
+    ]
     grid = []
-    for p in range(n + 2):
-        wg = wedge(triple.g10, p)
-        row = []
-        for q in range(n + 2):
-            h = delta_tensor(wb[q], wg)
-            if q:
-                h += delta_tensor(wb[q - 1], wg)
-            row.append(h)
-        grid.append(tuple(row))
+    for p in range(size):
+        wg = wedge_profile(triple.g10, p)
+        grid.append(tuple([tensor_count(col, wg) for col in cols]))
     return tuple(grid)
 
 

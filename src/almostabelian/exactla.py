@@ -45,16 +45,8 @@ class RationalMatrix:
         object.__setattr__(self, "data", data)
 
     @classmethod
-    def zeros(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
     def identity(cls, n):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
 
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix):
@@ -71,12 +63,6 @@ class RationalMatrix:
     def __repr__(self):
         return "RationalMatrix(%d x %d)" % (self.rows, self.cols)
 
-    def transpose(self):
-        return RationalMatrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
     def mul(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
@@ -90,18 +76,6 @@ class RationalMatrix:
                 ]
             )
         return RationalMatrix(out, cols=other.cols)
-
-    def apply(self, vec):
-        """Matrix-vector product on a sequence of length cols."""
-        if len(vec) != self.cols:
-            raise ValueError("length mismatch")
-        return tuple(
-            sum(self.data[i][j] * vec[j] for j in range(self.cols))
-            for i in range(self.rows)
-        )
-
-    def is_zero(self):
-        return all(x == 0 for row in self.data for x in row)
 
     def _integer_rows(self):
         """Rows rescaled to integers (rank preserving)."""

@@ -22,10 +22,11 @@ would give the abelian algebra and is excluded.
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .exactla import RationalMatrix, Subspace
-from .partitions import Partition, partitions_of
+from .partitions import Partition, iter_partitions
 
 
 class InvalidModelError(ValueError):
@@ -71,9 +72,10 @@ class ComplexModel:
         """Dimension of the Lie algebra."""
         return 2 * self.n + 2
 
-    @property
+    @cached_property
     def m(self):
-        """Jordan type of the adjoint matrix, a partition of 2n+1."""
+        """Jordan type of the adjoint matrix, a partition of 2n+1, built
+        once per model (kept outside the fields, so eq and hash ignore it)."""
         return jordan_partition(self.q, self.j)
 
     @property
@@ -144,7 +146,7 @@ def enumerate_models(n):
     """
     if n < 1:
         raise ValueError("n must be positive")
-    for q in partitions_of(n):
+    for q in iter_partitions(n):
         for j in _overlap_indices(q):
             c = ComplexModel(n, q, j)
             m = c.m

@@ -75,24 +75,33 @@ class Partition:
         return "[" + ",".join(str(p) for p in self.parts) + "]"
 
 
-def partitions_of(n):
-    """All partitions of n, each once, in lexicographically decreasing order."""
+def iter_partitions(n):
+    """Yield every partition of n once, in lexicographically decreasing
+    order, keeping none: each step lowers the last part above 1 by one and
+    refills the tail with the largest parts the order allows."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    out = []
-    prefix = []
-
-    def descend(remaining, cap):
-        if remaining == 0:
-            out.append(Partition(prefix))
+    parts = [n] if n else []
+    while True:
+        yield Partition(parts)
+        rest = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            rest += 1
+        if not parts:
             return
-        for p in range(min(cap, remaining), 0, -1):
-            prefix.append(p)
-            descend(remaining - p, p)
-            prefix.pop()
+        parts[-1] -= 1
+        rest += 1
+        cap = parts[-1]
+        while rest > cap:
+            parts.append(cap)
+            rest -= cap
+        parts.append(rest)
 
-    descend(n, n)
-    return out
+
+def partitions_of(n):
+    """All partitions of n as a list, in the order of iter_partitions."""
+    return list(iter_partitions(n))
 
 
 @lru_cache(maxsize=4096)

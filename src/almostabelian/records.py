@@ -86,22 +86,6 @@ def factor_label(factor):
     return name + "_bar" if bar else name
 
 
-def equations_payload(eqs):
-    """Structure equations as plain JSON data, in generator order."""
-    out = []
-    for gen, terms in eqs.rules:
-        out.append(
-            {
-                "gen": gen,
-                "d": [
-                    {"coef": coef, "factors": [factor_label(f1), factor_label(f2)]}
-                    for coef, (f1, f2) in terms
-                ],
-            }
-        )
-    return out
-
-
 @dataclass(frozen=True)
 class ExportRecord:
     """Everything the CLI reports about one model, JSON-ready."""
@@ -114,7 +98,7 @@ class ExportRecord:
     step: int
     betti: tuple
     hodge: tuple
-    equations: tuple  # as produced by equations_payload, frozen
+    equations: tuple  # (gen, ((coef, (label, label)), ...)) in generator order
     checks: tuple  # ((name, value), ...) in fixed order
     source: str
 
@@ -128,10 +112,9 @@ class ExportRecord:
             ("symmetry", symmetry),
             ("nijenhuis", nijenhuis_vanishes(build_algebra(model))),
         )
-        payload = equations_payload(structure_equations(model))
         frozen_eqs = tuple(
-            (item["gen"], tuple((t["coef"], tuple(t["factors"])) for t in item["d"]))
-            for item in payload
+            (gen, tuple((coef, (factor_label(f1), factor_label(f2))) for coef, (f1, f2) in terms))
+            for gen, terms in structure_equations(model).rules
         )
         return cls(
             n=model.n,

@@ -2,17 +2,20 @@
 
 A module is recorded by the multiset of dimensions of its irreducible
 summands; the irreducible of dimension i has weight string
-i-1, i-3, ..., -(i-1).  Exterior powers are read off weights: one
+i-1, i-3, ..., -(i-1).  Its summand profile a(t), the number of
+summands of dimension >= t, is read straight off its weights.  One
 knapsack over the full weight multiset of a module gives the weights of
-every exterior power at once, and each is decomposed by peeling weight
-strings.  Tensor products expand by the Clebsch-Gordan rule, and their
-summands can also be counted without the expansion.  A brute-force
-weight oracle is provided for cross-checking.
+every exterior power at once, and the memo keeps the profile of each.
+The profiles count the summands of a tensor product without expanding
+it; a module is the differences of its profile.  Tensor products also
+expand by the Clebsch-Gordan rule, and a brute-force weight oracle is
+provided for cross-checking.
 """
 
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, pairwise
+from operator import mul
 
 
 class InvalidWeightSystemError(ValueError):
@@ -121,47 +124,60 @@ def tensor(v, w):
     return Sl2Module(acc)
 
 
-def delta_tensor(v, w):
-    """Number of irreducible summands of the tensor product of v and w,
-    counted without expanding it: W(i) (x) W(k) has min(i, k)."""
-    return sum(mi * mk * min(i, k) for i, mi in v.items() for k, mk in w.items())
+def weight_profile(mu):
+    """Summand profile of the module with weight multiplicities mu (a
+    mapping weight -> multiplicity): the tuple a(1), ..., a(top + 1), top
+    the largest weight, where a(t) = mu(t-1) + mu(t) is the number of
+    summands of dimension >= t (W(d) has one weight in {t-1, t} when
+    t <= d, none when t > d).  W(d) occurs a(d) - a(d+1) times.
+
+    Raises InvalidWeightSystemError when the multiset is not symmetric
+    under negation or not unimodal, that is when the profile rises.  A
+    symmetric multiset whose profile never rises has no gaps either: its
+    module has dimension sum_t a(t) = mu(0) + 2 sum_{w>0} mu(w).
+    """
+    for w, c in mu.items():
+        if mu.get(-w, 0) != c:
+            raise InvalidWeightSystemError("multiset not symmetric under negation")
+    top = max(mu, default=-1)
+    # A list, then frozen (as are _wedge_sum's tuple and hodge_closed's
+    # rows): tuples grown from generators piled up on CPython's free lists
+    # over repeated cold passes, +3 MB peak RSS in perfbench's large_n.
+    profile = [mu.get(t - 1, 0) + mu.get(t, 0) for t in range(1, top + 2)]
+    if any(a < b for a, b in pairwise(profile)):
+        raise InvalidWeightSystemError("weight multiplicities are not unimodal")
+    return tuple(profile)
+
+
+def _module(profile):
+    """The module with the given summand profile: its differences."""
+    return Sl2Module(enumerate((a - b for a, b in zip(profile, profile[1:] + (0,))), 1))
 
 
 def decompose_from_weights(weights):
     """The unique module with the given weight multiset.
 
-    With mu the weight multiplicity function, the irreducible of
-    dimension d occurs mu(d-1) - mu(d+1) times.  Raises
-    InvalidWeightSystemError when the multiset is not symmetric under
-    negation or the peeling produces an inconsistency.
+    Raises InvalidWeightSystemError when the multiset is not the weight
+    system of a module (see weight_profile).
     """
-    mu = Counter(weights)
-    total = sum(mu.values())
-    for w, c in mu.items():
-        if mu[-w] != c:
-            raise InvalidWeightSystemError("multiset not symmetric under negation")
-    if not total:
-        return ZERO
-    acc = {}
-    for d in range(max(mu) + 1, 0, -1):
-        m = mu[d - 1] - mu[d + 1]
-        if m < 0:
-            raise InvalidWeightSystemError("weight multiplicities are not unimodal")
-        if m:
-            acc[d] = m
-    out = Sl2Module(acc)
-    if out.dim() != total:
-        raise InvalidWeightSystemError("weight string has gaps")
-    return out
+    return _module(weight_profile(Counter(weights)))
+
+
+def tensor_count(a, b):
+    """Number of irreducible summands of V (x) W, from the profiles a of V
+    and b of W: W(i) (x) W(k) has min(i, k) = sum_t [i >= t][k >= t]
+    summands, so the count is sum_t a(t) b(t)."""
+    return sum(map(mul, a, b))
 
 
 @lru_cache(maxsize=256)
 def _wedge_sum(v):
-    """Every exterior power of v, degrees 0 to dim v, as a tuple.
+    """The summand profile of every exterior power of v, degrees 0 to
+    dim v, as a tuple.
 
     A 0/1 knapsack over the full weight multiset of v (each weight slot
     is used at most once) keeps the weights of degree k in one Counter;
-    each layer is then decomposed.
+    each layer is then read as a profile.
     """
     layers = [Counter({0: 1})]
     for w, c in v.weights().items():
@@ -171,16 +187,22 @@ def _wedge_sum(v):
                 tgt = layers[k]
                 for s, n in layers[k - 1].items():
                     tgt[s + w] += n
-    return tuple(decompose_from_weights(layer) for layer in layers)
+    return tuple([weight_profile(layer) for layer in layers])
 
 
-def wedge(v, r):
-    """r-th exterior power of v, read off the memoised exterior algebra of v."""
+def wedge_profile(v, r):
+    """Summand profile of the r-th exterior power of v (see weight_profile),
+    read off the memoised exterior algebra of v; empty above dim v."""
     if r < 0:
         raise ValueError("exterior power must be non-negative")
     if r > v.dim():
-        return ZERO
+        return ()
     return _wedge_sum(v)[r]
+
+
+def wedge(v, r):
+    """r-th exterior power of v, the differences of its memoised profile."""
+    return _module(wedge_profile(v, r))
 
 
 def wedge_weight_oracle(v, r):

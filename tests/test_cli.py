@@ -327,9 +327,9 @@ class TestSizeLimits:
         "argv",
         [
             ["invariants", "--q", "99999999999999999999", "--j", "1"],
-            ["invariants", "--q", "41", "--j", "1"],
+            ["invariants", "--q", "101", "--j", "1"],
             ["invariants", "--q", "9", "--j", "1", "--oracle"],
-            ["export", "--q", "36,5", "--j", "1", "--format", "json"],
+            ["export", "--q", "96,5", "--j", "1", "--format", "json"],
             ["enumerate", "--dim", "200"],
             ["enumerate", "--dim", "102"],
             ["classify", "--jordan", "500001,500000"],

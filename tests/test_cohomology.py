@@ -30,6 +30,7 @@ from almostabelian.model import (
     enumerate_models,
 )
 from almostabelian.partitions import Partition
+from almostabelian.sl2 import delta, wedge
 from almostabelian.sl2 import irreducible as W
 
 
@@ -131,6 +132,34 @@ class TestHodgeClosed:
                 h = hodge_closed(c)
                 assert h[0][0] == 1
                 assert h[n + 1][n + 1] == 1
+
+
+def counted_tensor(v, w):
+    """Summands of v (x) w, pair by pair: W(i) (x) W(k) has min(i, k)."""
+    return sum(mi * mk * min(i, k) for i, mi in v.items() for k, mk in w.items())
+
+
+class TestClosedFormsAgainstModules:
+    """The closed forms against tables built from decomposed wedge() modules."""
+
+    @pytest.mark.parametrize("n", range(16, 21))
+    def test_single_block_every_overlap(self, n):
+        for j in (1, n + 1):
+            c = M([n], j)
+            t = module_triple(c)
+            deltas = [delta(wedge(t.a_star, k)) for k in range(2 * n + 3)]
+            assert betti_closed(c) == tuple(
+                deltas[k] + (deltas[k - 1] if k else 0) for k in range(2 * n + 3)
+            )
+            wb = [wedge(t.b01, q) for q in range(n + 2)]
+            hodge = []
+            for p in range(n + 2):
+                wg = wedge(t.g10, p)
+                hodge.append(tuple(
+                    counted_tensor(wb[q], wg) + (counted_tensor(wb[q - 1], wg) if q else 0)
+                    for q in range(n + 2)
+                ))
+            assert hodge_closed(c) == tuple(hodge)
 
 
 class TestBettiOracle:

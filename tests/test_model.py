@@ -207,6 +207,10 @@ class TestComplexModel:
             for c in enumerate_models(n):
                 copy = pickle.loads(pickle.dumps(c))
                 assert copy == c and hash(copy.q) == hash(c.q)
+                # the Jordan type is built once and kept out of eq and hash
+                fresh = ComplexModel(c.n, c.q, c.j)
+                assert c.m is c.m and copy.m == c.m
+                assert fresh == c and hash(fresh) == hash(c) == hash(copy)
         with pytest.raises(AttributeError, match="immutable"):
             pickle.loads(pickle.dumps(Partition([2, 1]))).parts = (3,)
 

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from almostabelian.partitions import Partition, partitions_of, restricted_count
+from almostabelian.partitions import Partition, iter_partitions, partitions_of, restricted_count
 
 
 def brute_partitions(m, max_parts, max_size):
@@ -75,6 +75,12 @@ class TestPartitionsOf:
     def test_lexicographically_decreasing(self, n):
         seqs = [p.parts for p in partitions_of(n)]
         assert seqs == sorted(seqs, reverse=True)
+
+    def test_walk_is_lazy(self):
+        # the first partitions of a large n come without walking the rest
+        walk = iter_partitions(10**6)
+        assert next(walk) == Partition([10**6])
+        assert next(walk) == Partition([10**6 - 1, 1])
 
 
 class TestRestrictedCount:
