@@ -3,12 +3,14 @@
 Subcommands: enumerate, classify, invariants, verify, export.  Exit
 statuses: 0 success / all checks passed, 1 usage or parse error, input
 over a size limit or an --output path that cannot be written, 2
-classification answered "no complex structure", 3 verification failure.
+classification answered "no complex structure", 3 verification failure,
+141 standard output closed by its reader before all output was written
+(as in `enumerate --dim 40 | head -1`; nothing is printed on stderr).
 All output is deterministic: identical inputs give identical bytes.
 
 Size limits, checked before any work starts (one "error:" line on
 stderr and exit status 1 above them): invariants and export take models
-with n = sum(q) <= 100, and invariants --oracle n <= 8; enumerate takes
+with n = sum(q) <= 150, and invariants --oracle n <= 8; enumerate takes
 --dim <= 100; classify takes Jordan types of total size <= 1000000;
 verify takes --max-dim <= 16.
 """
@@ -36,18 +38,19 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NO_COMPLEX = 2
 EXIT_VERIFY_FAILED = 3
+EXIT_BROKEN_PIPE = 141  # what a shell reports for a process ended by SIGPIPE
 
 WORKERS_ENV = "ALMOSTABELIAN_WORKERS"
 
 # Size limits (see the module docstring), each set where its slowest
 # input takes up to about a minute on one CPU: the closed forms grow
-# with the largest part of q, whose knapsack over the exterior algebra
-# of a* is their cost (q = [100], j = 101 takes about 39 s), the rank
-# oracles and the verify sweep exponentially in n, and enumerate walks
-# every partition of n.
+# with the largest part of q, through the knapsacks over the exterior
+# algebras of b01 and g10 (q = [150] takes about 27 s and 202 MB, and
+# q = [170] 295 MB, near CI's 300 MB bound), the rank oracles and the
+# verify sweep exponentially in n, and enumerate walks every partition of n.
 # classify is linear in the number of parts of --jordan, so memory
 # (about 100 MB per million parts) sets its limit before time does.
-MAX_MODEL_N = 100
+MAX_MODEL_N = 150
 MAX_ORACLE_N = 8
 MAX_ENUMERATE_DIM = 100
 MAX_CLASSIFY_TOTAL = 10**6
@@ -355,7 +358,14 @@ def main(argv=None):
         "verify": cmd_verify,
         "export": cmd_export,
     }
-    return handlers[args.command](parser, args)
+    try:
+        status = handlers[args.command](parser, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left; devnull keeps the flush at exit from failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return status
 
 
 if __name__ == "__main__":

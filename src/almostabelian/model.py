@@ -14,15 +14,14 @@ Conventions, fixed once for the whole package:
 * the complex structure J sends e_0 -> e_1 and e_{1+k} -> e_{1+n+k}
   for k = 1..n, pairing the two copies of the `B` basis.
 
-A model is determined by (n, q, j); the Jordan type of `A` is the
-doubled q with the j block raised and the (j-1) block lowered when
-j > 1, plus an extra singleton when j = 1.  The all-ones q with j = 1
-would give the abelian algebra and is excluded.
+A model is determined by (n, q, j); the Jordan type of `A` is q
+together with `g10_partition(q, j)`, q with one (j-1) block raised to a
+j block when j > 1 or with an extra singleton when j = 1.  The all-ones
+q with j = 1 would give the abelian algebra and is excluded.
 """
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
 from .exactla import RationalMatrix, Subspace
@@ -56,10 +55,10 @@ class ComplexModel:
             raise InvalidModelError("q must be a partition of n")
         if self.j < 1:
             raise InvalidModelError("j must be positive")
-        if self.j > 1 and self.q.mult(self.j - 1) == 0:
-            raise InvalidModelError(
-                "overlap size %d needs a part of size %d in q" % (self.j, self.j - 1)
-            )
+        # m, the Jordan type of the adjoint matrix (a partition of 2n+1), is
+        # kept outside the fields, so eq and hash ignore it; building it
+        # raises InvalidModelError unless j-1 is a part of q
+        object.__setattr__(self, "m", jordan_partition(self.q, self.j))
         if self.j == 1 and _is_all_ones(self.q):
             raise InvalidModelError("q all ones with j = 1 is the abelian algebra")
 
@@ -72,12 +71,6 @@ class ComplexModel:
         """Dimension of the Lie algebra."""
         return 2 * self.n + 2
 
-    @cached_property
-    def m(self):
-        """Jordan type of the adjoint matrix, a partition of 2n+1, built
-        once per model (kept outside the fields, so eq and hash ignore it)."""
-        return jordan_partition(self.q, self.j)
-
     @property
     def step(self):
         return nilpotency_step(self)
@@ -86,23 +79,24 @@ class ComplexModel:
         return "q=%s j=%d" % (self.q, self.j)
 
 
-def jordan_partition(q, j):
-    """Jordan type of the adjoint matrix for the model (q, j).
-
-    Multiplicities are doubled; when j > 1 one (j-1)-block is promoted
-    to a j-block, when j = 1 an extra singleton appears.
-    """
-    mult = {i: 2 * m for i, m in q.multiplicities().items()}
+def g10_partition(q, j):
+    """sl2 type of g10, the holomorphic dual of the model (q, j): q with
+    one (j-1)-block promoted to a j-block when j > 1, or with an extra
+    singleton when j = 1.  The one place the overlap rule is written."""
+    parts = list(q.parts)
     if j > 1:
-        if mult.get(j - 1, 0) == 0:
-            raise InvalidModelError(
-                "overlap size %d needs a part of size %d in q" % (j, j - 1)
-            )
-        mult[j] = mult.get(j, 0) + 1
-        mult[j - 1] -= 1
+        if j - 1 not in parts:
+            raise InvalidModelError("overlap size %d needs a part of size %d in q" % (j, j - 1))
+        parts[parts.index(j - 1)] = j
     else:
-        mult[1] = mult.get(1, 0) + 1
-    return Partition.from_multiplicities(mult)
+        parts.append(1)
+    return Partition(parts)
+
+
+def jordan_partition(q, j):
+    """Jordan type of the adjoint matrix for the model (q, j): the parts
+    of q and of g10_partition(q, j), as a* = b01 + g10."""
+    return Partition(q.parts + g10_partition(q, j).parts)
 
 
 def admits_complex_structure(m):

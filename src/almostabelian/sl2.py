@@ -140,7 +140,7 @@ def weight_profile(mu):
         if mu.get(-w, 0) != c:
             raise InvalidWeightSystemError("multiset not symmetric under negation")
     top = max(mu, default=-1)
-    # A list, then frozen (as are _wedge_sum's tuple and hodge_closed's
+    # A list, then frozen (as are _wedge_sum's tuple and closed_table's
     # rows): tuples grown from generators piled up on CPython's free lists
     # over repeated cold passes, +3 MB peak RSS in perfbench's large_n.
     profile = [mu.get(t - 1, 0) + mu.get(t, 0) for t in range(1, top + 2)]

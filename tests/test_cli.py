@@ -327,9 +327,9 @@ class TestSizeLimits:
         "argv",
         [
             ["invariants", "--q", "99999999999999999999", "--j", "1"],
-            ["invariants", "--q", "101", "--j", "1"],
+            ["invariants", "--q", "151", "--j", "1"],
             ["invariants", "--q", "9", "--j", "1", "--oracle"],
-            ["export", "--q", "96,5", "--j", "1", "--format", "json"],
+            ["export", "--q", "146,5", "--j", "1", "--format", "json"],
             ["enumerate", "--dim", "200"],
             ["enumerate", "--dim", "102"],
             ["classify", "--jordan", "500001,500000"],
@@ -382,6 +382,19 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == 2
+
+    def test_closed_stdout_exits_quietly(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "almostabelian", "enumerate", "--dim", "40"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline().startswith(b"m=[19,19,1] q=[19] j=1 ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE
+        assert err == b""
 
 
 class TestRecords:

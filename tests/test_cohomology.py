@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from almostabelian import cohomology
+from almostabelian import cohomology, sl2
 from almostabelian.cohomology import (
     CHECKS,
     CohomologyTable,
@@ -139,6 +139,25 @@ def counted_tensor(v, w):
     return sum(mi * mk * min(i, k) for i, mi in v.items() for k, mk in w.items())
 
 
+def reference_tables(c):
+    """Betti vector and Hodge grid by the route through decomposed
+    modules: delta of each wedge(a_star, k), and the summands of
+    wedge(b01, q) (x) wedge(g10, p) counted pair by pair."""
+    n = c.n
+    t = module_triple(c)
+    deltas = [delta(wedge(t.a_star, k)) for k in range(2 * n + 3)]
+    betti = tuple(deltas[k] + (deltas[k - 1] if k else 0) for k in range(2 * n + 3))
+    wb = [wedge(t.b01, q) for q in range(n + 2)]
+    hodge = []
+    for p in range(n + 2):
+        wg = wedge(t.g10, p)
+        hodge.append(tuple(
+            counted_tensor(wb[q], wg) + (counted_tensor(wb[q - 1], wg) if q else 0)
+            for q in range(n + 2)
+        ))
+    return betti, tuple(hodge)
+
+
 class TestClosedFormsAgainstModules:
     """The closed forms against tables built from decomposed wedge() modules."""
 
@@ -146,20 +165,18 @@ class TestClosedFormsAgainstModules:
     def test_single_block_every_overlap(self, n):
         for j in (1, n + 1):
             c = M([n], j)
-            t = module_triple(c)
-            deltas = [delta(wedge(t.a_star, k)) for k in range(2 * n + 3)]
-            assert betti_closed(c) == tuple(
-                deltas[k] + (deltas[k - 1] if k else 0) for k in range(2 * n + 3)
-            )
-            wb = [wedge(t.b01, q) for q in range(n + 2)]
-            hodge = []
-            for p in range(n + 2):
-                wg = wedge(t.g10, p)
-                hodge.append(tuple(
-                    counted_tensor(wb[q], wg) + (counted_tensor(wb[q - 1], wg) if q else 0)
-                    for q in range(n + 2)
-                ))
-            assert hodge_closed(c) == tuple(hodge)
+            assert (betti_closed(c), hodge_closed(c)) == reference_tables(c)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_model(self, n):
+        for c in enumerate_models(n):
+            table = closed_table(c)
+            assert (table.betti, table.hodge) == reference_tables(c)
+
+    def test_one_exterior_algebra_each_for_b01_and_g10(self):
+        sl2._wedge_sum.cache_clear()
+        closed_table(M([3, 2], 3))
+        assert sl2._wedge_sum.cache_info().misses == 2
 
 
 class TestBettiOracle:
