@@ -12,7 +12,10 @@ their conjugates (for Hodge numbers) and take exact ranks.
 Sign convention, fixed once: d on a dual generator g^k is
 -sum_{i<j} c^k_{ij} g^i ^ g^j where [g_i, g_j] = sum c^k_{ij} g_k, and
 d extends to monomials as a degree-one derivation with the Koszul sign
-for the fixed ascending monomial order.
+for the fixed ascending monomial order.  dbar extends the same way from
+its own generator rules, the terms of each generator's d that keep the
+holomorphic degree; building those rules is where the split of d into
+(1,0) + (0,1) parts is checked, once per complex.
 """
 
 from dataclasses import dataclass
@@ -164,23 +167,24 @@ def _masks(symbols, k):
     return [sum(1 << s for s in c) for c in combinations(symbols, k)]
 
 
-def _walk(blocks, image, degrees=()):
+def _walk(blocks, terms, degrees=()):
     """One pass over the monomials of a graded complex with differential D.
 
-    `blocks` yields (key, masks) in column order; image(mask) is D on a
-    monomial as {mask: coef}.  Returns the rank of D on each block, by
-    key, and whether D^2 = 0 on the monomials whose degree is in
-    `degrees`, which needs D to map each block into the next one or into
-    monomials that D kills.  Degree 1 alone is the check on generators,
-    enough for a derivation by the graded Leibniz rule.  Each image is
-    computed once; a block's images are kept past its rank only while
-    its D^2 check waits for the next block.
+    `blocks` yields (key, masks) in column order; D is the derivation
+    extension of the generator rules `terms`, as _d_mask applies them.
+    Returns the rank of D on each block, by key, and whether D^2 = 0 on
+    the monomials whose degree is in `degrees`, which needs D to map
+    each block into the next one or into monomials that D kills.
+    Degree 1 alone is the check on generators, enough for a derivation
+    by the graded Leibniz rule.  Each image is computed once; a block's
+    images are kept past its rank only while its D^2 check waits for
+    the next block.
     """
     ranks = {}
     squares = True
     below = {}
     for key, masks in blocks:
-        here = {m: image(m) for m in masks}
+        here = {m: _d_mask(m, terms) for m in masks}
         if squares and below:
             for img in below.values():
                 acc = {}
@@ -217,7 +221,7 @@ def _ce_walk(alg, degrees):
     top degree maps to zero) and d^2 = 0 on the given degrees."""
     terms = _slot_terms(_ce_generator_differentials(alg))
     blocks = ((k, _masks(range(alg.dim), k)) for k in range(alg.dim))
-    return _walk(blocks, lambda m: _d_mask(m, terms), degrees)
+    return _walk(blocks, terms, degrees)
 
 
 def _betti_numbers(dim, walk):
@@ -247,9 +251,9 @@ def _dolbeault_symbols(eqs):
     """Symbol table for the bigraded complex.
 
     Symbols are integers: s < g is generator s in the order of
-    eqs.generators, s >= g its conjugate.  Returns (symbol count, d1,
-    g) with d1 as for _slot_terms; conjugated rules pick up reordering
-    signs only, since all stated coefficients are integers (hence real).
+    eqs.generators, 2g > s >= g its conjugate.  Returns (d1, g) with d1
+    as for _slot_terms; conjugated rules pick up reordering signs only,
+    since all stated coefficients are integers (hence real).
     """
     gens = eqs.generators
     g = len(gens)
@@ -274,38 +278,39 @@ def _dolbeault_symbols(eqs):
                 conj.append((coef * key[0], key[1]))
         d1[index[name]] = tuple(plain)
         d1[index[name] + g] = tuple(conj)
-    return 2 * g, d1, g
+    return d1, g
 
 
-def _dbar_of(mono, terms, holo):
-    """The antiholomorphic-degree-raising component of d: the terms that
-    keep the count of holomorphic bits (`holo` masks them).  Raises
-    DifferentialError if d does not split into (1,0) + (0,1) parts."""
-    p = (mono & holo).bit_count()
-    img = {}
-    for target, val in _d_mask(mono, terms).items():
-        tp = (target & holo).bit_count()
-        if tp == p:
-            img[target] = val
-        elif tp != p + 1:
+def _dbar_rules(symbols):
+    """dbar's generator rules, as _slot_terms builds them: the terms of
+    each symbol's d that keep its holomorphic degree.  This is where the
+    split is checked: d = d' + dbar by bidegree iff every other term
+    raises that degree by one; DifferentialError otherwise."""
+    d1, g = symbols
+    holo = (1 << g) - 1
+    rules = {}
+    for s, terms in d1.items():
+        rises = [(pair & holo).bit_count() - (s < g) for _, pair in terms]
+        if not set(rises) <= {0, 1}:
             raise DifferentialError("d does not split into (1,0)+(0,1) parts")
-    return img
+        rules[s] = tuple(t for t, rise in zip(terms, rises) if rise == 0)
+    return _slot_terms(rules)
 
 
 def _dolbeault_walk(symbols, degrees):
     """The walk of the Dolbeault complex, blocks (p, q) for q < g (dbar
-    kills q = g): ranks of dbar and dbar^2 = 0 on the given total degrees."""
-    nsym, d1, g = symbols
-    terms = _slot_terms(d1)
-    holo = (1 << g) - 1
+    kills q = g): ranks of dbar and dbar^2 = 0 on the given total
+    degrees.  A d that does not split raises before any monomial."""
+    _, g = symbols
+    terms = _dbar_rules(symbols)
     holo_masks = [_masks(range(g), p) for p in range(g + 1)]
-    anti_masks = [_masks(range(g, nsym), q) for q in range(g)]
+    anti_masks = [_masks(range(g, 2 * g), q) for q in range(g)]
     blocks = (
         ((p, q), [u | b for u in holo_masks[p] for b in anti_masks[q]])
         for p in range(g + 1)
         for q in range(g)
     )
-    return _walk(blocks, lambda m: _dbar_of(m, terms, holo), degrees)
+    return _walk(blocks, terms, degrees)
 
 
 def _hodge_numbers(g, walk):
@@ -323,29 +328,25 @@ def hodge_oracle(model, block_sizes=None):
     """Hodge grid from exact ranks of the Dolbeault differentials.
 
     The complex is spanned by wedge monomials in the structure-equation
-    generators and their conjugates; dbar is the component of d raising
-    the antiholomorphic degree.  All matrices are integer matrices in
-    this basis.  Raises DifferentialError if dbar^2 fails on a
-    generator or d fails to split into bidegree (1,0) + (0,1) parts.
-    `block_sizes` reorders the chains (the grid must not change).
+    generators and their conjugates; dbar is the derivation extension of
+    its own generator rules, the terms of each generator's d that keep
+    the holomorphic degree.  All matrices are integer matrices in this
+    basis.  Raises DifferentialError if d fails to split into bidegree
+    (1,0) + (0,1) parts, checked on the generator rules before any rank,
+    or if dbar^2 fails on a generator.  `block_sizes` reorders the
+    chains (the grid must not change).
     """
     symbols = _dolbeault_symbols(structure_equations(model, block_sizes=block_sizes))
-    return _hodge_numbers(symbols[2], _dolbeault_walk(symbols, (1,)))
+    return _hodge_numbers(symbols[1], _dolbeault_walk(symbols, (1,)))
 
 
 def dbar_squared_vanishes(model):
     """Check dbar^2 = 0 on the full monomial basis of the Dolbeault
-    complex; raises DifferentialError if d does not split by bidegree."""
+    complex, dbar the derivation extension of its generator rules;
+    raises DifferentialError, before any monomial, if d does not split
+    by bidegree (the check is on the generator rules)."""
     symbols = _dolbeault_symbols(structure_equations(model))
-    return _dolbeault_walk(symbols, range(1, symbols[0] + 1))[1]
-
-
-def _d_splits(symbols):
-    """d of every generator lands in (2,0)+(1,1) or (1,1)+(0,2)."""
-    _, d1, g = symbols
-    holo = (1 << g) - 1
-    # a generator has p = 1 holomorphic factor (s < g) or none; d raises p by 0 or 1
-    return all((pair & holo).bit_count() - (s < g) in (0, 1) for s in d1 for _, pair in d1[s])
+    return _dolbeault_walk(symbols, range(1, 2 * symbols[1] + 1))[1]
 
 
 # -- auxiliary routes ----------------------------------------------------------
@@ -369,7 +370,7 @@ def betti_via_ideal_action(alg):
         for r, row in enumerate(alg.A)
     }
     blocks = ((k, _masks(range(size), k)) for k in range(size + 1))
-    ranks, _ = _walk(blocks, lambda m: _d_mask(m, terms))
+    ranks, _ = _walk(blocks, terms)
     # L_k is square, so its kernel and cokernel have the same dimension
     kernel = [comb(size, k) - ranks[k] for k in range(size + 1)] + [0]
     return tuple(kernel[k] + (kernel[k - 1] if k else 0) for k in range(size + 2))
@@ -485,9 +486,9 @@ class _ModelFacts:
     jordan = _shared(lambda s: Partition(jordan_type_from_ranks(len(s.alg.A), s.a_ranks)))
     closed = _shared(lambda s: closed_table(s.model))
     ce = _shared(lambda s: _ce_walk(s.alg, range(1, s.alg.dim + 1)))
-    dolbeault = _shared(lambda s: _dolbeault_walk(s.symbols, range(1, s.symbols[0] + 1)))
+    dolbeault = _shared(lambda s: _dolbeault_walk(s.symbols, range(1, 2 * s.symbols[1] + 1)))
     betti = _shared(lambda s: _betti_numbers(s.alg.dim, s.ce))
-    hodge = _shared(lambda s: _hodge_numbers(s.symbols[2], s.dolbeault))
+    hodge = _shared(lambda s: _hodge_numbers(s.symbols[1], s.dolbeault))
     oracle = _shared(lambda s: CohomologyTable(s.betti, s.hodge, "oracle"))
     closed_report = _shared(lambda s: verify_symmetry(s.model, s.closed))
     oracle_report = _shared(lambda s: verify_symmetry(s.model, s.oracle))
@@ -511,7 +512,8 @@ CHECKS = (
     ("nijenhuis", "structural checks", lambda f: nijenhuis_vanishes(f.alg)),
     ("d_squared", "structural checks", lambda f: f.ce[1]),
     ("dbar_squared", "structural checks", lambda f: f.dolbeault[1]),
-    ("d_splits", "structural checks", lambda f: _d_splits(f.symbols)),
+    # _dbar_rules raises DifferentialError, a failed check, if d does not split
+    ("d_splits", "structural checks", lambda f: bool(_dbar_rules(f.symbols))),
     ("jordan_recovery", "structural checks", lambda f: f.jordan == f.model.m),
     (
         "commutator_formula",

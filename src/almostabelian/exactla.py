@@ -279,11 +279,6 @@ def power_ranks(matrix):
     raise NotNilpotentError("no power vanished within the dimension bound")
 
 
-def jordan_type(matrix):
-    """Jordan block sizes of a nilpotent matrix, weakly decreasing."""
-    return jordan_type_from_ranks(matrix.rows, power_ranks(matrix))
-
-
 def jordan_type_from_ranks(n, powers):
     """Jordan type of a nilpotent n x n matrix from power_ranks: there are
     r_{i-1} - 2 r_i + r_{i+1} blocks of size i, with r_0 = n and r_k = 0

@@ -186,26 +186,14 @@ class AlgebraModel:
     def j_matrix(self):
         return RationalMatrix([list(r) for r in self.J])
 
-    def bracket_basis(self, i, k):
-        """[e_i, e_k] as a mapping target index -> coefficient."""
-        if i == k or (i and k):
-            return {}
-        if i == 0:
-            col, sign = k, 1
-        else:
-            col, sign = i, -1
-        out = {}
-        for r in range(self.dim - 1):
-            c = self.A[r][col - 1]
-            if c:
-                out[r + 1] = sign * c
-        return out
-
     def bracket_tensor(self):
-        """All structure constants: {(i, k): {target: coefficient}} for i < k."""
+        """All structure constants: {(i, k): {target: coefficient}} for i < k.
+
+        The ideal is abelian, so only [e_0, e_k] = sum_r A[r][k-1] e_{r+1}
+        is nonzero."""
         out = {}
         for k in range(1, self.dim):
-            entry = self.bracket_basis(0, k)
+            entry = {r + 1: row[k - 1] for r, row in enumerate(self.A) if row[k - 1]}
             if entry:
                 out[(0, k)] = entry
         return out

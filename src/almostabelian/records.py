@@ -106,7 +106,7 @@ class ExportRecord:
     def for_model(cls, model, source="closed-form"):
         table = closed_table(model) if source == "closed-form" else oracle_table(model)
         rep = verify_symmetry(model, table=table)
-        symmetry = (rep.hodge_symmetric and rep.odd_betti_even) if model.epsilon == 0 else None
+        symmetry = rep.ok if model.epsilon == 0 else None
         checks = (
             ("frolicher", frolicher_holds(table.betti, table.hodge)),
             ("symmetry", symmetry),

@@ -7,6 +7,7 @@ from almostabelian import cohomology, sl2
 from almostabelian.cohomology import (
     CHECKS,
     CohomologyTable,
+    DifferentialError,
     betti_closed,
     betti_oracle,
     betti_via_ideal_action,
@@ -411,3 +412,27 @@ class TestDifferentialChecks:
             "poincare",
             "serre",
         ]
+
+    def test_split_is_checked_before_any_monomial(self, monkeypatch):
+        real_equations = cohomology.structure_equations
+        real_d_mask = cohomology._d_mask
+        images = []
+
+        def alpha_is_not_closed(model, block_sizes=None):
+            eqs = real_equations(model, block_sizes=block_sizes)
+            # d(alpha) = conj(alpha) ^ conj(beta), a (0,2)-form
+            beta = (eqs.generators[1], True)
+            rules = (("alpha", ((1, (("alpha", True), beta)),)),) + eqs.rules[1:]
+            return StructureEquations(eqs.n, eqs.epsilon, eqs.blocks, eqs.generators, rules)
+
+        def counted_d_mask(*args):
+            images.append(args)
+            return real_d_mask(*args)
+
+        monkeypatch.setattr(cohomology, "structure_equations", alpha_is_not_closed)
+        monkeypatch.setattr(cohomology, "_d_mask", counted_d_mask)
+        for oracle in (hodge_oracle, dbar_squared_vanishes):
+            with pytest.raises(DifferentialError) as info:
+                oracle(M([2], 3))
+            assert str(info.value) == "d does not split into (1,0)+(0,1) parts"
+        assert images == []

@@ -11,7 +11,7 @@ from almostabelian.exactla import (
     Subspace,
     echelon,
     jordan_block,
-    jordan_type,
+    jordan_type_from_ranks,
     power_ranks,
     sparse_rank,
 )
@@ -181,12 +181,12 @@ class TestRank:
 class TestPowerRanks:
     def test_single_jordan_block(self):
         assert power_ranks(jordan_block(3)) == [2, 1]
-        assert jordan_type(jordan_block(3)) == [3]
+        assert jordan_type_from_ranks(3, power_ranks(jordan_block(3))) == [3]
 
     def test_zero_matrix(self):
         z = RationalMatrix([[0] * 5 for _ in range(5)])
         assert power_ranks(z) == []
-        assert jordan_type(z) == [1, 1, 1, 1, 1]
+        assert jordan_type_from_ranks(z.rows, power_ranks(z)) == [1, 1, 1, 1, 1]
 
     def test_block_sum(self):
         b3, b2 = jordan_block(3), jordan_block(2)
@@ -198,7 +198,7 @@ class TestPowerRanks:
             for j in range(2):
                 data[3 + i][3 + j] = b2.data[i][j]
         m = RationalMatrix(data)
-        assert jordan_type(m) == [3, 2]
+        assert jordan_type_from_ranks(m.rows, power_ranks(m)) == [3, 2]
 
     def test_not_nilpotent(self):
         with pytest.raises(NotNilpotentError):

@@ -17,13 +17,12 @@ import pytest
 from almostabelian.cohomology import (
     _ce_generator_differentials,
     _d_mask,
-    _dbar_of,
+    _dbar_rules,
     _dolbeault_symbols,
     _pair_mask,
     _slot_terms,
 )
-from almostabelian.model import ComplexModel, build_algebra, enumerate_models, structure_equations
-from almostabelian.partitions import Partition
+from almostabelian.model import build_algebra, enumerate_models, structure_equations
 
 
 def _insert_factor(mono, x):
@@ -120,15 +119,14 @@ def test_ce_differential_matches_tuple_reference(c):
     assert nonzero  # the comparison saw real images, not only zeros
 
 
-@pytest.mark.parametrize("qparts, j", [([2, 1], 3), ([3], 1)])
-def test_dolbeault_differential_matches_tuple_reference(qparts, j):
-    q = Partition(qparts)
-    eqs = structure_equations(ComplexModel(q.n, q, j))
+@pytest.mark.parametrize("c", small_models(), ids=lambda c: "q=%s-j=%d" % (c.q, c.j))
+def test_dolbeault_differential_matches_tuple_reference(c):
+    eqs = structure_equations(c)
     nsym, reference, g = tuple_dolbeault_d1(eqs)
-    nsym_b, d1, g_b = _dolbeault_symbols(eqs)
-    assert (nsym_b, g_b) == (nsym, g)
-    terms = _slot_terms(d1)
-    holo = (1 << g) - 1
+    symbols = _dolbeault_symbols(eqs)
+    assert symbols[1] == g
+    terms = _slot_terms(symbols[0])
+    dbar_terms = _dbar_rules(symbols)
     seen_dbar = seen_dprime = False
     for mono in all_monomials(nsym):
         full = _d_monomial(mono, reference)
@@ -136,7 +134,7 @@ def test_dolbeault_differential_matches_tuple_reference(qparts, j):
         dbar = {t: v for t, v in full.items() if sum(1 for s in t if s < g) == p}
         mask = as_mask(mono)
         assert _d_mask(mask, terms) == as_masks(full), mono
-        assert _dbar_of(mask, terms, holo) == as_masks(dbar), mono
+        assert _d_mask(mask, dbar_terms) == as_masks(dbar), mono
         seen_dbar = seen_dbar or bool(dbar)
         seen_dprime = seen_dprime or len(dbar) < len(full)
     assert seen_dbar and seen_dprime
