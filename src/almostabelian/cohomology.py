@@ -163,8 +163,27 @@ def _d_mask(mono, terms):
 
 
 def _masks(symbols, k):
-    """Bitmasks of the degree-k monomials in `symbols`, in lexicographic order."""
-    return [sum(1 << s for s in c) for c in combinations(symbols, k)]
+    """Bitmasks of the degree-k monomials in `symbols`, in lexicographic
+    order: each is the builtin sum of a combination of the symbols' bit
+    values, which are computed once per call."""
+    return list(map(sum, combinations([1 << s for s in symbols], k)))
+
+
+def _cocycle_symbols(terms):
+    """Mask of the symbols b that kill every monomial they divide: b has
+    no rule of its own and lies in the pair mask of every rule, so each
+    term of the derivation extension meets b in the rest and _d_mask's
+    `rest & pair` test drops it.  e^0 of the CE complex and conj(alpha)
+    of the Dolbeault complex are such symbols; the rules decide, so a
+    changed rule changes the mask (with no rule at all, every symbol
+    is in it)."""
+    dead = ~0
+    for g, rules in terms.items():
+        if rules:
+            dead &= ~(1 << g)
+        for _, pair, _ in rules:
+            dead &= pair
+    return dead
 
 
 def _walk(blocks, terms, degrees=()):
@@ -178,13 +197,17 @@ def _walk(blocks, terms, degrees=()):
     Degree 1 alone is the check on generators, enough for a derivation
     by the graded Leibniz rule.  Each image is computed once; a block's
     images are kept past its rank only while its D^2 check waits for
-    the next block.
+    the next block.  A monomial divisible by a symbol of
+    _cocycle_symbols(terms) has image zero, so it never reaches
+    _d_mask nor `here`: it adds no column to a rank, and the D^2 sum
+    reads its image as the empty one.
     """
+    dead = _cocycle_symbols(terms)
     ranks = {}
     squares = True
     below = {}
     for key, masks in blocks:
-        here = {m: _d_mask(m, terms) for m in masks}
+        here = {m: _d_mask(m, terms) for m in masks if not m & dead}
         if squares and below:
             for img in below.values():
                 acc = {}

@@ -4,11 +4,13 @@ Everything here works on plain Python ints and fractions.Fraction, so
 all results are exact; no floating point is used anywhere.  Echelon
 forms, kernels and subspaces are kept as primitive integer rows, so no
 Fraction arises on integer input.  Every rank goes through one kernel:
-a gcd-normalised, fraction-free sparse elimination whose pivot column
-comes from a lazy min-heap keyed by the number of active rows
-(Markowitz-style).  Dense matrices are passed to it as sparse rows; the
-test suite cross-checks it against textbook Gaussian elimination over
-Fraction.
+a gcd-normalised, fraction-free sparse elimination.  It first peels
+structural singletons without arithmetic (a column with one active row,
+a row with one entry), as structured Gaussian elimination does, and
+then eliminates the core that remains with the pivot column taken from
+a lazy min-heap keyed by the number of active rows (Markowitz-style).
+Dense matrices are passed to it as sparse rows; the test suite
+cross-checks it against textbook Gaussian elimination over Fraction.
 """
 
 from fractions import Fraction
@@ -172,23 +174,65 @@ def _eliminate(row, c, prow, p):
 def _rank_sparse(rows):
     """Fraction-free sparse elimination, gcd-normalised rows.
 
-    Pivots are chosen in the column with fewest active rows (ties: the
-    lowest column index) and then in the shortest row, which keeps
-    fill-in low on the very sparse differential matrices this is used
-    for.  The pivot column comes from a lazy min-heap of (active rows,
-    column): each pivot step pushes a fresh entry for every column whose
-    count it changed, and a popped entry whose count is out of date is
-    dropped.  Row updates are integer cross-multiplications followed by
-    division by the row content, so entries stay small and exact.
+    Takes ownership of `rows`, a list of {column: int} dicts without
+    zero entries: the first stage deletes entries from them in place.
+
+    A first stage pivots on structural singletons without arithmetic,
+    as structured Gaussian elimination does: a column with one active
+    row removes that row, and a row with one entry removes its column
+    from every other row.  Each peel can make new singletons, so both
+    run off work stacks (stale entries are skipped) until neither has
+    work; a row emptied by a removal is dropped.
+
+    The core that remains is eliminated with pivots chosen in the
+    column with fewest active rows (ties: the lowest column index) and
+    then in the shortest row, which keeps fill-in low on the very
+    sparse differential matrices this is used for.  The pivot column
+    comes from a lazy min-heap of (active rows, column): each pivot
+    step pushes a fresh entry for every column whose count it changed,
+    and a popped entry whose count is out of date is dropped.  Row
+    updates are integer cross-multiplications followed by division by
+    the row content, so entries stay small and exact.
     """
     rows = {i: row for i, row in enumerate(rows) if row}
     cols = {}
     for i, row in rows.items():
         for j in row:
             cols.setdefault(j, set()).add(i)
+    col_stack = [j for j, s in cols.items() if len(s) == 1]
+    row_stack = [i for i, row in rows.items() if len(row) == 1]
+    rank = 0
+    while col_stack or row_stack:
+        if col_stack:
+            active = cols.get(col_stack.pop())
+            if active is None or len(active) != 1:
+                continue
+            i = active.pop()
+            for j in rows.pop(i):
+                s = cols[j]
+                s.discard(i)
+                if len(s) == 1:
+                    col_stack.append(j)
+                elif not s:
+                    del cols[j]
+        else:
+            i = row_stack.pop()
+            row = rows.get(i)
+            if row is None or len(row) != 1:
+                continue
+            (c,) = row
+            del rows[i]
+            for r in cols.pop(c):
+                if r != i:
+                    other = rows[r]
+                    del other[c]
+                    if len(other) == 1:
+                        row_stack.append(r)
+                    elif not other:
+                        del rows[r]
+        rank += 1
     heap = [(len(s), j) for j, s in cols.items()]
     heapify(heap)
-    rank = 0
     while rows:
         count, c = heappop(heap)
         active = cols.get(c)
@@ -239,7 +283,8 @@ def _rank_sparse(rows):
 
 
 def sparse_rank(row_dicts):
-    """Exact rank of a matrix given as per-row {column: int} dicts."""
+    """Exact rank of a matrix given as per-row {column: int} dicts; the
+    kernel works on copies, so the caller's dicts are left unchanged."""
     clean = []
     for row in row_dicts:
         entries = {j: x for j, x in row.items() if x}

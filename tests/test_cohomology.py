@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from almostabelian import cohomology, sl2
+from almostabelian import cli, cohomology, sl2
 from almostabelian.cohomology import (
     CHECKS,
     CohomologyTable,
@@ -22,7 +22,7 @@ from almostabelian.cohomology import (
     run_checks,
     verify_symmetry,
 )
-from almostabelian.exactla import jordan_block
+from almostabelian.exactla import jordan_block, sparse_rank
 from almostabelian.model import (
     AlgebraModel,
     ComplexModel,
@@ -361,6 +361,19 @@ class TestSymmetry:
                     assert betti_closed(c)[1] == 2 * t.b01.delta() + 1
 
 
+def alpha_is_not_closed(real_equations):
+    """structure_equations with d(alpha) = conj(alpha) ^ conj(beta), a
+    (0,2)-form: d does not split, and conj(alpha) gets a rule of its own."""
+
+    def patched(model, block_sizes=None):
+        eqs = real_equations(model, block_sizes=block_sizes)
+        beta = (eqs.generators[1], True)
+        rules = (("alpha", ((1, (("alpha", True), beta)),)),) + eqs.rules[1:]
+        return StructureEquations(eqs.n, eqs.epsilon, eqs.blocks, eqs.generators, rules)
+
+    return patched
+
+
 def registry_results(c):
     return {name: ok for (name, _, _), ok in zip(CHECKS, run_checks(c))}
 
@@ -383,23 +396,17 @@ class TestDifferentialChecks:
             assert all(results[name] for name in structural), results
 
     def test_failed_walk_runs_once(self, monkeypatch):
-        real_equations = cohomology.structure_equations
         real_walk = cohomology._dolbeault_walk
         walks = []
-
-        def alpha_is_not_closed(model, block_sizes=None):
-            eqs = real_equations(model, block_sizes=block_sizes)
-            # d(alpha) = conj(alpha) ^ conj(beta), a (0,2)-form: d does
-            # not split, so the Dolbeault walk raises DifferentialError
-            beta = (eqs.generators[1], True)
-            rules = (("alpha", ((1, (("alpha", True), beta)),)),) + eqs.rules[1:]
-            return StructureEquations(eqs.n, eqs.epsilon, eqs.blocks, eqs.generators, rules)
 
         def counted_walk(*args):
             walks.append(args)
             return real_walk(*args)
 
-        monkeypatch.setattr(cohomology, "structure_equations", alpha_is_not_closed)
+        # d does not split, so the Dolbeault walk raises DifferentialError
+        monkeypatch.setattr(
+            cohomology, "structure_equations", alpha_is_not_closed(cohomology.structure_equations)
+        )
         monkeypatch.setattr(cohomology, "_dolbeault_walk", counted_walk)
         failed = [name for name, ok in registry_results(M([2], 3)).items() if not ok]
         assert len(walks) == 1
@@ -414,25 +421,124 @@ class TestDifferentialChecks:
         ]
 
     def test_split_is_checked_before_any_monomial(self, monkeypatch):
-        real_equations = cohomology.structure_equations
         real_d_mask = cohomology._d_mask
         images = []
-
-        def alpha_is_not_closed(model, block_sizes=None):
-            eqs = real_equations(model, block_sizes=block_sizes)
-            # d(alpha) = conj(alpha) ^ conj(beta), a (0,2)-form
-            beta = (eqs.generators[1], True)
-            rules = (("alpha", ((1, (("alpha", True), beta)),)),) + eqs.rules[1:]
-            return StructureEquations(eqs.n, eqs.epsilon, eqs.blocks, eqs.generators, rules)
 
         def counted_d_mask(*args):
             images.append(args)
             return real_d_mask(*args)
 
-        monkeypatch.setattr(cohomology, "structure_equations", alpha_is_not_closed)
+        monkeypatch.setattr(
+            cohomology, "structure_equations", alpha_is_not_closed(cohomology.structure_equations)
+        )
         monkeypatch.setattr(cohomology, "_d_mask", counted_d_mask)
         for oracle in (hodge_oracle, dbar_squared_vanishes):
             with pytest.raises(DifferentialError) as info:
                 oracle(M([2], 3))
             assert str(info.value) == "d does not split into (1,0)+(0,1) parts"
         assert images == []
+
+
+def reference_walk(blocks, terms, degrees=()):
+    """The walk without the cocycle skip: every monomial through _d_mask,
+    its images transposed into rows, each block's rank by sparse_rank."""
+    ranks = {}
+    squares = True
+    below = {}
+    for key, masks in blocks:
+        here = {m: cohomology._d_mask(m, terms) for m in masks}
+        if squares and below:
+            for img in below.values():
+                acc = {}
+                for target, val in img.items():
+                    for t2, v2 in here.get(target, {}).items():
+                        acc[t2] = acc.get(t2, 0) + val * v2
+                if any(acc.values()):
+                    squares = False
+                    break
+        rows = {}
+        for cix, img in enumerate(here.values()):
+            for target, val in img.items():
+                rows.setdefault(target, {})[cix] = val
+        ranks[key] = sparse_rank(list(rows.values()))
+        below = here if masks and masks[0].bit_count() in degrees else {}
+    return ranks, squares
+
+
+class TestCocycleSkip:
+    """_walk never builds the image of a monomial divisible by a symbol
+    that kills every monomial it divides (e^0, conj(alpha)), and its
+    ranks and D^2 verdicts are those of the walk over every monomial."""
+
+    @pytest.fixture
+    def compared(self, monkeypatch):
+        real_walk = cohomology._walk
+        walks = []
+
+        def both_walks(blocks, terms, degrees=()):
+            blocks = list(blocks)
+            got = real_walk(iter(blocks), terms, degrees)
+            assert got == reference_walk(blocks, terms, degrees)
+            walks.append(cohomology._cocycle_symbols(terms))
+            return got
+
+        monkeypatch.setattr(cohomology, "_walk", both_walks)
+        return walks
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_walks_equal_the_walk_over_every_monomial(self, n, compared):
+        models = list(enumerate_models(n))
+        for c in models:
+            alg = build_algebra(c)
+            cohomology._ce_walk(alg, range(1, alg.dim + 1))
+            symbols = cohomology._dolbeault_symbols(cohomology.structure_equations(c))
+            cohomology._dolbeault_walk(symbols, range(1, 2 * symbols[1] + 1))
+            betti_via_ideal_action(alg)
+        assert len(compared) == 3 * len(models)
+        # the CE walks skip e^0 (symbol 0), the Dolbeault walks conj(alpha)
+        # (symbol g = n + 1)
+        assert all(dead & 1 for dead in compared[0::3])
+        assert all(dead >> (n + 1) & 1 for dead in compared[1::3])
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_patched_rules_switch_the_skip_off(self, n, compared):
+        # with d(alpha) patched, d's own rules on the Dolbeault symbols
+        # give conj(alpha) a rule, so no symbol is skipped; the walk by
+        # total degree over all 2g symbols must still equal the reference
+        patched = alpha_is_not_closed(cohomology.structure_equations)
+        for c in enumerate_models(n):
+            d1, g = cohomology._dolbeault_symbols(patched(c))
+            terms = cohomology._slot_terms(d1)
+            size = 2 * g
+            assert cohomology._cocycle_symbols(terms) & ((1 << size) - 1) == 0
+            blocks = ((k, cohomology._masks(range(size), k)) for k in range(size))
+            cohomology._walk(blocks, terms, range(1, size + 1))
+        assert compared
+
+    def test_a_symbol_with_a_rule_is_never_skipped(self, compared):
+        # d(x1) = x1 ^ x2: x1 lies in every pair mask but has a rule, and
+        # its image is not zero; only x2 is skipped
+        terms = cohomology._slot_terms({0: (), 1: ((1, 0b110),), 2: ()})
+        assert cohomology._cocycle_symbols(terms) == 0b100
+        blocks = ((k, cohomology._masks(range(3), k)) for k in range(4))
+        ranks, _ = cohomology._walk(blocks, terms, range(1, 4))
+        assert ranks[1] == 1
+
+    def test_images_built_for_verify_dim12(self, monkeypatch):
+        real_d_mask = cohomology._d_mask
+        dead = {}
+        calls = []
+
+        def counted_d_mask(mono, terms):
+            if id(terms) not in dead:
+                dead[id(terms)] = (terms, cohomology._cocycle_symbols(terms))
+            assert not mono & dead[id(terms)][1]
+            calls.append(mono)
+            return real_d_mask(mono, terms)
+
+        monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+        monkeypatch.setattr(cohomology, "_d_mask", counted_d_mask)
+        lines, all_ok = cli.run_verify(12)
+        assert all_ok
+        # 171805 without the skip
+        assert len(calls) == 84008

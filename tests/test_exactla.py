@@ -178,6 +178,88 @@ class TestRank:
         assert m.rank() == naive_gaussian_rank(data)
 
 
+def staircase(n):
+    """Rows e_k + e_{k+1} (k < n-1) and e_{n-1}, plus a row of ones, so
+    every column has two rows: only the last row is a singleton, and
+    each row peel makes the row above it one.  Rank n, empty core."""
+    data = [[int(c in (k, k + 1)) for c in range(n)] for k in range(n)]
+    return data + [[1] * n]
+
+
+def peelable(rng, core, layers):
+    """A dense core with no singletons, grown by layers that each peel:
+    a row with a new private column (a column singleton), or a unit row
+    on a new column that is also added to some earlier rows (a row
+    singleton), with rows and columns shuffled at the end."""
+    data = random_int_matrix(rng, core, core, lo=1, hi=3)
+    ncols = core
+    for _ in range(layers):
+        for row in data:
+            row.append(0)
+        if rng.random() < 0.5:
+            data.append([rng.choice((0, 0, 1, -2)) for _ in range(ncols)] + [rng.randint(1, 3)])
+        else:
+            for row in rng.sample(data, rng.randint(0, len(data))):
+                row[ncols] = rng.randint(-3, 3)
+            data.append([0] * ncols + [rng.randint(1, 3)])
+        ncols += 1
+    rng.shuffle(data)
+    perm = rng.sample(range(ncols), ncols)
+    return [[row[j] for j in perm] for row in data]
+
+
+class TestSingletonPeel:
+    """The first stage of the kernel pivots on structural singletons:
+    columns with one active row and rows with one entry."""
+
+    def test_seeded_sparse(self):
+        rng = random.Random(1990)
+        for _ in range(60):
+            rows, cols = rng.randint(1, 30), rng.randint(1, 30)
+            data = random_int_matrix(rng, rows, cols, lo=-3, hi=3, density=0.12)
+            expected = naive_gaussian_rank(data)
+            assert kernel_rank(data) == expected
+            assert kernel_rank(transposed(data)) == expected
+
+    @pytest.mark.parametrize("n", (1, 2, 5, 12))
+    def test_chains_of_row_and_column_singletons(self, n):
+        data = staircase(n)
+        assert naive_gaussian_rank(data) == n
+        assert kernel_rank(data) == n
+        # transposed, no row has one entry and the column peels chain
+        assert kernel_rank(transposed(data)) == n
+
+    @pytest.mark.parametrize("core", (0, 1, 2, 4))
+    def test_cores_left_to_the_heap(self, core):
+        # a core of 0 or 1 peels away entirely; 2 and 4 leave a dense core
+        rng = random.Random(core)
+        for _ in range(20):
+            data = peelable(rng, core, rng.randint(1, 12))
+            expected = naive_gaussian_rank(data)
+            assert kernel_rank(data) == expected
+            assert kernel_rank(transposed(data)) == expected
+
+    def test_duplicate_rows(self):
+        # a row peel empties a duplicate singleton; duplicates of longer
+        # rows leave no column singleton
+        assert kernel_rank([[0, 3, 0], [0, 3, 0]]) == 1
+        assert kernel_rank([[1, 2, 0], [1, 2, 0], [0, 0, 5], [0, 0, 5], [0, 4, 0]]) == 3
+        rng = random.Random(77)
+        for _ in range(20):
+            base = random_int_matrix(rng, rng.randint(1, 8), rng.randint(1, 10), density=0.2)
+            data = base + [row[:] for row in base]
+            rng.shuffle(data)
+            assert kernel_rank(data) == naive_gaussian_rank(base)
+
+    def test_sparse_rank_leaves_its_input_alone(self):
+        rng = random.Random(5)
+        data = random_int_matrix(rng, 12, 10, lo=-2, hi=2, density=0.2) + staircase(10)
+        rows = [dict(enumerate(row)) for row in data]
+        copies = [dict(row) for row in rows]
+        assert sparse_rank(rows) == naive_gaussian_rank(data)
+        assert rows == copies
+
+
 class TestPowerRanks:
     def test_single_jordan_block(self):
         assert power_ranks(jordan_block(3)) == [2, 1]
