@@ -15,7 +15,9 @@ d extends to monomials as a degree-one derivation with the Koszul sign
 for the fixed ascending monomial order.  dbar extends the same way from
 its own generator rules, the terms of each generator's d that keep the
 holomorphic degree; building those rules is where the split of d into
-(1,0) + (0,1) parts is checked, once per complex.
+(1,0) + (0,1) parts is checked, once per complex.  Every complex gives
+its generator rules on factor tuples in any order, and _slot_terms alone
+applies the wedge signs.
 """
 
 from dataclasses import dataclass
@@ -113,32 +115,33 @@ def hodge_closed(model):
 # (mask & (bit - 1)).bit_count().
 
 
-def _pair_mask(x, y):
-    """The 2-form g^x ^ g^y as (sign, ascending bitmask), or None if x == y."""
-    if x == y:
-        return None
-    return (-1 if x > y else 1), (1 << x) | (1 << y)
-
-
 def _slot_terms(d1):
-    """Per-generator rules for the derivation extension of d1.
+    """Per-generator rules for the derivation extension of d1; the one
+    place that decides a wedge sign or a factor order.
 
-    d1 maps a generator index to ((coef, pair mask), ...), each pair
-    mask an ascending 2-form.  Replacing generator g of a monomial by
-    coef * g^x ^ g^y (x < y) costs the Koszul sign (-1)^slot, where slot
-    counts the factors below g, and the sorting signs of y and then x
-    into the rest, which count the rest's factors below y and below x.
-    All three parities are those of the rest under one mask,
-    (g_bit - 1) ^ (y_bit - 1) ^ (x_bit - 1), so each rule is
-    (coef, pair mask, sign mask).
+    d1 maps a generator index to ((coef, factors), ...), factors a tuple
+    of one or two symbol indices in any order.  A rule with a repeated
+    factor is zero and dropped; otherwise coef is negated once per
+    inversion of the factors.  Replacing generator g of a monomial by
+    the ascending wedge of the factors costs (-1)^slot, slot the number
+    of factors below g (the Koszul sign of d, or for a one-factor rule
+    of degree zero the sign of moving the factor out of that slot), and
+    the sign of sorting each factor into the rest.  All are parities of
+    the rest under one mask, (g_bit - 1) ^ XOR of (f_bit - 1) over the
+    factors, so each rule is (coef, factor mask, sign mask).
     """
     terms = {}
     for g, rules in d1.items():
-        below = (1 << g) - 1
         out = []
-        for coef, pair in rules:
-            low = pair & -pair
-            out.append((coef, pair, below ^ (pair - low - 1) ^ (low - 1)))
+        for coef, factors in rules:
+            if len(set(factors)) < len(factors):
+                continue
+            if sum(a > b for a, b in combinations(factors, 2)) & 1:
+                coef = -coef
+            sign = (1 << g) - 1
+            for f in factors:
+                sign ^= (1 << f) - 1
+            out.append((coef, sum(1 << f for f in factors), sign))
         terms[g] = tuple(out)
     return terms
 
@@ -232,10 +235,9 @@ def _walk(blocks, terms, degrees=()):
 def _ce_generator_differentials(alg):
     """d on each dual generator of the CE complex, from the bracket tensor."""
     d1 = {k: () for k in range(alg.dim)}
-    for (x, y), targets in alg.bracket_tensor().items():
-        sign, mask = _pair_mask(x, y)
+    for pair, targets in alg.bracket_tensor().items():
         for b, c in targets.items():
-            d1[b] = d1[b] + ((-c * sign, mask),)
+            d1[b] = d1[b] + ((-c, pair),)
     return d1
 
 
@@ -275,45 +277,38 @@ def _dolbeault_symbols(eqs):
 
     Symbols are integers: s < g is generator s in the order of
     eqs.generators, 2g > s >= g its conjugate.  Returns (d1, g) with d1
-    as for _slot_terms; conjugated rules pick up reordering signs only,
-    since all stated coefficients are integers (hence real).
+    as _slot_terms reads it: each stated term coef * f1 ^ f2 becomes the
+    rule (coef, (f1, f2)) on symbols, and its conjugate flips the bar of
+    each factor and keeps coef, since all stated coefficients are
+    integers (hence real); _slot_terms applies every sign.
     """
     gens = eqs.generators
     g = len(gens)
     index = {name: i for i, name in enumerate(gens)}
 
-    def symbol(factor, conjugate=False):
+    def symbol(factor, conjugate):
         name, bar = factor
-        if conjugate:
-            bar = not bar
-        return index[name] + (g if bar else 0)
+        return index[name] + (g if bar != conjugate else 0)
 
     d1 = {}
     for name, terms in eqs.rules:
-        plain = []
-        conj = []
-        for coef, (f1, f2) in terms:
-            key = _pair_mask(symbol(f1), symbol(f2))
-            if key:
-                plain.append((coef * key[0], key[1]))
-            key = _pair_mask(symbol(f1, True), symbol(f2, True))
-            if key:
-                conj.append((coef * key[0], key[1]))
-        d1[index[name]] = tuple(plain)
-        d1[index[name] + g] = tuple(conj)
+        for conjugate in (False, True):
+            d1[index[name] + (g if conjugate else 0)] = tuple(
+                (coef, tuple(symbol(f, conjugate) for f in factors)) for coef, factors in terms
+            )
     return d1, g
 
 
 def _dbar_rules(symbols):
     """dbar's generator rules, as _slot_terms builds them: the terms of
-    each symbol's d that keep its holomorphic degree.  This is where the
-    split is checked: d = d' + dbar by bidegree iff every other term
-    raises that degree by one; DifferentialError otherwise."""
+    each symbol's d that keep its holomorphic degree, the number of
+    factors below g.  This is where the split is checked: d = d' + dbar
+    by bidegree iff every other term raises that degree by one;
+    DifferentialError otherwise."""
     d1, g = symbols
-    holo = (1 << g) - 1
     rules = {}
     for s, terms in d1.items():
-        rises = [(pair & holo).bit_count() - (s < g) for _, pair in terms]
+        rises = [sum(f < g for f in factors) - (s < g) for _, factors in terms]
         if not set(rises) <= {0, 1}:
             raise DifferentialError("d does not split into (1,0)+(0,1) parts")
         rules[s] = tuple(t for t, rise in zip(terms, rises) if rise == 0)
@@ -381,17 +376,13 @@ def betti_via_ideal_action(alg):
 
     Independent of both the closed form and the full CE complex; L is
     the degree-zero derivation extension of the coadjoint action on the
-    dual ideal.
+    dual ideal: it sends dual generator r to -A[r][c] times c, a
+    one-factor rule whose sign _slot_terms applies.
     """
     size = alg.dim - 1
-    # rules in the form _d_mask reads, (coef, new factor, sign mask): the
-    # coadjoint action sends dual generator r to -A[r][c] times c, in the
-    # slot of r, and the sign moves the new factor past the factors lying
-    # between the old and the new index
-    terms = {
-        r: tuple((-a, 1 << c, ((1 << r) - 1) ^ ((1 << c) - 1)) for c, a in enumerate(row) if a)
-        for r, row in enumerate(alg.A)
-    }
+    terms = _slot_terms(
+        {r: tuple((-a, (c,)) for c, a in enumerate(row) if a) for r, row in enumerate(alg.A)}
+    )
     blocks = ((k, _masks(range(size), k)) for k in range(size + 1))
     ranks, _ = _walk(blocks, terms)
     # L_k is square, so its kernel and cokernel have the same dimension

@@ -15,9 +15,11 @@ class Partition:
 
     def __init__(self, parts=()):
         parts = tuple(sorted(parts, reverse=True))
-        for p in parts:
-            if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-                raise ValueError("parts must be positive integers, got %r" % (p,))
+        # one C-level test for plain ints; the loop names a bad part and accepts int subclasses
+        if not set(map(type, parts)) <= {int} or (parts and parts[-1] < 1):
+            for p in parts:
+                if not isinstance(p, int) or isinstance(p, bool) or p < 1:
+                    raise ValueError("parts must be positive integers, got %r" % (p,))
         object.__setattr__(self, "parts", parts)
 
     @classmethod

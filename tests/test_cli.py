@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -209,6 +210,38 @@ class TestExport:
     def test_invalid_model(self, capsys):
         code, _, _ = run_cli(["export", "--q", "2", "--j", "5", "--format", "json"], capsys)
         assert code == 1
+
+
+# sha256 over the argv, exit status, stdout and stderr of every run in
+# TestPinnedOutput, pinned before the wedge signs of every complex moved
+# into cohomology._slot_terms.
+OUTPUT_DIGEST = "8a3d4d1123da131dc114d0d0ffcd9812de5a8829e9dfdb5b2904e41d9c399f46"
+
+
+class TestPinnedOutput:
+    def test_invariants_and_export_are_byte_identical(self, capsys):
+        # invariants (text and json) and export --format salamon on the 178
+        # models with n <= 8, invariants --oracle --format json on the 39
+        # with n <= 5
+        digest = hashlib.sha256()
+        runs = 0
+        for n in range(1, 9):
+            for c in enumerate_models(n):
+                model = ["--q", ",".join(map(str, c.q)), "--j", str(c.j)]
+                argvs = [
+                    ["invariants"] + model,
+                    ["invariants"] + model + ["--format", "json"],
+                    ["export"] + model + ["--format", "salamon"],
+                ]
+                if n <= 5:
+                    argvs.append(["invariants"] + model + ["--oracle", "--format", "json"])
+                for argv in argvs:
+                    code, out, err = run_cli(argv, capsys)
+                    assert code == 0, argv
+                    digest.update(("%s\n%s\n%s\n%s\n" % (" ".join(argv), code, out, err)).encode())
+                    runs += 1
+        assert runs == 3 * 178 + 39
+        assert digest.hexdigest() == OUTPUT_DIGEST
 
 
 # The exact stdout of `verify`, pinned before the per-model checks moved

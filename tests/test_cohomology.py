@@ -518,7 +518,7 @@ class TestCocycleSkip:
     def test_a_symbol_with_a_rule_is_never_skipped(self, compared):
         # d(x1) = x1 ^ x2: x1 lies in every pair mask but has a rule, and
         # its image is not zero; only x2 is skipped
-        terms = cohomology._slot_terms({0: (), 1: ((1, 0b110),), 2: ()})
+        terms = cohomology._slot_terms({0: (), 1: ((1, (1, 2)),), 2: ()})
         assert cohomology._cocycle_symbols(terms) == 0b100
         blocks = ((k, cohomology._masks(range(3), k)) for k in range(4))
         ranks, _ = cohomology._walk(blocks, terms, range(1, 4))

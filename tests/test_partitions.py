@@ -32,9 +32,15 @@ class TestPartitionType:
         assert Partition().n == 0
 
     def test_rejects_bad_parts(self):
-        for bad in ([0], [-1], [1.5], [True]):
+        for bad in ([0], [-1], [1.5], [True], [3, 2, 0], [2, True], [2, 1.0]):
             with pytest.raises(ValueError):
                 Partition(bad)
+
+    def test_accepts_int_subclasses(self):
+        class Part(int):
+            pass
+
+        assert Partition([Part(1), 3, Part(2)]) == Partition([3, 2, 1])
 
     def test_multiplicity_round_trip(self):
         p = Partition([4, 2, 2, 1])

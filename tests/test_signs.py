@@ -5,11 +5,15 @@ package used before monomials became bitmasks: a monomial is an
 ascending tuple of generator indices, and d replaces each factor by its
 two-form with the Koszul sign (-1)^slot and the signs of sorting the
 new factors into place.  The rules on generators are read off the
-bracket tensor and the structure equations as stated.  A sign slip that kept every rank would go
-unseen by the oracle-agreement checks, so the images are compared
-coefficient for coefficient on every monomial.
+bracket tensor and the structure equations as stated, and random rule
+tables, with factors in any order and repeated, test the one sign rule
+of _slot_terms on its own; one-factor rules, as in the degree-zero
+ideal action, have a reference of their own.  A sign slip that kept
+every rank would go unseen by the oracle-agreement checks, so the
+images are compared coefficient for coefficient on every monomial.
 """
 
+import random
 from itertools import combinations
 
 import pytest
@@ -19,7 +23,6 @@ from almostabelian.cohomology import (
     _d_mask,
     _dbar_rules,
     _dolbeault_symbols,
-    _pair_mask,
     _slot_terms,
 )
 from almostabelian.model import build_algebra, enumerate_models, structure_equations
@@ -54,6 +57,23 @@ def _d_monomial(mono, d1):
                 continue
             target, s2 = step
             out[target] = out.get(target, 0) + coef * slot_sign * s1 * s2
+    return {k: v for k, v in out.items() if v}
+
+
+def _act_monomial(mono, d1):
+    """Image of a tuple monomial under a degree-zero derivation; d1 maps
+    a generator to ((coef, (c,)), ...).  Factor c takes the slot of the
+    generator it replaces, and the tuple is then sorted: the only sign
+    is the parity of that sort, and a repeated factor gives zero."""
+    out = {}
+    for t, g in enumerate(mono):
+        for coef, (c,) in d1[g]:
+            placed = mono[:t] + (c,) + mono[t + 1 :]
+            if len(set(placed)) < len(placed):
+                continue
+            inversions = sum(a > b for a, b in combinations(placed, 2))
+            target = tuple(sorted(placed))
+            out[target] = out.get(target, 0) + (-coef if inversions % 2 else coef)
     return {k: v for k, v in out.items() if v}
 
 
@@ -141,13 +161,50 @@ def test_dolbeault_differential_matches_tuple_reference(c):
 
 
 def test_pair_reordering_sign():
-    # g^1 ^ g^0 = -g^0 ^ g^1, and g^0 ^ g^0 = 0
-    assert _pair_mask(1, 0) == (-1, 0b11)
-    assert _pair_mask(0, 1) == (1, 0b11)
-    assert _pair_mask(2, 2) is None
+    # g^1 ^ g^0 = -g^0 ^ g^1, and g^2 ^ g^2 = 0
+    assert _slot_terms({3: ((1, (1, 0)),)}) == {3: ((-1, 0b11, 0b110),)}
+    assert _slot_terms({3: ((1, (0, 1)),)}) == {3: ((1, 0b11, 0b110),)}
+    assert _slot_terms({3: ((1, (2, 2)),)}) == {3: ()}
     # d(g^2 ^ g^3) = d(g^2) ^ g^3 with g^0 ^ g^1 sorted in front: no sign
-    terms = _slot_terms({0: (), 1: (), 2: ((1, 0b011),), 3: ()})
+    terms = _slot_terms({0: (), 1: (), 2: ((1, (0, 1)),), 3: ()})
     assert _d_mask(0b1100, terms) == {0b1011: 1}
     # d(g^0 ^ g^2): slot 1 gives the Koszul sign -1
-    terms = _slot_terms({0: (), 1: (), 2: ((1, 0b11000),), 3: (), 4: ()})
+    terms = _slot_terms({0: (), 1: (), 2: ((1, (3, 4)),), 3: (), 4: ()})
     assert _d_mask(0b101, terms) == {0b11001: -1}
+
+
+def seeded_rules(seed, nsym=6):
+    """A random rule table on nsym symbols, one-factor rules for an even
+    seed and two-factor rules for an odd one: up to three rules per
+    symbol, nonzero coefficients, factors drawn independently, so
+    two-factor rules come in both orders and sometimes repeat a factor."""
+    rng = random.Random(seed)
+    arity = 2 if seed % 2 else 1
+    return {
+        g: tuple(
+            (rng.choice((-3, -2, -1, 1, 2, 3)), tuple(rng.randrange(nsym) for _ in range(arity)))
+            for _ in range(rng.randrange(4))
+        )
+        for g in range(nsym)
+    }
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_random_rule_tables_match_tuple_references(seed):
+    d1 = seeded_rules(seed)
+    terms = _slot_terms(d1)
+    reference = _d_monomial if seed % 2 else _act_monomial
+    for mono in all_monomials(6):
+        assert _d_mask(as_mask(mono), terms) == as_masks(reference(mono, d1)), mono
+
+
+def test_random_rule_tables_cover_every_case():
+    # the two-factor tables hold reversed, ascending and repeated factors,
+    # and tables of both arities have nonzero images
+    pairs = [f for seed in range(1, 50, 2) for rules in seeded_rules(seed).values() for _, f in rules]
+    assert any(x > y for x, y in pairs)
+    assert any(x < y for x, y in pairs)
+    assert any(x == y for x, y in pairs)
+    for seed in (0, 1):
+        terms = _slot_terms(seeded_rules(seed))
+        assert any(_d_mask(as_mask(m), terms) for m in all_monomials(6))
