@@ -287,7 +287,8 @@ def sparse_rank(row_dicts):
     kernel works on copies, so the caller's dicts are left unchanged."""
     clean = []
     for row in row_dicts:
-        entries = {j: x for j, x in row.items() if x}
+        # dict() copies at C speed; only a row holding a zero is filtered
+        entries = {j: x for j, x in row.items() if x} if 0 in row.values() else dict(row)
         if entries:
             clean.append(entries)
     if not clean:

@@ -20,7 +20,6 @@ j block when j > 1 or with an extra singleton when j = 1.  The all-ones
 q with j = 1 would give the abelian algebra and is excluded.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -237,41 +236,65 @@ def build_algebra(model, block_sizes=None):
     )
 
 
+def _nijenhuis_pairs(tensor, cols):
+    """The pairs i < k of basis indices on which N(e_i, e_k) can be nonzero.
+
+    With S_i = {i} together with the support of J e_i (`cols[i]`), each
+    of the four brackets in N(e_i, e_k) pairs an index of S_i with one
+    of S_k, so it is an empty sum unless some key {a, b} of `tensor`
+    has a in S_i and b in S_k.  Inverting S gives those pairs in
+    O(|tensor| |S|^2) steps, for any J and any tensor.
+    """
+    holders = {}  # a -> every i with a in S_i
+    for i, col in enumerate(cols):
+        for a in col.keys() | {i}:
+            holders.setdefault(a, []).append(i)
+    pairs = set()
+    for a, b in tensor:
+        for i in holders.get(a, ()):
+            for k in holders.get(b, ()):
+                if i != k:
+                    pairs.add((i, k) if i < k else (k, i))
+    return sorted(pairs)
+
+
 def nijenhuis_vanishes(alg):
     """Whether N(x, y) = [Jx, Jy] - [x, y] - J[Jx, y] - J[x, Jy] vanishes
     on all pairs of basis vectors.
 
-    Vectors are sparse {index: coefficient} dicts: J e_i is column i of
-    J, and brackets expand over the nonzero structure constants only.
+    N is evaluated on the pairs of `_nijenhuis_pairs` only: on every
+    other pair each of its four brackets is an empty sum, so N is zero
+    there by construction.  Vectors are sparse {index: coefficient}
+    dicts: J e_i is column i of J, and brackets expand over the nonzero
+    structure constants only.
     """
     dim = alg.dim
     tensor = alg.bracket_tensor()
     cols = [{r: alg.J[r][c] for r in range(dim) if alg.J[r][c]} for c in range(dim)]
 
-    def bracket(x, y):
-        out = Counter()
+    def add_bracket(out, x, y, scale):
+        """out += scale [x, y]."""
         for a, xa in x.items():
             for b, yb in y.items():
-                sign = 1 if a < b else -1
-                for t, c in tensor.get((min(a, b), max(a, b)), {}).items():
-                    out[t] += sign * xa * yb * c
+                if a < b:
+                    coefs, s = tensor.get((a, b)), scale * xa * yb
+                else:
+                    coefs, s = tensor.get((b, a)), -scale * xa * yb
+                if coefs:
+                    for t, c in coefs.items():
+                        out[t] = out.get(t, 0) + s * c
         return out
 
-    def apply_j(x):
-        out = Counter()
-        for a, xa in x.items():
+    for i, k in _nijenhuis_pairs(tensor, cols):
+        ei, ek = {i: 1}, {k: 1}
+        # J is linear: J[Jx, y] + J[x, Jy] = J([Jx, y] + [x, Jy])
+        inner = add_bracket(add_bracket({}, cols[i], ek, 1), ei, cols[k], 1)
+        n = add_bracket(add_bracket({}, cols[i], cols[k], 1), ei, ek, -1)
+        for a, xa in inner.items():
             for t, c in cols[a].items():
-                out[t] += xa * c
-        return out
-
-    for i in range(dim):
-        for k in range(i + 1, dim):
-            n = bracket(cols[i], cols[k])
-            n.subtract(bracket({i: 1}, {k: 1}))
-            n.subtract(apply_j(bracket(cols[i], {k: 1})))
-            n.subtract(apply_j(bracket({i: 1}, cols[k])))
-            if any(n.values()):
-                return False
+                n[t] = n.get(t, 0) - xa * c
+        if any(n.values()):
+            return False
     return True
 
 

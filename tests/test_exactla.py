@@ -254,7 +254,9 @@ class TestSingletonPeel:
     def test_sparse_rank_leaves_its_input_alone(self):
         rng = random.Random(5)
         data = random_int_matrix(rng, 12, 10, lo=-2, hi=2, density=0.2) + staircase(10)
+        # rows holding zeros, then the same rows without them: both are copied
         rows = [dict(enumerate(row)) for row in data]
+        rows += [{j: x for j, x in row.items() if x} for row in rows]
         copies = [dict(row) for row in rows]
         assert sparse_rank(rows) == naive_gaussian_rank(data)
         assert rows == copies

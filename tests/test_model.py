@@ -1,9 +1,13 @@
 import pickle
+import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 import pytest
 
+import almostabelian.model as model_module
 from almostabelian.exactla import RationalMatrix, Subspace, jordan_type_from_ranks, power_ranks
 from almostabelian.model import (
     AlgebraModel,
@@ -350,8 +354,9 @@ class TestNijenhuis:
         assert nijenhuis_vanishes(AlgebraModel(dim=4, A=zero_a, J=alg.J))
 
     @staticmethod
-    def dense_nijenhuis_vanishes(alg):
-        """N on every basis pair from dense vectors: [x, y] = (0, A (x_0 y' - y_0 x'))."""
+    def dense_terms(alg, i, k):
+        """The four brackets of N(e_i, e_k) from dense vectors, with
+        [x, y] = (0, A (x_0 y' - y_0 x')): [Jx, Jy], [x, y], J[Jx, y], J[x, Jy]."""
         dim = alg.dim
 
         def bracket(x, y):
@@ -363,46 +368,116 @@ class TestNijenhuis:
         def apply_j(x):
             return tuple(sum(alg.J[r][c] * x[c] for c in range(dim)) for r in range(dim))
 
-        basis = [tuple(int(t == i) for t in range(dim)) for i in range(dim)]
-        jbasis = [apply_j(b) for b in basis]
-        for i in range(dim):
-            for k in range(i + 1, dim):
-                terms = (
-                    bracket(jbasis[i], jbasis[k]),
-                    bracket(basis[i], basis[k]),
-                    apply_j(bracket(jbasis[i], basis[k])),
-                    apply_j(bracket(basis[i], jbasis[k])),
-                )
-                if any(t[0] - t[1] - t[2] - t[3] for t in zip(*terms)):
-                    return False
+        x, y = (tuple(int(t == s) for t in range(dim)) for s in (i, k))
+        jx, jy = apply_j(x), apply_j(y)
+        return (
+            bracket(jx, jy),
+            bracket(x, y),
+            apply_j(bracket(jx, y)),
+            apply_j(bracket(x, jy)),
+        )
+
+    @classmethod
+    def dense_nijenhuis_vanishes(cls, alg):
+        """N on every basis pair from dense vectors."""
+        for i, k in combinations(range(alg.dim), 2):
+            if any(t[0] - t[1] - t[2] - t[3] for t in zip(*cls.dense_terms(alg, i, k))):
+                return False
         return True
+
+    @staticmethod
+    def variants(alg):
+        """alg; A and J both conjugated by P = I + E_{2,3}; and the old A
+        with the conjugated J.
+
+        P fixes e_0 and the ideal, so the second is an isomorphic, still
+        integrable structure whose J is not a signed permutation; pairing
+        the new J with the old A need not be integrable.
+        """
+        dim = alg.dim
+        p = [[int(r == s) + int((r, s) == (2, 3)) for s in range(dim)] for r in range(dim)]
+        p_inv = [[int(r == s) - int((r, s) == (2, 3)) for s in range(dim)] for r in range(dim)]
+        ad = [[0] * dim] + [[0] + list(row) for row in alg.A]
+
+        def conj(m):
+            return RationalMatrix(p).mul(RationalMatrix(m)).mul(RationalMatrix(p_inv)).data
+
+        new_a = tuple(tuple(row[1:]) for row in conj(ad)[1:])
+        new_j = tuple(tuple(row) for row in conj(alg.J))
+        assert any(sum(1 for x in row if x) > 1 for row in new_j)
+        return alg, AlgebraModel(dim, new_a, new_j), AlgebraModel(dim, alg.A, new_j)
+
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        """The pair lists that nijenhuis_vanishes evaluates N on, one per call."""
+        calls = []
+        real = model_module._nijenhuis_pairs
+
+        def spy(*args):
+            pairs = list(real(*args))
+            calls.append(pairs)
+            return pairs
+
+        monkeypatch.setattr(model_module, "_nijenhuis_pairs", spy)
+        return calls
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_sparse_matches_dense_formula(self, n):
-        # P = I + E_{2,3} fixes e_0 and the ideal, so conjugating both A and J
-        # by it gives an isomorphic, still integrable structure whose J is
-        # not a signed permutation; pairing the new J with the old A need not
-        # be integrable, and both verdicts must agree there too
         verdicts = set()
         for c in enumerate_models(n):
-            alg = build_algebra(c)
-            dim = alg.dim
-            p = [[int(r == s) + int((r, s) == (2, 3)) for s in range(dim)] for r in range(dim)]
-            p_inv = [[int(r == s) - int((r, s) == (2, 3)) for s in range(dim)] for r in range(dim)]
-            ad = [[0] * dim] + [[0] + list(row) for row in alg.A]
-
-            def conj(m):
-                return RationalMatrix(p).mul(RationalMatrix(m)).mul(RationalMatrix(p_inv)).data
-
-            new_a = tuple(tuple(row[1:]) for row in conj(ad)[1:])
-            new_j = tuple(tuple(row) for row in conj(alg.J))
-            assert any(sum(1 for x in row if x) > 1 for row in new_j)
-            for variant in (alg, AlgebraModel(dim, new_a, new_j), AlgebraModel(dim, alg.A, new_j)):
+            alg, conjugated, mixed = self.variants(build_algebra(c))
+            for variant in (alg, conjugated, mixed):
                 expected = self.dense_nijenhuis_vanishes(variant)
                 assert nijenhuis_vanishes(variant) == expected
                 verdicts.add(expected)
-            assert nijenhuis_vanishes(AlgebraModel(dim, new_a, new_j))
+            assert nijenhuis_vanishes(conjugated)
         assert n == 1 or False in verdicts  # non-integrable pairs were compared too
+
+    def assert_skipped_pairs_zero(self, alg, evaluated):
+        """Every pair the last check left out has all four brackets zero,
+        so N vanishes there whatever the coefficients."""
+        pairs = set(evaluated[-1])
+        for i, k in combinations(range(alg.dim), 2):
+            if (i, k) not in pairs:
+                assert not any(any(t) for t in self.dense_terms(alg, i, k))
+
+    def test_random_structures_match_dense_formula(self, evaluated):
+        # random integer A, and random integer J with up to three nonzeros
+        # per column and some zero columns; J^2 = -1 is not required
+        rng = random.Random(1212)
+        verdicts = Counter()
+        for _ in range(300):
+            dim = rng.randint(2, 7)
+            a = tuple(
+                tuple(rng.choice((0, 0, 0, 0, 0, 0, 1, -1, 2)) for _ in range(dim - 1))
+                for _ in range(dim - 1)
+            )
+            j = [[0] * dim for _ in range(dim)]
+            zero_cols = set(rng.sample(range(dim), rng.randint(0, dim // 2)))
+            for c in set(range(dim)) - zero_cols:
+                for r in rng.sample(range(dim), rng.randint(1, min(3, dim))):
+                    j[r][c] = rng.choice((1, -1, 2, -3))
+            alg = AlgebraModel(dim, a, tuple(tuple(row) for row in j))
+            expected = self.dense_nijenhuis_vanishes(alg)
+            assert nijenhuis_vanishes(alg) == expected
+            self.assert_skipped_pairs_zero(alg, evaluated)
+            verdicts[expected] += 1
+        assert verdicts[True] and verdicts[False]
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_skipped_pairs_are_zero(self, n, evaluated):
+        for c in enumerate_models(n):
+            for alg in self.variants(build_algebra(c)):
+                nijenhuis_vanishes(alg)
+                self.assert_skipped_pairs_zero(alg, evaluated)
+
+    @pytest.mark.parametrize("j", [1, 41])
+    def test_evaluated_pairs_linear_in_dim(self, j, evaluated):
+        # a single block of size 40: O(dim) pairs instead of dim(dim-1)/2 = 3321
+        alg = build_algebra(model_of([40], j))
+        assert nijenhuis_vanishes(alg)
+        (pairs,) = evaluated
+        assert 0 < len(pairs) <= 4 * alg.dim
 
 
 class TestNilpotencyStep:
