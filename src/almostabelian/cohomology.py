@@ -129,11 +129,15 @@ def _slot_terms(d1):
     the sign of sorting each factor into the rest.  All are parities of
     the rest under one mask, (g_bit - 1) ^ XOR of (f_bit - 1) over the
     factors, so each rule is (coef, factor mask, sign mask).
+
+    Returns (ruled, rules): rules maps the bit 1 << g of each generator
+    g with at least one rule left to its rules, and ruled is the mask of
+    those bits.  A generator without rules appears in neither.
     """
-    terms = {}
-    for g, rules in d1.items():
+    rules = {}
+    for g, stated in d1.items():
         out = []
-        for coef, factors in rules:
+        for coef, factors in stated:
             if len(set(factors)) < len(factors):
                 continue
             if sum(a > b for a, b in combinations(factors, 2)) & 1:
@@ -142,19 +146,23 @@ def _slot_terms(d1):
             for f in factors:
                 sign ^= (1 << f) - 1
             out.append((coef, sum(1 << f for f in factors), sign))
-        terms[g] = tuple(out)
-    return terms
+        if out:
+            rules[1 << g] = tuple(out)
+    return sum(rules), rules
 
 
 def _d_mask(mono, terms):
-    """Image of a monomial under the derivation extension, as {mask: coef}."""
+    """Image of a monomial under the derivation extension, as {mask: coef};
+    `terms` is (ruled, rules) from _slot_terms, and only the factors in
+    ruled are visited: the others contribute nothing."""
+    ruled, rules = terms
     out = {}
-    bits = mono
+    bits = mono & ruled
     while bits:
         low = bits & -bits
         bits ^= low
         rest = mono ^ low
-        for coef, pair, sign in terms[low.bit_length() - 1]:
+        for coef, pair, sign in rules[low]:
             if rest & pair:
                 continue
             target = rest | pair
@@ -162,7 +170,9 @@ def _d_mask(mono, terms):
                 out[target] = out.get(target, 0) - coef
             else:
                 out[target] = out.get(target, 0) + coef
-    return {k: v for k, v in out.items() if v}
+    if 0 in out.values():
+        return {k: v for k, v in out.items() if v}
+    return out
 
 
 def _masks(symbols, k):
@@ -180,11 +190,10 @@ def _cocycle_symbols(terms):
     of the Dolbeault complex are such symbols; the rules decide, so a
     changed rule changes the mask (with no rule at all, every symbol
     is in it)."""
-    dead = ~0
-    for g, rules in terms.items():
-        if rules:
-            dead &= ~(1 << g)
-        for _, pair, _ in rules:
+    ruled, rules = terms
+    dead = ~ruled
+    for stated in rules.values():
+        for _, pair, _ in stated:
             dead &= pair
     return dead
 
@@ -198,11 +207,13 @@ def _walk(blocks, terms, degrees=()):
     the monomials whose degree is in `degrees`, which needs D to map
     each block into the next one or into monomials that D kills.
     Degree 1 alone is the check on generators, enough for a derivation
-    by the graded Leibniz rule.  Each image is computed once; a block's
-    images are kept past its rank only while its D^2 check waits for
-    the next block.  A monomial divisible by a symbol of
+    by the graded Leibniz rule.  Each image is computed once, visiting
+    only the factors that have rules, and goes to the rank kernel as it
+    is, one row per monomial: the rank of D's transpose is D's rank.  A
+    block's images are kept past its rank only while its D^2 check
+    waits for the next block.  A monomial divisible by a symbol of
     _cocycle_symbols(terms) has image zero, so it never reaches
-    _d_mask nor `here`: it adds no column to a rank, and the D^2 sum
+    _d_mask nor `here`: it adds no row to a rank, and the D^2 sum
     reads its image as the empty one.
     """
     dead = _cocycle_symbols(terms)
@@ -220,11 +231,8 @@ def _walk(blocks, terms, degrees=()):
                 if any(acc.values()):
                     squares = False
                     break
-        rows = {}
-        for cix, img in enumerate(here.values()):
-            for target, val in img.items():
-                rows.setdefault(target, {})[cix] = val
-        ranks[key] = sparse_rank(list(rows.values()))
+        # sparse_rank works on copies: `here` waits for the next D^2 check
+        ranks[key] = sparse_rank(list(here.values()))
         below = here if masks and masks[0].bit_count() in degrees else {}
     return ranks, squares
 

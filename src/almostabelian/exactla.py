@@ -4,12 +4,14 @@ Everything here works on plain Python ints and fractions.Fraction, so
 all results are exact; no floating point is used anywhere.  Echelon
 forms, kernels and subspaces are kept as primitive integer rows, so no
 Fraction arises on integer input.  Every rank goes through one kernel:
-a gcd-normalised, fraction-free sparse elimination.  It first peels
-structural singletons without arithmetic (a column with one active row,
-a row with one entry), as structured Gaussian elimination does, and
-then eliminates the core that remains with the pivot column taken from
-a lazy min-heap keyed by the number of active rows (Markowitz-style).
-Dense matrices are passed to it as sparse rows; the test suite
+a fraction-free sparse elimination.  It first peels structural
+singletons without arithmetic (a column with one active row, a row with
+one entry), as structured Gaussian elimination does, and then
+eliminates the core that remains with the pivot column taken from a
+lazy min-heap keyed by the number of active rows (Markowitz-style).
+Core rows are updated in place, and a row is divided by its content
+only after an update whose pivot is not +-1, the only step that scales
+it.  Dense matrices are passed to it as sparse rows; the test suite
 cross-checks it against textbook Gaussian elimination over Fraction.
 """
 
@@ -172,10 +174,10 @@ def _eliminate(row, c, prow, p):
 
 
 def _rank_sparse(rows):
-    """Fraction-free sparse elimination, gcd-normalised rows.
+    """Fraction-free sparse elimination of integer rows.
 
     Takes ownership of `rows`, a list of {column: int} dicts without
-    zero entries: the first stage deletes entries from them in place.
+    zero entries: both stages change them in place.
 
     A first stage pivots on structural singletons without arithmetic,
     as structured Gaussian elimination does: a column with one active
@@ -190,9 +192,13 @@ def _rank_sparse(rows):
     sparse differential matrices this is used for.  The pivot column
     comes from a lazy min-heap of (active rows, column): each pivot
     step pushes a fresh entry for every column whose count it changed,
-    and a popped entry whose count is out of date is dropped.  Row
-    updates are integer cross-multiplications followed by division by
-    the row content, so entries stay small and exact.
+    and a popped entry whose count is out of date is dropped.  The
+    pivot row is negated if needed, so that its pivot p is positive, and
+    every other active row, with entry a in the pivot column, becomes
+    p * row - a * pivot_row in place: it is scaled only when p != 1, the
+    subtraction visits the pivot row's columns only, and only a scaled
+    row is then divided by its content.  Most pivots on the differential
+    matrices are +-1, and their updates neither scale nor divide.
     """
     rows = {i: row for i, row in enumerate(rows) if row}
     cols = {}
@@ -239,40 +245,40 @@ def _rank_sparse(rows):
         if active is None or len(active) != count:
             continue
         pr = min(active, key=lambda i: (len(rows[i]), abs(rows[i][c]), i))
+        del cols[c]
+        active.discard(pr)
         prow = rows.pop(pr)
-        touched = set(prow)
+        p = prow.pop(c)
         for j in prow:
             cols[j].discard(pr)
-        p = prow[c]
-        for i in list(active):
+        if p < 0:
+            p = -p
+            prow = {j: -x for j, x in prow.items()}
+        for i in active:
             row = rows[i]
-            a = row[c]
-            new = {}
-            g = 0
-            for j, x in row.items():
-                v = p * x - a * prow.get(j, 0)
-                if v:
-                    new[j] = v
-                    g = gcd(g, v)
+            a = row.pop(c)
+            if p != 1:
+                for j in row:
+                    row[j] *= p
             for j, x in prow.items():
-                if j not in row:
-                    new[j] = v = -a * x
-                    g = gcd(g, v)
-            if g > 1:
-                new = {j: v // g for j, v in new.items()}
-            for j in row:
-                if j not in new:
-                    cols[j].discard(i)
-                    touched.add(j)
-            for j in new:
-                if j not in row:
-                    cols.setdefault(j, set()).add(i)
-                    touched.add(j)
-            if new:
-                rows[i] = new
-            else:
+                if j in row:
+                    v = row[j] - a * x
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+                        cols[j].discard(i)
+                else:
+                    row[j] = -a * x
+                    cols[j].add(i)
+            if not row:
                 del rows[i]
-        for j in touched:
+            elif p != 1:
+                g = gcd(*row.values())
+                if g > 1:
+                    for j in row:
+                        row[j] //= g
+        for j in prow:
             s = cols[j]
             if s:
                 heappush(heap, (len(s), j))

@@ -262,6 +262,65 @@ class TestSingletonPeel:
         assert rows == copies
 
 
+def no_singleton_pattern(rng, rows, cols, density):
+    """A random 0/1 matrix in which every row has two entries or more and
+    every column two rows or more: the singleton peel takes nothing, so
+    the heap core eliminates the whole matrix.  Entries are added to
+    short rows, then to short columns, which only lengthens rows."""
+    data = random_int_matrix(rng, rows, cols, lo=1, hi=1, density=density)
+    for row in data:
+        if sum(row) < 2:
+            for j in rng.sample(range(cols), 2):
+                row[j] = 1
+    for j in range(cols):
+        if sum(row[j] for row in data) < 2:
+            for i in rng.sample(range(rows), 2):
+                data[i][j] = 1
+    return data
+
+
+def assert_sparse_rank_agrees(data):
+    """sparse_rank of the matrix and of its transpose, as dicts without
+    zeros, equal the Fraction elimination, and the dicts are unchanged."""
+    expected = naive_gaussian_rank(data)
+    for matrix in (data, transposed(data)):
+        rows = [{j: x for j, x in enumerate(row) if x} for row in matrix]
+        copies = [dict(row) for row in rows]
+        assert sparse_rank(rows) == expected
+        assert rows == copies
+
+
+class TestCoreUpdate:
+    """The heap core updates rows in place: the pivot row is negated to
+    a positive pivot p, and a row is scaled by p and divided by its
+    content only when p != 1."""
+
+    @pytest.mark.parametrize("pivot", (1, -1, 2, -3))
+    def test_first_core_pivot(self, pivot):
+        # every entry is `pivot` and nothing peels, so the core's first
+        # pivot is `pivot`: unscaled for +-1, scaled for 2 and -3, and
+        # negated first for -1 and -3
+        rng = random.Random(pivot)
+        for _ in range(40):
+            pattern = no_singleton_pattern(rng, rng.randint(2, 9), rng.randint(2, 9), 0.45)
+            assert_sparse_rank_agrees([[pivot * x for x in row] for row in pattern])
+
+    def test_patterns_leave_nothing_to_peel(self):
+        rng = random.Random(3)
+        for _ in range(100):
+            data = no_singleton_pattern(rng, rng.randint(2, 14), rng.randint(2, 14), 0.3)
+            assert all(sum(row) >= 2 for row in data)
+            assert all(sum(col) >= 2 for col in zip(*data))
+
+    def test_seeded_mixed_pivots(self):
+        rng = random.Random(1990)
+        for _ in range(150):
+            pattern = no_singleton_pattern(rng, rng.randint(2, 14), rng.randint(2, 14), 0.3)
+            assert_sparse_rank_agrees(
+                [[rng.choice((1, -1, 2, -3)) * x for x in row] for row in pattern]
+            )
+
+
 class TestPowerRanks:
     def test_single_jordan_block(self):
         assert power_ranks(jordan_block(3)) == [2, 1]

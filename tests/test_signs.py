@@ -162,15 +162,28 @@ def test_dolbeault_differential_matches_tuple_reference(c):
 
 def test_pair_reordering_sign():
     # g^1 ^ g^0 = -g^0 ^ g^1, and g^2 ^ g^2 = 0
-    assert _slot_terms({3: ((1, (1, 0)),)}) == {3: ((-1, 0b11, 0b110),)}
-    assert _slot_terms({3: ((1, (0, 1)),)}) == {3: ((1, 0b11, 0b110),)}
-    assert _slot_terms({3: ((1, (2, 2)),)}) == {3: ()}
+    # rules are keyed by the generator's bit, and ruled masks those bits
+    assert _slot_terms({3: ((1, (1, 0)),)}) == (0b1000, {0b1000: ((-1, 0b11, 0b110),)})
+    assert _slot_terms({3: ((1, (0, 1)),)}) == (0b1000, {0b1000: ((1, 0b11, 0b110),)})
+    assert _slot_terms({3: ((1, (2, 2)),)}) == (0, {})
     # d(g^2 ^ g^3) = d(g^2) ^ g^3 with g^0 ^ g^1 sorted in front: no sign
     terms = _slot_terms({0: (), 1: (), 2: ((1, (0, 1)),), 3: ()})
     assert _d_mask(0b1100, terms) == {0b1011: 1}
     # d(g^0 ^ g^2): slot 1 gives the Koszul sign -1
     terms = _slot_terms({0: (), 1: (), 2: ((1, (3, 4)),), 3: (), 4: ()})
     assert _d_mask(0b101, terms) == {0b11001: -1}
+
+
+def test_cancelled_terms_are_dropped():
+    # d(x0) = x0 ^ x2 and d(x1) = -x1 ^ x2 + 2 x1 ^ x3: on x0 ^ x1,
+    # d(x0) ^ x1 = -x0^x1^x2 and -x0 ^ d(x1) = x0^x1^x2 - 2 x0^x1^x3, so
+    # only the x3 term is left; a generator whose two rules cancel has
+    # image zero
+    d1 = {0: ((1, (0, 2)),), 1: ((-1, (1, 2)), (2, (1, 3))), 2: (), 3: ()}
+    terms = _slot_terms(d1)
+    assert _d_mask(0b11, terms) == {0b1011: -2}
+    assert as_masks(_d_monomial((0, 1), d1)) == {0b1011: -2}
+    assert _d_mask(0b1, _slot_terms({0: ((1, (1, 2)), (1, (2, 1)))})) == {}
 
 
 def seeded_rules(seed, nsym=6):
