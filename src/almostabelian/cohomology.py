@@ -211,17 +211,18 @@ def _walk(blocks, terms, degrees=()):
     only the factors that have rules, and goes to the rank kernel as it
     is, one row per monomial: the rank of D's transpose is D's rank.  A
     block's images are kept past its rank only while its D^2 check
-    waits for the next block.  A monomial divisible by a symbol of
-    _cocycle_symbols(terms) has image zero, so it never reaches
-    _d_mask nor `here`: it adds no row to a rank, and the D^2 sum
-    reads its image as the empty one.
+    waits for the next block.  Only nonzero images are kept: a monomial
+    divisible by a symbol of _cocycle_symbols(terms) never reaches
+    _d_mask, and one whose image cancels is dropped, so neither adds a
+    row to a rank, and the D^2 sum reads a missing image as the empty
+    one.
     """
     dead = _cocycle_symbols(terms)
     ranks = {}
     squares = True
     below = {}
     for key, masks in blocks:
-        here = {m: _d_mask(m, terms) for m in masks if not m & dead}
+        here = {m: img for m in masks if not m & dead if (img := _d_mask(m, terms))}
         if squares and below:
             for img in below.values():
                 acc = {}
@@ -231,7 +232,8 @@ def _walk(blocks, terms, degrees=()):
                 if any(acc.values()):
                     squares = False
                     break
-        # sparse_rank works on copies: `here` waits for the next D^2 check
+        # sparse_rank copies only the rows it changes: `here` waits for the
+        # next D^2 check
         ranks[key] = sparse_rank(list(here.values()))
         below = here if masks and masks[0].bit_count() in degrees else {}
     return ranks, squares

@@ -4,19 +4,19 @@ Everything here works on plain Python ints and fractions.Fraction, so
 all results are exact; no floating point is used anywhere.  Echelon
 forms, kernels and subspaces are kept as primitive integer rows, so no
 Fraction arises on integer input.  Every rank goes through one kernel:
-a fraction-free sparse elimination.  It first peels structural
-singletons without arithmetic (a column with one active row, a row with
-one entry), as structured Gaussian elimination does, and then
-eliminates the core that remains with the pivot column taken from a
-lazy min-heap keyed by the number of active rows (Markowitz-style).
-Core rows are updated in place, and a row is divided by its content
-only after an update whose pivot is not +-1, the only step that scales
-it.  Dense matrices are passed to it as sparse rows; the test suite
-cross-checks it against textbook Gaussian elimination over Fraction.
+an incremental fraction-free echelon pass over sparse rows, as in the
+boundary-matrix reduction of computational homology.  It keeps one
+reduced row per pivot column, reduces each new row at its lowest
+column against the row stored there until that column is free, and
+stores what is left; the rank is the number of stored rows.  A row is
+scaled, and then divided by its content, only when the pivot does not
+divide its entry, so +-1 pivots cost one subtraction.  No row handed
+in is written to.  Dense matrices are passed to it as sparse rows; the
+test suite cross-checks it against textbook Gaussian elimination over
+Fraction.
 """
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 
@@ -87,8 +87,9 @@ class RationalMatrix:
 
     def rank(self):
         """Exact rank over Q, by fraction-free sparse elimination."""
-        rows = [{j: x for j, x in enumerate(row) if x} for row in self._integer_rows()]
-        return _rank_sparse([row for row in rows if row])
+        return _rank_sparse(
+            [{j: x for j, x in enumerate(row) if x} for row in self._integer_rows()]
+        )
 
     def nullspace(self):
         """Basis of the right kernel, as primitive integer tuples.
@@ -174,132 +175,68 @@ def _eliminate(row, c, prow, p):
 
 
 def _rank_sparse(rows):
-    """Fraction-free sparse elimination of integer rows.
+    """Exact rank of integer rows, given as {column: int} dicts without
+    zero entries, by one incremental fraction-free echelon pass.
 
-    Takes ownership of `rows`, a list of {column: int} dicts without
-    zero entries: both stages change them in place.
+    `pivots` maps a column to the stored row whose lowest column it is.
+    The rows are taken in the order given: each is reduced at its
+    lowest column c, against the pivot row stored there, until c has no
+    pivot row or the row is empty, and a nonzero result is stored at c.
+    The rank is the number of stored rows.  A reduction step with pivot
+    p and entry a at c is exact: when p divides a, as +-1 always does,
+    the row becomes row - (a // p) * pivot_row, and no other step is
+    needed; otherwise it becomes (p / g) * row - (a / g) * pivot_row,
+    g = gcd(a, p), and is then divided by its content.  Either way the
+    step visits the pivot row's columns only.
 
-    A first stage pivots on structural singletons without arithmetic,
-    as structured Gaussian elimination does: a column with one active
-    row removes that row, and a row with one entry removes its column
-    from every other row.  Each peel can make new singletons, so both
-    run off work stacks (stale entries are skipped) until neither has
-    work; a row emptied by a removal is dropped.
-
-    The core that remains is eliminated with pivots chosen in the
-    column with fewest active rows (ties: the lowest column index) and
-    then in the shortest row, which keeps fill-in low on the very
-    sparse differential matrices this is used for.  The pivot column
-    comes from a lazy min-heap of (active rows, column): each pivot
-    step pushes a fresh entry for every column whose count it changed,
-    and a popped entry whose count is out of date is dropped.  The
-    pivot row is negated if needed, so that its pivot p is positive, and
-    every other active row, with entry a in the pivot column, becomes
-    p * row - a * pivot_row in place: it is scaled only when p != 1, the
-    subtraction visits the pivot row's columns only, and only a scaled
-    row is then divided by its content.  Most pivots on the differential
-    matrices are +-1, and their updates neither scale nor divide.
+    No dict given is written to: a row is copied just before its first
+    step, an unreduced row is stored as it is, and a stored row is
+    never changed.
     """
-    rows = {i: row for i, row in enumerate(rows) if row}
-    cols = {}
-    for i, row in rows.items():
-        for j in row:
-            cols.setdefault(j, set()).add(i)
-    col_stack = [j for j, s in cols.items() if len(s) == 1]
-    row_stack = [i for i, row in rows.items() if len(row) == 1]
-    rank = 0
-    while col_stack or row_stack:
-        if col_stack:
-            active = cols.get(col_stack.pop())
-            if active is None or len(active) != 1:
-                continue
-            i = active.pop()
-            for j in rows.pop(i):
-                s = cols[j]
-                s.discard(i)
-                if len(s) == 1:
-                    col_stack.append(j)
-                elif not s:
-                    del cols[j]
-        else:
-            i = row_stack.pop()
-            row = rows.get(i)
-            if row is None or len(row) != 1:
-                continue
-            (c,) = row
-            del rows[i]
-            for r in cols.pop(c):
-                if r != i:
-                    other = rows[r]
-                    del other[c]
-                    if len(other) == 1:
-                        row_stack.append(r)
-                    elif not other:
-                        del rows[r]
-        rank += 1
-    heap = [(len(s), j) for j, s in cols.items()]
-    heapify(heap)
-    while rows:
-        count, c = heappop(heap)
-        active = cols.get(c)
-        if active is None or len(active) != count:
-            continue
-        pr = min(active, key=lambda i: (len(rows[i]), abs(rows[i][c]), i))
-        del cols[c]
-        active.discard(pr)
-        prow = rows.pop(pr)
-        p = prow.pop(c)
-        for j in prow:
-            cols[j].discard(pr)
-        if p < 0:
-            p = -p
-            prow = {j: -x for j, x in prow.items()}
-        for i in active:
-            row = rows[i]
-            a = row.pop(c)
-            if p != 1:
+    pivots = {}
+    for row in rows:
+        owned = False
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                pivots[c] = row
+                break
+            if not owned:
+                row = dict(row)
+                owned = True
+            a = row[c]
+            p = prow[c]
+            f, r = divmod(a, p)
+            if r:
+                g = gcd(a, p)
+                s = p // g
+                f = a // g
                 for j in row:
-                    row[j] *= p
+                    row[j] *= s
             for j, x in prow.items():
-                if j in row:
-                    v = row[j] - a * x
-                    if v:
-                        row[j] = v
-                    else:
-                        del row[j]
-                        cols[j].discard(i)
+                v = row.get(j, 0) - f * x
+                if v:
+                    row[j] = v
                 else:
-                    row[j] = -a * x
-                    cols[j].add(i)
-            if not row:
-                del rows[i]
-            elif p != 1:
+                    del row[j]
+            if r:
                 g = gcd(*row.values())
                 if g > 1:
                     for j in row:
                         row[j] //= g
-        for j in prow:
-            s = cols[j]
-            if s:
-                heappush(heap, (len(s), j))
-            else:
-                del cols[j]
-        rank += 1
-    return rank
+    return len(pivots)
 
 
 def sparse_rank(row_dicts):
-    """Exact rank of a matrix given as per-row {column: int} dicts; the
-    kernel works on copies, so the caller's dicts are left unchanged."""
-    clean = []
-    for row in row_dicts:
-        # dict() copies at C speed; only a row holding a zero is filtered
-        entries = {j: x for j, x in row.items() if x} if 0 in row.values() else dict(row)
-        if entries:
-            clean.append(entries)
-    if not clean:
-        return 0
-    return _rank_sparse(clean)
+    """Exact rank of a matrix given as per-row {column: int} dicts.
+
+    The kernel writes to none of them, so a row is passed on as it is;
+    only a row holding a zero is replaced by a filtered copy.
+    """
+    return _rank_sparse(
+        [{j: x for j, x in row.items() if x} if 0 in row.values() else row for row in row_dicts]
+    )
 
 
 def jordan_block(k):

@@ -180,17 +180,17 @@ class TestRank:
 
 def staircase(n):
     """Rows e_k + e_{k+1} (k < n-1) and e_{n-1}, plus a row of ones, so
-    every column has two rows: only the last row is a singleton, and
-    each row peel makes the row above it one.  Rank n, empty core."""
+    every column has two rows and only the row e_{n-1} has one entry.
+    Rank n: the row of ones lies in the span of the others."""
     data = [[int(c in (k, k + 1)) for c in range(n)] for k in range(n)]
     return data + [[1] * n]
 
 
 def peelable(rng, core, layers):
-    """A dense core with no singletons, grown by layers that each peel:
-    a row with a new private column (a column singleton), or a unit row
-    on a new column that is also added to some earlier rows (a row
-    singleton), with rows and columns shuffled at the end."""
+    """A dense core in which every row and column has several entries,
+    grown by layers: a row with a new private column, or a row with one
+    entry on a new column that is also added to some earlier rows, with
+    rows and columns shuffled at the end."""
     data = random_int_matrix(rng, core, core, lo=1, hi=3)
     ncols = core
     for _ in range(layers):
@@ -209,8 +209,10 @@ def peelable(rng, core, layers):
 
 
 class TestSingletonPeel:
-    """The first stage of the kernel pivots on structural singletons:
-    columns with one active row and rows with one entry."""
+    """Matrices with structural singletons, columns with one row and
+    rows with one entry, in chains and around a dense core: the kernel
+    reduces them like any other rows, and its rank is the Fraction
+    elimination's."""
 
     def test_seeded_sparse(self):
         rng = random.Random(1990)
@@ -226,12 +228,12 @@ class TestSingletonPeel:
         data = staircase(n)
         assert naive_gaussian_rank(data) == n
         assert kernel_rank(data) == n
-        # transposed, no row has one entry and the column peels chain
+        # transposed, no row has one entry and each column has at most two
         assert kernel_rank(transposed(data)) == n
 
     @pytest.mark.parametrize("core", (0, 1, 2, 4))
     def test_cores_left_to_the_heap(self, core):
-        # a core of 0 or 1 peels away entirely; 2 and 4 leave a dense core
+        # a core of 0 or 1 is all singleton layers; 2 and 4 add a dense core
         rng = random.Random(core)
         for _ in range(20):
             data = peelable(rng, core, rng.randint(1, 12))
@@ -240,8 +242,8 @@ class TestSingletonPeel:
             assert kernel_rank(transposed(data)) == expected
 
     def test_duplicate_rows(self):
-        # a row peel empties a duplicate singleton; duplicates of longer
-        # rows leave no column singleton
+        # a duplicate row reduces to empty against its first copy, for
+        # rows of one entry and longer ones alike
         assert kernel_rank([[0, 3, 0], [0, 3, 0]]) == 1
         assert kernel_rank([[1, 2, 0], [1, 2, 0], [0, 0, 5], [0, 0, 5], [0, 4, 0]]) == 3
         rng = random.Random(77)
@@ -254,7 +256,8 @@ class TestSingletonPeel:
     def test_sparse_rank_leaves_its_input_alone(self):
         rng = random.Random(5)
         data = random_int_matrix(rng, 12, 10, lo=-2, hi=2, density=0.2) + staircase(10)
-        # rows holding zeros, then the same rows without them: both are copied
+        # rows holding zeros, which sparse_rank filters into copies, then
+        # the same rows without them, which the kernel copies only to reduce
         rows = [dict(enumerate(row)) for row in data]
         rows += [{j: x for j, x in row.items() if x} for row in rows]
         copies = [dict(row) for row in rows]
@@ -264,9 +267,9 @@ class TestSingletonPeel:
 
 def no_singleton_pattern(rng, rows, cols, density):
     """A random 0/1 matrix in which every row has two entries or more and
-    every column two rows or more: the singleton peel takes nothing, so
-    the heap core eliminates the whole matrix.  Entries are added to
-    short rows, then to short columns, which only lengthens rows."""
+    every column two rows or more, so no row or column is a structural
+    singleton.  Entries are added to short rows, then to short columns,
+    which only lengthens rows."""
     data = random_int_matrix(rng, rows, cols, lo=1, hi=1, density=density)
     for row in data:
         if sum(row) < 2:
@@ -291,15 +294,15 @@ def assert_sparse_rank_agrees(data):
 
 
 class TestCoreUpdate:
-    """The heap core updates rows in place: the pivot row is negated to
-    a positive pivot p, and a row is scaled by p and divided by its
-    content only when p != 1."""
+    """Reduction steps against a stored pivot p: a row is reduced
+    without scaling when p divides its entry, as +-1 always does, and is
+    otherwise scaled and then divided by its content."""
 
     @pytest.mark.parametrize("pivot", (1, -1, 2, -3))
     def test_first_core_pivot(self, pivot):
-        # every entry is `pivot` and nothing peels, so the core's first
-        # pivot is `pivot`: unscaled for +-1, scaled for 2 and -3, and
-        # negated first for -1 and -3
+        # every entry is `pivot` times an integer, and stays so under the
+        # reduction steps: a step against a stored pivot of `pivot`
+        # itself never scales, one against a larger multiple of it may
         rng = random.Random(pivot)
         for _ in range(40):
             pattern = no_singleton_pattern(rng, rng.randint(2, 9), rng.randint(2, 9), 0.45)
@@ -319,6 +322,51 @@ class TestCoreUpdate:
             assert_sparse_rank_agrees(
                 [[rng.choice((1, -1, 2, -3)) * x for x in row] for row in pattern]
             )
+
+
+class TestEchelonPass:
+    """The kernel's contract: rows are reduced in the order given at their
+    lowest column against the stored pivot rows, the rank is the number
+    of rows stored, and no dict given is written to."""
+
+    def test_same_dict_twice(self):
+        r = {0: 2, 3: -4, 5: 1}
+        assert _rank_sparse([r, r]) == 1
+        assert sparse_rank([r, r]) == 1
+        assert r == {0: 2, 3: -4, 5: 1}
+
+    @pytest.mark.parametrize(
+        "data",
+        (
+            # pivot 2, entry 3: 2 * row - 3 * pivot_row = [0, 7, 14],
+            # divided by its content 7, then the third row reduces to empty
+            [[2, 1, 0], [3, 5, 7], [0, 3, 6]],
+            # pivot -3, entry 2: -3 * row - 2 * pivot_row = [0, -14, -16],
+            # divided by its content 2
+            [[-3, 1, 2], [2, 4, 4], [0, 7, 8], [0, 0, 5]],
+            [[-3, 1, 2], [2, 4, 4], [0, 7, 9]],
+        ),
+    )
+    def test_scaled_step_divides_by_content(self, data):
+        rows = [{j: x for j, x in enumerate(row) if x} for row in data]
+        copies = [dict(row) for row in rows]
+        assert _rank_sparse(rows) == naive_gaussian_rank(data)
+        assert rows == copies
+
+    def test_row_reducing_to_empty_adds_nothing(self):
+        assert kernel_rank([[1, 2], [2, 4]]) == 1
+        assert kernel_rank([[2, 4, 0], [-3, -6, 0]]) == 1
+        assert kernel_rank([[0, 2, 4], [1, 0, 0], [0, -3, -6], [1, 1, 2]]) == 2
+
+    def test_seeded_wide_entries(self):
+        rng = random.Random(14)
+        for _ in range(80):
+            rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+            density = rng.choice((0.2, 0.5, 1.0))
+            data = random_int_matrix(rng, rows, cols, lo=-50, hi=50, density=density)
+            expected = naive_gaussian_rank(data)
+            assert kernel_rank(data) == expected
+            assert kernel_rank(transposed(data)) == expected
 
 
 class TestPowerRanks:
