@@ -4,8 +4,10 @@ A module is recorded by the multiset of dimensions of its irreducible
 summands; the irreducible of dimension i has weight string
 i-1, i-3, ..., -(i-1).  Its summand profile a(t), the number of
 summands of dimension >= t, is read straight off its weights.  One
-knapsack over the full weight multiset of a module gives the weights of
-every exterior power at once, and the memo keeps the profile of each.
+knapsack over the weight multiset of a module gives the weights of
+every exterior power at once, each degree held as one big int with a
+fixed-width count per weight; summands W(1) are added afterwards by
+binomial sums, and the memo keeps the profile of each power.
 The profiles count the summands of a tensor product without expanding
 it; a module is the differences of its profile.  Tensor products also
 expand by the Clebsch-Gordan rule, and a brute-force weight oracle is
@@ -14,8 +16,9 @@ provided for cross-checking.
 
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, pairwise
-from operator import mul
+from itertools import combinations, pairwise, repeat
+from math import comb
+from operator import add, mul
 
 
 class InvalidWeightSystemError(ValueError):
@@ -140,9 +143,10 @@ def weight_profile(mu):
         if mu.get(-w, 0) != c:
             raise InvalidWeightSystemError("multiset not symmetric under negation")
     top = max(mu, default=-1)
-    # A list, then frozen (as are _wedge_sum's tuple and closed_table's
-    # rows): tuples grown from generators piled up on CPython's free lists
-    # over repeated cold passes, +3 MB peak RSS in perfbench's large_n.
+    # A list, then frozen (as are the profiles of _knapsack and _wedge_sum
+    # and closed_table's rows): tuples grown from generators piled up on
+    # CPython's free lists over repeated cold passes, +3 MB peak RSS in
+    # perfbench's large_n.
     profile = [mu.get(t - 1, 0) + mu.get(t, 0) for t in range(1, top + 2)]
     if any(a < b for a, b in pairwise(profile)):
         raise InvalidWeightSystemError("weight multiplicities are not unimodal")
@@ -170,24 +174,87 @@ def tensor_count(a, b):
     return sum(map(mul, a, b))
 
 
+def _knapsack(v):
+    """The summand profile of every exterior power of v, degrees 0 to
+    dim v, by a 0/1 knapsack over the full weight multiset of v (each
+    weight slot is used at most once).
+
+    The weights of degree k are kept in one int, a count per slot of
+    B = 8 ceil((dim v + 1) / 8) bits: a count is at most C(dim v, k) <
+    2^dim v, so no slot carries into the next.  A weight w of v sits at
+    slot (w + D) / step, D the top weight and step 2 when every weight
+    has the parity of D, else 1, so slot i of degree k holds the weight
+    i step - k D, and adding a weight slot is one shift-and-add per
+    degree.  The weights are added in ascending order, which keeps the
+    ints short until the last ones.  Each degree's weights >= 0 are read
+    back from one to_bytes.
+    """
+    dim = v.dim()
+    if not dim:
+        return ((1,),)
+    top = v.items()[0][0] - 1
+    step = 2 if all((i - 1 - top) % 2 == 0 for i, _ in v.items()) else 1
+    nbytes = (dim + 8) // 8
+    width = 8 * nbytes
+    layers = [1] + [0] * dim
+    filled = 0
+    for w, c in sorted(v.weights().items()):
+        shift = (w + top) // step * width
+        for _ in range(c):
+            filled += 1
+            for k in range(filled, 0, -1):
+                layers[k] += layers[k - 1] << shift
+    profiles = []
+    for k in range(dim + 1):
+        layer, layers[k] = layers[k], None  # each degree is freed once read
+        slots = (layer.bit_length() + width - 1) // width
+        raw = layer.to_bytes(slots * nbytes, "little")
+        first = -(-k * top // step)  # the slot of the least weight >= 0
+        mu = [
+            int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little")
+            for i in range(first, slots)
+        ]
+        # a(t) = mu(t-1) + mu(t), as in weight_profile, and a list first
+        # for the same reason
+        if step == 1:
+            profile = list(map(add, mu, mu[1:] + [0]))
+        else:
+            # one of the two is zero, so each count serves twice, as one
+            # object: weights 0, 2, 4, ... give a = mu(0), mu(2), mu(2),
+            # mu(4), ...; weights 1, 3, ... give mu(1), mu(1), mu(3), ...
+            twice = mu * 2
+            twice[::2] = mu
+            twice[1::2] = mu
+            profile = twice[1:] if first * step == k * top else twice
+        profiles.append(tuple(profile))
+    return tuple(profiles)
+
+
 @lru_cache(maxsize=256)
 def _wedge_sum(v):
     """The summand profile of every exterior power of v, degrees 0 to
     dim v, as a tuple.
 
-    A 0/1 knapsack over the full weight multiset of v (each weight slot
-    is used at most once) keeps the weights of degree k in one Counter;
-    each layer is then read as a profile.
+    With V the summands of v of dimension > 1 and c the multiplicity of
+    W(1), Lambda^k v = sum_i C(c, i) Lambda^{k-i} V, so only V goes
+    through the knapsack, and through this memo: the g10 of a model with
+    overlap j = 1, its b01 plus one W(1), reuses the entry of b01.
     """
-    layers = [Counter({0: 1})]
-    for w, c in v.weights().items():
-        for _ in range(c):
-            layers.append(Counter())
-            for k in range(len(layers) - 1, 0, -1):
-                tgt = layers[k]
-                for s, n in layers[k - 1].items():
-                    tgt[s + w] += n
-    return tuple([weight_profile(layer) for layer in layers])
+    ones = v.mult(1)
+    if not ones:
+        return _knapsack(v)
+    base = _wedge_sum(Sl2Module(tuple(item for item in v.items() if item[0] > 1)))
+    # lists, then frozen: see weight_profile
+    profiles = []
+    for k in range(len(base) + ones):
+        terms = range(max(0, k - len(base) + 1), min(ones, k) + 1)
+        acc = [0] * max(len(base[k - i]) for i in terms)
+        for i in terms:
+            a = base[k - i]
+            times = comb(ones, i)
+            acc[: len(a)] = map(add, acc, a if times == 1 else map(mul, repeat(times), a))
+        profiles.append(tuple(acc))
+    return tuple(profiles)
 
 
 def wedge_profile(v, r):
@@ -195,9 +262,8 @@ def wedge_profile(v, r):
     read off the memoised exterior algebra of v; empty above dim v."""
     if r < 0:
         raise ValueError("exterior power must be non-negative")
-    if r > v.dim():
-        return ()
-    return _wedge_sum(v)[r]
+    profiles = _wedge_sum(v)
+    return profiles[r] if r < len(profiles) else ()
 
 
 def wedge(v, r):

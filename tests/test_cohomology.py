@@ -27,11 +27,12 @@ from almostabelian.model import (
     AlgebraModel,
     ComplexModel,
     StructureEquations,
+    _overlap_indices,
     build_algebra,
     enumerate_models,
 )
 from almostabelian.partitions import Partition
-from almostabelian.sl2 import delta, wedge
+from almostabelian.sl2 import delta, tensor_count, wedge, wedge_profile
 from almostabelian.sl2 import irreducible as W
 
 
@@ -178,6 +179,56 @@ class TestClosedFormsAgainstModules:
         sl2._wedge_sum.cache_clear()
         closed_table(M([3, 2], 3))
         assert sl2._wedge_sum.cache_info().misses == 2
+
+
+def full_grid_tables(c):
+    """Betti vector and Hodge grid from all (n+2)^2 tensor_counts of the
+    grid over Lambda^p g10 (x) Lambda^q b01, with no duality fold."""
+    t = module_triple(c)
+    size = c.n + 2
+    wb = [wedge_profile(t.b01, q) for q in range(size)]
+    grid = [[tensor_count(wedge_profile(t.g10, p), b) for b in wb] for p in range(size)]
+    deltas = [
+        sum(grid[p][k - p] for p in range(size) if 0 <= k - p < size)
+        for k in range(2 * size - 1)
+    ]
+    betti = tuple(deltas[k] + (deltas[k - 1] if k else 0) for k in range(2 * size - 1))
+    hodge = tuple(tuple(row[q] + (row[q - 1] if q else 0) for q in range(size)) for row in grid)
+    return betti, hodge
+
+
+class TestFoldedGrid:
+    """closed_table counts only the corner p <= (n+1)/2, q <= n/2 of its
+    grid and reads the rest by duality; the full grid gives the same
+    tables."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_model(self, n):
+        for c in enumerate_models(n):
+            table = closed_table(c)
+            assert (table.betti, table.hodge) == full_grid_tables(c), c
+
+    def test_every_model_counted(self):
+        assert sum(1 for n in range(1, 9) for _ in enumerate_models(n)) == 178
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_one_and_two_blocks_every_overlap(self, n):
+        for parts in ([n], [n - 1, 1]):
+            q = Partition(parts)
+            for j in _overlap_indices(q):
+                c = ComplexModel(n, q, j)
+                table = closed_table(c)
+                assert (table.betti, table.hodge) == full_grid_tables(c), c
+
+    def test_overlap_one_reuses_the_b01_knapsack(self, monkeypatch):
+        """At j = 1, g10 is b01 + W(1): one knapsack serves both."""
+        knapsack = sl2._knapsack
+        calls = []
+        monkeypatch.setattr(sl2, "_knapsack", lambda v: calls.append(v) or knapsack(v))
+        sl2._wedge_sum.cache_clear()
+        closed_table(M([5, 3], 1))
+        sl2._wedge_sum.cache_clear()
+        assert calls == [W(5) + W(3)]
 
 
 class TestBettiOracle:

@@ -207,6 +207,86 @@ class TestWedge:
         assert _wedge_sum.cache_info().maxsize is not None
 
 
+def counter_wedge_sum(v):
+    """Reference for _wedge_sum: a 0/1 knapsack over the full weight
+    multiset of v, W(1) summands included, keeping the weights of each
+    exterior degree in one Counter, each read as a profile by
+    weight_profile (which also checks symmetry and unimodality)."""
+    layers = [Counter({0: 1})]
+    for w, c in v.weights().items():
+        for _ in range(c):
+            layers.append(Counter())
+            for k in range(len(layers) - 1, 0, -1):
+                tgt = layers[k]
+                for s, n in layers[k - 1].items():
+                    tgt[s + w] += n
+    return tuple([weight_profile(layer) for layer in layers])
+
+
+def random_module(rng, dims, max_mult, ones=0):
+    """A module with a random multiplicity in [0, max_mult] for each
+    dimension in dims, plus `ones` summands W(1)."""
+    return Sl2Module({i: rng.randrange(max_mult + 1) for i in dims}) + ones * W(1)
+
+
+class TestWedgeSumAgainstCounterKnapsack:
+    """_wedge_sum's big-int layers and W(1) binomial sums against the
+    Counter knapsack over every weight."""
+
+    def test_zero_module(self):
+        assert _wedge_sum(ZERO) == ((1,),) == counter_wedge_sum(ZERO)
+
+    @pytest.mark.parametrize("c", range(1, 13))
+    def test_only_trivial_summands(self, c):
+        got = _wedge_sum(c * W(1))
+        assert got == counter_wedge_sum(c * W(1))
+        assert got == tuple((comb(c, k),) for k in range(c + 1))
+
+    def test_mixed_weight_parities(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            v = random_module(rng, range(2, 9), 2, ones=rng.randrange(3))
+            if len({i % 2 for i, _ in v.items() if i > 1}) < 2:
+                v = v + W(2) + W(3)
+            assert _wedge_sum(v) == counter_wedge_sum(v), v
+
+    def test_one_parity(self):
+        rng = random.Random(29)
+        for _ in range(20):
+            dims = range(rng.choice((2, 3)), 12, 2)
+            v = random_module(rng, dims, 2)
+            if v.is_zero():
+                v = W(dims[0])
+            assert _wedge_sum(v) == counter_wedge_sum(v), v
+
+    def test_trivial_heavy_modules(self):
+        rng = random.Random(31)
+        for _ in range(20):
+            v = random_module(rng, range(2, 7), 1, ones=rng.randrange(5, 21))
+            assert _wedge_sum(v) == counter_wedge_sum(v), v
+
+    @pytest.mark.parametrize("i", list(range(1, 25)) + [31, 40, 49, 60])
+    def test_single_blocks(self, i):
+        assert _wedge_sum(W(i)) == counter_wedge_sum(W(i))
+        assert _wedge_sum(W(i) + W(1)) == counter_wedge_sum(W(i) + W(1))
+
+    def test_duality_on_reducible_modules(self):
+        """wedge(v, r) = wedge(v, dim v - r), the identity closed_table's
+        folded grid relies on, with both sides against the weight oracle."""
+        rng = random.Random(37)
+        mods = [W(3) + W(2), W(4) + 2 * W(1), W(5) + W(4) + W(3), 2 * W(3) + W(2) + W(1)]
+        while len(mods) < 30:
+            v = random_module(rng, range(1, 7), 2)
+            if len(v.items()) > 1 and v.dim() <= 12:
+                mods.append(v)
+        for v in mods:
+            d = v.dim()
+            for r in range(d + 1):
+                got = wedge(v, r)
+                assert got == wedge_weight_oracle(v, r) == wedge_weight_oracle(v, d - r)
+                assert got == wedge(v, d - r)
+
+
 class TestWedgeIrreducibleOracle:
     """The weight oracle on one irreducible: all r-subsets of its weights."""
 
