@@ -30,7 +30,7 @@ from .model import (
     enumerate_models,
     structure_equations,
 )
-from .partitions import Partition, partitions_of, restricted_count
+from .partitions import Partition, partitions_of, restricted_count, restricted_counts
 from .records import ExportRecord, compact_equations
 from .sl2 import delta, irreducible, tensor, wedge, wedge_weight_oracle
 
@@ -251,15 +251,17 @@ def _representation_identity_checks():
 
 
 def _partition_identity_checks():
+    """Palindromy, the swap n <-> r and the total C(n+r, r) of each
+    Gaussian binomial row, read off one row per (n, r) and its swap."""
     checks = []
     for n in range(0, 11):
         for r in range(0, 11):
-            for m in range(0, n * r + 1):
-                checks.append(restricted_count(m, n, r) == restricted_count(n * r - m, n, r))
-                checks.append(restricted_count(m, n, r) == restricted_count(m, r, n))
-            checks.append(
-                sum(restricted_count(m, n, r) for m in range(0, n * r + 1)) == comb(n + r, r)
-            )
+            top = n * r
+            row, swap = restricted_counts(n, r, top), restricted_counts(r, n, top)
+            for m in range(0, top + 1):
+                checks.append(row[m] == row[top - m])
+                checks.append(row[m] == swap[m])
+            checks.append(sum(row) == comb(n + r, r))
     return checks
 
 

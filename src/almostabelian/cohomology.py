@@ -38,6 +38,7 @@ from .exactla import (
     NotNilpotentError,
     jordan_type_from_ranks,
     power_ranks,
+    sparse_product,
     sparse_rank,
 )
 from .model import (
@@ -578,8 +579,9 @@ class _ModelFacts:
 
 
 def _j_squared(f):
-    j = f.alg.j_matrix()
-    return j.mul(j).data == [[-int(a == b) for b in range(f.alg.dim)] for a in range(f.alg.dim)]
+    """J^2 = -1, by the sparse product of J's rows with themselves."""
+    rows = [{c: x for c, x in enumerate(row) if x} for row in f.alg.J]
+    return sparse_product(rows, rows) == [{r: -1} for r in range(f.alg.dim)]
 
 
 def _commutator_rule(f):

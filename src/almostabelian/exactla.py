@@ -246,25 +246,47 @@ def jordan_block(k):
     )
 
 
+def sparse_product(left, right):
+    """The product of two matrices given as per-row {column: int} dicts
+    without zero entries, in the same form: row i is the sum of
+    a * right[k] over the entries (k, a) of left[i]."""
+    out = []
+    for lrow in left:
+        row = {}
+        for k, a in lrow.items():
+            for j, x in right[k].items():
+                v = row.get(j, 0) + a * x
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+        out.append(row)
+    return out
+
+
 def power_ranks(matrix):
     """Ranks of successive powers of a nilpotent matrix, until the zero power.
 
     Returns [rank(M), rank(M^2), ...] for the nonzero powers; the zero
     matrix gives [].  Raises NotNilpotentError when the rank sequence
-    stops strictly decreasing before reaching zero.
+    stops strictly decreasing before reaching zero.  M is scaled once by
+    the common denominator of its entries and turned into sparse rows;
+    each power is one `sparse_product` away from the last.
     """
     if matrix.rows != matrix.cols:
         raise ValueError("matrix must be square")
+    scale = lcm(*(x.denominator for row in matrix.data for x in row if x))
+    base = [{j: int(x * scale) for j, x in enumerate(row) if x} for row in matrix.data]
     out = []
-    power = matrix
+    power = base
     for _ in range(matrix.rows + 1):
-        r = power.rank()
+        r = _rank_sparse(power)
         if r == 0:
             return out
         if out and r >= out[-1]:
             raise NotNilpotentError("rank of powers stabilised at %d" % r)
         out.append(r)
-        power = power.mul(matrix)
+        power = sparse_product(power, base)
     raise NotNilpotentError("no power vanished within the dimension bound")
 
 

@@ -197,11 +197,6 @@ class AlgebraModel:
                 out[(0, k)] = entry
         return out
 
-    def apply_j(self, x):
-        return tuple(
-            sum(self.J[r][c] * x[c] for c in range(self.dim)) for r in range(self.dim)
-        )
-
 
 def build_algebra(model, block_sizes=None):
     """Assemble the adjoint matrix A and the complex structure J.
@@ -298,26 +293,29 @@ def nijenhuis_vanishes(alg):
     return True
 
 
-def _ad_action(alg):
-    """The map x -> ([e_0, x], ..., [e_{dim-1}, x]), read straight off A.
+def _ad_span(alg):
+    """The map V -> vectors spanning [g, span V], read straight off A.
 
-    [e_0, x] is A applied to the ideal coordinates of x, and for k >= 1
-    [e_k, x] = -x_0 [e_0, e_k] = -x_0 A e_k.
+    [e_0, v] = (0, A v'), v' the ideal coordinates of v, and for k >= 1
+    [e_k, v] = -v_0 A e_k, a multiple of column k of A.  So [g, span V]
+    is spanned by the A v, together with the nonzero columns of A,
+    taken once, as soon as some v has v_0 != 0; the other ad images
+    are multiples of these.
     """
     rows = [[(c + 1, a) for c, a in enumerate(row) if a] for row in alg.A]
-    cols = list(zip(*alg.A))
-    zero = (0,) * alg.dim
+    cols = [(0,) + col for col in zip(*alg.A) if any(col)]
 
-    def images(x):
-        out = [(0,) + tuple(sum(a * x[c] for c, a in row) for row in rows)]
-        x0 = x[0]
-        if x0:
-            out.extend((0,) + tuple(-x0 * a for a in col) for col in cols)
-        else:
-            out.extend(zero for _ in cols)
+    def span(vectors):
+        out = []
+        for v in vectors:
+            img = (0,) + tuple(sum(a * v[c] for c, a in row) for row in rows)
+            if any(img):
+                out.append(img)
+        if any(v[0] for v in vectors):
+            out.extend(cols)
         return out
 
-    return images
+    return span
 
 
 def _ascending_centre(alg, prev):
@@ -325,7 +323,8 @@ def _ascending_centre(alg, prev):
 
     A functional f vanishing on prev gives the constraint f o ad(e_i)
     for every i: f o ad(e_0) = (0, f_ideal A), and for k >= 1
-    f o ad(e_k) = -(f_ideal A e_k) e^0.
+    f o ad(e_k) = -(f_ideal A e_k) e^0.  The latter are multiples of
+    e^0, which joins the constraints once if some f_ideal A is nonzero.
     """
     dim = alg.dim
     if prev.dim == dim:
@@ -335,22 +334,27 @@ def _ascending_centre(alg, prev):
         if prev.dim
         else RationalMatrix.identity(dim).data
     )
-    cols = list(zip(*alg.A))
+    rows = [[(c + 1, a) for c, a in enumerate(row) if a] for row in alg.A]
     constraints = []
     for f in annihilator:
-        fa = [sum(a * v for a, v in zip(col, f[1:])) for col in cols]
-        constraints.append([0] + fa)
-        constraints.extend([-v] + [0] * (dim - 1) for v in fa)
+        fa = [0] * dim  # (0, f_ideal A), summed over the nonzero entries of A
+        for x, row in zip(f[1:], rows):
+            if x:
+                for c, a in row:
+                    fa[c] += x * a
+        if any(fa):
+            constraints.append(fa)
+    if constraints:
+        constraints.append([1] + [0] * (dim - 1))
     return Subspace(dim, RationalMatrix(constraints, cols=dim).nullspace())
 
 
-def _descending_series(alg, ad):
+def _descending_series(alg, ad_span):
     """Descending central series from the ad action, until it vanishes."""
     dim = alg.dim
     series = [Subspace.full(dim)]
     while series[-1].dim > 0:
-        vecs = [img for v in series[-1].basis for img in ad(v) if any(img)]
-        nxt = Subspace(dim, vecs)
+        nxt = Subspace(dim, ad_span(series[-1].basis))
         if nxt == series[-1]:
             raise StableSeriesError("descending series stabilised; algebra not nilpotent")
         series.append(nxt)
@@ -368,8 +372,8 @@ def stable_series(alg, model):
     centres = [Subspace(dim)]
     for _ in range(model.j - 1):
         centres.append(_ascending_centre(alg, centres[-1]))
-    ad = _ad_action(alg)
-    descending = _descending_series(alg, ad)
+    ad_span = _ad_span(alg)
+    descending = _descending_series(alg, ad_span)
     nu = len(descending) - 1
     if nu != model.step:
         raise StableSeriesError(
@@ -386,15 +390,15 @@ def stable_series(alg, model):
             raise StableSeriesError("filtration is not increasing")
         if t != filtration[-1]:
             filtration.append(t)
+    j_rows = [[(c, x) for c, x in enumerate(row) if x] for row in alg.J]
     for t in filtration:
         for v in t.basis:
-            if not t.contains(alg.apply_j(v)):
+            if not t.contains([sum(x * v[c] for c, x in row) for row in j_rows]):
                 raise StableSeriesError("term of dimension %d is not J-invariant" % t.dim)
     for prev, nxt in zip(filtration, filtration[1:]):
-        for v in nxt.basis:
-            for img in ad(v):
-                if not prev.contains(img):
-                    raise StableSeriesError("quotient step is not central")
+        for img in ad_span(nxt.basis):
+            if not prev.contains(img):
+                raise StableSeriesError("quotient step is not central")
     return filtration
 
 

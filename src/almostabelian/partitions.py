@@ -106,28 +106,43 @@ def partitions_of(n):
     return list(iter_partitions(n))
 
 
+@lru_cache(maxsize=512)
+def restricted_counts(n, r, top):
+    """(A(0, n, r), ..., A(top, n, r)): the Gaussian binomial
+    [n+r choose r]_q = prod_{i=1..r} (1 - q^(n+i)) / (1 - q^i),
+    truncated at degree `top`, as a tuple of its coefficients.
+
+    The product is built one factor at a time on coefficients truncated
+    at degree top: multiplying by 1 - q^(n+i), then dividing by 1 - q^i
+    as a power series.  After factor i the list holds [n+i choose i]_q,
+    so every division is exact.  A factor with i > top is 1 below degree
+    top + 1 and is skipped.  The work is O(min(r, top) top) integer
+    additions and there is no recursion.
+    """
+    if n < 0 or r < 0 or top < 0:
+        raise ValueError("arguments must be non-negative")
+    coeffs = [1] + [0] * top
+    for i in range(1, min(r, top) + 1):
+        for k in range(top, n + i - 1, -1):
+            coeffs[k] -= coeffs[k - n - i]
+        for k in range(i, top + 1):
+            coeffs[k] += coeffs[k - i]
+    return tuple(coeffs)
+
+
 @lru_cache(maxsize=4096)
 def restricted_count(m, n, r):
     """A(m, n, r): partitions of m into at most n parts, each of size <= r.
 
     A(m, n, r) is the coefficient of q^m in the Gaussian binomial
-    [n+r choose r]_q = prod_{i=1..r} (1 - q^(n+i)) / (1 - q^i).  No
-    partition of m has more than m parts or a part above m, so n and r
-    are clamped to m first.  The product is built one factor at a time
-    on coefficients truncated at degree m: multiplying by 1 - q^(n+i),
-    then dividing by 1 - q^i as a power series.  After factor i the list
-    holds [n+i choose i]_q, so every division is exact.  The work is
-    O(r m) integer additions and there is no recursion.
+    [n+r choose r]_q.  No partition of m has more than m parts or a
+    part above m, so n and r are clamped to m first; the count is then
+    entry m of `restricted_counts(n, r, m)`.  Cost: one such row, O(r m)
+    integer additions without recursion, unless either cache holds it.
     """
     if m < 0 or n < 0 or r < 0:
         raise ValueError("arguments must be non-negative")
     n, r = min(n, m), min(r, m)
     if m > n * r:
         return 0
-    coeffs = [1] + [0] * m
-    for i in range(1, r + 1):
-        for k in range(m, n + i - 1, -1):
-            coeffs[k] -= coeffs[k - n - i]
-        for k in range(i, m + 1):
-            coeffs[k] += coeffs[k - i]
-    return coeffs[m]
+    return restricted_counts(n, r, m)[m]

@@ -1,5 +1,7 @@
 import random
+from itertools import product
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,7 +24,7 @@ from almostabelian.cohomology import (
     run_checks,
     verify_symmetry,
 )
-from almostabelian.exactla import jordan_block, sparse_rank
+from almostabelian.exactla import RationalMatrix, jordan_block, sparse_rank
 from almostabelian.model import (
     AlgebraModel,
     ComplexModel,
@@ -733,3 +735,61 @@ class TestSpectatorFold:
             dolbeault_reference(symbols, everything)
         )
         assert hodge_oracle(c, block_sizes=sizes) == hodge_oracle(c) == hodge_closed(c)
+
+
+class TestJSquared:
+    """_j_squared multiplies the sparse rows of J; the reference squares
+    the dense J with RationalMatrix.mul."""
+
+    @staticmethod
+    def verdicts(j):
+        dim = len(j)
+        alg = AlgebraModel(dim=dim, A=(), J=tuple(tuple(r) for r in j))
+        dense = RationalMatrix([list(r) for r in j])
+        minus_one = RationalMatrix([[-int(a == b) for b in range(dim)] for a in range(dim)])
+        return cohomology._j_squared(SimpleNamespace(alg=alg)), dense.mul(dense) == minus_one
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_models(self, n):
+        for c in enumerate_models(n):
+            assert self.verdicts(build_algebra(c).J) == (True, True)
+
+    def test_not_a_signed_permutation(self):
+        # P J P^-1 with P = I + E_{2,3} still squares to -1
+        j = build_algebra(M([2], 1)).J
+        dim = len(j)
+
+        def unipotent(c):
+            return RationalMatrix(
+                [[int(r == s) + c * int((r, s) == (2, 3)) for s in range(dim)] for r in range(dim)]
+            )
+
+        conj = unipotent(1).mul(RationalMatrix([list(r) for r in j])).mul(unipotent(-1)).data
+        assert any(sum(1 for x in row if x) > 1 for row in conj)
+        assert self.verdicts(conj) == (True, True)
+
+    def test_square_is_not_minus_one(self):
+        j = [list(r) for r in build_algebra(M([2], 3)).J]
+        dim = len(j)
+        identity = [[int(a == b) for b in range(dim)] for a in range(dim)]
+        assert self.verdicts(identity) == (False, False)
+        flipped = [list(r) for r in j]
+        flipped[1][0] = -1
+        assert self.verdicts(flipped) == (False, False)
+        # one extra nonzero entry outside the signed permutation, anywhere
+        for a in range(dim):
+            for b in range(dim):
+                if not j[a][b]:
+                    extra = [list(r) for r in j]
+                    extra[a][b] = 1
+                    assert self.verdicts(extra) == (False, False), (a, b)
+
+    def test_every_small_matrix(self):
+        # every 2 x 2 matrix [[a, b], [c, d]] with entries in -2..2;
+        # J^2 = -1 needs d = -a and a^2 + bc = -1: ten of them
+        found = 0
+        for entries in product(range(-2, 3), repeat=4):
+            sparse, dense = self.verdicts([entries[:2], entries[2:]])
+            assert sparse == dense, entries
+            found += sparse
+        assert found == 10

@@ -369,6 +369,68 @@ class TestEchelonPass:
             assert kernel_rank(transposed(data)) == expected
 
 
+def dense_power_ranks(matrix):
+    """power_ranks by dense products: each power is RationalMatrix.mul of
+    the last and each rank RationalMatrix.rank, with the same errors."""
+    if matrix.rows != matrix.cols:
+        raise ValueError("matrix must be square")
+    out = []
+    power = matrix
+    for _ in range(matrix.rows + 1):
+        r = power.rank()
+        if r == 0:
+            return out
+        if out and r >= out[-1]:
+            raise NotNilpotentError("rank of powers stabilised at %d" % r)
+        out.append(r)
+        power = power.mul(matrix)
+    raise NotNilpotentError("no power vanished within the dimension bound")
+
+
+def ranks_or_error(ranks, matrix):
+    """What a power-ranks function returns on matrix, or its error."""
+    try:
+        return ranks(matrix)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def elementary(d, i, j, c):
+    """The identity of size d with c at (i, j), i != j: row_i += c row_j."""
+    return RationalMatrix(
+        [[int(r == s) + c * int((r, s) == (i, j)) for s in range(d)] for r in range(d)]
+    )
+
+
+def conjugated(rng, core):
+    """U core U^-1 for U a product of 5d random elementary operations, d >= 2."""
+    d = core.rows
+    for _ in range(5 * d):
+        i, j = rng.sample(range(d), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        core = elementary(d, i, j, c).mul(core).mul(elementary(d, i, j, -c))
+    return core
+
+
+def block_diagonal(blocks):
+    d = sum(b.rows for b in blocks)
+    data = [[0] * d for _ in range(d)]
+    offset = 0
+    for b in blocks:
+        for i, row in enumerate(b.data):
+            data[offset + i][offset : offset + b.cols] = row
+        offset += b.rows
+    return RationalMatrix(data, cols=d)
+
+
+def random_jordan_sizes(rng, d):
+    sizes = []
+    while d:
+        sizes.append(rng.randint(1, d))
+        d -= sizes[-1]
+    return sorted(sizes, reverse=True)
+
+
 class TestPowerRanks:
     def test_single_jordan_block(self):
         assert power_ranks(jordan_block(3)) == [2, 1]
@@ -400,6 +462,63 @@ class TestPowerRanks:
     def test_requires_square(self):
         with pytest.raises(ValueError):
             power_ranks(RationalMatrix([[0] * 3 for _ in range(2)]))
+
+    def test_conjugated_jordan_matrices(self):
+        # U N U^-1 spreads each Jordan matrix N over dense integer rows
+        rng = random.Random(17)
+        filled = []
+        for _ in range(50):
+            d = rng.randint(2, 8)
+            sizes = random_jordan_sizes(rng, d)
+            m = conjugated(rng, block_diagonal([jordan_block(k) for k in sizes]))
+            expected = dense_power_ranks(m)
+            assert power_ranks(m) == expected
+            assert jordan_type_from_ranks(d, expected) == sizes
+            if sizes[0] > 1:
+                filled.append(sum(1 for row in m.data for x in row if x) / d**2)
+        assert min(filled) >= 0.5 and sum(filled) / len(filled) > 0.9
+
+    def test_rational_entries(self):
+        # D M D^-1 with D = diag(1, 1/2, ..., 1/d) gives mixed denominators,
+        # cleared by one common scale
+        rng = random.Random(18)
+        for _ in range(10):
+            d = rng.randint(2, 6)
+            sizes = random_jordan_sizes(rng, d)
+            m = conjugated(rng, block_diagonal([jordan_block(k) for k in sizes]))
+            diag = [[Fraction(int(r == s), r + 1) for s in range(d)] for r in range(d)]
+            inverse = [[(r + 1) * int(r == s) for s in range(d)] for r in range(d)]
+            q = RationalMatrix(diag).mul(m).mul(RationalMatrix(inverse))
+            assert power_ranks(q) == dense_power_ranks(q) == power_ranks(m)
+
+    def test_errors_match_dense_reference(self):
+        rng = random.Random(19)
+        cases = [
+            RationalMatrix([]),
+            RationalMatrix.identity(3),
+            RationalMatrix([[0, 1], [1, 0]]),
+            RationalMatrix([[0] * 3 for _ in range(2)]),
+            RationalMatrix([[Fraction(1, 2), 0], [0, 0]]),
+        ]
+        for _ in range(10):
+            d = rng.randint(2, 6)
+            jordan = [jordan_block(k) for k in random_jordan_sizes(rng, d)]
+            # unipotent, and nilpotent plus an idempotent block: the ranks
+            # stabilise at d and at 1
+            nilpotent = block_diagonal(jordan).data
+            unipotent = RationalMatrix(
+                [[x + int(r == s) for s, x in enumerate(row)] for r, row in enumerate(nilpotent)]
+            )
+            cases.append(conjugated(rng, unipotent))
+            cases.append(conjugated(rng, block_diagonal(jordan + [RationalMatrix([[1]])])))
+            cases.append(RationalMatrix(random_int_matrix(rng, d, d)))
+        for m in cases:
+            got = ranks_or_error(power_ranks, m)
+            assert got == ranks_or_error(dense_power_ranks, m)
+            if m.rows != m.cols:
+                assert got[0] is ValueError
+            elif m.rows:
+                assert got[0] is NotNilpotentError
 
 
 class TestMatrixBasics:

@@ -166,6 +166,120 @@ def reference_series(alg, model):
     return filtration
 
 
+# -- the checked stable series over every ad image, with a dense J -----------
+
+
+def every_ad_image(alg, x):
+    """[e_0, x], ..., [e_{dim-1}, x]: [e_0, x] = (0, A x') and, for
+    k >= 1, [e_k, x] = -x_0 (0, A e_k), zero vectors included."""
+    out = [(0,) + tuple(sum(a * x[c + 1] for c, a in enumerate(row)) for row in alg.A)]
+    out.extend((0,) + tuple(-x[0] * a for a in col) for col in zip(*alg.A))
+    return out
+
+
+def dense_apply_j(alg, x):
+    return tuple(sum(alg.J[r][c] * x[c] for c in range(alg.dim)) for r in range(alg.dim))
+
+
+def every_image_centre(alg, prev):
+    """{x : [e_i, x] in prev for every i}: one constraint f o ad(e_i) per
+    functional f vanishing on prev and per basis vector e_i."""
+    dim = alg.dim
+    if prev.dim == dim:
+        return prev
+    annihilator = (
+        RationalMatrix(prev.basis, cols=dim).nullspace()
+        if prev.dim
+        else RationalMatrix.identity(dim).data
+    )
+    constraints = []
+    for f in annihilator:
+        fa = [sum(a * v for a, v in zip(col, f[1:])) for col in zip(*alg.A)]
+        constraints.append([0] + fa)
+        constraints.extend([-v] + [0] * (dim - 1) for v in fa)
+    return Subspace(dim, RationalMatrix(constraints, cols=dim).nullspace())
+
+
+def every_image_descending(alg):
+    series = [Subspace.full(alg.dim)]
+    while series[-1].dim > 0:
+        images = [img for v in series[-1].basis for img in every_ad_image(alg, v) if any(img)]
+        nxt = Subspace(alg.dim, images)
+        if nxt == series[-1]:
+            raise StableSeriesError("descending series stabilised; algebra not nilpotent")
+        series.append(nxt)
+    return series
+
+
+def every_image_series(alg, model, descending=None):
+    """stable_series with its checks run on all dim ad images of every
+    basis vector and a dense J; `descending` replaces the computed
+    descending series."""
+    dim = alg.dim
+    centres = [Subspace(dim)]
+    for _ in range(model.j - 1):
+        centres.append(every_image_centre(alg, centres[-1]))
+    if descending is None:
+        descending = every_image_descending(alg)
+    nu = len(descending) - 1
+    if nu != model.step:
+        raise StableSeriesError(
+            "nilpotency step mismatch: series says %d, model says %d" % (nu, model.step)
+        )
+    terms = list(centres)
+    for k in range(nu - model.j, 0, -1):
+        terms.append(centres[-1].sum(descending[k]))
+    terms.append(Subspace.full(dim))
+    filtration = [terms[0]]
+    for t in terms[1:]:
+        if not filtration[-1] <= t:
+            raise StableSeriesError("filtration is not increasing")
+        if t != filtration[-1]:
+            filtration.append(t)
+    for t in filtration:
+        for v in t.basis:
+            if not t.contains(dense_apply_j(alg, v)):
+                raise StableSeriesError("term of dimension %d is not J-invariant" % t.dim)
+    for prev, nxt in zip(filtration, filtration[1:]):
+        for v in nxt.basis:
+            for img in every_ad_image(alg, v):
+                if not prev.contains(img):
+                    raise StableSeriesError("quotient step is not central")
+    return filtration
+
+
+def series_outcome(series, *args):
+    """The filtration a series function returns, or its error as text."""
+    try:
+        return series(*args)
+    except StableSeriesError as exc:
+        return "StableSeriesError: %s" % exc
+
+
+def not_nilpotent_algebra():
+    """q = [2], j = 1 with A + identity, invertible: [g, g] = [g, [g, g]]
+    is the ideal."""
+    c = model_of([2], 1)
+    alg = build_algebra(c)
+    a = tuple(
+        tuple(x + (1 if r == k else 0) for k, x in enumerate(row))
+        for r, row in enumerate(alg.A)
+    )
+    return AlgebraModel(dim=alg.dim, A=a, J=alg.J), c
+
+
+def broken_j_algebra():
+    """q = [2], j = 3 with a J that squares to -id but ignores the chain
+    pairing."""
+    c = model_of([2], 3)
+    alg = build_algebra(c)
+    dim = alg.dim
+    j = [[0] * dim for _ in range(dim)]
+    for a, b in [(0, 2), (1, 3), (4, 5)]:
+        j[b][a], j[a][b] = 1, -1
+    return AlgebraModel(dim=dim, A=alg.A, J=tuple(tuple(r) for r in j)), c
+
+
 class TestJordanPartition:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_single_block_family(self, n):
@@ -550,29 +664,59 @@ class TestStableSeries:
             stable_series(alg, c)
 
     def test_not_nilpotent_raises_stabilised(self):
-        c = model_of([2], 1)
-        alg = build_algebra(c)
-        # A + identity is invertible, so [g, g] = [g, [g, g]] = the ideal
-        a = tuple(
-            tuple(x + (1 if r == k else 0) for k, x in enumerate(row))
-            for r, row in enumerate(alg.A)
-        )
-        bad = AlgebraModel(dim=alg.dim, A=a, J=alg.J)
+        bad, c = not_nilpotent_algebra()
         with pytest.raises(StableSeriesError, match="stabilised"):
             stable_series(bad, c)
 
     def test_detects_broken_j(self):
-        c = model_of([2], 3)
-        alg = build_algebra(c)
-        # a J that squares to -id but ignores the chain pairing
-        dim = alg.dim
-        j = [[0] * dim for _ in range(dim)]
-        pairs = [(0, 2), (1, 3), (4, 5)]
-        for a, b in pairs:
-            j[b][a], j[a][b] = 1, -1
-        bad = AlgebraModel(dim=dim, A=alg.A, J=tuple(tuple(r) for r in j))
+        bad, c = broken_j_algebra()
         with pytest.raises(StableSeriesError):
             stable_series(bad, c)
+
+
+class TestStableSeriesEveryImage:
+    """stable_series tests A v for each basis vector v, and the nonzero
+    columns of A once per step when some v has v_0 != 0; the reference
+    tests all dim ad images of every basis vector and applies J densely."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_models_agree(self, n):
+        for c in enumerate_models(n):
+            alg = build_algebra(c)
+            assert stable_series(alg, c) == every_image_series(alg, c), c
+
+    @pytest.mark.parametrize("build", [not_nilpotent_algebra, broken_j_algebra])
+    def test_bad_algebras_agree(self, build):
+        bad, c = build()
+        got = series_outcome(stable_series, bad, c)
+        assert got == series_outcome(every_image_series, bad, c)
+        assert str(got).startswith("StableSeriesError")
+
+    def test_column_reached_only_through_x0(self, monkeypatch):
+        """A term holding e_0 whose A v all lie in the previous term, while
+        the one nonzero column of A, [e_2, e_0] = -e_3, does not.
+
+        The series stable_series computes is central by construction, so
+        the descending series is replaced by 0 < T < g with
+        T = span(e_0, e_1, e_3, e_5), J-invariant for the J of q = [2],
+        j = 1, and A = the single entry e_2 -> e_3.  A kills every basis
+        vector of T, so only the column test sees that [g, T] is not 0;
+        the step T < g is central, as [g, g] = span(e_3) lies in T.
+        """
+        c = model_of([2], 1)
+        dim = c.dim
+        a = [[0] * (dim - 1) for _ in range(dim - 1)]
+        a[2][1] = 1
+        bad = AlgebraModel(dim=dim, A=tuple(tuple(r) for r in a), J=build_algebra(c).J)
+        middle = coordinate_span(dim, (0, 1, 3, 5))
+        series = [Subspace.full(dim), middle, Subspace(dim)]
+        for v in middle.basis:
+            assert every_ad_image(bad, v)[0] == (0,) * dim
+        monkeypatch.setattr(model_module, "_descending_series", lambda alg, ad_span: series)
+        with pytest.raises(StableSeriesError, match="quotient step is not central"):
+            stable_series(bad, c)
+        with pytest.raises(StableSeriesError, match="quotient step is not central"):
+            every_image_series(bad, c, descending=series)
 
 
 class TestStructureEquations:

@@ -1,9 +1,16 @@
+from collections import Counter
 from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
 
-from almostabelian.partitions import Partition, iter_partitions, partitions_of, restricted_count
+from almostabelian.partitions import (
+    Partition,
+    iter_partitions,
+    partitions_of,
+    restricted_count,
+    restricted_counts,
+)
 
 
 def brute_partitions(m, max_parts, max_size):
@@ -144,3 +151,39 @@ class TestRestrictedCount:
             for r in range(0, 11):
                 total = sum(restricted_count(m, n, r) for m in range(0, n * r + 1))
                 assert total == comb(n + r, r)
+
+
+class TestRestrictedCounts:
+    def test_rows_match_single_counts(self):
+        for n in range(0, 11):
+            for r in range(0, 11):
+                row = restricted_counts(n, r, n * r)
+                assert row == tuple(restricted_count(m, n, r) for m in range(0, n * r + 1))
+
+    @pytest.mark.parametrize("n", range(0, 8))
+    @pytest.mark.parametrize("r", range(0, 8))
+    def test_rows_match_brute_force(self, n, r):
+        # every partition in the n x r box once, tallied by its size
+        sizes = Counter(
+            sum(combo)
+            for k in range(0, n + 1)
+            for combo in combinations_with_replacement(range(1, r + 1), k)
+        )
+        assert restricted_counts(n, r, n * r) == tuple(sizes[m] for m in range(0, n * r + 1))
+
+    def test_truncation_is_a_prefix(self):
+        # top below r skips the factors that are 1 below degree top + 1;
+        # top above n * r pads with zeros
+        for n, r in [(3, 5), (5, 3), (0, 4), (4, 0), (6, 6)]:
+            full = restricted_counts(n, r, n * r + 4)
+            assert full[n * r + 1 :] == (0, 0, 0, 0)
+            for top in range(0, n * r + 5):
+                assert restricted_counts(n, r, top) == full[: top + 1]
+
+    def test_rejects_negative(self):
+        for args in [(-1, 2, 2), (2, -1, 2), (2, 2, -1)]:
+            with pytest.raises(ValueError):
+                restricted_counts(*args)
+
+    def test_row_cache_is_bounded(self):
+        assert restricted_counts.cache_info().maxsize is not None
