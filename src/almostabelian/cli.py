@@ -12,7 +12,7 @@ Size limits, checked before any work starts (one "error:" line on
 stderr and exit status 1 above them): invariants and export take models
 with n = sum(q) <= 150, and invariants --oracle n <= 8; enumerate takes
 --dim <= 100; classify takes Jordan types of total size <= 1000000;
-verify takes --max-dim <= 16.
+verify takes --max-dim <= 18.
 """
 
 import argparse
@@ -54,7 +54,7 @@ MAX_MODEL_N = 150
 MAX_ORACLE_N = 8
 MAX_ENUMERATE_DIM = 100
 MAX_CLASSIFY_TOTAL = 10**6
-MAX_VERIFY_DIM = 16
+MAX_VERIFY_DIM = 18
 
 
 class _Parser(argparse.ArgumentParser):

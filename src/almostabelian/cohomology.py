@@ -19,20 +19,30 @@ holomorphic degree; building those rules is where the split of d into
 its generator rules on factor tuples in any order, and _slot_terms alone
 applies the wedge signs.
 
-A spectator, a symbol that no generator rule names, is a Kunneth
-factor: D(x ^ r) = D(x) ^ r, so x (x) s -> x ^ s is an isomorphism from
-the complex without the spectators, tensored with their exterior
-algebra, onto the whole complex.  Each oracle walks the monomials in the
-other symbols only and folds the spectators back by the binomial sum
-rank_k = sum_i C(s, i) r_{k-i}; this is exact, and so is the D^2 check
-on the smaller basis.
+Every walk is split by chain multidegree.  Set aside the symbols that
+kill every monomial they divide (e^0, conj(alpha)); every term of every
+rule then has one other, live, factor (-e^0 ^ e^c in the CE complex,
++-conj(alpha) ^ beta in the Dolbeault complex, r -> c in the ideal
+action), so D moves one factor inside a chain, a connected component of
+the rules, and keeps the number of factors drawn from each chain.  Each
+block is the direct sum of its parts, one per multidegree, and its rank
+is the sum of theirs.  A part's factor that is one monomial s with an
+empty image (the empty monomial, or a full chain that D kills; a
+spectator, a symbol that no rule names, is such a chain) changes
+nothing: x -> x ^ s maps the part's core, the product of its other
+factors, onto the part, and D(x ^ s) = D(x) ^ s.  Chains that carry the
+same rules once relabelled, with the same weights, are exchanged by an
+automorphism of the complex, so each walk ranks each distinct core
+once and adds multiplicity x rank into each block.  All of this is
+exact, and so is the D^2 check on the cores.  When some term has no
+live factor or two, all the named live symbols form one chain, walked
+whole.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-from math import comb
-from operator import add
+from itertools import combinations, combinations_with_replacement, product
+from math import comb, factorial
 
 from .exactla import (
     NotNilpotentError,
@@ -195,13 +205,6 @@ def _d_mask(mono, terms):
     return out
 
 
-def _masks(symbols, k):
-    """Bitmasks of the degree-k monomials in `symbols`, in lexicographic
-    order: each is the builtin sum of a combination of the symbols' bit
-    values, which are computed once per call."""
-    return list(map(sum, combinations([1 << s for s in symbols], k)))
-
-
 def _cocycle_symbols(terms):
     """Mask of the symbols b that kill every monomial they divide: b has
     no rule of its own and lies in the pair mask of every rule, so each
@@ -218,66 +221,156 @@ def _cocycle_symbols(terms):
     return dead
 
 
-def _named_symbols(symbols, terms):
-    """The symbols of `symbols` that some rule names, by a rule of their
-    own or as a factor; the others are spectators, which each walk
-    leaves out of its monomials and puts back with _fold."""
+def _chains(weights, terms, dead):
+    """The live symbols of `weights`, those outside `dead`, as chains:
+    lists of symbols in bit order.  Returns (chains, whole).
+
+    When every term of every rule has exactly one live factor, the
+    chains are the connected components of the graph that joins each
+    generator to the live factor of each of its terms, so D moves one
+    factor inside its chain, and whole is None.  If some term has no
+    live factor or two, D does not keep the number of factors drawn
+    from a chain: all the named live symbols form one chain, whole,
+    which a walk takes whole.  A symbol that no rule names is a chain
+    of its own either way."""
     ruled, rules = terms
-    for stated in rules.values():
+    root = {s: s for s in weights if not dead >> s & 1}
+
+    def find(s):
+        while root[s] != s:
+            s = root[s]
+        return s
+
+    named = ruled
+    split = True
+    for bit, stated in rules.items():
         for _, pair, _ in stated:
-            ruled |= pair
-    return [s for s in symbols if ruled >> s & 1]
+            live = pair & ~dead
+            named |= live
+            if not live or live & (live - 1):
+                split = False
+            elif split:
+                root[find(live.bit_length() - 1)] = find(bit.bit_length() - 1)
+    if not split:
+        root = {s: -1 if named >> s & 1 else s for s in root}
+        find = root.get
+    chains = {}
+    for s in sorted(root):
+        chains.setdefault(find(s), []).append(s)
+    return list(chains.values()), None if split else chains.get(-1)
 
 
-def _fold(ranks, count, shift):
-    """Ranks of D on the complex tensored with the exterior algebra of
-    `count` spectators, from its ranks `ranks` without them.
+def _signature(chain, weights, terms):
+    """The chain's rules with its symbols relabelled 0, 1, ... in bit
+    order, every other symbol (a dead one) kept as ~symbol, each term's
+    factors in bit order and its coefficient as _slot_terms signs it,
+    and each symbol's weight.  Two chains with one signature are
+    exchanged by an automorphism of the complex that keeps every block:
+    the exchange maps each generator rule onto a rule, factor order and
+    all."""
+    label = {s: i for i, s in enumerate(chain)}
+    rules = terms[1]
+    return tuple(
+        (
+            weights[s],
+            tuple(
+                (coef, tuple(label.get(f, ~f) for f in range(pair.bit_length()) if pair >> f & 1))
+                for coef, pair, _ in rules.get(1 << s, ())
+            ),
+        )
+        for s in chain
+    )
 
-    x (x) s -> x ^ s is an isomorphism of complexes (D(x ^ s) = D(x) ^ s,
-    and the sign of sorting x ^ s into a monomial depends on that
-    monomial alone), so each block is the direct sum, over the i-subsets
-    of spectators, of the block i degrees below: rank_k = sum_i C(count,
-    i) r_{k-i}, where shift(key, i) is the key i degrees above key."""
-    out = {}
-    for key, rank in ranks.items():
-        for i in range(count + 1):
-            k = shift(key, i)
-            out[k] = out.get(k, 0) + comb(count, i) * rank
+
+def _factors(chain, weights, terms, whole):
+    """The factors a part can draw from the chain: its monomials of each
+    degree, or all of them for a chain taken whole, as {key: masks}.  A
+    factor that is one monomial s with an empty image (the empty
+    monomial, or a full chain that D kills) is trivial and is given as
+    (key, degree) instead: x -> x ^ s maps the part without it onto the
+    part, and D(x ^ s) = D(x) ^ s."""
+    out = []
+    for degrees in [range(len(chain) + 1)] if whole else [[k] for k in range(len(chain) + 1)]:
+        blocks = {}
+        for k in degrees:
+            for combo in combinations(chain, k):
+                key = sum(weights[s] for s in combo)
+                blocks.setdefault(key, []).append(sum(1 << s for s in combo))
+        masks = [m for group in blocks.values() for m in group]
+        if len(masks) == 1 and not _d_mask(masks[0], terms):
+            [key] = blocks
+            out.append((key, masks[0].bit_count()))
+        else:
+            out.append(blocks)
     return out
 
 
-def _walk(blocks, terms, degrees=()):
-    """One pass over the monomials of a graded complex with differential D.
+def _parts(groups):
+    """The parts of the complex, one choice of a factor per chain up to
+    the exchange of the chains of a group, as {(core, key shift, degree
+    shift): multiplicity}.  `groups` lists (factors, m) for m chains
+    with one signature.  The core has, per group, the indices of its
+    nontrivial picks in ascending order; the trivial picks add their
+    keys and degrees.  A group that picks factor i c_i times does so in
+    m! / prod c_i! ways."""
+    parts = {((), 0, 0): 1}
+    for factors, m in groups:
+        own = {}
+        for picks in combinations_with_replacement(range(len(factors)), m):
+            ways = factorial(m)
+            for i in set(picks):
+                ways //= factorial(picks.count(i))
+            core, key, degree = (), 0, 0
+            for i in picks:
+                if isinstance(factors[i], dict):
+                    core += (i,)
+                else:
+                    key += factors[i][0]
+                    degree += factors[i][1]
+            own[core, key, degree] = ways
+        merged = {}
+        for (core, key, degree), ways in parts.items():
+            for (c, k, d), w in own.items():
+                part = (core + (c,), key + k, degree + d)
+                merged[part] = merged.get(part, 0) + ways * w
+        parts = merged
+    return parts
 
-    `blocks` yields (key, masks) in column order; D is the derivation
-    extension of the generator rules `terms`, as _d_mask applies them.
-    Returns the rank of D on each block, by key, and whether D^2 = 0 on
-    the monomials whose degree is in `degrees`, which needs D to map
-    each block into the next one or into monomials that D kills.
-    Degree 1 alone is the check on generators, enough for a derivation
-    by the graded Leibniz rule.  Each image is computed once, visiting
+
+def _core_blocks(factors):
+    """The blocks of a core, the product of the factors ({key: masks}),
+    as (key, masks) in key order."""
+    blocks = {0: [0]}
+    for factor in factors:
+        out = {}
+        for k1, m1 in blocks.items():
+            for k2, m2 in factor.items():
+                out.setdefault(k1 + k2, []).extend([a | b for a in m1 for b in m2])
+        blocks = out
+    return sorted(blocks.items())
+
+
+def _rank_blocks(blocks, terms, dead, degrees, squares):
+    """Ranks of D on each block of one core, by key, and whether D^2 = 0
+    (only checked while `squares`) on the monomials whose degree is in
+    `degrees`, which needs D to map each block into the next one or
+    into monomials that D kills.  Each image is computed once, visiting
     only the factors that have rules, and goes to the rank kernel as it
     is, one row per monomial: the rank of D's transpose is D's rank.  A
-    block's images are kept past its rank only while its D^2 check
-    waits for the next block.  Only nonzero images are kept: a monomial
-    divisible by a symbol of _cocycle_symbols(terms) never reaches
-    _d_mask, and one whose image cancels is dropped, so neither adds a
-    row to a rank, and the D^2 sum reads a missing image as the empty
-    one.  The callers leave the spectators out of the blocks and fold
-    them back by _fold's binomial sum, which is exact; D^2(x ^ s) =
-    D^2(x) ^ s for each monomial s in them, so the D^2 check on the
-    blocks without them is the check on every monomial.
-    """
-    dead = _cocycle_symbols(terms)
+    block's images are kept past its rank only while its D^2 check waits
+    for the next block; an image that cancels is dropped, and the D^2
+    sum reads a missing image as the empty one and skips a target that
+    contains a dead symbol, whose image is empty."""
     ranks = {}
-    squares = True
     below = {}
     for key, masks in blocks:
-        here = {m: img for m in masks if not m & dead if (img := _d_mask(m, terms))}
+        here = {m: img for m in masks if (img := _d_mask(m, terms))}
         if squares and below:
             for img in below.values():
                 acc = {}
                 for target, val in img.items():
+                    if target & dead:
+                        continue
                     for t2, v2 in here.get(target, {}).items():
                         acc[t2] = acc.get(t2, 0) + val * v2
                 if any(acc.values()):
@@ -286,7 +379,61 @@ def _walk(blocks, terms, degrees=()):
         # sparse_rank copies only the rows it changes: `here` waits for the
         # next D^2 check
         ranks[key] = sparse_rank(list(here.values()))
-        below = here if masks and masks[0].bit_count() in degrees else {}
+        below = here if masks[0].bit_count() in degrees else {}
+    return ranks, squares
+
+
+def _walk(weights, terms, degrees=()):
+    """One pass over the monomials of a graded complex with differential
+    D, part by part.
+
+    `weights` maps each symbol to its block weight, an int; a monomial's
+    block key, the sum of its symbols' weights, determines its degree.
+    D is the derivation extension of the generator rules `terms`, as
+    _d_mask applies them.  Returns the rank of D on each block, by key
+    (a block of rank zero may be missing), and whether D^2 = 0 on the
+    monomials whose degree is in `degrees`.  Degree 1 alone is the
+    check on generators, enough for a derivation by the graded Leibniz
+    rule.
+
+    A monomial divisible by a symbol of _cocycle_symbols(terms) has an
+    empty image, so no walk visits it.  D keeps the number of factors
+    drawn from each chain of _chains, so each block is the direct sum
+    of its parts, one per chain multidegree, and its rank is the sum of
+    theirs.  A part's rank and D^2 verdict are those of its core, the
+    product of its nontrivial factors (_factors).  Chains with one
+    _signature are exchanged by an automorphism of the complex, so
+    cores that differ by such an exchange have one rank.  The walk
+    ranks each distinct core once and adds multiplicity x rank into the
+    blocks of its parts.  D^2(x ^ s) = D^2(x) ^ s, so a core's D^2 sum
+    covers its monomials x for which some part has degree deg x + deg s
+    in `degrees`."""
+    dead = _cocycle_symbols(terms)
+    chains, whole = _chains(weights, terms, dead)
+    # the factors of each chain, grouped by the chain's signature
+    groups = {}
+    for chain in chains:
+        groups.setdefault((chain is whole, _signature(chain, weights, terms)), []).append(
+            _factors(chain, weights, terms, chain is whole)
+        )
+    groups = list(groups.values())
+    cores = {}
+    for (core, key, degree), ways in _parts([(g[0], len(g)) for g in groups]).items():
+        cores.setdefault(core, []).append((ways, key, degree))
+    ranks = {}
+    squares = True
+    for core, parts in cores.items():
+        # the picks of a group go to its chains in order: chains with one
+        # signature differ by an automorphism, so any order gives one rank
+        blocks = _core_blocks(
+            own[i] for group, picks in zip(groups, core) for own, i in zip(group, picks)
+        )
+        checked = {d - shift for shift in {shift for _, _, shift in parts} for d in degrees}
+        core_ranks, squares = _rank_blocks(blocks, terms, dead, checked, squares)
+        for ways, key, _ in parts:
+            for k, rank in core_ranks.items():
+                if rank:
+                    ranks[k + key] = ranks.get(k + key, 0) + ways * rank
     return ranks, squares
 
 
@@ -306,10 +453,7 @@ def _ce_walk(alg, degrees):
     """The walk of the CE complex: ranks of d on degrees 0..dim-1 (the
     top degree maps to zero) and d^2 = 0 on the given degrees."""
     terms = _slot_terms(_ce_generator_differentials(alg))
-    kept = _named_symbols(range(alg.dim), terms)
-    blocks = ((k, _masks(kept, k)) for k in range(len(kept)))
-    ranks, squares = _walk(blocks, terms, degrees)
-    return _fold(ranks, alg.dim - len(kept), add), squares
+    return _walk(dict.fromkeys(range(alg.dim), 1), terms, degrees)
 
 
 def _betti_numbers(dim, walk):
@@ -379,25 +523,14 @@ def _dbar_rules(symbols):
 
 
 def _dolbeault_walk(symbols, degrees):
-    """The walk of the Dolbeault complex, blocks (p, q) for q < g (dbar
-    kills q = g): ranks of dbar and dbar^2 = 0 on the given total
-    degrees.  A d that does not split raises before any monomial.  A
-    holomorphic spectator shifts p, an antiholomorphic one q."""
+    """The walk of the Dolbeault complex, blocks (p, q): ranks of dbar
+    and dbar^2 = 0 on the given total degrees.  A d that does not split
+    raises before any monomial."""
     _, g = symbols
     terms = _dbar_rules(symbols)
-    named = _named_symbols(range(2 * g), terms)
-    holo = [s for s in named if s < g]
-    anti = [s for s in named if s >= g]
-    holo_masks = [_masks(holo, p) for p in range(len(holo) + 1)]
-    anti_masks = [_masks(anti, q) for q in range(len(anti))]
-    blocks = (
-        ((p, q), [u | b for u in holo_masks[p] for b in anti_masks[q]])
-        for p in range(len(holo) + 1)
-        for q in range(len(anti))
-    )
-    ranks, squares = _walk(blocks, terms, degrees)
-    ranks = _fold(ranks, g - len(holo), lambda key, i: (key[0] + i, key[1]))
-    return _fold(ranks, g - len(anti), lambda key, i: (key[0], key[1] + i)), squares
+    # key p * (g + 1) + q: q <= g, so the key orders blocks as (p, q) does
+    ranks, squares = _walk({s: g + 1 if s < g else 1 for s in range(2 * g)}, terms, degrees)
+    return {divmod(key, g + 1): rank for key, rank in ranks.items()}, squares
 
 
 def _hodge_numbers(g, walk):
@@ -452,11 +585,9 @@ def betti_via_ideal_action(alg):
     terms = _slot_terms(
         {r: tuple((-a, (c,)) for c, a in enumerate(row) if a) for r, row in enumerate(alg.A)}
     )
-    kept = _named_symbols(range(size), terms)
-    blocks = ((k, _masks(kept, k)) for k in range(len(kept) + 1))
-    ranks = _fold(_walk(blocks, terms)[0], size - len(kept), add)
+    ranks = _walk(dict.fromkeys(range(size), 1), terms)[0]
     # L_k is square, so its kernel and cokernel have the same dimension
-    kernel = [comb(size, k) - ranks[k] for k in range(size + 1)] + [0]
+    kernel = [comb(size, k) - ranks.get(k, 0) for k in range(size + 1)] + [0]
     return tuple(kernel[k] + (kernel[k - 1] if k else 0) for k in range(size + 2))
 
 

@@ -367,7 +367,7 @@ class TestSizeLimits:
             ["enumerate", "--dim", "102"],
             ["classify", "--jordan", "500001,500000"],
             ["classify", "--jordan", "99999999999999999999"],
-            ["verify", "--max-dim", "18"],
+            ["verify", "--max-dim", "20"],
             ["verify", "--max-dim", "1000000"],
         ],
     )

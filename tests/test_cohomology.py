@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 from math import comb
 from types import SimpleNamespace
 
@@ -492,6 +492,11 @@ class TestDifferentialChecks:
         assert images == []
 
 
+def masks(symbols, k):
+    """Bitmasks of the degree-k monomials in `symbols`, in lexicographic order."""
+    return [sum(1 << s for s in combo) for combo in combinations(symbols, k)]
+
+
 def reference_walk(blocks, terms, degrees=()):
     """The walk without the cocycle skip: every monomial through _d_mask,
     its images transposed into rows, each block's rank by sparse_rank."""
@@ -518,6 +523,24 @@ def reference_walk(blocks, terms, degrees=()):
     return ranks, squares
 
 
+def weighted_reference(weights, terms, degrees=()):
+    """reference_walk over every monomial in the symbols of `weights`, one
+    block per key (the sum of its symbols' weights), in key order."""
+    blocks = {}
+    for k in range(len(weights) + 1):
+        for combo in combinations(sorted(weights), k):
+            key = sum(weights[s] for s in combo)
+            blocks.setdefault(key, []).append(sum(1 << s for s in combo))
+    return reference_walk(sorted(blocks.items()), terms, degrees)
+
+
+def nonzero(walk):
+    """A walk's nonzero ranks and its D^2 verdict: a block that no walk
+    lists and a block of rank zero mean the same."""
+    ranks, squares = walk
+    return {key: rank for key, rank in ranks.items() if rank}, squares
+
+
 class TestCocycleSkip:
     """_walk never builds the image of a monomial divisible by a symbol
     that kills every monomial it divides (e^0, conj(alpha)), and its
@@ -528,10 +551,9 @@ class TestCocycleSkip:
         real_walk = cohomology._walk
         walks = []
 
-        def both_walks(blocks, terms, degrees=()):
-            blocks = list(blocks)
-            got = real_walk(iter(blocks), terms, degrees)
-            assert got == reference_walk(blocks, terms, degrees)
+        def both_walks(weights, terms, degrees=()):
+            got = real_walk(weights, terms, degrees)
+            assert nonzero(got) == nonzero(weighted_reference(weights, terms, degrees))
             walks.append(cohomology._cocycle_symbols(terms))
             return got
 
@@ -564,8 +586,7 @@ class TestCocycleSkip:
             terms = cohomology._slot_terms(d1)
             size = 2 * g
             assert cohomology._cocycle_symbols(terms) & ((1 << size) - 1) == 0
-            blocks = ((k, cohomology._masks(range(size), k)) for k in range(size))
-            cohomology._walk(blocks, terms, range(1, size + 1))
+            cohomology._walk(dict.fromkeys(range(size), 1), terms, range(1, size + 1))
         assert compared
 
     def test_a_symbol_with_a_rule_is_never_skipped(self, compared):
@@ -573,8 +594,7 @@ class TestCocycleSkip:
         # its image is not zero; only x2 is skipped
         terms = cohomology._slot_terms({0: (), 1: ((1, (1, 2)),), 2: ()})
         assert cohomology._cocycle_symbols(terms) == 0b100
-        blocks = ((k, cohomology._masks(range(3), k)) for k in range(4))
-        ranks, _ = cohomology._walk(blocks, terms, range(1, 4))
+        ranks, _ = cohomology._walk(dict.fromkeys(range(3), 1), terms, range(1, 4))
         assert ranks[1] == 1
 
     def test_images_built_for_verify_dim12(self, monkeypatch):
@@ -593,21 +613,15 @@ class TestCocycleSkip:
         monkeypatch.setattr(cohomology, "_d_mask", counted_d_mask)
         lines, all_ok = cli.run_verify(12)
         assert all_ok
-        # 171805 without the skip, 84008 without the fold
-        assert len(calls) == 29588
-
-
-def nonzero(walk):
-    """A walk's nonzero ranks and its D^2 verdict: a block that no walk
-    lists and a block of rank zero mean the same."""
-    ranks, squares = walk
-    return {key: rank for key, rank in ranks.items() if rank}, squares
+        # 171805 without the skip, 84008 with the spectators walked, 29588
+        # with each block walked whole instead of each distinct core once
+        assert len(calls) == 16388
 
 
 def ce_reference(alg, degrees):
     """The CE walk over every symbol, spectators included."""
     terms = cohomology._slot_terms(cohomology._ce_generator_differentials(alg))
-    blocks = [(k, cohomology._masks(range(alg.dim), k)) for k in range(alg.dim)]
+    blocks = [(k, masks(range(alg.dim), k)) for k in range(alg.dim)]
     return reference_walk(blocks, terms, degrees)
 
 
@@ -615,8 +629,8 @@ def dolbeault_reference(symbols, degrees):
     """The Dolbeault walk over every symbol, spectators included."""
     _, g = symbols
     terms = cohomology._dbar_rules(symbols)
-    holo = [cohomology._masks(range(g), p) for p in range(g + 1)]
-    anti = [cohomology._masks(range(g, 2 * g), q) for q in range(g)]
+    holo = [masks(range(g), p) for p in range(g + 1)]
+    anti = [masks(range(g, 2 * g), q) for q in range(g)]
     blocks = [
         ((p, q), [u | b for u in holo[p] for b in anti[q]]) for p in range(g + 1) for q in range(g)
     ]
@@ -629,39 +643,48 @@ def ideal_action_reference(alg):
     terms = cohomology._slot_terms(
         {r: tuple((-a, (c,)) for c, a in enumerate(row) if a) for r, row in enumerate(alg.A)}
     )
-    blocks = [(k, cohomology._masks(range(size), k)) for k in range(size + 1)]
+    blocks = [(k, masks(range(size), k)) for k in range(size + 1)]
     ranks, _ = reference_walk(blocks, terms)
     kernel = [comb(size, k) - ranks[k] for k in range(size + 1)] + [0]
     return tuple(kernel[k] + (kernel[k - 1] if k else 0) for k in range(size + 2))
 
 
-def spectator_count(terms, symbols):
-    return len(symbols) - len(cohomology._named_symbols(symbols, terms))
+def spectators(terms, size):
+    """The symbols below `size` that no rule names: the chains of one
+    symbol without a rule, other than the chain a walk takes whole."""
+    weights = dict.fromkeys(range(size), 1)
+    chains, whole = cohomology._chains(weights, terms, cohomology._cocycle_symbols(terms))
+    return [c[0] for c in chains if c is not whole and len(c) == 1 and 1 << c[0] not in terms[1]]
+
+
+def assert_walks_equal_references(c):
+    """All three walks of the model, on both degree sets, against the
+    walks over every symbol."""
+    alg = build_algebra(c)
+    for degrees in ((1,), range(1, alg.dim + 1)):
+        assert nonzero(cohomology._ce_walk(alg, degrees)) == nonzero(ce_reference(alg, degrees))
+    symbols = cohomology._dolbeault_symbols(cohomology.structure_equations(c))
+    for degrees in ((1,), range(1, 2 * symbols[1] + 1)):
+        assert nonzero(cohomology._dolbeault_walk(symbols, degrees)) == nonzero(
+            dolbeault_reference(symbols, degrees)
+        )
+    assert betti_via_ideal_action(alg) == ideal_action_reference(alg)
+    return symbols
 
 
 class TestSpectatorFold:
-    """Each walk leaves out the symbols that no rule names and folds them
-    back by the binomial sum; its ranks and D^2 verdicts are those of the
-    walk over every symbol.  (TestCocycleSkip compares _walk with the
-    reference on the blocks the walks hand it, which have no spectators,
-    so only these tests can see a fold bug.)"""
+    """Each walk drops the symbols that no rule names, chains of their own
+    whose every factor is trivial; its ranks and D^2 verdicts are those of
+    the walk over every symbol.  (TestCocycleSkip compares _walk with the
+    reference on the symbols the walks hand it, so only these tests can
+    see a bug in how a walk's caller keys its blocks.)"""
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_walks_equal_the_walk_over_every_symbol(self, n):
         folded = 0
         for c in enumerate_models(n):
-            alg = build_algebra(c)
-            for degrees in ((1,), range(1, alg.dim + 1)):
-                assert nonzero(cohomology._ce_walk(alg, degrees)) == nonzero(
-                    ce_reference(alg, degrees)
-                )
-            symbols = cohomology._dolbeault_symbols(cohomology.structure_equations(c))
-            for degrees in ((1,), range(1, 2 * symbols[1] + 1)):
-                assert nonzero(cohomology._dolbeault_walk(symbols, degrees)) == nonzero(
-                    dolbeault_reference(symbols, degrees)
-                )
-            assert betti_via_ideal_action(alg) == ideal_action_reference(alg)
-            folded += spectator_count(cohomology._dbar_rules(symbols), range(2 * symbols[1]))
+            symbols = assert_walks_equal_references(c)
+            folded += len(spectators(cohomology._dbar_rules(symbols), 2 * symbols[1]))
         # parts 1 of q, and alpha at j = 1, give spectators at every n
         assert folded
 
@@ -680,12 +703,9 @@ class TestSpectatorFold:
     )
     def test_spectators_of_the_dolbeault_complex(self, qparts, j, holo, anti):
         symbols = cohomology._dolbeault_symbols(cohomology.structure_equations(M(qparts, j)))
-        terms = cohomology._dbar_rules(symbols)
         g = symbols[1]
-        assert (spectator_count(terms, range(g)), spectator_count(terms, range(g, 2 * g))) == (
-            holo,
-            anti,
-        )
+        found = spectators(cohomology._dbar_rules(symbols), 2 * g)
+        assert (sum(s < g for s in found), sum(s >= g for s in found)) == (holo, anti)
 
     @pytest.mark.parametrize(
         "d1, squares",
@@ -702,7 +722,7 @@ class TestSpectatorFold:
     def test_synthetic_rules_with_spectators(self, d1, squares):
         symbols = ({s: d1.get(s, ()) for s in range(8)}, 4)
         terms = cohomology._dbar_rules(symbols)
-        assert spectator_count(terms, range(8)) >= 1
+        assert len(spectators(terms, 8)) >= 1
         for degrees in ((1,), range(1, 9)):
             got = nonzero(cohomology._dolbeault_walk(symbols, degrees))
             assert got == nonzero(dolbeault_reference(symbols, degrees))
@@ -712,10 +732,10 @@ class TestSpectatorFold:
         # d(x1) = x0 ^ x2: x0 and x2 are only factors, x1 has only its
         # own rule, and x3 is the one spectator
         terms = cohomology._slot_terms({0: (), 1: ((1, (0, 2)),), 2: (), 3: ()})
-        assert cohomology._named_symbols(range(4), terms) == [0, 1, 2]
+        assert spectators(terms, 4) == [3]
         # a one-factor rule: x0 -> x1, x2 spectator
         terms = cohomology._slot_terms({0: ((1, (1,)),)})
-        assert cohomology._named_symbols(range(3), terms) == [0, 1]
+        assert spectators(terms, 3) == [2]
 
     @pytest.mark.parametrize(
         "qparts, j, sizes",
@@ -735,6 +755,131 @@ class TestSpectatorFold:
             dolbeault_reference(symbols, everything)
         )
         assert hodge_oracle(c, block_sizes=sizes) == hodge_oracle(c) == hodge_closed(c)
+
+
+def signature_groups(weights, terms):
+    """_walk's chains, grouped by _signature, in the order _walk meets them."""
+    chains, _ = cohomology._chains(weights, terms, cohomology._cocycle_symbols(terms))
+    groups = {}
+    for chain in chains:
+        groups.setdefault(cohomology._signature(chain, weights, terms), []).append(chain)
+    return list(groups.values())
+
+
+class TestChainParts:
+    """_walk splits each block by chain multidegree, drops a part's
+    trivial factors and ranks each core once up to exchanging chains
+    with one signature.  Chains that only look alike must stay apart, and
+    a full chain with an image must stay in the core."""
+
+    @pytest.mark.parametrize(
+        "qparts, j",
+        [([3, 3], 1), ([3, 3], 4), ([2, 2, 2], 1), ([2, 2, 2], 3)]
+        + [([2, 2, 1, 1], j) for j in (1, 2, 3)],
+    )
+    def test_multi_chain_models_at_n6(self, qparts, j):
+        symbols = assert_walks_equal_references(M(qparts, j))
+        g = symbols[1]
+        weights = {s: g + 1 if s < g else 1 for s in range(2 * g)}
+        groups = signature_groups(weights, cohomology._dbar_rules(symbols))
+        # relabelled chains of two or more symbols share the Dolbeault cores
+        assert any(len(group) > 1 and len(group[0]) > 1 for group in groups)
+
+    def test_relabelled_chains_are_ranked_once(self, monkeypatch):
+        # CE of q = 2,2,2 at j = 1: six 2-chains with one signature and
+        # one spectator.  A 2-chain's empty and full monomials are
+        # trivial, so a core is the number of chains that give one factor
+        c = M([2, 2, 2], 1)
+        alg = build_algebra(c)
+        terms = cohomology._slot_terms(cohomology._ce_generator_differentials(alg))
+        groups = signature_groups(dict.fromkeys(range(alg.dim), 1), terms)
+        assert sorted(map(len, groups)) == [1, 6] and sorted(len(g[0]) for g in groups) == [1, 2]
+        real_rank_blocks = cohomology._rank_blocks
+        cores = []
+
+        def counted_rank_blocks(blocks, *rest):
+            cores.append(blocks)
+            return real_rank_blocks(blocks, *rest)
+
+        monkeypatch.setattr(cohomology, "_rank_blocks", counted_rank_blocks)
+        everything = range(1, alg.dim + 1)
+        assert nonzero(cohomology._ce_walk(alg, everything)) == nonzero(ce_reference(alg, everything))
+        assert len(cores) == 7
+        # no rank outlives its walk: a second walk ranks every core again
+        cohomology._ce_walk(alg, everything)
+        assert len(cores) == 14
+
+    @staticmethod
+    def assert_walk_equals_reference(weights, terms):
+        for degrees in ((), (1,), range(1, len(weights) + 1)):
+            assert nonzero(cohomology._walk(weights, terms, degrees)) == nonzero(
+                weighted_reference(weights, terms, degrees)
+            )
+
+    def test_full_chain_with_an_image_is_not_trivial(self):
+        # x0 kills every monomial; d(x1) = x0 ^ x1 and d(x2) = -x0 ^ x2 are
+        # diagonal terms s -> dead ^ s, so the full chains {1} and {2} have
+        # images, which cancel on x1 ^ x2
+        weights = dict.fromkeys(range(3), 1)
+        terms = cohomology._slot_terms({1: ((1, (0, 1)),), 2: ((-1, (0, 2)),)})
+        assert cohomology._chains(weights, terms, 0b1) == ([[1], [2]], None)
+        for chain in ([1], [2]):
+            empty, full = cohomology._factors(chain, weights, terms, False)
+            assert empty == (0, 0) and full == {1: [1 << chain[0]]}
+        self.assert_walk_equals_reference(weights, terms)
+        assert nonzero(cohomology._walk(weights, terms)) == ({1: 2}, True)
+
+    @pytest.mark.parametrize(
+        "weights, d1, apart",
+        [
+            # one coefficient: x0 kills every monomial, and the chains
+            # {1, 2} and {3, 4} act on their symbols as [[1, 1], [1, 1]]
+            # (rank 1) and [[1, 1], [1, 2]] (rank 2)
+            (
+                dict.fromkeys(range(5), 1),
+                {
+                    1: ((1, (0, 1)), (1, (0, 2))),
+                    2: ((1, (0, 1)), (1, (0, 2))),
+                    3: ((1, (0, 3)), (1, (0, 4))),
+                    4: ((1, (0, 3)), (2, (0, 4))),
+                },
+                ([1, 2], [3, 4]),
+            ),
+            # the side of the dead symbol x2: d(x1) = x1 ^ x2 lies below it,
+            # d(x3) = x2 ^ x3 and d(x4) = x2 ^ x4 above; x1 ^ x3 is a
+            # cocycle and x3 ^ x4 is not
+            (
+                dict.fromkeys(range(5), 1),
+                {1: ((1, (1, 2)),), 3: ((1, (2, 3)),), 4: ((1, (2, 4)),)},
+                ([1], [3]),
+            ),
+            # the weight: keys as the Dolbeault walk gives them for g = 4,
+            # a holomorphic chain {1, 2} and an antiholomorphic chain
+            # {5, 6}, both below the dead symbol x7, with one rule each
+            (
+                {s: 5 if s < 4 else 1 for s in range(8)},
+                {2: ((1, (7, 1)),), 6: ((1, (7, 5)),)},
+                ([1, 2], [5, 6]),
+            ),
+        ],
+        ids=["coefficient", "side", "weight"],
+    )
+    def test_equal_shapes_are_kept_apart(self, weights, d1, apart):
+        terms = cohomology._slot_terms(d1)
+        groups = signature_groups(weights, terms)
+        first, second = apart
+        assert not any(first in group and second in group for group in groups)
+        self.assert_walk_equals_reference(weights, terms)
+
+    def test_holomorphic_and_antiholomorphic_chains_in_the_dolbeault_walk(self):
+        # the weight case through _dolbeault_walk: dbar's rules keep both
+        # terms, and x7 = conj(alpha) kills every monomial
+        d1 = {2: ((1, (7, 1)),), 6: ((1, (7, 5)),)}
+        symbols = ({s: d1.get(s, ()) for s in range(8)}, 4)
+        for degrees in ((1,), range(1, 9)):
+            assert nonzero(cohomology._dolbeault_walk(symbols, degrees)) == nonzero(
+                dolbeault_reference(symbols, degrees)
+            )
 
 
 class TestJSquared:
