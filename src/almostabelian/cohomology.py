@@ -109,10 +109,10 @@ def closed_table(model):
     n = model.n
     size = n + 2
     wb = [wedge_profile(triple.b01, q) for q in range(n // 2 + 1)]
-    corner = [
-        [tensor_count(wedge_profile(triple.g10, p), b) for b in wb]
-        for p in range((n + 1) // 2 + 1)
-    ]
+    corner = []
+    for p in range((n + 1) // 2 + 1):
+        wg = wedge_profile(triple.g10, p)
+        corner.append([tensor_count(wg, b) for b in wb])
     deltas = [0] * (2 * size - 1)
     hodge = []
     for p in range(size):

@@ -1,19 +1,18 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, in plain ints and Fractions.
 
-Everything here works on plain Python ints and fractions.Fraction, so
-all results are exact; no floating point is used anywhere.  Echelon
-forms, kernels and subspaces are kept as primitive integer rows, so no
-Fraction arises on integer input.  Every rank goes through one kernel:
-an incremental fraction-free echelon pass over sparse rows, as in the
-boundary-matrix reduction of computational homology.  It keeps one
-reduced row per pivot column, reduces each new row at its lowest
-column against the row stored there until that column is free, and
-stores what is left; the rank is the number of stored rows.  A row is
-scaled, and then divided by its content, only when the pivot does not
-divide its entry, so +-1 pivots cost one subtraction.  No row handed
-in is written to.  Dense matrices are passed to it as sparse rows; the
-test suite cross-checks it against textbook Gaussian elimination over
-Fraction.
+One elimination kernel, one pass, three outputs: rank, canonical rows,
+null space.  The kernel is an incremental fraction-free echelon pass
+over sparse rows, as in the boundary-matrix reduction of computational
+homology: it reduces each new row at its lowest column against the row
+stored there until that column is free, and stores what is left.  A
+row is scaled, and then divided by its content, only when the pivot
+does not divide its entry, so +-1 pivots cost one subtraction, and no
+row handed in is written to.  The rank is the number of stored rows.
+Back-substituted, the stored rows give a `Subspace` its canonical rows,
+the reduced row echelon rows over Q each times its least common
+denominator, so no Fraction arises on integer input; the null space is
+read off those rows.  The tests cross-check all three against textbook
+elimination over Fraction and the dense integer echelon.
 """
 
 from fractions import Fraction
@@ -55,11 +54,7 @@ class RationalMatrix:
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and all(
-            self.data[i][j] == other.data[i][j]
-            for i in range(self.rows)
-            for j in range(self.cols)
-        )
+        return (self.rows, self.cols, self.data) == (other.rows, other.cols, other.data)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable; build a new one")
@@ -70,124 +65,53 @@ class RationalMatrix:
     def mul(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.rows):
-            row = self.data[i]
-            out.append(
-                [
-                    sum(row[k] * other.data[k][j] for k in range(self.cols))
-                    for j in range(other.cols)
-                ]
-            )
+        out = [
+            [sum(row[k] * other.data[k][j] for k in range(self.cols)) for j in range(other.cols)]
+            for row in self.data
+        ]
         return RationalMatrix(out, cols=other.cols)
-
-    def _integer_rows(self):
-        """Rows rescaled to integers (rank preserving)."""
-        return [_integer_vector(row) for row in self.data]
 
     def rank(self):
         """Exact rank over Q, by fraction-free sparse elimination."""
-        return _rank_sparse(
-            [{j: x for j, x in enumerate(row) if x} for row in self._integer_rows()]
-        )
+        return len(_pivot_rows(self._sparse_rows()))
 
     def nullspace(self):
-        """Basis of the right kernel, as primitive integer tuples.
+        """Basis of the right kernel, as primitive integer tuples: one
+        vector per free column, positive there (see `_null_vectors`)."""
+        rows = _reduced_rows(_pivot_rows(self._sparse_rows()))
+        return [tuple(v.get(j, 0) for j in range(self.cols)) for v in _null_vectors(rows, self.cols)]
 
-        One vector per free column f of the echelon form: it has the
-        common multiple L of the pivots at f, -row[f] * L / pivot at each
-        pivot column, and zeros elsewhere.
-        """
-        rows, pivots = echelon(self._integer_rows(), self.cols)
-        pivot_set = set(pivots)
-        basis = []
-        for free in range(self.cols):
-            if free in pivot_set:
-                continue
-            scale = lcm(*(row[pc] for row, pc in zip(rows, pivots) if row[free]))
-            vec = [0] * self.cols
-            vec[free] = scale
-            for row, pc in zip(rows, pivots):
-                vec[pc] = -row[free] * scale // row[pc]
-            basis.append(_primitive(vec))
-        return basis
+    def _sparse_rows(self):
+        """Rows rescaled to integers (rank preserving), as {column: int} dicts."""
+        return [_sparse(row, self.cols) for row in self.data]
 
 
-def _integer_vector(vec):
-    """A vector of ints and Fractions scaled by its least common denominator."""
-    if set(map(type, vec)) <= {int}:
-        return list(vec)
-    denom = lcm(*(x.denominator for x in vec))
-    return [int(x * denom) for x in vec]
+def _sparse(vec, d):
+    """A vector of d ints and Fractions, scaled by the least common
+    denominator of its entries, as a {column: int} dict without zeros."""
+    if len(vec) != d:
+        raise ValueError("vector length != ambient dimension")
+    if not set(map(type, vec)) <= {int}:
+        denom = lcm(*(x.denominator for x in vec))
+        vec = [int(x * denom) for x in vec]
+    return {j: x for j, x in enumerate(vec) if x}
 
 
-def _primitive(vec):
-    """An integer vector divided by the gcd of its entries, as a tuple."""
-    g = gcd(*vec)
-    if g > 1:
-        return tuple(x // g for x in vec)
-    return tuple(vec)
-
-
-def echelon(vectors, d):
-    """Canonical reduced echelon basis of the span of integer vectors in Z^d.
-
-    Returns (rows, pivots): each row is primitive, with a positive entry
-    at its pivot column and zeros at every other pivot column, so it is
-    the reduced row echelon row over Q times its least common
-    denominator.  Elimination is fraction-free: a row update is the
-    integer cross-multiplication p * row - a * pivot_row with p > 0,
-    divided by the gcd of the result, so no sign changes after a row
-    becomes a pivot row.  Inputs are made primitive, with a positive
-    first entry, and deduplicated first.
-    """
-    pending = {}
-    for v in vectors:
-        if any(v):
-            v = _primitive(v)
-            if next(x for x in v if x) < 0:
-                v = tuple(-x for x in v)
-            pending[v] = None
-    pending = list(pending)
-    done = []
-    for c in range(d):
-        if not pending:
-            break
-        hits = [i for i, row in enumerate(pending) if row[c]]
-        if not hits:
-            continue
-        prow = pending.pop(min(hits, key=lambda i: abs(pending[i][c])))
-        p = prow[c]
-        if p < 0:
-            prow = tuple(-x for x in prow)
-            p = -p
-        pending = [_eliminate(row, c, prow, p) if row[c] else row for row in pending]
-        pending = [row for row in pending if any(row)]
-        done = [(pc, _eliminate(row, c, prow, p) if row[c] else row) for pc, row in done]
-        done.append((c, prow))
-    return [row for _, row in done], [pc for pc, _ in done]
-
-
-def _eliminate(row, c, prow, p):
-    """p * row - row[c] * prow, made primitive: zero at column c."""
-    a = row[c]
-    return _primitive([p * x - a * y for x, y in zip(row, prow)])
-
-
-def _rank_sparse(rows):
-    """Exact rank of integer rows, given as {column: int} dicts without
-    zero entries, by one incremental fraction-free echelon pass.
+def _pivot_rows(rows):
+    """The stored pivot rows of integer rows, given as {column: int}
+    dicts without zero entries, by one incremental fraction-free echelon
+    pass: {pivot column: stored row}, whose length is the rank.
 
     `pivots` maps a column to the stored row whose lowest column it is.
     The rows are taken in the order given: each is reduced at its
     lowest column c, against the pivot row stored there, until c has no
     pivot row or the row is empty, and a nonzero result is stored at c.
-    The rank is the number of stored rows.  A reduction step with pivot
-    p and entry a at c is exact: when p divides a, as +-1 always does,
-    the row becomes row - (a // p) * pivot_row, and no other step is
-    needed; otherwise it becomes (p / g) * row - (a / g) * pivot_row,
-    g = gcd(a, p), and is then divided by its content.  Either way the
-    step visits the pivot row's columns only.
+    A reduction step with pivot p and entry a at c is exact: when p
+    divides a, as +-1 always does, the row becomes row - (a // p) *
+    pivot_row, and no other step is needed; otherwise it becomes
+    (p / g) * row - (a / g) * pivot_row, g = gcd(a, p), and is then
+    divided by its content.  Either way the step visits the pivot row's
+    columns only.
 
     No dict given is written to: a row is copied just before its first
     step, an unreduced row is stored as it is, and a stored row is
@@ -225,7 +149,7 @@ def _rank_sparse(rows):
                 if g > 1:
                     for j in row:
                         row[j] //= g
-    return len(pivots)
+    return pivots
 
 
 def sparse_rank(row_dicts):
@@ -234,34 +158,35 @@ def sparse_rank(row_dicts):
     The kernel writes to none of them, so a row is passed on as it is;
     only a row holding a zero is replaced by a filtered copy.
     """
-    return _rank_sparse(
+    return len(_pivot_rows(
         [{j: x for j, x in row.items() if x} if 0 in row.values() else row for row in row_dicts]
-    )
+    ))
 
 
 def jordan_block(k):
     """The k x k nilpotent lower triangular Jordan block (ones below the diagonal)."""
-    return RationalMatrix(
-        [[1 if j == i - 1 else 0 for j in range(k)] for i in range(k)], cols=k
-    )
+    return RationalMatrix([[int(j == i - 1) for j in range(k)] for i in range(k)], cols=k)
+
+
+def sparse_apply(lines, v):
+    """The sum of v[k] * lines[k] over the entries of the sparse vector v,
+    all {index: int} dicts without zero entries: M v when the lines are
+    the columns of M, v M when they are its rows."""
+    out = {}
+    for k, a in v.items():
+        for j, x in lines[k].items():
+            y = out.get(j, 0) + a * x
+            if y:
+                out[j] = y
+            else:
+                del out[j]
+    return out
 
 
 def sparse_product(left, right):
     """The product of two matrices given as per-row {column: int} dicts
-    without zero entries, in the same form: row i is the sum of
-    a * right[k] over the entries (k, a) of left[i]."""
-    out = []
-    for lrow in left:
-        row = {}
-        for k, a in lrow.items():
-            for j, x in right[k].items():
-                v = row.get(j, 0) + a * x
-                if v:
-                    row[j] = v
-                else:
-                    del row[j]
-        out.append(row)
-    return out
+    without zero entries, in the same form."""
+    return [sparse_apply(right, row) for row in left]
 
 
 def power_ranks(matrix):
@@ -280,7 +205,7 @@ def power_ranks(matrix):
     out = []
     power = base
     for _ in range(matrix.rows + 1):
-        r = _rank_sparse(power)
+        r = len(_pivot_rows(power))
         if r == 0:
             return out
         if out and r >= out[-1]:
@@ -302,54 +227,138 @@ def jordan_type_from_ranks(n, powers):
     return sorted(blocks, reverse=True)
 
 
-class Subspace:
-    """Subspace of Q^d, stored by a reduced row-echelon basis.
+def _cancel(row, prow, c):
+    """Clear column c of the owned dict `row` against `prow`, whose entry
+    there is p: row - (a // p) * prow when p divides the entry a, else
+    (p / g) * row - (a / g) * prow with g = gcd(a, p).  No content is
+    divided out.  `_pivot_rows` keeps this step inline, in its hot loop."""
+    a = row[c]
+    p = prow[c]
+    f, r = divmod(a, p)
+    if r:
+        g = gcd(a, p)
+        s = p // g
+        f = a // g
+        for j in row:
+            row[j] *= s
+    for j, x in prow.items():
+        v = row.get(j, 0) - f * x
+        if v:
+            row[j] = v
+        else:
+            del row[j]
 
-    The basis rows are primitive integer rows (see `echelon`), which are
-    canonical, so equality of subspaces is structural equality of the
-    stored rows.  Vectors may hold ints or Fractions; Fraction vectors
-    are scaled to integers first.
+
+def _reduced_rows(pivots):
+    """The canonical rows of the span of `_pivot_rows`' output, as
+    {pivot column: row} in ascending pivot order: back-substituted from
+    the highest pivot down, a row's entries at higher pivot columns are
+    cleared against the rows already reduced there, which are zero at
+    every other pivot column; it is then divided by its content, signed
+    to a positive pivot.  The result is the reduced row echelon form
+    over Q, each row times its least common denominator, so it depends
+    on the span only.  A row that needs no change is kept as given."""
+    done = {}
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        hits = [k for k in row if k in done]
+        if hits:
+            row = dict(row)
+            for k in hits:
+                _cancel(row, done[k], k)
+        g = gcd(*row.values())
+        if row[c] < 0:
+            g = -g
+        if g != 1:
+            row = {j: x // g for j, x in row.items()}
+        done[c] = row
+    return {c: done[c] for c in reversed(done)}
+
+
+def _null_vectors(rows, d):
+    """The right kernel of canonical rows (`_reduced_rows`) in Q^d, one
+    primitive {column: int} vector per free column f: the common
+    multiple L of the pivots of the rows that meet f at f, -row[f] * L /
+    pivot at each of their pivot columns, and zeros elsewhere."""
+    meeting = {}  # free column -> the pivot columns of the rows meeting it
+    for c, row in rows.items():
+        for j in row:
+            if j != c:
+                meeting.setdefault(j, []).append(c)
+    out = []
+    for f in range(d):
+        if f in rows:
+            continue
+        hits = meeting.get(f, ())
+        scale = lcm(*(rows[c][c] for c in hits))
+        vec = {f: scale}
+        for c in hits:
+            vec[c] = -rows[c][f] * scale // rows[c][c]
+        g = gcd(*vec.values())
+        out.append({j: x // g for j, x in vec.items()} if g > 1 else vec)
+    return out
+
+
+class Subspace:
+    """Subspace of Q^d, stored by its canonical rows (`_reduced_rows`).
+
+    The rows are sparse {column: int} dicts, primitive, with a positive
+    entry at their pivot column and zeros at every other pivot column.
+    They depend on the span only, so equality of subspaces is equality
+    of the stored rows.  A vector is either a sequence of d ints or
+    Fractions, scaled to integers first, or a {column: int} dict without
+    zero entries, which is not copied and must not be changed after.
+    `basis` and `pivots` give the rows densely, as tuples.
     """
 
-    __slots__ = ("d", "basis", "pivots")
+    __slots__ = ("d", "_rows")
 
     def __init__(self, d, vectors=()):
-        vectors = [_integer_vector(v) for v in vectors]
-        for v in vectors:
-            if len(v) != d:
-                raise ValueError("vector length != ambient dimension")
-        rows, pivots = echelon(vectors, d)
+        rows = [v if isinstance(v, dict) else _sparse(v, d) for v in vectors]
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "basis", tuple(rows))
-        object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "_rows", _reduced_rows(_pivot_rows(rows)))
 
     @classmethod
     def full(cls, d):
-        return cls(d, RationalMatrix.identity(d).data)
+        return cls(d, [{i: 1} for i in range(d)])
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self._rows)
+
+    @property
+    def rows(self):
+        """The canonical rows, as dicts, in ascending pivot order."""
+        return tuple(self._rows.values())
+
+    @property
+    def pivots(self):
+        return tuple(self._rows)
+
+    @property
+    def basis(self):
+        return tuple(tuple(row.get(j, 0) for j in range(self.d)) for row in self._rows.values())
 
     def contains(self, vec):
-        """Membership, by integer elimination against the echelon rows."""
-        if len(vec) != self.d:
-            raise ValueError("vector length != ambient dimension")
-        vec = _integer_vector(vec)
-        for row, pc in zip(self.basis, self.pivots):
-            f = vec[pc]
-            if f:
-                p = row[pc]
-                vec = [p * a - f * b for a, b in zip(vec, row)]
-        return not any(vec)
+        """Membership: the vector's entries at pivot columns are cleared
+        against the rows there, which leaves nothing iff it lies in the span."""
+        vec = dict(vec) if isinstance(vec, dict) else _sparse(vec, self.d)
+        for c in [c for c in vec if c in self._rows]:
+            _cancel(vec, self._rows[c], c)
+        return not vec
+
+    def annihilator(self):
+        """The subspace of the vectors orthogonal to this one: the right
+        kernel of its rows."""
+        return Subspace(self.d, _null_vectors(self._rows, self.d))
 
     def __le__(self, other):
-        return all(other.contains(v) for v in self.basis)
+        return self.dim <= other.dim and all(other.contains(row) for row in self._rows.values())
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.d == other.d and self.basis == other.basis
+        return self.d == other.d and self._rows == other._rows
 
     def __hash__(self):
         return hash((self.d, self.basis))
@@ -363,4 +372,4 @@ class Subspace:
     def sum(self, other):
         if self.d != other.d:
             raise ValueError("ambient dimensions differ")
-        return Subspace(self.d, list(self.basis) + list(other.basis))
+        return Subspace(self.d, self.rows + other.rows)

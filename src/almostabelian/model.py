@@ -23,7 +23,7 @@ q with j = 1 would give the abelian algebra and is excluded.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactla import RationalMatrix, Subspace
+from .exactla import RationalMatrix, Subspace, sparse_apply
 from .partitions import Partition, iter_partitions
 
 
@@ -263,9 +263,8 @@ def nijenhuis_vanishes(alg):
     dicts: J e_i is column i of J, and brackets expand over the nonzero
     structure constants only.
     """
-    dim = alg.dim
     tensor = alg.bracket_tensor()
-    cols = [{r: alg.J[r][c] for r in range(dim) if alg.J[r][c]} for c in range(dim)]
+    cols = _sparse_rows(zip(*alg.J))
 
     def add_bracket(out, x, y, scale):
         """out += scale [x, y]."""
@@ -293,6 +292,12 @@ def nijenhuis_vanishes(alg):
     return True
 
 
+def _sparse_rows(matrix, shift=0):
+    """Row r of the matrix as {column + shift: entry} at index r + shift,
+    zeros left out, after `shift` empty rows."""
+    return [{}] * shift + [{c + shift: x for c, x in enumerate(row) if x} for row in matrix]
+
+
 def _ad_span(alg):
     """The map V -> vectors spanning [g, span V], read straight off A.
 
@@ -300,19 +305,15 @@ def _ad_span(alg):
     [e_k, v] = -v_0 A e_k, a multiple of column k of A.  So [g, span V]
     is spanned by the A v, together with the nonzero columns of A,
     taken once, as soon as some v has v_0 != 0; the other ad images
-    are multiples of these.
+    are multiples of these.  Vectors are sparse {index: int} dicts.
     """
-    rows = [[(c + 1, a) for c, a in enumerate(row) if a] for row in alg.A]
-    cols = [(0,) + col for col in zip(*alg.A) if any(col)]
+    cols = _sparse_rows(zip(*alg.A), 1)
+    nonzero = [col for col in cols if col]
 
     def span(vectors):
-        out = []
-        for v in vectors:
-            img = (0,) + tuple(sum(a * v[c] for c, a in row) for row in rows)
-            if any(img):
-                out.append(img)
-        if any(v[0] for v in vectors):
-            out.extend(cols)
+        out = [img for img in (sparse_apply(cols, v) for v in vectors) if img]
+        if any(0 in v for v in vectors):
+            out.extend(nonzero)
         return out
 
     return span
@@ -326,27 +327,13 @@ def _ascending_centre(alg, prev):
     f o ad(e_k) = -(f_ideal A e_k) e^0.  The latter are multiples of
     e^0, which joins the constraints once if some f_ideal A is nonzero.
     """
-    dim = alg.dim
-    if prev.dim == dim:
+    if prev.dim == alg.dim:
         return prev
-    annihilator = (
-        RationalMatrix(prev.basis, cols=dim).nullspace()
-        if prev.dim
-        else RationalMatrix.identity(dim).data
-    )
-    rows = [[(c + 1, a) for c, a in enumerate(row) if a] for row in alg.A]
-    constraints = []
-    for f in annihilator:
-        fa = [0] * dim  # (0, f_ideal A), summed over the nonzero entries of A
-        for x, row in zip(f[1:], rows):
-            if x:
-                for c, a in row:
-                    fa[c] += x * a
-        if any(fa):
-            constraints.append(fa)
+    rows = _sparse_rows(alg.A, 1)
+    constraints = [fa for fa in (sparse_apply(rows, f) for f in prev.annihilator().rows) if fa]
     if constraints:
-        constraints.append([1] + [0] * (dim - 1))
-    return Subspace(dim, RationalMatrix(constraints, cols=dim).nullspace())
+        constraints.append({0: 1})
+    return Subspace(alg.dim, constraints).annihilator()
 
 
 def _descending_series(alg, ad_span):
@@ -354,7 +341,7 @@ def _descending_series(alg, ad_span):
     dim = alg.dim
     series = [Subspace.full(dim)]
     while series[-1].dim > 0:
-        nxt = Subspace(dim, ad_span(series[-1].basis))
+        nxt = Subspace(dim, ad_span(series[-1].rows))
         if nxt == series[-1]:
             raise StableSeriesError("descending series stabilised; algebra not nilpotent")
         series.append(nxt)
@@ -390,13 +377,13 @@ def stable_series(alg, model):
             raise StableSeriesError("filtration is not increasing")
         if t != filtration[-1]:
             filtration.append(t)
-    j_rows = [[(c, x) for c, x in enumerate(row) if x] for row in alg.J]
+    j_cols = _sparse_rows(zip(*alg.J))
     for t in filtration:
-        for v in t.basis:
-            if not t.contains([sum(x * v[c] for c, x in row) for row in j_rows]):
+        for v in t.rows:
+            if not t.contains(sparse_apply(j_cols, v)):
                 raise StableSeriesError("term of dimension %d is not J-invariant" % t.dim)
     for prev, nxt in zip(filtration, filtration[1:]):
-        for img in ad_span(nxt.basis):
+        for img in ad_span(nxt.rows):
             if not prev.contains(img):
                 raise StableSeriesError("quotient step is not central")
     return filtration

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -9,13 +9,12 @@ from almostabelian.exactla import (
     NotNilpotentError,
     RationalMatrix,
     Subspace,
-    echelon,
     jordan_block,
     jordan_type_from_ranks,
     power_ranks,
     sparse_rank,
 )
-from almostabelian.exactla import _rank_sparse
+from almostabelian.exactla import _pivot_rows
 
 
 def naive_gaussian_rank(data):
@@ -41,7 +40,7 @@ def naive_gaussian_rank(data):
 def kernel_rank(data):
     """The rank kernel on a dense integer matrix, passed as nonzero sparse rows."""
     rows = [{j: x for j, x in enumerate(row) if x} for row in data]
-    return _rank_sparse([row for row in rows if row])
+    return len(_pivot_rows([row for row in rows if row]))
 
 
 def transposed(data):
@@ -331,7 +330,7 @@ class TestEchelonPass:
 
     def test_same_dict_twice(self):
         r = {0: 2, 3: -4, 5: 1}
-        assert _rank_sparse([r, r]) == 1
+        assert len(_pivot_rows([r, r])) == 1
         assert sparse_rank([r, r]) == 1
         assert r == {0: 2, 3: -4, 5: 1}
 
@@ -350,7 +349,7 @@ class TestEchelonPass:
     def test_scaled_step_divides_by_content(self, data):
         rows = [{j: x for j, x in enumerate(row) if x} for row in data]
         copies = [dict(row) for row in rows]
-        assert _rank_sparse(rows) == naive_gaussian_rank(data)
+        assert len(_pivot_rows(rows)) == naive_gaussian_rank(data)
         assert rows == copies
 
     def test_row_reducing_to_empty_adds_nothing(self):
@@ -547,12 +546,13 @@ class TestMatrixBasics:
 
     def test_rref_pivots(self):
         m = RationalMatrix([[0, 1, 2], [0, 2, 4], [1, 0, 0]])
-        rows, pivots = echelon(m.data, m.cols)
-        assert pivots == [0, 1]
-        assert rows[0] == (1, 0, 0)
-        assert rows[1] == (0, 1, 2)
+        s = Subspace(m.cols, m.data)
+        assert s.pivots == (0, 1)
+        assert s.basis[0] == (1, 0, 0)
+        assert s.basis[1] == (0, 1, 2)
         # the rational RREF row (0, 1, 2/3) times its denominator
-        assert echelon([(0, -3, -2), (5, 0, 0)], 3) == ([(1, 0, 0), (0, 3, 2)], [0, 1])
+        t = Subspace(3, [(0, -3, -2), (5, 0, 0)])
+        assert (t.basis, t.pivots) == (((1, 0, 0), (0, 3, 2)), (0, 1))
 
 
 class TestSubspace:
@@ -628,3 +628,154 @@ class TestSubspace:
         assert not Subspace(4, [(4, 3, 2, 2)]) <= s
         with pytest.raises(ValueError):
             s.contains((1, 2))
+
+
+# -- the dense integer echelon the sparse core replaced, as a reference -----
+
+
+def dense_primitive(vec):
+    g = gcd(*vec)
+    if g > 1:
+        return tuple(x // g for x in vec)
+    return tuple(vec)
+
+
+def dense_eliminate(row, c, prow, p):
+    """p * row - row[c] * prow, made primitive: zero at column c."""
+    a = row[c]
+    return dense_primitive([p * x - a * y for x, y in zip(row, prow)])
+
+
+def dense_echelon(vectors, d):
+    """Canonical reduced echelon basis of the span of integer vectors in
+    Z^d, by dense fraction-free elimination: (rows, pivots), each row
+    primitive, positive at its pivot column and zero at every other."""
+    pending = {}
+    for v in vectors:
+        if any(v):
+            v = dense_primitive(v)
+            if next(x for x in v if x) < 0:
+                v = tuple(-x for x in v)
+            pending[v] = None
+    pending = list(pending)
+    done = []
+    for c in range(d):
+        if not pending:
+            break
+        hits = [i for i, row in enumerate(pending) if row[c]]
+        if not hits:
+            continue
+        prow = pending.pop(min(hits, key=lambda i: abs(pending[i][c])))
+        p = prow[c]
+        if p < 0:
+            prow = tuple(-x for x in prow)
+            p = -p
+        pending = [dense_eliminate(row, c, prow, p) if row[c] else row for row in pending]
+        pending = [row for row in pending if any(row)]
+        done = [(pc, dense_eliminate(row, c, prow, p) if row[c] else row) for pc, row in done]
+        done.append((c, prow))
+    return [row for _, row in done], [pc for pc, _ in done]
+
+
+def dense_contains(rows, pivots, vec):
+    for row, pc in zip(rows, pivots):
+        f = vec[pc]
+        if f:
+            p = row[pc]
+            vec = [p * a - f * b for a, b in zip(vec, row)]
+    return not any(vec)
+
+
+def dense_nullspace(rows, pivots, d):
+    """One primitive vector per free column f: the common multiple L of
+    the pivots at f, -row[f] * L / pivot at each pivot column."""
+    basis = []
+    for free in range(d):
+        if free in pivots:
+            continue
+        scale = lcm(*(row[pc] for row, pc in zip(rows, pivots) if row[free]))
+        vec = [0] * d
+        vec[free] = scale
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[free] * scale // row[pc]
+        basis.append(dense_primitive(vec))
+    return basis
+
+
+def to_integers(vec):
+    denom = lcm(*(Fraction(x).denominator for x in vec))
+    return [int(x * denom) for x in vec]
+
+
+def random_family(rng, d):
+    """Up to 8 vectors in Q^d: int or Fraction entries, sparse or dense,
+    with zero vectors, repeats and multiples or sums of earlier ones."""
+    density = rng.choice((0.2, 0.5, 1.0))
+    fractions = rng.random() < 0.3
+    out = []
+    for _ in range(rng.randint(0, 8)):
+        kind = rng.random()
+        if out and kind < 0.15:
+            out.append(list(rng.choice(out)))
+        elif len(out) > 1 and kind < 0.35:
+            a, b = rng.sample(out, 2)
+            s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+            out.append([s * x + t * y for x, y in zip(a, b)])
+        elif kind < 0.45:
+            out.append([0] * d)
+        elif fractions:
+            out.append([Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                        if rng.random() < density else 0 for _ in range(d)])
+        else:
+            out.append([rng.randint(-4, 4) if rng.random() < density else 0 for _ in range(d)])
+    return out
+
+
+class TestSparseCoreAgainstDenseEchelon:
+    """Subspace and RationalMatrix.nullspace, on the kernel's back-substituted
+    pivot rows, against the dense echelon: rows, pivots, membership, sums,
+    hashes and null spaces, the null space's signs included."""
+
+    def test_seeded_families(self):
+        rng = random.Random(19)
+        for _ in range(600):
+            d = rng.randint(1, 9)
+            vecs, others = random_family(rng, d), random_family(rng, d)
+            ints = [to_integers(v) for v in vecs]
+            rows, pivots = dense_echelon(ints, d)
+            s = Subspace(d, vecs)
+            assert s.basis == tuple(rows) and s.pivots == tuple(pivots)
+            assert hash(s) == hash((d, tuple(rows)))
+            sparse = [{j: x for j, x in enumerate(v) if x} for v in ints]
+            assert Subspace(d, sparse) == s
+            assert RationalMatrix(vecs, cols=d).nullspace() == dense_nullspace(rows, pivots, d)
+            assert s.annihilator() == Subspace(d, dense_nullspace(rows, pivots, d))
+
+            t = Subspace(d, others)
+            trows, tpivots = dense_echelon([to_integers(v) for v in others], d)
+            assert s.sum(t).basis == tuple(dense_echelon(rows + trows, d)[0])
+            assert (s <= t) == all(dense_contains(trows, tpivots, row) for row in rows)
+            probes = vecs + others + [[int(i == k) for i in range(d)] for k in range(d)]
+            for v in probes:
+                expected = dense_contains(rows, pivots, to_integers(v))
+                assert s.contains(v) == expected
+                assert s.contains({j: x for j, x in enumerate(to_integers(v)) if x}) == expected
+
+    def test_rows_are_the_dense_rows_as_dicts(self):
+        s = Subspace(5, [(0, 2, 4, 0, -2), (1, 1, 0, 0, 3), (0, 0, 0, 5, 0)])
+        assert s.rows == ({0: 1, 2: -2, 4: 4}, {1: 1, 2: 2, 4: -1}, {3: 1})
+        assert s.pivots == (0, 1, 3)
+
+    def test_input_dicts_left_alone(self):
+        vecs = [{0: -2, 3: 4}, {0: 3, 1: 1}, {1: -6, 2: 9}, {0: -2, 3: 4}]
+        copies = [dict(v) for v in vecs]
+        s = Subspace(4, vecs)
+        s.contains(vecs[1])
+        s.sum(Subspace(4, vecs[2:]))
+        assert vecs == copies
+
+    def test_nullspace_signs(self):
+        # the free column's entry is positive, whatever the pivot rows' signs
+        assert RationalMatrix([[-2, 0, 3], [0, -4, -1]]).nullspace() == [(6, -1, 4)]
+        assert RationalMatrix([[0, -1, 1]]).nullspace() == [(1, 0, 0), (0, 1, 1)]
+        assert RationalMatrix([], cols=2).nullspace() == [(1, 0), (0, 1)]
