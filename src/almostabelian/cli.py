@@ -43,11 +43,13 @@ EXIT_BROKEN_PIPE = 141  # what a shell reports for a process ended by SIGPIPE
 WORKERS_ENV = "ALMOSTABELIAN_WORKERS"
 
 # Size limits (see the module docstring), each set where its slowest
-# input takes up to about a minute on one CPU: the closed forms grow
-# with the largest part of q, through the knapsacks over the exterior
-# algebras of b01 and g10 (q = [150] takes about 27 s and 202 MB, and
-# q = [170] 295 MB, near CI's 300 MB bound), the rank oracles and the
-# verify sweep exponentially in n, and enumerate walks every partition of n.
+# input takes up to about a minute on one CPU, or where memory grows
+# first: the closed forms grow with the largest part of q, through the
+# knapsacks over the exterior algebras of b01 and g10 (q = [150] takes
+# about 4-5 s and 82 MB), and memory, not time, holds MAX_MODEL_N at
+# 150: at n = 200, --q 199,1 --j 200 peaks at about 312 MB, above CI's
+# 300 MB bound.  The rank oracles and the verify sweep grow
+# exponentially in n, and enumerate walks every partition of n.
 # classify is linear in the number of parts of --jordan, so memory
 # (about 100 MB per million parts) sets its limit before time does.
 MAX_MODEL_N = 150

@@ -34,14 +34,15 @@ factors, onto the part, and D(x ^ s) = D(x) ^ s.  Chains that carry the
 same rules once relabelled, with the same weights, are exchanged by an
 automorphism of the complex, so each walk ranks each distinct core
 once and adds multiplicity x rank into each block.  All of this is
-exact, and so is the D^2 check on the cores.  When some term has no
-live factor or two, all the named live symbols form one chain, walked
-whole.
+exact.  When some term has no live factor or two, all the named live
+symbols form one chain, walked whole.  The walks only rank: d^2 = 0 and
+dbar^2 = 0 are checked on the generators, which suffices since D^2 is a
+derivation.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 from math import comb, factorial
 
 from .exactla import (
@@ -205,6 +206,21 @@ def _d_mask(mono, terms):
     return out
 
 
+def _squares_vanish(terms):
+    """Whether D^2 = 0, D the odd derivation extension of the generator
+    rules `terms`.  D^2 = [D, D] / 2 is a derivation, so it vanishes iff
+    it vanishes on every generator: each ruled generator's D^2 is the
+    sum of _d_mask over the monomials of its image, every symbol kept."""
+    for bit in terms[1]:
+        acc = {}
+        for target, coef in _d_mask(bit, terms).items():
+            for t2, v2 in _d_mask(target, terms).items():
+                acc[t2] = acc.get(t2, 0) + coef * v2
+        if any(acc.values()):
+            return False
+    return True
+
+
 def _cocycle_symbols(terms):
     """Mask of the symbols b that kill every monomial they divide: b has
     no rule of its own and lies in the pair mask of every rule, so each
@@ -287,8 +303,8 @@ def _factors(chain, weights, terms, whole):
     degree, or all of them for a chain taken whole, as {key: masks}.  A
     factor that is one monomial s with an empty image (the empty
     monomial, or a full chain that D kills) is trivial and is given as
-    (key, degree) instead: x -> x ^ s maps the part without it onto the
-    part, and D(x ^ s) = D(x) ^ s."""
+    its key instead: x -> x ^ s maps the part without it onto the part,
+    and D(x ^ s) = D(x) ^ s."""
     out = []
     for degrees in [range(len(chain) + 1)] if whole else [[k] for k in range(len(chain) + 1)]:
         blocks = {}
@@ -299,7 +315,7 @@ def _factors(chain, weights, terms, whole):
         masks = [m for group in blocks.values() for m in group]
         if len(masks) == 1 and not _d_mask(masks[0], terms):
             [key] = blocks
-            out.append((key, masks[0].bit_count()))
+            out.append(key)
         else:
             out.append(blocks)
     return out
@@ -307,39 +323,36 @@ def _factors(chain, weights, terms, whole):
 
 def _parts(groups):
     """The parts of the complex, one choice of a factor per chain up to
-    the exchange of the chains of a group, as {(core, key shift, degree
-    shift): multiplicity}.  `groups` lists (factors, m) for m chains
-    with one signature.  The core has, per group, the indices of its
-    nontrivial picks in ascending order; the trivial picks add their
-    keys and degrees.  A group that picks factor i c_i times does so in
-    m! / prod c_i! ways."""
-    parts = {((), 0, 0): 1}
+    the exchange of the chains of a group, as {(core, key shift):
+    multiplicity}.  `groups` lists (factors, m) for m chains with one
+    signature.  The core has, per group, the indices of its nontrivial
+    picks in ascending order; the trivial picks add their keys.  A group
+    that picks factor i c_i times does so in m! / prod c_i! ways."""
+    parts = {((), 0): 1}
     for factors, m in groups:
         own = {}
         for picks in combinations_with_replacement(range(len(factors)), m):
             ways = factorial(m)
             for i in set(picks):
                 ways //= factorial(picks.count(i))
-            core, key, degree = (), 0, 0
+            core, key = (), 0
             for i in picks:
                 if isinstance(factors[i], dict):
                     core += (i,)
                 else:
-                    key += factors[i][0]
-                    degree += factors[i][1]
-            own[core, key, degree] = ways
+                    key += factors[i]
+            own[core, key] = ways
         merged = {}
-        for (core, key, degree), ways in parts.items():
-            for (c, k, d), w in own.items():
-                part = (core + (c,), key + k, degree + d)
+        for (core, key), ways in parts.items():
+            for (c, k), w in own.items():
+                part = (core + (c,), key + k)
                 merged[part] = merged.get(part, 0) + ways * w
         parts = merged
     return parts
 
 
 def _core_blocks(factors):
-    """The blocks of a core, the product of the factors ({key: masks}),
-    as (key, masks) in key order."""
+    """The blocks of a core, the product of the factors, as {key: masks}."""
     blocks = {0: [0]}
     for factor in factors:
         out = {}
@@ -347,43 +360,21 @@ def _core_blocks(factors):
             for k2, m2 in factor.items():
                 out.setdefault(k1 + k2, []).extend([a | b for a in m1 for b in m2])
         blocks = out
-    return sorted(blocks.items())
+    return blocks
 
 
-def _rank_blocks(blocks, terms, dead, degrees, squares):
-    """Ranks of D on each block of one core, by key, and whether D^2 = 0
-    (only checked while `squares`) on the monomials whose degree is in
-    `degrees`, which needs D to map each block into the next one or
-    into monomials that D kills.  Each image is computed once, visiting
-    only the factors that have rules, and goes to the rank kernel as it
-    is, one row per monomial: the rank of D's transpose is D's rank.  A
-    block's images are kept past its rank only while its D^2 check waits
-    for the next block; an image that cancels is dropped, and the D^2
-    sum reads a missing image as the empty one and skips a target that
-    contains a dead symbol, whose image is empty."""
-    ranks = {}
-    below = {}
-    for key, masks in blocks:
-        here = {m: img for m in masks if (img := _d_mask(m, terms))}
-        if squares and below:
-            for img in below.values():
-                acc = {}
-                for target, val in img.items():
-                    if target & dead:
-                        continue
-                    for t2, v2 in here.get(target, {}).items():
-                        acc[t2] = acc.get(t2, 0) + val * v2
-                if any(acc.values()):
-                    squares = False
-                    break
-        # sparse_rank copies only the rows it changes: `here` waits for the
-        # next D^2 check
-        ranks[key] = sparse_rank(list(here.values()))
-        below = here if masks[0].bit_count() in degrees else {}
-    return ranks, squares
+def _rank_blocks(blocks, terms):
+    """Ranks of D on each block of one core, by key.  Each image is
+    computed once, visiting only the factors that have rules, and goes
+    to the rank kernel as it is, one row per monomial: the rank of D's
+    transpose is D's rank.  An image that cancels is dropped."""
+    return {
+        key: sparse_rank([img for m in masks if (img := _d_mask(m, terms))])
+        for key, masks in blocks.items()
+    }
 
 
-def _walk(weights, terms, degrees=()):
+def _walk(weights, terms):
     """One pass over the monomials of a graded complex with differential
     D, part by part.
 
@@ -391,23 +382,17 @@ def _walk(weights, terms, degrees=()):
     block key, the sum of its symbols' weights, determines its degree.
     D is the derivation extension of the generator rules `terms`, as
     _d_mask applies them.  Returns the rank of D on each block, by key
-    (a block of rank zero may be missing), and whether D^2 = 0 on the
-    monomials whose degree is in `degrees`.  Degree 1 alone is the
-    check on generators, enough for a derivation by the graded Leibniz
-    rule.
+    (a block of rank zero may be missing).
 
     A monomial divisible by a symbol of _cocycle_symbols(terms) has an
     empty image, so no walk visits it.  D keeps the number of factors
     drawn from each chain of _chains, so each block is the direct sum
     of its parts, one per chain multidegree, and its rank is the sum of
-    theirs.  A part's rank and D^2 verdict are those of its core, the
-    product of its nontrivial factors (_factors).  Chains with one
-    _signature are exchanged by an automorphism of the complex, so
-    cores that differ by such an exchange have one rank.  The walk
-    ranks each distinct core once and adds multiplicity x rank into the
-    blocks of its parts.  D^2(x ^ s) = D^2(x) ^ s, so a core's D^2 sum
-    covers its monomials x for which some part has degree deg x + deg s
-    in `degrees`."""
+    theirs.  A part's rank is that of its core, the product of its
+    nontrivial factors (_factors).  Chains with one _signature are
+    exchanged by an automorphism of the complex, so cores that differ by
+    such an exchange have one rank.  The walk ranks each distinct core
+    once and adds multiplicity x rank into the blocks of its parts."""
     dead = _cocycle_symbols(terms)
     chains, whole = _chains(weights, terms, dead)
     # the factors of each chain, grouped by the chain's signature
@@ -418,23 +403,21 @@ def _walk(weights, terms, degrees=()):
         )
     groups = list(groups.values())
     cores = {}
-    for (core, key, degree), ways in _parts([(g[0], len(g)) for g in groups]).items():
-        cores.setdefault(core, []).append((ways, key, degree))
+    for (core, key), ways in _parts([(g[0], len(g)) for g in groups]).items():
+        cores.setdefault(core, []).append((ways, key))
     ranks = {}
-    squares = True
     for core, parts in cores.items():
         # the picks of a group go to its chains in order: chains with one
         # signature differ by an automorphism, so any order gives one rank
         blocks = _core_blocks(
             own[i] for group, picks in zip(groups, core) for own, i in zip(group, picks)
         )
-        checked = {d - shift for shift in {shift for _, _, shift in parts} for d in degrees}
-        core_ranks, squares = _rank_blocks(blocks, terms, dead, checked, squares)
-        for ways, key, _ in parts:
+        core_ranks = _rank_blocks(blocks, terms)
+        for ways, key in parts:
             for k, rank in core_ranks.items():
                 if rank:
                     ranks[k + key] = ranks.get(k + key, 0) + ways * rank
-    return ranks, squares
+    return ranks
 
 
 # -- Chevalley-Eilenberg oracle -----------------------------------------------
@@ -449,17 +432,21 @@ def _ce_generator_differentials(alg):
     return d1
 
 
-def _ce_walk(alg, degrees):
+def _ce_terms(alg):
+    """d's generator rules on the CE complex, as _slot_terms builds them."""
+    return _slot_terms(_ce_generator_differentials(alg))
+
+
+def _ce_walk(dim, terms):
     """The walk of the CE complex: ranks of d on degrees 0..dim-1 (the
-    top degree maps to zero) and d^2 = 0 on the given degrees."""
-    terms = _slot_terms(_ce_generator_differentials(alg))
-    return _walk(dict.fromkeys(range(alg.dim), 1), terms, degrees)
+    top degree maps to zero)."""
+    return _walk(dict.fromkeys(range(dim), 1), terms)
 
 
-def _betti_numbers(dim, walk):
-    ranks, squares = walk
-    if not squares:
+def _betti_numbers(dim, terms):
+    if not _squares_vanish(terms):
         raise DifferentialError("d^2 != 0")
+    ranks = _ce_walk(dim, terms)
     return tuple(comb(dim, k) - ranks.get(k, 0) - ranks.get(k - 1, 0) for k in range(dim + 1))
 
 
@@ -468,12 +455,13 @@ def betti_oracle(alg):
 
     Raises DifferentialError if d^2 fails on a generator.
     """
-    return _betti_numbers(alg.dim, _ce_walk(alg, (1,)))
+    return _betti_numbers(alg.dim, _ce_terms(alg))
 
 
 def d_squared_vanishes(alg):
-    """Check d^2 = 0 on the full monomial basis of the CE complex."""
-    return _ce_walk(alg, range(1, alg.dim + 1))[1]
+    """Check d^2 = 0 on every generator of the CE complex, which
+    suffices since d^2 is a derivation."""
+    return _squares_vanish(_ce_terms(alg))
 
 
 # -- Dolbeault oracle ----------------------------------------------------------
@@ -522,21 +510,18 @@ def _dbar_rules(symbols):
     return _slot_terms(rules)
 
 
-def _dolbeault_walk(symbols, degrees):
-    """The walk of the Dolbeault complex, blocks (p, q): ranks of dbar
-    and dbar^2 = 0 on the given total degrees.  A d that does not split
-    raises before any monomial."""
-    _, g = symbols
-    terms = _dbar_rules(symbols)
+def _dolbeault_walk(g, terms):
+    """The walk of the Dolbeault complex on g generators and their
+    conjugates: ranks of dbar, its rules `terms`, by block (p, q)."""
     # key p * (g + 1) + q: q <= g, so the key orders blocks as (p, q) does
-    ranks, squares = _walk({s: g + 1 if s < g else 1 for s in range(2 * g)}, terms, degrees)
-    return {divmod(key, g + 1): rank for key, rank in ranks.items()}, squares
+    ranks = _walk({s: g + 1 if s < g else 1 for s in range(2 * g)}, terms)
+    return {divmod(key, g + 1): rank for key, rank in ranks.items()}
 
 
-def _hodge_numbers(g, walk):
-    ranks, squares = walk
-    if not squares:
+def _hodge_numbers(g, terms):
+    if not _squares_vanish(terms):
         raise DifferentialError("dbar^2 != 0")
+    ranks = _dolbeault_walk(g, terms)
     sizes = [comb(g, k) for k in range(g + 1)]
     return tuple(
         tuple(a * b - ranks.get((p, q), 0) - ranks.get((p, q - 1), 0) for q, b in enumerate(sizes))
@@ -557,16 +542,15 @@ def hodge_oracle(model, block_sizes=None):
     chains (the grid must not change).
     """
     symbols = _dolbeault_symbols(structure_equations(model, block_sizes=block_sizes))
-    return _hodge_numbers(symbols[1], _dolbeault_walk(symbols, (1,)))
+    return _hodge_numbers(symbols[1], _dbar_rules(symbols))
 
 
 def dbar_squared_vanishes(model):
-    """Check dbar^2 = 0 on the full monomial basis of the Dolbeault
-    complex, dbar the derivation extension of its generator rules;
-    raises DifferentialError, before any monomial, if d does not split
-    by bidegree (the check is on the generator rules)."""
-    symbols = _dolbeault_symbols(structure_equations(model))
-    return _dolbeault_walk(symbols, range(1, 2 * symbols[1] + 1))[1]
+    """Check dbar^2 = 0 on every generator of the Dolbeault complex,
+    which suffices since dbar^2 is a derivation, dbar the derivation
+    extension of its generator rules; raises DifferentialError if d does
+    not split by bidegree (the check is on the generator rules)."""
+    return _squares_vanish(_dbar_rules(_dolbeault_symbols(structure_equations(model))))
 
 
 # -- auxiliary routes ----------------------------------------------------------
@@ -585,7 +569,7 @@ def betti_via_ideal_action(alg):
     terms = _slot_terms(
         {r: tuple((-a, (c,)) for c, a in enumerate(row) if a) for r, row in enumerate(alg.A)}
     )
-    ranks = _walk(dict.fromkeys(range(size), 1), terms)[0]
+    ranks = _walk(dict.fromkeys(range(size), 1), terms)
     # L_k is square, so its kernel and cokernel have the same dimension
     kernel = [comb(size, k) - ranks.get(k, 0) for k in range(size + 1)] + [0]
     return tuple(kernel[k] + (kernel[k - 1] if k else 0) for k in range(size + 2))
@@ -690,9 +674,10 @@ class _shared(cached_property):
 class _ModelFacts:
     """What the checks of one model share, each value built on first use
     and then kept, or the package error its build raised: the algebra,
-    the Dolbeault symbols, the power ranks of A, the closed table, one
-    walk per complex, the oracle table and the symmetry reports of both
-    tables."""
+    the Dolbeault symbols, the power ranks of A, the closed table, the
+    generator rules of d on the CE complex and of dbar (one _dbar_rules
+    build for the split check, dbar^2 and the Hodge numbers), the oracle
+    table and the symmetry reports of both tables."""
 
     model: object
     alg = _shared(lambda s: build_algebra(s.model))
@@ -700,10 +685,10 @@ class _ModelFacts:
     a_ranks = _shared(lambda s: power_ranks(s.alg.a_matrix()))
     jordan = _shared(lambda s: Partition(jordan_type_from_ranks(len(s.alg.A), s.a_ranks)))
     closed = _shared(lambda s: closed_table(s.model))
-    ce = _shared(lambda s: _ce_walk(s.alg, range(1, s.alg.dim + 1)))
-    dolbeault = _shared(lambda s: _dolbeault_walk(s.symbols, range(1, 2 * s.symbols[1] + 1)))
-    betti = _shared(lambda s: _betti_numbers(s.alg.dim, s.ce))
-    hodge = _shared(lambda s: _hodge_numbers(s.symbols[1], s.dolbeault))
+    ce_terms = _shared(lambda s: _ce_terms(s.alg))
+    dbar_terms = _shared(lambda s: _dbar_rules(s.symbols))
+    betti = _shared(lambda s: _betti_numbers(s.alg.dim, s.ce_terms))
+    hodge = _shared(lambda s: _hodge_numbers(s.symbols[1], s.dbar_terms))
     oracle = _shared(lambda s: CohomologyTable(s.betti, s.hodge, "oracle"))
     closed_report = _shared(lambda s: verify_symmetry(s.model, s.closed))
     oracle_report = _shared(lambda s: verify_symmetry(s.model, s.oracle))
@@ -726,10 +711,10 @@ def _commutator_rule(f):
 CHECKS = (
     ("j_squared", "structural checks", _j_squared),
     ("nijenhuis", "structural checks", lambda f: nijenhuis_vanishes(f.alg)),
-    ("d_squared", "structural checks", lambda f: f.ce[1]),
-    ("dbar_squared", "structural checks", lambda f: f.dolbeault[1]),
+    ("d_squared", "structural checks", lambda f: _squares_vanish(f.ce_terms)),
+    ("dbar_squared", "structural checks", lambda f: _squares_vanish(f.dbar_terms)),
     # _dbar_rules raises DifferentialError, a failed check, if d does not split
-    ("d_splits", "structural checks", lambda f: bool(_dbar_rules(f.symbols))),
+    ("d_splits", "structural checks", lambda f: bool(f.dbar_terms)),
     ("jordan_recovery", "structural checks", lambda f: f.jordan == f.model.m),
     (
         "commutator_formula",

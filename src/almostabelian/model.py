@@ -337,12 +337,14 @@ def _ascending_centre(alg, prev):
 
 
 def _descending_series(alg, ad_span):
-    """Descending central series from the ad action, until it vanishes."""
+    """Descending central series from the ad action, until it vanishes.
+    D_(k+1) = [g, D_k] lies in D_k, so a term of the same dimension as
+    the one before equals it and the series has stabilised."""
     dim = alg.dim
     series = [Subspace.full(dim)]
     while series[-1].dim > 0:
         nxt = Subspace(dim, ad_span(series[-1].rows))
-        if nxt == series[-1]:
+        if nxt.dim == series[-1].dim:
             raise StableSeriesError("descending series stabilised; algebra not nilpotent")
         series.append(nxt)
     return series

@@ -449,20 +449,21 @@ class TestDifferentialChecks:
             assert all(results[name] for name in structural), results
 
     def test_failed_walk_runs_once(self, monkeypatch):
-        real_walk = cohomology._dolbeault_walk
-        walks = []
+        real_rules = cohomology._dbar_rules
+        builds = []
 
-        def counted_walk(*args):
-            walks.append(args)
-            return real_walk(*args)
+        def counted_rules(*args):
+            builds.append(args)
+            return real_rules(*args)
 
-        # d does not split, so the Dolbeault walk raises DifferentialError
+        # d does not split, so building dbar's rules raises DifferentialError;
+        # d_splits, dbar_squared and the Hodge numbers share that one build
         monkeypatch.setattr(
             cohomology, "structure_equations", alpha_is_not_closed(cohomology.structure_equations)
         )
-        monkeypatch.setattr(cohomology, "_dolbeault_walk", counted_walk)
+        monkeypatch.setattr(cohomology, "_dbar_rules", counted_rules)
         failed = [name for name, ok in registry_results(M([2], 3)).items() if not ok]
-        assert len(walks) == 1
+        assert len(builds) == 1
         assert failed == [
             "dbar_squared",
             "d_splits",
@@ -497,15 +498,18 @@ def masks(symbols, k):
     return [sum(1 << s for s in combo) for combo in combinations(symbols, k)]
 
 
-def reference_walk(blocks, terms, degrees=()):
+def reference_walk(blocks, terms):
     """The walk without the cocycle skip: every monomial through _d_mask,
-    its images transposed into rows, each block's rank by sparse_rank."""
+    its images transposed into rows, each block's rank by sparse_rank.
+    Returns (ranks, squares), squares the D^2 sum over every monomial
+    whose image lies in the next block: the full-basis D^2 verdict when
+    D maps each block into the next one or to zero."""
     ranks = {}
     squares = True
     below = {}
     for key, masks in blocks:
         here = {m: cohomology._d_mask(m, terms) for m in masks}
-        if squares and below:
+        if squares:
             for img in below.values():
                 acc = {}
                 for target, val in img.items():
@@ -519,11 +523,11 @@ def reference_walk(blocks, terms, degrees=()):
             for target, val in img.items():
                 rows.setdefault(target, {})[cix] = val
         ranks[key] = sparse_rank(list(rows.values()))
-        below = here if masks and masks[0].bit_count() in degrees else {}
+        below = here
     return ranks, squares
 
 
-def weighted_reference(weights, terms, degrees=()):
+def weighted_reference(weights, terms):
     """reference_walk over every monomial in the symbols of `weights`, one
     block per key (the sum of its symbols' weights), in key order."""
     blocks = {}
@@ -531,29 +535,28 @@ def weighted_reference(weights, terms, degrees=()):
         for combo in combinations(sorted(weights), k):
             key = sum(weights[s] for s in combo)
             blocks.setdefault(key, []).append(sum(1 << s for s in combo))
-    return reference_walk(sorted(blocks.items()), terms, degrees)
+    return reference_walk(sorted(blocks.items()), terms)
 
 
-def nonzero(walk):
-    """A walk's nonzero ranks and its D^2 verdict: a block that no walk
-    lists and a block of rank zero mean the same."""
-    ranks, squares = walk
-    return {key: rank for key, rank in ranks.items() if rank}, squares
+def nonzero(ranks):
+    """A walk's nonzero ranks: a block that no walk lists and a block of
+    rank zero mean the same."""
+    return {key: rank for key, rank in ranks.items() if rank}
 
 
 class TestCocycleSkip:
     """_walk never builds the image of a monomial divisible by a symbol
     that kills every monomial it divides (e^0, conj(alpha)), and its
-    ranks and D^2 verdicts are those of the walk over every monomial."""
+    ranks are those of the walk over every monomial."""
 
     @pytest.fixture
     def compared(self, monkeypatch):
         real_walk = cohomology._walk
         walks = []
 
-        def both_walks(weights, terms, degrees=()):
-            got = real_walk(weights, terms, degrees)
-            assert nonzero(got) == nonzero(weighted_reference(weights, terms, degrees))
+        def both_walks(weights, terms):
+            got = real_walk(weights, terms)
+            assert nonzero(got) == nonzero(weighted_reference(weights, terms)[0])
             walks.append(cohomology._cocycle_symbols(terms))
             return got
 
@@ -565,9 +568,9 @@ class TestCocycleSkip:
         models = list(enumerate_models(n))
         for c in models:
             alg = build_algebra(c)
-            cohomology._ce_walk(alg, range(1, alg.dim + 1))
+            cohomology._ce_walk(alg.dim, cohomology._ce_terms(alg))
             symbols = cohomology._dolbeault_symbols(cohomology.structure_equations(c))
-            cohomology._dolbeault_walk(symbols, range(1, 2 * symbols[1] + 1))
+            cohomology._dolbeault_walk(symbols[1], cohomology._dbar_rules(symbols))
             betti_via_ideal_action(alg)
         assert len(compared) == 3 * len(models)
         # the CE walks skip e^0 (symbol 0), the Dolbeault walks conj(alpha)
@@ -586,7 +589,7 @@ class TestCocycleSkip:
             terms = cohomology._slot_terms(d1)
             size = 2 * g
             assert cohomology._cocycle_symbols(terms) & ((1 << size) - 1) == 0
-            cohomology._walk(dict.fromkeys(range(size), 1), terms, range(1, size + 1))
+            cohomology._walk(dict.fromkeys(range(size), 1), terms)
         assert compared
 
     def test_a_symbol_with_a_rule_is_never_skipped(self, compared):
@@ -594,39 +597,60 @@ class TestCocycleSkip:
         # its image is not zero; only x2 is skipped
         terms = cohomology._slot_terms({0: (), 1: ((1, (1, 2)),), 2: ()})
         assert cohomology._cocycle_symbols(terms) == 0b100
-        ranks, _ = cohomology._walk(dict.fromkeys(range(3), 1), terms, range(1, 4))
+        ranks = cohomology._walk(dict.fromkeys(range(3), 1), terms)
         assert ranks[1] == 1
 
     def test_images_built_for_verify_dim12(self, monkeypatch):
         real_d_mask = cohomology._d_mask
+        real_walk = cohomology._walk
         dead = {}
         calls = []
+        walking = []
 
         def counted_d_mask(mono, terms):
-            if id(terms) not in dead:
-                dead[id(terms)] = (terms, cohomology._cocycle_symbols(terms))
-            assert not mono & dead[id(terms)][1]
-            calls.append(mono)
+            if walking:
+                if id(terms) not in dead:
+                    dead[id(terms)] = (terms, cohomology._cocycle_symbols(terms))
+                assert not mono & dead[id(terms)][1]
+            calls.append(bool(walking))
             return real_d_mask(mono, terms)
+
+        def scoped_walk(weights, terms):
+            walking.append(True)
+            try:
+                return real_walk(weights, terms)
+            finally:
+                walking.pop()
 
         monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
         monkeypatch.setattr(cohomology, "_d_mask", counted_d_mask)
+        monkeypatch.setattr(cohomology, "_walk", scoped_walk)
         lines, all_ok = cli.run_verify(12)
         assert all_ok
-        # 171805 without the skip, 84008 with the spectators walked, 29588
-        # with each block walked whole instead of each distinct core once
-        assert len(calls) == 16388
+        # in the walks: 171805 without the skip, 84008 with the spectators
+        # walked, 29588 with each block walked whole instead of each
+        # distinct core once
+        assert calls.count(True) == 16388
+        # the total was 16388 while d^2 and dbar^2 were summed inside the
+        # walks, on images the walks built anyway; the generator checks
+        # (d_squared and betti, dbar_squared and hodge, per model) image
+        # each ruled generator and each monomial of its image, dead
+        # symbols included, outside the walks
+        assert len(calls) == 17700
 
 
-def ce_reference(alg, degrees):
-    """The CE walk over every symbol, spectators included."""
-    terms = cohomology._slot_terms(cohomology._ce_generator_differentials(alg))
+def ce_reference(alg):
+    """The CE walk over every symbol, spectators included, and its
+    full-basis d^2 verdict (the top degree maps to zero)."""
     blocks = [(k, masks(range(alg.dim), k)) for k in range(alg.dim)]
-    return reference_walk(blocks, terms, degrees)
+    return reference_walk(blocks, cohomology._ce_terms(alg))
 
 
-def dolbeault_reference(symbols, degrees):
-    """The Dolbeault walk over every symbol, spectators included."""
+def dolbeault_reference(symbols):
+    """The Dolbeault walk over every symbol, spectators included, and its
+    full-basis dbar^2 verdict: dbar has bidegree (0, 1), so it maps block
+    (p, q) into (p, q + 1), the next block for q < g - 1, and (p, g - 1)
+    into (p, g), whose image is zero."""
     _, g = symbols
     terms = cohomology._dbar_rules(symbols)
     holo = [masks(range(g), p) for p in range(g + 1)]
@@ -634,7 +658,7 @@ def dolbeault_reference(symbols, degrees):
     blocks = [
         ((p, q), [u | b for u in holo[p] for b in anti[q]]) for p in range(g + 1) for q in range(g)
     ]
-    return reference_walk(blocks, terms, degrees)
+    return reference_walk(blocks, terms)
 
 
 def ideal_action_reference(alg):
@@ -657,25 +681,40 @@ def spectators(terms, size):
     return [c[0] for c in chains if c is not whole and len(c) == 1 and 1 << c[0] not in terms[1]]
 
 
+def assert_ce_walk_equals_reference(alg):
+    """The CE walk's ranks, and d^2 = 0 on the generators, against the
+    walk and the d^2 sum over every monomial; returns the verdict."""
+    terms = cohomology._ce_terms(alg)
+    ranks, squares = ce_reference(alg)
+    assert nonzero(cohomology._ce_walk(alg.dim, terms)) == nonzero(ranks)
+    assert cohomology._squares_vanish(terms) is squares
+    return squares
+
+
+def assert_dolbeault_walk_equals_reference(symbols):
+    """The same for the Dolbeault walk and dbar^2."""
+    terms = cohomology._dbar_rules(symbols)
+    ranks, squares = dolbeault_reference(symbols)
+    assert nonzero(cohomology._dolbeault_walk(symbols[1], terms)) == nonzero(ranks)
+    assert cohomology._squares_vanish(terms) is squares
+    return squares
+
+
 def assert_walks_equal_references(c):
-    """All three walks of the model, on both degree sets, against the
-    walks over every symbol."""
+    """All three walks of the model against the walks over every symbol,
+    and d^2 = dbar^2 = 0 on the generators and on every monomial."""
     alg = build_algebra(c)
-    for degrees in ((1,), range(1, alg.dim + 1)):
-        assert nonzero(cohomology._ce_walk(alg, degrees)) == nonzero(ce_reference(alg, degrees))
+    assert assert_ce_walk_equals_reference(alg)
     symbols = cohomology._dolbeault_symbols(cohomology.structure_equations(c))
-    for degrees in ((1,), range(1, 2 * symbols[1] + 1)):
-        assert nonzero(cohomology._dolbeault_walk(symbols, degrees)) == nonzero(
-            dolbeault_reference(symbols, degrees)
-        )
+    assert assert_dolbeault_walk_equals_reference(symbols)
     assert betti_via_ideal_action(alg) == ideal_action_reference(alg)
     return symbols
 
 
 class TestSpectatorFold:
     """Each walk drops the symbols that no rule names, chains of their own
-    whose every factor is trivial; its ranks and D^2 verdicts are those of
-    the walk over every symbol.  (TestCocycleSkip compares _walk with the
+    whose every factor is trivial; its ranks are those of the walk over
+    every symbol.  (TestCocycleSkip compares _walk with the
     reference on the symbols the walks hand it, so only these tests can
     see a bug in how a walk's caller keys its blocks.)"""
 
@@ -723,10 +762,7 @@ class TestSpectatorFold:
         symbols = ({s: d1.get(s, ()) for s in range(8)}, 4)
         terms = cohomology._dbar_rules(symbols)
         assert len(spectators(terms, 8)) >= 1
-        for degrees in ((1,), range(1, 9)):
-            got = nonzero(cohomology._dolbeault_walk(symbols, degrees))
-            assert got == nonzero(dolbeault_reference(symbols, degrees))
-        assert got[1] is squares
+        assert assert_dolbeault_walk_equals_reference(symbols) is squares
 
     def test_factor_only_and_rule_only_symbols_are_not_spectators(self):
         # d(x1) = x0 ^ x2: x0 and x2 are only factors, x1 has only its
@@ -744,16 +780,10 @@ class TestSpectatorFold:
     def test_singleton_chains_first(self, qparts, j, sizes):
         c = M(qparts, j)
         alg = build_algebra(c, block_sizes=sizes)
-        everything = range(1, alg.dim + 1)
-        assert nonzero(cohomology._ce_walk(alg, everything)) == nonzero(
-            ce_reference(alg, everything)
-        )
+        assert_ce_walk_equals_reference(alg)
         assert betti_via_ideal_action(alg) == ideal_action_reference(alg)
         symbols = cohomology._dolbeault_symbols(cohomology.structure_equations(c, sizes))
-        everything = range(1, 2 * symbols[1] + 1)
-        assert nonzero(cohomology._dolbeault_walk(symbols, everything)) == nonzero(
-            dolbeault_reference(symbols, everything)
-        )
+        assert_dolbeault_walk_equals_reference(symbols)
         assert hodge_oracle(c, block_sizes=sizes) == hodge_oracle(c) == hodge_closed(c)
 
 
@@ -802,19 +832,17 @@ class TestChainParts:
             return real_rank_blocks(blocks, *rest)
 
         monkeypatch.setattr(cohomology, "_rank_blocks", counted_rank_blocks)
-        everything = range(1, alg.dim + 1)
-        assert nonzero(cohomology._ce_walk(alg, everything)) == nonzero(ce_reference(alg, everything))
+        assert_ce_walk_equals_reference(alg)
         assert len(cores) == 7
         # no rank outlives its walk: a second walk ranks every core again
-        cohomology._ce_walk(alg, everything)
+        cohomology._ce_walk(alg.dim, terms)
         assert len(cores) == 14
 
     @staticmethod
     def assert_walk_equals_reference(weights, terms):
-        for degrees in ((), (1,), range(1, len(weights) + 1)):
-            assert nonzero(cohomology._walk(weights, terms, degrees)) == nonzero(
-                weighted_reference(weights, terms, degrees)
-            )
+        assert nonzero(cohomology._walk(weights, terms)) == nonzero(
+            weighted_reference(weights, terms)[0]
+        )
 
     def test_full_chain_with_an_image_is_not_trivial(self):
         # x0 kills every monomial; d(x1) = x0 ^ x1 and d(x2) = -x0 ^ x2 are
@@ -825,9 +853,10 @@ class TestChainParts:
         assert cohomology._chains(weights, terms, 0b1) == ([[1], [2]], None)
         for chain in ([1], [2]):
             empty, full = cohomology._factors(chain, weights, terms, False)
-            assert empty == (0, 0) and full == {1: [1 << chain[0]]}
+            assert empty == 0 and full == {1: [1 << chain[0]]}
         self.assert_walk_equals_reference(weights, terms)
-        assert nonzero(cohomology._walk(weights, terms)) == ({1: 2}, True)
+        assert nonzero(cohomology._walk(weights, terms)) == {1: 2}
+        assert cohomology._squares_vanish(terms)
 
     @pytest.mark.parametrize(
         "weights, d1, apart",
@@ -876,10 +905,79 @@ class TestChainParts:
         # terms, and x7 = conj(alpha) kills every monomial
         d1 = {2: ((1, (7, 1)),), 6: ((1, (7, 5)),)}
         symbols = ({s: d1.get(s, ()) for s in range(8)}, 4)
-        for degrees in ((1,), range(1, 9)):
-            assert nonzero(cohomology._dolbeault_walk(symbols, degrees)) == nonzero(
-                dolbeault_reference(symbols, degrees)
+        assert_dolbeault_walk_equals_reference(symbols)
+
+
+def random_rules(rng, size):
+    """Two-factor generator rules on `size` symbols: each symbol has a
+    rule with probability 1/2, of one or two terms with coefficients in
+    -2..2 other than 0 and two distinct factors in random order."""
+    d1 = {}
+    for s in range(size):
+        if rng.random() < 0.5:
+            d1[s] = tuple(
+                (rng.choice([-2, -1, 1, 2]), tuple(rng.sample(range(size), 2)))
+                for _ in range(rng.randint(1, 2))
             )
+    return d1
+
+
+class TestSquaresOnGenerators:
+    """_squares_vanish checks D^2 = 0 on the generators only, which is
+    exact for an odd derivation; reference_walk sums D^2 over every
+    monomial.  (assert_walks_equal_references compares the two on every
+    CE and Dolbeault complex with n <= 5, and the synthetic rule sets of
+    TestSpectatorFold on both verdicts.)"""
+
+    @staticmethod
+    def reference(terms, size):
+        return weighted_reference(dict.fromkeys(range(size), 1), terms)[1]
+
+    def test_random_rules_give_both_verdicts(self):
+        rng = random.Random(20)
+        verdicts = []
+        for _ in range(240):
+            size = rng.randint(4, 7)
+            terms = cohomology._slot_terms(random_rules(rng, size))
+            verdict = cohomology._squares_vanish(terms)
+            assert verdict is self.reference(terms, size)
+            verdicts.append(verdict)
+        assert 20 < verdicts.count(True) < 220
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_d_of_alpha_patched(self, n):
+        # d's own rules on the Dolbeault symbols with d(alpha) =
+        # conj(alpha) ^ conj(beta): no symbol kills every monomial
+        patched = alpha_is_not_closed(cohomology.structure_equations)
+        for c in enumerate_models(n):
+            d1, g = cohomology._dolbeault_symbols(patched(c))
+            terms = cohomology._slot_terms(d1)
+            assert cohomology._squares_vanish(terms) is self.reference(terms, 2 * g) is False
+
+    def test_extra_bracket_fails_d_squared(self, monkeypatch):
+        # [e_1, e_2] = e_3 on top of each model's brackets: d(e^3) gains
+        # -e^1 ^ e^2, a term without e^0, and d^2 = 0 fails on some models
+        real = cohomology._ce_generator_differentials
+
+        def extra_bracket(alg):
+            d1 = real(alg)
+            d1[3] += ((-1, (1, 2)),)
+            return d1
+
+        monkeypatch.setattr(cohomology, "_ce_generator_differentials", extra_bracket)
+        models = [c for n in range(1, 5) for c in enumerate_models(n)]
+        failed = []
+        for c in models:
+            results = registry_results(c)
+            assert results["d_squared"] is self.reference(
+                cohomology._ce_terms(build_algebra(c)), 2 * c.n + 2
+            )
+            if not results["d_squared"]:
+                assert not results["betti_oracle_eq"]
+                with pytest.raises(DifferentialError, match=r"^d\^2 != 0$"):
+                    betti_oracle(build_algebra(c))
+                failed.append(c)
+        assert (len(failed), len(models)) == (9, 21)
 
 
 class TestJSquared:

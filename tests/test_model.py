@@ -669,6 +669,23 @@ class TestStableSeries:
         with pytest.raises(StableSeriesError, match="stabilised"):
             stable_series(bad, c)
 
+    def test_not_nilpotent_stops_without_subspace_equality(self, monkeypatch):
+        # the descending series stops on dimension, so its termination does
+        # not rest on Subspace rows being canonical; the patched equality
+        # fails the test after a bounded number of calls instead of looping
+        calls = []
+
+        def never_equal(self, other):
+            calls.append(other)
+            if len(calls) > 100:
+                raise AssertionError("Subspace equality called %d times" % len(calls))
+            return False
+
+        monkeypatch.setattr(model_module.Subspace, "__eq__", never_equal)
+        bad, c = not_nilpotent_algebra()
+        with pytest.raises(StableSeriesError, match="stabilised"):
+            stable_series(bad, c)
+
     def test_detects_broken_j(self):
         bad, c = broken_j_algebra()
         with pytest.raises(StableSeriesError):
