@@ -4,10 +4,12 @@ Closed forms come from the representation calculus: the dual a* of
 the abelian ideal is b01 + g10 as formal sl2-modules, and one grid of
 summand counts of Lambda^p g10 (x) Lambda^q b01 gives the Hodge numbers
 and, summed over p + q = k, the summand counts of Lambda^k a* behind
-the Betti numbers.  The brute-force oracles build the
-Chevalley-Eilenberg complex of the algebra (for Betti numbers) and the
-Dolbeault complex spanned by the structure-equation generators and
-their conjugates (for Hodge numbers) and take exact ranks.
+the Betti numbers.  The brute-force oracles take exact ranks on two
+complexes, the Chevalley-Eilenberg complex of the algebra (for Betti
+numbers) and the Dolbeault complex spanned by the structure-equation
+generators and their conjugates (for Hodge numbers).  Each is one
+_Complex record, its block weights and generator rules, that computes
+its D^2 verdict and its cohomology once, by one formula for both.
 
 Sign convention, fixed once: d on a dual generator g^k is
 -sum_{i<j} c^k_{ij} g^i ^ g^j where [g_i, g_j] = sum c^k_{ij} g_k, and
@@ -35,9 +37,8 @@ same rules once relabelled, with the same weights, are exchanged by an
 automorphism of the complex, so each walk ranks each distinct core
 once and adds multiplicity x rank into each block.  All of this is
 exact.  When some term has no live factor or two, all the named live
-symbols form one chain, walked whole.  The walks only rank: d^2 = 0 and
-dbar^2 = 0 are checked on the generators, which suffices since D^2 is a
-derivation.
+symbols form one chain, walked whole.  The walks only rank: D^2 = 0 is
+checked on the generators, which suffices since D^2 is a derivation.
 """
 
 from dataclasses import dataclass
@@ -420,6 +421,38 @@ def _walk(weights, terms):
     return ranks
 
 
+@dataclass(frozen=True)
+class _Complex:
+    """The monomials in the symbols of `weights`, a monomial's block key
+    the sum of its symbols' weights, and D, the derivation extension of
+    the rules `terms` (from _slot_terms), which raises that key by one;
+    `name` ("d" or "dbar") names D in the DifferentialError of dims."""
+
+    weights: dict
+    terms: tuple
+    name: str
+
+    @cached_property
+    def squares(self):
+        """Whether D^2 = 0, checked on the generators."""
+        return _squares_vanish(self.terms)
+
+    @cached_property
+    def dims(self):
+        """The cohomology's dimension at each block key, in key order: the
+        block size (a knapsack over the weights) less the ranks of D out
+        of the block and into it, from one _walk.  Raises
+        DifferentialError if D^2 fails on a generator."""
+        if not self.squares:
+            raise DifferentialError("%s^2 != 0" % self.name)
+        ranks = _walk(self.weights, self.terms)
+        sizes = {0: 1}
+        for w in self.weights.values():
+            for key, size in list(sizes.items()):
+                sizes[key + w] = sizes.get(key + w, 0) + size
+        return tuple(n - ranks.get(k, 0) - ranks.get(k - 1, 0) for k, n in sorted(sizes.items()))
+
+
 # -- Chevalley-Eilenberg oracle -----------------------------------------------
 
 
@@ -432,36 +465,22 @@ def _ce_generator_differentials(alg):
     return d1
 
 
-def _ce_terms(alg):
-    """d's generator rules on the CE complex, as _slot_terms builds them."""
-    return _slot_terms(_ce_generator_differentials(alg))
-
-
-def _ce_walk(dim, terms):
-    """The walk of the CE complex: ranks of d on degrees 0..dim-1 (the
-    top degree maps to zero)."""
-    return _walk(dict.fromkeys(range(dim), 1), terms)
-
-
-def _betti_numbers(dim, terms):
-    if not _squares_vanish(terms):
-        raise DifferentialError("d^2 != 0")
-    ranks = _ce_walk(dim, terms)
-    return tuple(comb(dim, k) - ranks.get(k, 0) - ranks.get(k - 1, 0) for k in range(dim + 1))
+def _ce(alg):
+    """The CE complex: every symbol of weight 1, so a block is a degree."""
+    terms = _slot_terms(_ce_generator_differentials(alg))
+    return _Complex(dict.fromkeys(range(alg.dim), 1), terms, "d")
 
 
 def betti_oracle(alg):
-    """Betti vector from exact ranks of the CE differentials.
-
-    Raises DifferentialError if d^2 fails on a generator.
-    """
-    return _betti_numbers(alg.dim, _ce_terms(alg))
+    """Betti vector from exact ranks of the CE differentials; raises
+    DifferentialError if d^2 fails on a generator."""
+    return _ce(alg).dims
 
 
 def d_squared_vanishes(alg):
     """Check d^2 = 0 on every generator of the CE complex, which
     suffices since d^2 is a derivation."""
-    return _squares_vanish(_ce_terms(alg))
+    return _ce(alg).squares
 
 
 # -- Dolbeault oracle ----------------------------------------------------------
@@ -510,47 +529,37 @@ def _dbar_rules(symbols):
     return _slot_terms(rules)
 
 
-def _dolbeault_walk(g, terms):
-    """The walk of the Dolbeault complex on g generators and their
-    conjugates: ranks of dbar, its rules `terms`, by block (p, q)."""
-    # key p * (g + 1) + q: q <= g, so the key orders blocks as (p, q) does
-    ranks = _walk({s: g + 1 if s < g else 1 for s in range(2 * g)}, terms)
-    return {divmod(key, g + 1): rank for key, rank in ranks.items()}
+def _dolbeault(symbols):
+    """The Dolbeault complex of dbar's rules: block (p, q) has key
+    p * (g + 1) + q, so dbar raises it by one, keys order blocks as
+    (p, q) does, and (p - 1, g), the key below (p, 0), has rank zero.
+    Raises DifferentialError if d does not split by bidegree."""
+    g = symbols[1]
+    return _Complex({s: g + 1 if s < g else 1 for s in range(2 * g)}, _dbar_rules(symbols), "dbar")
 
 
-def _hodge_numbers(g, terms):
-    if not _squares_vanish(terms):
-        raise DifferentialError("dbar^2 != 0")
-    ranks = _dolbeault_walk(g, terms)
-    sizes = [comb(g, k) for k in range(g + 1)]
-    return tuple(
-        tuple(a * b - ranks.get((p, q), 0) - ranks.get((p, q - 1), 0) for q, b in enumerate(sizes))
-        for p, a in enumerate(sizes)
-    )
+def _hodge_grid(dolbeault):
+    """A Dolbeault record's dims as the Hodge grid, in rows of g + 1."""
+    size = len(dolbeault.weights) // 2 + 1
+    dims = dolbeault.dims
+    return tuple(tuple(dims[key : key + size]) for key in range(0, len(dims), size))
 
 
-def hodge_oracle(model, block_sizes=None):
-    """Hodge grid from exact ranks of the Dolbeault differentials.
-
-    The complex is spanned by wedge monomials in the structure-equation
-    generators and their conjugates; dbar is the derivation extension of
-    its own generator rules, the terms of each generator's d that keep
-    the holomorphic degree.  All matrices are integer matrices in this
-    basis.  Raises DifferentialError if d fails to split into bidegree
-    (1,0) + (0,1) parts, checked on the generator rules before any rank,
-    or if dbar^2 fails on a generator.  `block_sizes` reorders the
-    chains (the grid must not change).
-    """
-    symbols = _dolbeault_symbols(structure_equations(model, block_sizes=block_sizes))
-    return _hodge_numbers(symbols[1], _dbar_rules(symbols))
+def hodge_oracle(model):
+    """Hodge grid from exact integer ranks of dbar on the Dolbeault
+    complex, the wedge monomials in the structure-equation generators and
+    their conjugates; dbar extends the terms of each generator's d that
+    keep the holomorphic degree.  Raises DifferentialError if d does not
+    split into (1,0) + (0,1) parts, checked on the generator rules
+    before any rank, or if dbar^2 fails on a generator."""
+    return _hodge_grid(_dolbeault(_dolbeault_symbols(structure_equations(model))))
 
 
 def dbar_squared_vanishes(model):
-    """Check dbar^2 = 0 on every generator of the Dolbeault complex,
-    which suffices since dbar^2 is a derivation, dbar the derivation
-    extension of its generator rules; raises DifferentialError if d does
-    not split by bidegree (the check is on the generator rules)."""
-    return _squares_vanish(_dbar_rules(_dolbeault_symbols(structure_equations(model))))
+    """Check dbar^2 = 0 on every generator of the Dolbeault complex, which
+    suffices since dbar^2 is a derivation; raises DifferentialError if d
+    does not split by bidegree (checked on the generator rules)."""
+    return _dolbeault(_dolbeault_symbols(structure_equations(model))).squares
 
 
 # -- auxiliary routes ----------------------------------------------------------
@@ -560,10 +569,11 @@ def betti_via_ideal_action(alg):
     """Betti numbers through the action of e_0 on the exterior powers of
     the dual ideal: b_k = dim ker L_k + dim coker L_{k-1}.
 
-    Independent of both the closed form and the full CE complex; L is
-    the degree-zero derivation extension of the coadjoint action on the
-    dual ideal: it sends dual generator r to -A[r][c] times c, a
-    one-factor rule whose sign _slot_terms applies.
+    L is the degree-zero derivation extension of the coadjoint action on
+    the dual ideal: it sends dual generator r to -A[r][c] times c, a
+    one-factor rule whose sign _slot_terms applies.  It checks the CE
+    oracle's rules, read here off A instead of the bracket tensor, and
+    the cone formula, not the walk or the rank kernel, which it shares.
     """
     size = alg.dim - 1
     terms = _slot_terms(
@@ -674,21 +684,21 @@ class _shared(cached_property):
 class _ModelFacts:
     """What the checks of one model share, each value built on first use
     and then kept, or the package error its build raised: the algebra,
-    the Dolbeault symbols, the power ranks of A, the closed table, the
-    generator rules of d on the CE complex and of dbar (one _dbar_rules
-    build for the split check, dbar^2 and the Hodge numbers), the oracle
-    table and the symmetry reports of both tables."""
+    the power ranks of A, the closed table, the CE and Dolbeault records
+    (each complex's D^2 verdict and cohomology computed once, shared by
+    its structural check and its oracle check; building the Dolbeault
+    record is the split check), the oracle table and the symmetry
+    reports of both tables."""
 
     model: object
     alg = _shared(lambda s: build_algebra(s.model))
-    symbols = _shared(lambda s: _dolbeault_symbols(structure_equations(s.model)))
     a_ranks = _shared(lambda s: power_ranks(s.alg.a_matrix()))
     jordan = _shared(lambda s: Partition(jordan_type_from_ranks(len(s.alg.A), s.a_ranks)))
     closed = _shared(lambda s: closed_table(s.model))
-    ce_terms = _shared(lambda s: _ce_terms(s.alg))
-    dbar_terms = _shared(lambda s: _dbar_rules(s.symbols))
-    betti = _shared(lambda s: _betti_numbers(s.alg.dim, s.ce_terms))
-    hodge = _shared(lambda s: _hodge_numbers(s.symbols[1], s.dbar_terms))
+    ce = _shared(lambda s: _ce(s.alg))
+    dolbeault = _shared(lambda s: _dolbeault(_dolbeault_symbols(structure_equations(s.model))))
+    betti = _shared(lambda s: s.ce.dims)
+    hodge = _shared(lambda s: _hodge_grid(s.dolbeault))
     oracle = _shared(lambda s: CohomologyTable(s.betti, s.hodge, "oracle"))
     closed_report = _shared(lambda s: verify_symmetry(s.model, s.closed))
     oracle_report = _shared(lambda s: verify_symmetry(s.model, s.oracle))
@@ -711,10 +721,10 @@ def _commutator_rule(f):
 CHECKS = (
     ("j_squared", "structural checks", _j_squared),
     ("nijenhuis", "structural checks", lambda f: nijenhuis_vanishes(f.alg)),
-    ("d_squared", "structural checks", lambda f: _squares_vanish(f.ce_terms)),
-    ("dbar_squared", "structural checks", lambda f: _squares_vanish(f.dbar_terms)),
+    ("d_squared", "structural checks", lambda f: f.ce.squares),
+    ("dbar_squared", "structural checks", lambda f: f.dolbeault.squares),
     # _dbar_rules raises DifferentialError, a failed check, if d does not split
-    ("d_splits", "structural checks", lambda f: bool(f.dbar_terms)),
+    ("d_splits", "structural checks", lambda f: bool(f.dolbeault)),
     ("jordan_recovery", "structural checks", lambda f: f.jordan == f.model.m),
     (
         "commutator_formula",

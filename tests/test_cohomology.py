@@ -282,12 +282,19 @@ class TestOracleEquivalence:
         assert betti_oracle(build_algebra(c)) == betti_oracle(
             build_algebra(c, block_sizes=[1, 2])
         )
-        assert hodge_oracle(c) == hodge_oracle(c, block_sizes=[1, 2])
+        assert hodge_oracle(c) == reordered_hodge(c, [1, 2])
         c2 = M([2, 2, 1], 3)
         assert betti_oracle(build_algebra(c2)) == betti_oracle(
             build_algebra(c2, block_sizes=[2, 1, 2])
         )
-        assert hodge_oracle(c2) == hodge_oracle(c2, block_sizes=[2, 1, 2])
+        assert hodge_oracle(c2) == reordered_hodge(c2, [2, 1, 2])
+
+
+def reordered_hodge(c, sizes):
+    """hodge_oracle on the structure equations with the chains in the
+    order `sizes`."""
+    symbols = cohomology._dolbeault_symbols(cohomology.structure_equations(c, sizes))
+    return cohomology._hodge_grid(cohomology._dolbeault(symbols))
 
 
 def algebra_of(a):
@@ -427,6 +434,23 @@ def alpha_is_not_closed(real_equations):
     return patched
 
 
+def beta12_gains_a_11_term(real_equations):
+    """structure_equations with d(beta1_2) gaining +beta1_1 ^
+    conj(beta1_1), a (1,1)-term: d still splits, and dbar(beta1_2) gains
+    the term, so dbar^2(beta1_3) picks up -conj(alpha) ^ beta1_1 ^
+    conj(beta1_1) and fails.  A model without beta1_2 is unchanged."""
+
+    def patched(model, block_sizes=None):
+        eqs = real_equations(model, block_sizes=block_sizes)
+        extra = ((1, (("beta1_1", False), ("beta1_1", True))),)
+        rules = tuple(
+            (name, terms + extra if name == "beta1_2" else terms) for name, terms in eqs.rules
+        )
+        return StructureEquations(eqs.n, eqs.epsilon, eqs.blocks, eqs.generators, rules)
+
+    return patched
+
+
 def registry_results(c):
     return {name: ok for (name, _, _), ok in zip(CHECKS, run_checks(c))}
 
@@ -473,6 +497,53 @@ class TestDifferentialChecks:
             "poincare",
             "serre",
         ]
+
+    @pytest.mark.parametrize("n", range(1, 4))
+    def test_one_square_verdict_per_complex(self, n, monkeypatch):
+        # d_squared and the Betti numbers read one CE verdict, dbar_squared
+        # and the Hodge numbers one Dolbeault verdict
+        real = cohomology._squares_vanish
+        verdicts = []
+
+        def counted(terms):
+            verdicts.append(terms)
+            return real(terms)
+
+        monkeypatch.setattr(cohomology, "_squares_vanish", counted)
+        for c in enumerate_models(n):
+            verdicts.clear()
+            assert all(run_checks(c))
+            assert len(verdicts) == 2
+
+    def test_dbar_squared_fails_while_d_splits(self, monkeypatch, capsys):
+        real = cohomology._dolbeault
+        builds = []
+
+        def counted(symbols):
+            builds.append(symbols)
+            return real(symbols)
+
+        monkeypatch.setattr(
+            cohomology, "structure_equations", beta12_gains_a_11_term(cohomology.structure_equations)
+        )
+        monkeypatch.setattr(cohomology, "_dolbeault", counted)
+        failed = [name for name, ok in registry_results(M([3], 1)).items() if not ok]
+        assert len(builds) == 1
+        assert failed == [
+            "dbar_squared",
+            "hodge_oracle_eq",
+            "frolicher_oracle",
+            "symmetry_oracle",
+            "poincare",
+            "serre",
+        ]
+        with pytest.raises(DifferentialError, match=r"^dbar\^2 != 0$"):
+            hodge_oracle(M([3], 1))
+        monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+        assert cli.main(["verify", "--max-dim", "8"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert "failed: q=[3] j=1 check=dbar_squared" in lines
+        assert not any(line.endswith(("check=d_squared", "check=d_splits")) for line in lines)
 
     def test_split_is_checked_before_any_monomial(self, monkeypatch):
         real_d_mask = cohomology._d_mask
@@ -568,9 +639,9 @@ class TestCocycleSkip:
         models = list(enumerate_models(n))
         for c in models:
             alg = build_algebra(c)
-            cohomology._ce_walk(alg.dim, cohomology._ce_terms(alg))
+            cohomology._ce(alg).dims
             symbols = cohomology._dolbeault_symbols(cohomology.structure_equations(c))
-            cohomology._dolbeault_walk(symbols[1], cohomology._dbar_rules(symbols))
+            cohomology._dolbeault(symbols).dims
             betti_via_ideal_action(alg)
         assert len(compared) == 3 * len(models)
         # the CE walks skip e^0 (symbol 0), the Dolbeault walks conj(alpha)
@@ -631,19 +702,19 @@ class TestCocycleSkip:
         # walked, 29588 with each block walked whole instead of each
         # distinct core once
         assert calls.count(True) == 16388
-        # the total was 16388 while d^2 and dbar^2 were summed inside the
-        # walks, on images the walks built anyway; the generator checks
-        # (d_squared and betti, dbar_squared and hodge, per model) image
-        # each ruled generator and each monomial of its image, dead
-        # symbols included, outside the walks
-        assert len(calls) == 17700
+        # outside the walks, each model's CE and Dolbeault records check
+        # D^2 once each, imaging each ruled generator and each monomial of
+        # its image, dead symbols included; d_squared and the Betti
+        # numbers share the CE verdict, dbar_squared and the Hodge numbers
+        # the Dolbeault one (17700 while each oracle checked D^2 again)
+        assert len(calls) == 17044
 
 
 def ce_reference(alg):
     """The CE walk over every symbol, spectators included, and its
     full-basis d^2 verdict (the top degree maps to zero)."""
     blocks = [(k, masks(range(alg.dim), k)) for k in range(alg.dim)]
-    return reference_walk(blocks, cohomology._ce_terms(alg))
+    return reference_walk(blocks, cohomology._ce(alg).terms)
 
 
 def dolbeault_reference(symbols):
@@ -682,21 +753,40 @@ def spectators(terms, size):
 
 
 def assert_ce_walk_equals_reference(alg):
-    """The CE walk's ranks, and d^2 = 0 on the generators, against the
-    walk and the d^2 sum over every monomial; returns the verdict."""
-    terms = cohomology._ce_terms(alg)
+    """The CE record's d^2 verdict against the d^2 sum over every
+    monomial, and its cohomology (or, if d^2 fails, its walk's ranks)
+    against the walk over every monomial; returns the verdict."""
+    ce = cohomology._ce(alg)
     ranks, squares = ce_reference(alg)
-    assert nonzero(cohomology._ce_walk(alg.dim, terms)) == nonzero(ranks)
-    assert cohomology._squares_vanish(terms) is squares
+    assert ce.squares is squares
+    if squares:
+        dim = alg.dim
+        assert ce.dims == tuple(
+            comb(dim, k) - ranks.get(k, 0) - ranks.get(k - 1, 0) for k in range(dim + 1)
+        )
+    else:
+        assert nonzero(cohomology._walk(ce.weights, ce.terms)) == nonzero(ranks)
     return squares
 
 
 def assert_dolbeault_walk_equals_reference(symbols):
-    """The same for the Dolbeault walk and dbar^2."""
-    terms = cohomology._dbar_rules(symbols)
+    """The same for the Dolbeault record and dbar^2, its cohomology as
+    the grid of h^{p,q} that the reference's (p, q) blocks give."""
+    dolbeault = cohomology._dolbeault(symbols)
     ranks, squares = dolbeault_reference(symbols)
-    assert nonzero(cohomology._dolbeault_walk(symbols[1], terms)) == nonzero(ranks)
-    assert cohomology._squares_vanish(terms) is squares
+    assert dolbeault.squares is squares
+    g = symbols[1]
+    if squares:
+        assert cohomology._hodge_grid(dolbeault) == tuple(
+            tuple(
+                comb(g, p) * comb(g, q) - ranks.get((p, q), 0) - ranks.get((p, q - 1), 0)
+                for q in range(g + 1)
+            )
+            for p in range(g + 1)
+        )
+    else:
+        walked = cohomology._walk(dolbeault.weights, dolbeault.terms)
+        assert nonzero({divmod(k, g + 1): r for k, r in walked.items()}) == nonzero(ranks)
     return squares
 
 
@@ -784,7 +874,7 @@ class TestSpectatorFold:
         assert betti_via_ideal_action(alg) == ideal_action_reference(alg)
         symbols = cohomology._dolbeault_symbols(cohomology.structure_equations(c, sizes))
         assert_dolbeault_walk_equals_reference(symbols)
-        assert hodge_oracle(c, block_sizes=sizes) == hodge_oracle(c) == hodge_closed(c)
+        assert reordered_hodge(c, sizes) == hodge_oracle(c) == hodge_closed(c)
 
 
 def signature_groups(weights, terms):
@@ -834,8 +924,8 @@ class TestChainParts:
         monkeypatch.setattr(cohomology, "_rank_blocks", counted_rank_blocks)
         assert_ce_walk_equals_reference(alg)
         assert len(cores) == 7
-        # no rank outlives its walk: a second walk ranks every core again
-        cohomology._ce_walk(alg.dim, terms)
+        # no rank outlives its record: a second record ranks every core again
+        cohomology._ce(alg).dims
         assert len(cores) == 14
 
     @staticmethod
@@ -901,7 +991,7 @@ class TestChainParts:
         self.assert_walk_equals_reference(weights, terms)
 
     def test_holomorphic_and_antiholomorphic_chains_in_the_dolbeault_walk(self):
-        # the weight case through _dolbeault_walk: dbar's rules keep both
+        # the weight case through the Dolbeault record: dbar's rules keep both
         # terms, and x7 = conj(alpha) kills every monomial
         d1 = {2: ((1, (7, 1)),), 6: ((1, (7, 5)),)}
         symbols = ({s: d1.get(s, ()) for s in range(8)}, 4)
@@ -970,7 +1060,7 @@ class TestSquaresOnGenerators:
         for c in models:
             results = registry_results(c)
             assert results["d_squared"] is self.reference(
-                cohomology._ce_terms(build_algebra(c)), 2 * c.n + 2
+                cohomology._ce(build_algebra(c)).terms, 2 * c.n + 2
             )
             if not results["d_squared"]:
                 assert not results["betti_oracle_eq"]
