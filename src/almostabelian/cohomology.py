@@ -48,6 +48,7 @@ from math import comb, factorial
 
 from .exactla import (
     NotNilpotentError,
+    RationalMatrix,
     jordan_type_from_ranks,
     power_ranks,
     sparse_product,
@@ -692,7 +693,7 @@ class _ModelFacts:
 
     model: object
     alg = _shared(lambda s: build_algebra(s.model))
-    a_ranks = _shared(lambda s: power_ranks(s.alg.a_matrix()))
+    a_ranks = _shared(lambda s: power_ranks(RationalMatrix(s.alg.A)))
     jordan = _shared(lambda s: Partition(jordan_type_from_ranks(len(s.alg.A), s.a_ranks)))
     closed = _shared(lambda s: closed_table(s.model))
     ce = _shared(lambda s: _ce(s.alg))

@@ -7,10 +7,14 @@ Conventions, fixed once for the whole package:
 * the only nonzero brackets are [e_0, e_k] for k >= 1, encoded by the
   nilpotent matrix `A` acting on the ideal coordinates;
 * `A` has a zero first row, a link entry A[1][0] = epsilon, and two
-  identical copies of a lower triangular Jordan-form matrix `B` whose
-  block sizes are the parts of the partition q (when the overlap index
-  j is > 1, the first block of `B` has size j-1 and epsilon = 1, so the
-  link extends that chain by e_1 to a block of size j);
+  identical copies of a lower triangular Jordan-form matrix `B` with
+  one chain per part of the partition q;
+* `_chain_layout` fixes the order of those chains: when the overlap
+  index j is > 1, the overlap chain of size j-1 comes first (labelled
+  0) and epsilon = 1, so the link extends that chain by e_1 to a block
+  of size j; the other parts follow weakly decreasing, labelled from 1.
+  A, the structure equations and the generator coordinates all follow
+  this one layout;
 * the complex structure J sends e_0 -> e_1 and e_{1+k} -> e_{1+n+k}
   for k = 1..n, pairing the two copies of the `B` basis.
 
@@ -22,8 +26,9 @@ q with j = 1 would give the abelian algebra and is excluded.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, count
 
-from .exactla import RationalMatrix, Subspace, sparse_apply
+from .exactla import Subspace, sparse_apply
 from .partitions import Partition, iter_partitions
 
 
@@ -153,22 +158,18 @@ def nilpotency_step(model):
     return max(model.j, model.q.parts[0])
 
 
-def _block_sizes(model, block_sizes=None):
-    """Block sizes of B: by default size j-1 first when j > 1 and the
-    rest weakly decreasing.  An override must form q and, when
-    epsilon = 1, still start with j-1."""
-    if block_sizes is None:
-        parts = list(model.q.parts)
-        if model.j > 1:
-            parts.remove(model.j - 1)
-            return [model.j - 1] + parts
-        return parts
-    sizes = list(block_sizes)
-    if sorted(sizes, reverse=True) != list(model.q.parts):
-        raise InvalidModelError("block sizes must form the partition q")
-    if model.epsilon and sizes[0] != model.j - 1:
-        raise InvalidModelError("the first block must have size j-1")
-    return sizes
+def _chain_layout(model):
+    """(label, size, offset) for each chain of B, in basis order: when
+    j > 1 the overlap chain of size j-1 first, labelled 0, then the other
+    parts of q weakly decreasing, labelled from 1.  Offset counts the
+    basis vectors of B before the chain.  The one place the chain order
+    is fixed: A, the structure equations and the generator coordinates
+    all follow it."""
+    parts = list(model.q.parts)
+    if model.j > 1:
+        parts.remove(model.j - 1)
+        parts.insert(0, model.j - 1)
+    return list(zip(count(1 - model.epsilon), parts, accumulate(parts, initial=0)))
 
 
 @dataclass(frozen=True)
@@ -178,12 +179,6 @@ class AlgebraModel:
     dim: int
     A: tuple  # (2n+1) x (2n+1), adjoint action of e_0 on the ideal
     J: tuple  # (2n+2) x (2n+2), the complex structure
-
-    def a_matrix(self):
-        return RationalMatrix([list(r) for r in self.A])
-
-    def j_matrix(self):
-        return RationalMatrix([list(r) for r in self.J])
 
     def bracket_tensor(self):
         """All structure constants: {(i, k): {target: coefficient}} for i < k.
@@ -198,25 +193,17 @@ class AlgebraModel:
         return out
 
 
-def build_algebra(model, block_sizes=None):
-    """Assemble the adjoint matrix A and the complex structure J.
-
-    `block_sizes` overrides the canonical block order of B (the first
-    entry must still be j-1 when epsilon = 1); any order yields an
-    isomorphic algebra.
-    """
+def build_algebra(model):
+    """Assemble the adjoint matrix A and the complex structure J."""
     n = model.n
-    sizes = _block_sizes(model, block_sizes)
     size = 2 * n + 1
     a = [[0] * size for _ in range(size)]
     a[1][0] = model.epsilon
-    offset = 0
-    for s in sizes:
-        for t in range(s - 1):
+    for _, s, offset in _chain_layout(model):
+        for t in range(offset + 1, offset + s):
             # two identical copies of each chain of B
-            a[1 + offset + t + 1][1 + offset + t] = 1
-            a[1 + n + offset + t + 1][1 + n + offset + t] = 1
-        offset += s
+            a[t + 1][t] = 1
+            a[t + 1 + n][t + n] = 1
     dim = size + 1
     j = [[0] * dim for _ in range(dim)]
     j[1][0] = 1
@@ -401,9 +388,6 @@ class StructureEquations:
     multiples of wedge pairs; a factor is (name, conjugated).
     """
 
-    n: int
-    epsilon: int
-    blocks: tuple  # (label, length) per chain
     generators: tuple
     rules: tuple  # (generator, ((coef, (factor, factor)), ...)) pairs, in generator order
 
@@ -412,24 +396,19 @@ def _beta(label, i):
     return "beta%d_%d" % (label, i)
 
 
-def structure_equations(model, block_sizes=None):
+def structure_equations(model):
     """Structure equations of the model in the canonical (1,0)-basis.
 
     d(alpha) = 0; each chain l is a string beta_1, beta_2, ... with
     d(beta_i) = (alpha + conj(alpha)) ^ beta_{i-1}, started by
     d(beta_1) = 0 for an ordinary chain and by alpha ^ conj(alpha) for
-    the overlap chain.  `block_sizes` overrides the canonical block
-    order (used by tests for order-invariance checks); the first entry
-    must still be j-1 when epsilon = 1.
+    the overlap chain.
     """
-    sizes = _block_sizes(model, block_sizes)
-    first_label = 0 if model.epsilon else 1
-    blocks = tuple((first_label + t, s) for t, s in enumerate(sizes))
     generators = ["alpha"]
     rules = [("alpha", ())]
     alpha = ("alpha", False)
     alpha_bar = ("alpha", True)
-    for label, size in blocks:
+    for label, size, _ in _chain_layout(model):
         for i in range(1, size + 1):
             name = _beta(label, i)
             generators.append(name)
@@ -440,26 +419,19 @@ def structure_equations(model, block_sizes=None):
                 rules.append((name, ((1, (alpha, alpha_bar)),)))
             else:
                 rules.append((name, ()))
-    return StructureEquations(
-        n=model.n,
-        epsilon=model.epsilon,
-        blocks=blocks,
-        generators=tuple(generators),
-        rules=tuple(rules),
-    )
+    return StructureEquations(generators=tuple(generators), rules=tuple(rules))
 
 
-def generator_coordinates(model, block_sizes=None):
+def generator_coordinates(model):
     """Each generator as a complex combination of the dual basis e^0..e^{2n+1}.
 
     Returned coordinates are (real, imaginary) pairs of Fractions.  The
     chains are scaled so that the structure equations hold on the nose:
     for epsilon = 1 position i of a chain carries the factor (-2)^(i-1),
-    and the overlap chain an extra factor 2i.
+    and the overlap chain a further factor 2 sqrt(-1).
     """
     n = model.n
     dim = 2 * n + 2
-    sizes = _block_sizes(model, block_sizes)
     zero = (Fraction(0), Fraction(0))
 
     def vector(entries):
@@ -475,24 +447,18 @@ def generator_coordinates(model, block_sizes=None):
         out["alpha"] = vector(
             [(0, (Fraction(-1, 2), Fraction(0))), (1, (Fraction(0), Fraction(-1, 2)))]
         )
-    first_label = 0 if model.epsilon else 1
-    offset = 0
-    for t, size in enumerate(sizes):
-        label = first_label + t
+    for label, size, offset in _chain_layout(model):
         for i in range(1, size + 1):
-            k = 2 + offset + (i - 1)
+            k = 1 + offset + i
             if model.epsilon:
                 scale = Fraction((-2) ** (i - 1))
                 if label == 0:
-                    # overlap chain: multiply by 2i
+                    # overlap chain: multiply by 2 sqrt(-1)
                     re, im = Fraction(0), 2 * scale
                 else:
                     re, im = scale, Fraction(0)
             else:
                 re, im = Fraction(1), Fraction(0)
             # coefficient of e^{k+n} is i * (re + i im) = -im + i re
-            out[_beta(label, i)] = vector(
-                [(k, (re, im)), (k + n, (-im, re))]
-            )
-        offset += size
+            out[_beta(label, i)] = vector([(k, (re, im)), (k + n, (-im, re))])
     return out

@@ -1,18 +1,22 @@
+import doctest
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from almostabelian import cli, cohomology
 from almostabelian.cli import main
-from almostabelian.model import ComplexModel, build_algebra, enumerate_models
+from almostabelian.exactla import RationalMatrix
+from almostabelian.model import ComplexModel, build_algebra, enumerate_models, structure_equations
 from almostabelian.partitions import Partition
 from almostabelian.records import EXPORT_SCHEMA, ExportRecord, compact_equations
-from almostabelian.model import StructureEquations, structure_equations
 
 
 def run_cli(argv, capsys):
@@ -57,7 +61,7 @@ class TestEnumerate:
         assert len(lines) == len(models)
         for line, c in zip(lines, models):
             assert line.startswith("m=%s q=%s j=%d " % (c.m, c.q, c.j))
-            assert line.endswith(" commutator=%d" % build_algebra(c).a_matrix().rank())
+            assert line.endswith(" commutator=%d" % RationalMatrix(build_algebra(c).A).rank())
 
     def test_deterministic(self, capsys):
         _, first, _ = run_cli(["enumerate", "--dim", "8"], capsys)
@@ -295,8 +299,8 @@ class TestVerify:
     def test_package_error_in_a_check_is_a_failed_check(self, capsys, monkeypatch):
         real = cohomology.structure_equations
 
-        def alpha_is_not_closed(model, block_sizes=None):
-            eqs = real(model, block_sizes=block_sizes)
+        def alpha_is_not_closed(model):
+            eqs = real(model)
             # d(alpha) = conj(alpha) ^ conj(beta): a (0,2)-form, so d does
             # not split into (1,0) + (0,1) parts
             beta = (eqs.generators[1], True)
@@ -304,7 +308,7 @@ class TestVerify:
                 (name, ((1, (("alpha", True), beta)),) if name == "alpha" else terms)
                 for name, terms in eqs.rules
             )
-            return StructureEquations(eqs.n, eqs.epsilon, eqs.blocks, eqs.generators, rules)
+            return replace(eqs, rules=rules)
 
         monkeypatch.setattr(cohomology, "structure_equations", alpha_is_not_closed)
         code, out, err = run_cli(["verify", "--max-dim", "6"], capsys)
@@ -444,3 +448,41 @@ class TestRecords:
         data = record.to_dict()
         del data["source"]
         assert ExportRecord.from_dict(data).source == "closed-form"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_block(heading, fence):
+    """The first code block fenced as `fence` after `heading` in README.md."""
+    text = README.read_text()
+    start = text.index("```%s\n" % fence, text.index(heading)) + len(fence) + 4
+    return text[start : text.index("```", start)]
+
+
+class TestReadme:
+    def test_library_examples(self):
+        failed, attempted = doctest.testfile(str(README), module_relative=False)
+        assert (failed, attempted) == (0, 4)
+
+    def test_command_line_examples(self, capsys):
+        # each `$ almostabelian ...` line with the output lines below it, up
+        # to a blank line or the next comment
+        examples = re.findall(
+            r"^\$ almostabelian (.*)\n((?:[^#$\n].*\n)*)",
+            readme_block("## Command line", "sh"),
+            re.M,
+        )
+        assert [argv.split()[0] for argv, _ in examples] == [
+            "enumerate", "classify", "invariants", "export", "verify"
+        ]
+        for argv, shown in examples:
+            code, out, _ = run_cli(argv.split(), capsys)
+            assert code == 0, argv
+            if shown:
+                assert out == shown, argv
+
+    def test_json_record_example(self, capsys):
+        code, out, _ = run_cli(["export", "--q", "1", "--j", "2", "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(readme_block("## JSON record", "json")) == json.loads(out)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import combinations, product
 from math import comb
 from types import SimpleNamespace
@@ -24,18 +25,27 @@ from almostabelian.cohomology import (
     run_checks,
     verify_symmetry,
 )
-from almostabelian.exactla import RationalMatrix, jordan_block, sparse_rank
+from almostabelian.exactla import (
+    RationalMatrix,
+    jordan_block,
+    jordan_type_from_ranks,
+    power_ranks,
+    sparse_rank,
+)
 from almostabelian.model import (
     AlgebraModel,
     ComplexModel,
-    StructureEquations,
     _overlap_indices,
     build_algebra,
     enumerate_models,
+    nijenhuis_vanishes,
+    stable_series,
+    structure_equations,
 )
 from almostabelian.partitions import Partition
 from almostabelian.sl2 import delta, tensor_count, wedge, wedge_profile
 from almostabelian.sl2 import irreducible as W
+from permuted import chain_order, permuted_algebra, permuted_equations
 
 
 def M(qparts, j):
@@ -278,23 +288,59 @@ class TestOracleEquivalence:
 
     def test_block_order_invariance(self):
         # reordering the interchangeable chains leaves every invariant alone
-        c = M([2, 1], 1)
-        assert betti_oracle(build_algebra(c)) == betti_oracle(
-            build_algebra(c, block_sizes=[1, 2])
-        )
-        assert hodge_oracle(c) == reordered_hodge(c, [1, 2])
-        c2 = M([2, 2, 1], 3)
-        assert betti_oracle(build_algebra(c2)) == betti_oracle(
-            build_algebra(c2, block_sizes=[2, 1, 2])
-        )
-        assert hodge_oracle(c2) == reordered_hodge(c2, [2, 1, 2])
+        for c, sizes in ((M([2, 1], 1), [1, 2]), (M([2, 2, 1], 3), [2, 1, 2])):
+            order, ideal = chain_order(c, sizes)
+            alg = build_algebra(c)
+            assert betti_oracle(alg) == betti_oracle(permuted_algebra(alg, ideal))
+            assert hodge_oracle(c) == permuted_hodge(c, order)
 
 
-def reordered_hodge(c, sizes):
-    """hodge_oracle on the structure equations with the chains in the
-    order `sizes`."""
-    symbols = cohomology._dolbeault_symbols(cohomology.structure_equations(c, sizes))
-    return cohomology._hodge_grid(cohomology._dolbeault(symbols))
+def permuted_symbols(c, order):
+    """The Dolbeault symbol table of c's structure equations, with the
+    generators taken in `order`."""
+    return cohomology._dolbeault_symbols(permuted_equations(structure_equations(c), order))
+
+
+def permuted_hodge(c, order):
+    """hodge_oracle on c's structure equations with the generators taken
+    in `order`."""
+    return cohomology._hodge_grid(cohomology._dolbeault(permuted_symbols(c, order)))
+
+
+def jordan_type(alg):
+    return Partition(jordan_type_from_ranks(len(alg.A), power_ranks(RationalMatrix(alg.A))))
+
+
+class TestBasisPermutations:
+    """A permutation of the ideal basis (e_0 fixed), or of the structure
+    equations' generators, writes the same model in another basis, so
+    every invariant must come out unchanged."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_invariants_unchanged(self, n):
+        rng = random.Random(n)
+        for c in enumerate_models(n):
+            alg, g = build_algebra(c), n + 1
+            expected = (
+                betti_oracle(alg),
+                betti_via_ideal_action(alg),
+                nijenhuis_vanishes(alg),
+                jordan_type(alg),
+                [t.dim for t in stable_series(alg, c)],
+                hodge_oracle(c),
+            )
+            for _ in range(2):
+                perm = rng.sample(range(2 * n + 1), 2 * n + 1)
+                order = rng.sample(range(g), g)
+                moved = permuted_algebra(alg, perm)
+                assert (
+                    betti_oracle(moved),
+                    betti_via_ideal_action(moved),
+                    nijenhuis_vanishes(moved),
+                    jordan_type(moved),
+                    [t.dim for t in stable_series(moved, c)],
+                    permuted_hodge(c, order),
+                ) == expected, (c, perm, order)
 
 
 def algebra_of(a):
@@ -425,11 +471,11 @@ def alpha_is_not_closed(real_equations):
     """structure_equations with d(alpha) = conj(alpha) ^ conj(beta), a
     (0,2)-form: d does not split, and conj(alpha) gets a rule of its own."""
 
-    def patched(model, block_sizes=None):
-        eqs = real_equations(model, block_sizes=block_sizes)
+    def patched(model):
+        eqs = real_equations(model)
         beta = (eqs.generators[1], True)
         rules = (("alpha", ((1, (("alpha", True), beta)),)),) + eqs.rules[1:]
-        return StructureEquations(eqs.n, eqs.epsilon, eqs.blocks, eqs.generators, rules)
+        return replace(eqs, rules=rules)
 
     return patched
 
@@ -440,13 +486,13 @@ def beta12_gains_a_11_term(real_equations):
     the term, so dbar^2(beta1_3) picks up -conj(alpha) ^ beta1_1 ^
     conj(beta1_1) and fails.  A model without beta1_2 is unchanged."""
 
-    def patched(model, block_sizes=None):
-        eqs = real_equations(model, block_sizes=block_sizes)
+    def patched(model):
+        eqs = real_equations(model)
         extra = ((1, (("beta1_1", False), ("beta1_1", True))),)
         rules = tuple(
             (name, terms + extra if name == "beta1_2" else terms) for name, terms in eqs.rules
         )
-        return StructureEquations(eqs.n, eqs.epsilon, eqs.blocks, eqs.generators, rules)
+        return replace(eqs, rules=rules)
 
     return patched
 
@@ -869,12 +915,12 @@ class TestSpectatorFold:
     )
     def test_singleton_chains_first(self, qparts, j, sizes):
         c = M(qparts, j)
-        alg = build_algebra(c, block_sizes=sizes)
+        order, ideal = chain_order(c, sizes)
+        alg = permuted_algebra(build_algebra(c), ideal)
         assert_ce_walk_equals_reference(alg)
         assert betti_via_ideal_action(alg) == ideal_action_reference(alg)
-        symbols = cohomology._dolbeault_symbols(cohomology.structure_equations(c, sizes))
-        assert_dolbeault_walk_equals_reference(symbols)
-        assert reordered_hodge(c, sizes) == hodge_oracle(c) == hodge_closed(c)
+        assert_dolbeault_walk_equals_reference(permuted_symbols(c, order))
+        assert permuted_hodge(c, order) == hodge_oracle(c) == hodge_closed(c)
 
 
 def signature_groups(weights, terms):
