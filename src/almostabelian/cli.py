@@ -10,7 +10,7 @@ All output is deterministic: identical inputs give identical bytes.
 
 Size limits, checked before any work starts (one "error:" line on
 stderr and exit status 1 above them): invariants and export take models
-with n = sum(q) <= 150, and invariants --oracle n <= 8; enumerate takes
+with n = sum(q) <= 150, and invariants --oracle n <= 9; enumerate takes
 --dim <= 100; classify takes Jordan types of total size <= 1000000;
 verify takes --max-dim <= 18.
 """
@@ -49,11 +49,14 @@ WORKERS_ENV = "ALMOSTABELIAN_WORKERS"
 # about 4-5 s and 82 MB), and memory, not time, holds MAX_MODEL_N at
 # 150: at n = 200, --q 199,1 --j 200 peaks at about 312 MB, above CI's
 # 300 MB bound.  The rank oracles and the verify sweep grow
-# exponentially in n, and enumerate walks every partition of n.
+# exponentially in n, and enumerate walks every partition of n: the
+# oracles' worst case, invariants --q 9 --j 10 --oracle, takes about
+# 31 s and 39 MB (--j 1 about 5 s), and --q 8 --j 9 about 2.4 s and
+# 23 MB, each walk ranking one of each mirrored pair of weight pieces.
 # classify is linear in the number of parts of --jordan, so memory
 # (about 100 MB per million parts) sets its limit before time does.
 MAX_MODEL_N = 150
-MAX_ORACLE_N = 8
+MAX_ORACLE_N = 9
 MAX_ENUMERATE_DIM = 100
 MAX_CLASSIFY_TOTAL = 10**6
 MAX_VERIFY_DIM = 18

@@ -39,6 +39,20 @@ once and adds multiplicity x rank into each block.  All of this is
 exact.  When some term has no live factor or two, all the named live
 symbols form one chain, walked whole.  The walks only rank: D^2 = 0 is
 checked on the generators, which suffices since D^2 is a derivation.
+
+Every walk but the Heisenberg type's also mirrors.  When every chain is
+a string (_positions), give each symbol its position along its chain:
+D raises a monomial's weight, the sum of its factors' positions, by
+one.  In a core with c_i factors from chains of lengths L_i, the lowest
+and highest weights sum to W = sum c_i (L_i - 1), and rank(S_w ->
+S_w+1) = rank(S_W-1-w -> S_W-w) on its weight pieces S_w: reversing
+each string, after a diagonal rescaling over Q, conjugates the shift N
+to its transpose, whose derivation extension is the transpose of N's up
+to a sign per monomial, and the dead symbol only adds a sign.  So each
+walk ranks one piece of each mirrored pair, the one with fewer
+monomials, and counts it twice.  The mirror relates pieces of one
+block; the Poincare and Serre dualities on the oracle tables relate
+different blocks, so they stay independent evidence.
 """
 
 from dataclasses import dataclass
@@ -300,23 +314,58 @@ def _signature(chain, weights, terms):
     )
 
 
-def _factors(chain, weights, terms, whole):
+def _positions(chains, weights, terms, dead):
+    """Each live symbol's position along its chain, when every chain is
+    a string, or None.  A string: every ruled generator has one term,
+    with a nonzero coefficient and one live factor; no live symbol is the
+    factor of two generators; each chain is one path, its head (the one
+    symbol that is no generator's factor) at position 0 and each factor
+    one past its generator, so D raises the position sum by one; and a
+    chain's symbols share one weight, so reflecting a chain keeps every
+    block key."""
+    step = {}
+    for bit, stated in terms[1].items():
+        if len(stated) != 1:
+            return None
+        [(coef, pair, _)] = stated
+        live = pair & ~dead
+        if not coef or not live or live & (live - 1):
+            return None
+        step[bit.bit_length() - 1] = live.bit_length() - 1
+    factors = set(step.values())
+    if len(factors) < len(step):
+        return None
+    positions = {}
+    for chain in chains:
+        heads = [s for s in chain if s not in factors]
+        if len(heads) != 1 or len({weights[s] for s in chain}) > 1:
+            return None
+        # one head, and no symbol entered twice: the path from it is the chain
+        s = heads[0]
+        for i in range(len(chain)):
+            positions[s] = i
+            s = step.get(s)
+    return positions
+
+
+def _factors(chain, weights, positions, terms, whole):
     """The factors a part can draw from the chain: its monomials of each
-    degree, or all of them for a chain taken whole, as {key: masks}.  A
-    factor that is one monomial s with an empty image (the empty
-    monomial, or a full chain that D kills) is trivial and is given as
-    its key instead: x -> x ^ s maps the part without it onto the part,
-    and D(x ^ s) = D(x) ^ s."""
+    degree, or all of them for a chain taken whole, as {(key, weight):
+    masks}, weight the sum of the symbols' positions.  A factor that is
+    one monomial s with an empty image (the empty monomial, or a full
+    chain that D kills) is trivial and is given as its key instead:
+    x -> x ^ s maps the part without it onto the part, and D(x ^ s) =
+    D(x) ^ s."""
     out = []
     for degrees in [range(len(chain) + 1)] if whole else [[k] for k in range(len(chain) + 1)]:
         blocks = {}
         for k in degrees:
             for combo in combinations(chain, k):
-                key = sum(weights[s] for s in combo)
+                key = (sum(weights[s] for s in combo), sum(positions[s] for s in combo))
                 blocks.setdefault(key, []).append(sum(1 << s for s in combo))
         masks = [m for group in blocks.values() for m in group]
         if len(masks) == 1 and not _d_mask(masks[0], terms):
-            [key] = blocks
+            [(key, _)] = blocks
             out.append(key)
         else:
             out.append(blocks)
@@ -354,26 +403,50 @@ def _parts(groups):
 
 
 def _core_blocks(factors):
-    """The blocks of a core, the product of the factors, as {key: masks}."""
-    blocks = {0: [0]}
+    """The pieces of a core, the product of the factors, as {(key,
+    weight): masks}."""
+    blocks = {(0, 0): [0]}
     for factor in factors:
         out = {}
-        for k1, m1 in blocks.items():
-            for k2, m2 in factor.items():
-                out.setdefault(k1 + k2, []).extend([a | b for a in m1 for b in m2])
+        for (k1, w1), m1 in blocks.items():
+            for (k2, w2), m2 in factor.items():
+                out.setdefault((k1 + k2, w1 + w2), []).extend([a | b for a in m1 for b in m2])
         blocks = out
     return blocks
 
 
-def _rank_blocks(blocks, terms):
+def _rank_blocks(blocks, terms, mirrored):
     """Ranks of D on each block of one core, by key.  Each image is
     computed once, visiting only the factors that have rules, and goes
     to the rank kernel as it is, one row per monomial: the rank of D's
-    transpose is D's rank.  An image that cancels is dropped."""
-    return {
-        key: sparse_rank([img for m in masks if (img := _d_mask(m, terms))])
-        for key, masks in blocks.items()
-    }
+    transpose is D's rank.  An image that cancels is dropped.
+
+    When the walk's chains are strings (mirrored), the pieces S_w of a
+    block, by weight w, mirror about W, the sum of its lowest and
+    highest weights: rank(S_w -> S_w+1) = rank(S_W-1-w -> S_W-w).  Of
+    each mirrored pair the piece with fewer monomials is ranked and
+    counted twice, and the middle piece, w = (W - 1) / 2, once.
+    Otherwise every piece is ranked."""
+    pieces = {}
+    for (key, weight), masks in blocks.items():
+        pieces.setdefault(key, {})[weight] = masks
+    ranks = {}
+    for key, by_weight in pieces.items():
+        top = min(by_weight) + max(by_weight) - 1
+        twice, once = [], []
+        for weight, masks in by_weight.items():
+            mirror = top - weight
+            if not mirrored or weight == mirror:
+                once += masks
+            elif weight < mirror:
+                other = by_weight.get(mirror, ())
+                twice += masks if len(masks) <= len(other) else other
+        ranks[key] = sum(
+            times * sparse_rank([img for m in masks if (img := _d_mask(m, terms))])
+            for times, masks in ((2, twice), (1, once))
+            if masks
+        )
+    return ranks
 
 
 def _walk(weights, terms):
@@ -394,14 +467,23 @@ def _walk(weights, terms):
     nontrivial factors (_factors).  Chains with one _signature are
     exchanged by an automorphism of the complex, so cores that differ by
     such an exchange have one rank.  The walk ranks each distinct core
-    once and adds multiplicity x rank into the blocks of its parts."""
+    once and adds multiplicity x rank into the blocks of its parts.
+
+    When every chain is a string (_positions), the weight pieces of each
+    core mirror, as the module docstring shows, and _rank_blocks ranks
+    one piece of each mirrored pair; otherwise, as for a chain walked
+    whole, it ranks every piece."""
     dead = _cocycle_symbols(terms)
     chains, whole = _chains(weights, terms, dead)
+    positions = _positions(chains, weights, terms, dead)
+    mirrored = positions is not None
+    if not mirrored:
+        positions = dict.fromkeys(weights, 0)
     # the factors of each chain, grouped by the chain's signature
     groups = {}
     for chain in chains:
         groups.setdefault((chain is whole, _signature(chain, weights, terms)), []).append(
-            _factors(chain, weights, terms, chain is whole)
+            _factors(chain, weights, positions, terms, chain is whole)
         )
     groups = list(groups.values())
     cores = {}
@@ -414,7 +496,7 @@ def _walk(weights, terms):
         blocks = _core_blocks(
             own[i] for group, picks in zip(groups, core) for own, i in zip(group, picks)
         )
-        core_ranks = _rank_blocks(blocks, terms)
+        core_ranks = _rank_blocks(blocks, terms, mirrored)
         for ways, key in parts:
             for k, rank in core_ranks.items():
                 if rank:

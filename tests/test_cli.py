@@ -365,7 +365,7 @@ class TestSizeLimits:
         [
             ["invariants", "--q", "99999999999999999999", "--j", "1"],
             ["invariants", "--q", "151", "--j", "1"],
-            ["invariants", "--q", "9", "--j", "1", "--oracle"],
+            ["invariants", "--q", str(cli.MAX_ORACLE_N + 1), "--j", "1", "--oracle"],
             ["export", "--q", "146,5", "--j", "1", "--format", "json"],
             ["enumerate", "--dim", "200"],
             ["enumerate", "--dim", "102"],

@@ -746,14 +746,16 @@ class TestCocycleSkip:
         assert all_ok
         # in the walks: 171805 without the skip, 84008 with the spectators
         # walked, 29588 with each block walked whole instead of each
-        # distinct core once
-        assert calls.count(True) == 16388
+        # distinct core once, 16388 before the mirror ranked one piece of
+        # each mirrored pair
+        assert calls.count(True) == 7652
         # outside the walks, each model's CE and Dolbeault records check
         # D^2 once each, imaging each ruled generator and each monomial of
         # its image, dead symbols included; d_squared and the Betti
         # numbers share the CE verdict, dbar_squared and the Hodge numbers
-        # the Dolbeault one (17700 while each oracle checked D^2 again)
-        assert len(calls) == 17044
+        # the Dolbeault one (17700 while each oracle checked D^2 again,
+        # 17044 before the mirror)
+        assert len(calls) == 8308
 
 
 def ce_reference(alg):
@@ -778,14 +780,18 @@ def dolbeault_reference(symbols):
     return reference_walk(blocks, terms)
 
 
+def ideal_action_terms(alg):
+    """The ideal action's rules, as betti_via_ideal_action states them."""
+    return cohomology._slot_terms(
+        {r: tuple((-a, (c,)) for c, a in enumerate(row) if a) for r, row in enumerate(alg.A)}
+    )
+
+
 def ideal_action_reference(alg):
     """betti_via_ideal_action with every symbol in the walk."""
     size = alg.dim - 1
-    terms = cohomology._slot_terms(
-        {r: tuple((-a, (c,)) for c, a in enumerate(row) if a) for r, row in enumerate(alg.A)}
-    )
     blocks = [(k, masks(range(size), k)) for k in range(size + 1)]
-    ranks, _ = reference_walk(blocks, terms)
+    ranks, _ = reference_walk(blocks, ideal_action_terms(alg))
     kernel = [comb(size, k) - ranks[k] for k in range(size + 1)] + [0]
     return tuple(kernel[k] + (kernel[k - 1] if k else 0) for k in range(size + 2))
 
@@ -987,9 +993,12 @@ class TestChainParts:
         weights = dict.fromkeys(range(3), 1)
         terms = cohomology._slot_terms({1: ((1, (0, 1)),), 2: ((-1, (0, 2)),)})
         assert cohomology._chains(weights, terms, 0b1) == ([[1], [2]], None)
+        # a diagonal term is a cycle, so the chains are not strings
+        assert cohomology._positions([[1], [2]], weights, terms, 0b1) is None
+        positions = dict.fromkeys(weights, 0)
         for chain in ([1], [2]):
-            empty, full = cohomology._factors(chain, weights, terms, False)
-            assert empty == 0 and full == {1: [1 << chain[0]]}
+            empty, full = cohomology._factors(chain, weights, positions, terms, False)
+            assert empty == 0 and full == {(1, 0): [1 << chain[0]]}
         self.assert_walk_equals_reference(weights, terms)
         assert nonzero(cohomology._walk(weights, terms)) == {1: 2}
         assert cohomology._squares_vanish(terms)
@@ -1042,6 +1051,148 @@ class TestChainParts:
         d1 = {2: ((1, (7, 1)),), 6: ((1, (7, 5)),)}
         symbols = ({s: d1.get(s, ()) for s in range(8)}, 4)
         assert_dolbeault_walk_equals_reference(symbols)
+
+
+def full_walk(weights, terms):
+    """_walk with every piece ranked, as for rules that are not strings."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cohomology, "_positions", lambda *args: None)
+        return cohomology._walk(weights, terms)
+
+
+def model_walks(c):
+    """The (weights, terms) of the CE, Dolbeault and ideal-action walks."""
+    alg = build_algebra(c)
+    ce = cohomology._ce(alg)
+    dolbeault = cohomology._dolbeault(
+        cohomology._dolbeault_symbols(cohomology.structure_equations(c))
+    )
+    return [
+        (ce.weights, ce.terms),
+        (dolbeault.weights, dolbeault.terms),
+        (dict.fromkeys(range(alg.dim - 1), 1), ideal_action_terms(alg)),
+    ]
+
+
+def strings(weights, terms):
+    """Whether _walk mirrors the weight pieces of these rules."""
+    dead = cohomology._cocycle_symbols(terms)
+    chains, _ = cohomology._chains(weights, terms, dead)
+    return cohomology._positions(chains, weights, terms, dead) is not None
+
+
+class TestMirror:
+    """When every chain is a string, _walk ranks one piece of each
+    mirrored pair of weight pieces and counts it twice; otherwise it
+    ranks every piece.  (TestCocycleSkip compares every walk with n <= 5
+    with the walk over every monomial.)"""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_mirrored_walks_equal_full_walks(self, n):
+        models = list(enumerate_models(n))
+        mirrored = 0
+        for c in models:
+            for weights, terms in model_walks(c):
+                mirrored += strings(weights, terms)
+                assert nonzero(cohomology._walk(weights, terms)) == nonzero(
+                    full_walk(weights, terms)
+                )
+        # only the Heisenberg type, q = 1^n at j = 2, is not strings
+        assert mirrored == 3 * (len(models) - 1)
+
+    @pytest.mark.parametrize(
+        "weights, d1",
+        [
+            # dead x0; the chain 1 -> 2 -> 3 -> 4 and, out of bit order,
+            # 5 -> 7 -> 6; x8 a spectator
+            (
+                dict.fromkeys(range(9), 1),
+                {
+                    1: ((3, (0, 2)),),
+                    2: ((-2, (3, 0)),),
+                    3: ((5, (0, 4)),),
+                    5: ((2, (7, 0)),),
+                    7: ((-3, (0, 6)),),
+                },
+            ),
+            # dead x3 inside the chain 1 -> 2 -> 4 -> 5 -> 0
+            (
+                dict.fromkeys(range(7), 1),
+                {1: ((3, (3, 2)),), 2: ((-2, (4, 3)),), 4: ((5, (3, 5)),), 5: ((7, (0, 3)),)},
+            ),
+            # Dolbeault keys for g = 3: the holomorphic chain 0 -> 1 -> 2,
+            # the antiholomorphic chain 4 -> 5, dead x3 = conj(alpha)
+            (
+                {s: 4 if s < 3 else 1 for s in range(6)},
+                {0: ((3, (3, 1)),), 1: ((-2, (3, 2)),), 4: ((5, (3, 5)),)},
+            ),
+            # one-factor rules, no dead symbol: 0 -> 1 -> 2 and 3 -> 4 -> 5
+            (
+                dict.fromkeys(range(6), 1),
+                {0: ((3, (1,)),), 1: ((-2, (2,)),), 3: ((5, (4,)),), 4: ((-4, (5,)),)},
+            ),
+        ],
+        ids=["interleaved", "dead-inside", "dolbeault", "one-factor"],
+    )
+    def test_strings_with_non_unit_coefficients(self, weights, d1):
+        terms = cohomology._slot_terms(d1)
+        assert strings(weights, terms)
+        assert nonzero(cohomology._walk(weights, terms)) == nonzero(
+            weighted_reference(weights, terms)[0]
+        )
+
+    @pytest.mark.parametrize(
+        "d1",
+        [
+            # d(x1) has two terms
+            {1: ((1, (0, 2)), (2, (0, 3))), 2: ((3, (0, 3)),), 4: ((2, (0, 5)),)},
+            # x2 is the live factor of both x1 and x4: 1 -> 2 -> 3 -> 4 -> 2
+            # has one head, x1, and a cycle
+            {1: ((3, (0, 2)),), 2: ((-2, (0, 3)),), 3: ((5, (0, 4)),), 4: ((2, (0, 2)),)},
+            # x3 is the live factor of both x1 and x2, and the chain two heads
+            {1: ((3, (0, 3)),), 2: ((-2, (0, 3)),), 3: ((5, (0, 4)),), 4: ((2, (0, 5)),)},
+            # the cycle 1 -> 2 -> 3 -> 1, next to the string 4 -> 5
+            {1: ((3, (0, 2)),), 2: ((-2, (0, 3)),), 3: ((5, (0, 1)),), 4: ((2, (0, 5)),)},
+            # a zero coefficient breaks the chain 1 -> 2 -> 3 in two
+            {1: ((0, (0, 2)),), 2: ((3, (0, 3)),), 4: ((2, (0, 5)),)},
+        ],
+        ids=["two-terms", "shared-factor", "two-heads", "cycle", "zero-coefficient"],
+    )
+    def test_other_rules_rank_every_piece(self, d1):
+        weights = dict.fromkeys(range(6), 1)
+        terms = cohomology._slot_terms(d1)
+        assert not strings(weights, terms)
+        assert nonzero(cohomology._walk(weights, terms)) == nonzero(
+            weighted_reference(weights, terms)[0]
+        )
+
+    def test_a_chain_of_mixed_weights_ranks_every_piece(self):
+        # the string 1 -> 2 -> 3 with weights 1, 2, 3: reflecting it would
+        # change block keys
+        weights = {0: 1, 1: 1, 2: 2, 3: 3}
+        terms = cohomology._slot_terms({1: ((3, (0, 2)),), 2: ((-2, (0, 3)),)})
+        assert not strings(weights, terms)
+        assert nonzero(cohomology._walk(weights, terms)) == nonzero(
+            weighted_reference(weights, terms)[0]
+        )
+
+    def test_mirror_ranks_fewer_rows(self, monkeypatch):
+        real_rank = cohomology.sparse_rank
+        rows = []
+
+        def counted_rank(images):
+            rows.append(len(images))
+            return real_rank(images)
+
+        monkeypatch.setattr(cohomology, "sparse_rank", counted_rank)
+        walks = model_walks(M([4], 5))
+        assert all(strings(weights, terms) for weights, terms in walks)
+        mirrored = [cohomology._walk(weights, terms) for weights, terms in walks]
+        mirrored_rows = sum(rows)
+        rows.clear()
+        full = [full_walk(weights, terms) for weights, terms in walks]
+        assert list(map(nonzero, mirrored)) == list(map(nonzero, full))
+        assert 0 < mirrored_rows < sum(rows)
 
 
 def random_rules(rng, size):
