@@ -51,8 +51,9 @@ WORKERS_ENV = "ALMOSTABELIAN_WORKERS"
 # 300 MB bound.  The rank oracles and the verify sweep grow
 # exponentially in n, and enumerate walks every partition of n: the
 # oracles' worst case, invariants --q 9 --j 10 --oracle, takes about
-# 31 s and 39 MB (--j 1 about 5 s), and --q 8 --j 9 about 2.4 s and
-# 23 MB, each walk ranking one of each mirrored pair of weight pieces.
+# 21 s and 35 MB (--j 1 about 4.3 s and 26 MB), and --q 8 --j 9 about
+# 1.4 s and 22 MB, each walk ranking one of each mirrored pair of
+# weight pieces.
 # classify is linear in the number of parts of --jordan, so memory
 # (about 100 MB per million parts) sets its limit before time does.
 MAX_MODEL_N = 150

@@ -53,6 +53,21 @@ walk ranks one piece of each mirrored pair, the one with fewer
 monomials, and counts it twice.  The mirror relates pieces of one
 block; the Poincare and Serre dualities on the oracle tables relate
 different blocks, so they stay independent evidence.
+
+A string walk also builds its rows itself.  Each ruled generator has one
+rule with one live factor, and no live symbol is the factor of two
+generators, so an image moves each ruled factor of a monomial to a
+target of its own and nothing cancels: _string_rows builds each row in
+one pass over those factors, from a table of the one rules.  It hands
+the kernel a ranked piece's rows in the reverse of their build order,
+keyed by negated targets, a row permutation and a column bijection that
+keeps the rank and, on the dim-14 models, roughly halves the kernel's
+reduction steps.  The
+walk meets its cores so that consecutive ones share leading factors,
+and keeps the products of a core's leading factors on a stack that dies
+with the walk.  It sizes each core's pieces from the product of all
+its factors but the last and the last, chooses the mirrored pieces from
+those sizes, and builds masks for the chosen pieces only.
 """
 
 from dataclasses import dataclass
@@ -402,51 +417,141 @@ def _parts(groups):
     return parts
 
 
+# the empty product: its one monomial, the empty one, has key and weight 0
+_UNIT = {(0, 0): [0]}
+
+
+def _times(blocks, factor):
+    """The pieces of the product of `blocks` and `factor`, both as
+    {(key, weight): masks}."""
+    out = {}
+    for (k1, w1), m1 in blocks.items():
+        for (k2, w2), m2 in factor.items():
+            out.setdefault((k1 + k2, w1 + w2), []).extend([a | b for a in m1 for b in m2])
+    return out
+
+
 def _core_blocks(factors):
     """The pieces of a core, the product of the factors, as {(key,
     weight): masks}."""
-    blocks = {(0, 0): [0]}
+    blocks = _UNIT
     for factor in factors:
-        out = {}
-        for (k1, w1), m1 in blocks.items():
-            for (k2, w2), m2 in factor.items():
-                out.setdefault((k1 + k2, w1 + w2), []).extend([a | b for a in m1 for b in m2])
-        blocks = out
+        blocks = _times(blocks, factor)
     return blocks
 
 
-def _rank_blocks(blocks, terms, mirrored):
-    """Ranks of D on each block of one core, by key.  Each image is
-    computed once, visiting only the factors that have rules, and goes
-    to the rank kernel as it is, one row per monomial: the rank of D's
-    transpose is D's rank.  An image that cancels is dropped.
+def _rank_blocks(blocks, terms):
+    """Ranks of D on each block of one core of a walk whose chains are
+    not strings, by key: every symbol has position 0 there, so a block
+    is one piece.  Each image is computed once, visiting only the
+    factors that have rules, and goes to the rank kernel as it is, one
+    row per monomial: the rank of D's transpose is D's rank.  An image
+    that cancels is dropped."""
+    return {
+        key: sparse_rank([img for m in masks if (img := _d_mask(m, terms))])
+        for (key, _), masks in blocks.items()
+    }
 
-    When the walk's chains are strings (mirrored), the pieces S_w of a
-    block, by weight w, mirror about W, the sum of its lowest and
-    highest weights: rank(S_w -> S_w+1) = rank(S_W-1-w -> S_W-w).  Of
-    each mirrored pair the piece with fewer monomials is ranked and
-    counted twice, and the middle piece, w = (W - 1) / 2, once.
-    Otherwise every piece is ranked."""
-    pieces = {}
-    for (key, weight), masks in blocks.items():
-        pieces.setdefault(key, {})[weight] = masks
+
+def _mirror_pieces(prefix, last):
+    """The pieces a string walk ranks of the core prefix x last, as
+    {(key, times): masks}, the masks of the chosen pieces of the block
+    with that key that count `times` times; `prefix` is the product of
+    all the core's factors but the last, and both are {(key, weight):
+    masks}.
+
+    The pieces S_w of a block, by weight w, mirror about W, the sum of
+    its lowest and highest weights: rank(S_w -> S_w+1) = rank(S_W-1-w ->
+    S_W-w).  Of each mirrored pair the piece with fewer monomials, the
+    lower one on a tie, is ranked and counted twice, and the middle
+    piece, w = (W - 1) / 2, once.  The sizes of the product decide the
+    choice, so only the chosen pieces get masks."""
+    pairs = [
+        ((k1 + k2, w1 + w2), m1, m2)
+        for (k1, w1), m1 in prefix.items()
+        for (k2, w2), m2 in last.items()
+    ]
+    sizes = {}
+    for piece, m1, m2 in pairs:
+        sizes[piece] = sizes.get(piece, 0) + len(m1) * len(m2)
+    ends = {}
+    for key, weight in sizes:
+        low, high = ends.get(key, (weight, weight))
+        ends[key] = (min(low, weight), max(high, weight))
+    times = {}
+    for (key, weight), size in sizes.items():
+        low, high = ends[key]
+        mirror = low + high - 1 - weight
+        if weight == mirror:
+            times[key, weight] = 1
+        else:
+            other = sizes.get((key, mirror), 0)
+            if size < other or size == other and weight < mirror:
+                times[key, weight] = 2
+    chosen = {}
+    for piece, m1, m2 in pairs:
+        if piece in times:
+            chosen.setdefault((piece[0], times[piece]), []).extend([a | b for a in m1 for b in m2])
+    return chosen
+
+
+def _string_rows(masks, ruled, table):
+    """The rows of D on the monomials `masks` of a string walk, as the
+    rank kernel takes them: in the reverse of the order _mirror_pieces
+    builds the masks, each image keyed by its negated target masks, and
+    an empty image dropped.  That is a row permutation and a column
+    bijection of D's transpose, so the rank is D's.  The kernel pivots
+    on a row's lowest column, here its highest target, and in this order
+    meets a nearly triangular matrix: on the dim-14 models it takes
+    about half the reduction steps, and under a third of the scaled
+    ones, of the rows in build order keyed by target, though not on
+    every model (two equal chains, as at q = [9], j = 1, take more).
+
+    `table` maps the bit of each ruled generator to its one rule (coef,
+    factor mask, sign mask), and `ruled` is the mask of those bits.
+    Each generator moves to its own live factor, so the targets of one
+    image are distinct and nothing cancels: a row is built in one pass
+    over the monomial's ruled factors."""
+    rows = []
+    for mono in reversed(masks):
+        row = {}
+        bits = mono & ruled
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            rest = mono ^ low
+            coef, pair, sign = table[low]
+            if not rest & pair:
+                row[-(rest | pair)] = -coef if (rest & sign).bit_count() & 1 else coef
+        if row:
+            rows.append(row)
+    return rows
+
+
+def _rank_string_core(prefix, last, ruled, table):
+    """Ranks of D on each block of the core prefix x last of a string
+    walk, by key: the pieces _mirror_pieces chooses, those counted twice
+    ranked together and the middle piece apart, rows by _string_rows."""
     ranks = {}
-    for key, by_weight in pieces.items():
-        top = min(by_weight) + max(by_weight) - 1
-        twice, once = [], []
-        for weight, masks in by_weight.items():
-            mirror = top - weight
-            if not mirrored or weight == mirror:
-                once += masks
-            elif weight < mirror:
-                other = by_weight.get(mirror, ())
-                twice += masks if len(masks) <= len(other) else other
-        ranks[key] = sum(
-            times * sparse_rank([img for m in masks if (img := _d_mask(m, terms))])
-            for times, masks in ((2, twice), (1, once))
-            if masks
-        )
+    for (key, times), masks in _mirror_pieces(prefix, last).items():
+        rank = times * sparse_rank(_string_rows(masks, ruled, table))
+        ranks[key] = ranks.get(key, 0) + rank
     return ranks
+
+
+def _prefix(stack, head):
+    """The product of the factors `head`, a list of (id, factor), as
+    {(key, weight): masks}.  `stack` holds the products of a prefix of
+    the last core's factors, from the empty product up, each with the id
+    of its last factor: it is cut back to the longest prefix shared with
+    `head` and grown by the rest."""
+    keep = 1
+    while keep < len(stack) and keep <= len(head) and stack[keep][0] == head[keep - 1][0]:
+        keep += 1
+    del stack[keep:]
+    for ident, factor in head[keep - 1 :]:
+        stack.append((ident, _times(stack[-1][1], factor)))
+    return stack[-1][1]
 
 
 def _walk(weights, terms):
@@ -470,14 +575,22 @@ def _walk(weights, terms):
     once and adds multiplicity x rank into the blocks of its parts.
 
     When every chain is a string (_positions), the weight pieces of each
-    core mirror, as the module docstring shows, and _rank_blocks ranks
-    one piece of each mirrored pair; otherwise, as for a chain walked
-    whole, it ranks every piece."""
+    core mirror, as the module docstring shows, and _rank_string_core
+    ranks one piece of each mirrored pair, its rows built by
+    _string_rows from each generator's one rule.  Consecutive cores
+    share their leading factors, so the product of all factors of a
+    core but the last comes off a stack of prefix products that lives
+    for this walk only (_prefix).  Otherwise, as for a chain walked
+    whole, _rank_blocks ranks every piece of each core."""
     dead = _cocycle_symbols(terms)
     chains, whole = _chains(weights, terms, dead)
     positions = _positions(chains, weights, terms, dead)
     mirrored = positions is not None
-    if not mirrored:
+    if mirrored:
+        ruled, rules = terms
+        table = {bit: stated[0] for bit, stated in rules.items()}
+        stack = [(None, _UNIT)]
+    else:
         positions = dict.fromkeys(weights, 0)
     # the factors of each chain, grouped by the chain's signature
     groups = {}
@@ -493,10 +606,16 @@ def _walk(weights, terms):
     for core, parts in cores.items():
         # the picks of a group go to its chains in order: chains with one
         # signature differ by an automorphism, so any order gives one rank
-        blocks = _core_blocks(
-            own[i] for group, picks in zip(groups, core) for own, i in zip(group, picks)
-        )
-        core_ranks = _rank_blocks(blocks, terms, mirrored)
+        factors = [
+            ((g, c, i), own[i])
+            for g, (group, picks) in enumerate(zip(groups, core))
+            for c, (own, i) in enumerate(zip(group, picks))
+        ]
+        if not mirrored:
+            core_ranks = _rank_blocks(_core_blocks(f for _, f in factors), terms)
+        else:
+            *head, (_, last) = factors or [(None, _UNIT)]
+            core_ranks = _rank_string_core(_prefix(stack, head), last, ruled, table)
         for ways, key in parts:
             for k, rank in core_ranks.items():
                 if rank:

@@ -718,29 +718,38 @@ class TestCocycleSkip:
         assert ranks[1] == 1
 
     def test_images_built_for_verify_dim12(self, monkeypatch):
+        # a walk images a monomial through _d_mask or, when its chains are
+        # strings, through _string_rows; both are counted, one per monomial
         real_d_mask = cohomology._d_mask
+        real_string_rows = cohomology._string_rows
         real_walk = cohomology._walk
-        dead = {}
+        dead = []
         calls = []
         walking = []
 
         def counted_d_mask(mono, terms):
             if walking:
-                if id(terms) not in dead:
-                    dead[id(terms)] = (terms, cohomology._cocycle_symbols(terms))
-                assert not mono & dead[id(terms)][1]
+                assert not mono & dead[-1]
             calls.append(bool(walking))
             return real_d_mask(mono, terms)
 
+        def counted_string_rows(masks, ruled, table):
+            assert walking and not any(mono & dead[-1] for mono in masks)
+            calls.extend([True] * len(masks))
+            return real_string_rows(masks, ruled, table)
+
         def scoped_walk(weights, terms):
             walking.append(True)
+            dead.append(cohomology._cocycle_symbols(terms))
             try:
                 return real_walk(weights, terms)
             finally:
                 walking.pop()
+                dead.pop()
 
         monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
         monkeypatch.setattr(cohomology, "_d_mask", counted_d_mask)
+        monkeypatch.setattr(cohomology, "_string_rows", counted_string_rows)
         monkeypatch.setattr(cohomology, "_walk", scoped_walk)
         lines, all_ok = cli.run_verify(12)
         assert all_ok
@@ -966,14 +975,16 @@ class TestChainParts:
         terms = cohomology._slot_terms(cohomology._ce_generator_differentials(alg))
         groups = signature_groups(dict.fromkeys(range(alg.dim), 1), terms)
         assert sorted(map(len, groups)) == [1, 6] and sorted(len(g[0]) for g in groups) == [1, 2]
-        real_rank_blocks = cohomology._rank_blocks
+        # the chains are strings, so _rank_string_core ranks each core
+        assert strings(dict.fromkeys(range(alg.dim), 1), terms)
+        real_rank_core = cohomology._rank_string_core
         cores = []
 
-        def counted_rank_blocks(blocks, *rest):
-            cores.append(blocks)
-            return real_rank_blocks(blocks, *rest)
+        def counted_rank_core(prefix, last, *rest):
+            cores.append(last)
+            return real_rank_core(prefix, last, *rest)
 
-        monkeypatch.setattr(cohomology, "_rank_blocks", counted_rank_blocks)
+        monkeypatch.setattr(cohomology, "_rank_string_core", counted_rank_core)
         assert_ce_walk_equals_reference(alg)
         assert len(cores) == 7
         # no rank outlives its record: a second record ranks every core again
@@ -1074,6 +1085,44 @@ def model_walks(c):
     ]
 
 
+# synthetic rules whose chains are strings, with coefficients other than
+# +-1, as (weights, d1): each (weights, _slot_terms(d1)) is a walk that mirrors
+STRING_RULES = [
+    # dead x0; the chain 1 -> 2 -> 3 -> 4 and, out of bit order,
+    # 5 -> 7 -> 6; x8 a spectator
+    pytest.param(
+        dict.fromkeys(range(9), 1),
+        {
+            1: ((3, (0, 2)),),
+            2: ((-2, (3, 0)),),
+            3: ((5, (0, 4)),),
+            5: ((2, (7, 0)),),
+            7: ((-3, (0, 6)),),
+        },
+        id="interleaved",
+    ),
+    # dead x3 inside the chain 1 -> 2 -> 4 -> 5 -> 0
+    pytest.param(
+        dict.fromkeys(range(7), 1),
+        {1: ((3, (3, 2)),), 2: ((-2, (4, 3)),), 4: ((5, (3, 5)),), 5: ((7, (0, 3)),)},
+        id="dead-inside",
+    ),
+    # Dolbeault keys for g = 3: the holomorphic chain 0 -> 1 -> 2, the
+    # antiholomorphic chain 4 -> 5, dead x3 = conj(alpha)
+    pytest.param(
+        {s: 4 if s < 3 else 1 for s in range(6)},
+        {0: ((3, (3, 1)),), 1: ((-2, (3, 2)),), 4: ((5, (3, 5)),)},
+        id="dolbeault",
+    ),
+    # one-factor rules, no dead symbol: 0 -> 1 -> 2 and 3 -> 4 -> 5
+    pytest.param(
+        dict.fromkeys(range(6), 1),
+        {0: ((3, (1,)),), 1: ((-2, (2,)),), 3: ((5, (4,)),), 4: ((-4, (5,)),)},
+        id="one-factor",
+    ),
+]
+
+
 def strings(weights, terms):
     """Whether _walk mirrors the weight pieces of these rules."""
     dead = cohomology._cocycle_symbols(terms)
@@ -1100,40 +1149,7 @@ class TestMirror:
         # only the Heisenberg type, q = 1^n at j = 2, is not strings
         assert mirrored == 3 * (len(models) - 1)
 
-    @pytest.mark.parametrize(
-        "weights, d1",
-        [
-            # dead x0; the chain 1 -> 2 -> 3 -> 4 and, out of bit order,
-            # 5 -> 7 -> 6; x8 a spectator
-            (
-                dict.fromkeys(range(9), 1),
-                {
-                    1: ((3, (0, 2)),),
-                    2: ((-2, (3, 0)),),
-                    3: ((5, (0, 4)),),
-                    5: ((2, (7, 0)),),
-                    7: ((-3, (0, 6)),),
-                },
-            ),
-            # dead x3 inside the chain 1 -> 2 -> 4 -> 5 -> 0
-            (
-                dict.fromkeys(range(7), 1),
-                {1: ((3, (3, 2)),), 2: ((-2, (4, 3)),), 4: ((5, (3, 5)),), 5: ((7, (0, 3)),)},
-            ),
-            # Dolbeault keys for g = 3: the holomorphic chain 0 -> 1 -> 2,
-            # the antiholomorphic chain 4 -> 5, dead x3 = conj(alpha)
-            (
-                {s: 4 if s < 3 else 1 for s in range(6)},
-                {0: ((3, (3, 1)),), 1: ((-2, (3, 2)),), 4: ((5, (3, 5)),)},
-            ),
-            # one-factor rules, no dead symbol: 0 -> 1 -> 2 and 3 -> 4 -> 5
-            (
-                dict.fromkeys(range(6), 1),
-                {0: ((3, (1,)),), 1: ((-2, (2,)),), 3: ((5, (4,)),), 4: ((-4, (5,)),)},
-            ),
-        ],
-        ids=["interleaved", "dead-inside", "dolbeault", "one-factor"],
-    )
+    @pytest.mark.parametrize("weights, d1", STRING_RULES)
     def test_strings_with_non_unit_coefficients(self, weights, d1):
         terms = cohomology._slot_terms(d1)
         assert strings(weights, terms)
@@ -1193,6 +1209,117 @@ class TestMirror:
         full = [full_walk(weights, terms) for weights, terms in walks]
         assert list(map(nonzero, mirrored)) == list(map(nonzero, full))
         assert 0 < mirrored_rows < sum(rows)
+
+
+def mask_bits(mask):
+    """The symbols of a monomial, in bit order."""
+    return [s for s in range(mask.bit_length()) if mask >> s & 1]
+
+
+class TestStringRows:
+    """A string walk images each monomial of a ranked piece once, in one
+    pass over the generators' one rule each, and hands the kernel the
+    rows in the reverse of their build order, keyed by negated targets.
+    Each core's last factor is multiplied onto the product of the others,
+    which a stack keeps across consecutive cores, and only the pieces the
+    mirror chooses get masks.  Every core of every mirrored walk is held
+    against _core_blocks over its full factor list and against _d_mask."""
+
+    @staticmethod
+    def assert_string_walk(weights, terms):
+        dead = cohomology._cocycle_symbols(terms)
+        chains, _ = cohomology._chains(weights, terms, dead)
+        positions = cohomology._positions(chains, weights, terms, dead)
+        assert positions is not None
+        heads, cores = [], []
+        real_prefix = cohomology._prefix
+        real_rank_core = cohomology._rank_string_core
+
+        def spied_prefix(stack, head):
+            heads.append([factor for _, factor in head])
+            return real_prefix(stack, head)
+
+        def spied_rank_core(prefix, last, ruled, table):
+            cores.append((heads[-1] + [last], prefix, last, ruled, table))
+            return real_rank_core(prefix, last, ruled, table)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cohomology, "_prefix", spied_prefix)
+            patch.setattr(cohomology, "_rank_string_core", spied_rank_core)
+            cohomology._walk(weights, terms)
+        assert cores
+        for factors, prefix, last, ruled, table in cores:
+            assert (ruled, table) == (terms[0], {bit: rule for bit, (rule,) in terms[1].items()})
+            blocks = cohomology._core_blocks(factors)
+            assert prefix == cohomology._core_blocks(factors[:-1])
+            # the pieces the mirror chooses, from the full product's sizes
+            expected = {}
+            for key in {key for key, _ in blocks}:
+                by_weight = {w: len(m) for (k, w), m in blocks.items() if k == key}
+                top = min(by_weight) + max(by_weight) - 1
+                for weight, size in by_weight.items():
+                    mirror = top - weight
+                    other = by_weight.get(mirror, 0)
+                    if weight == mirror:
+                        expected[key, weight] = 1
+                    elif size < other or size == other and weight < mirror:
+                        expected[key, weight] = 2
+            built = {}
+            for (key, times), masks in cohomology._mirror_pieces(prefix, last).items():
+                for mono in masks:
+                    weight = sum(positions[s] for s in mask_bits(mono))
+                    assert expected[key, weight] == times
+                    built.setdefault((key, weight), []).append(mono)
+            assert sorted(built) == sorted(expected)
+            for piece, masks in built.items():
+                assert sorted(masks) == sorted(blocks[piece])
+                images = [cohomology._d_mask(m, terms) for m in masks]
+                rows = cohomology._string_rows(masks, ruled, table)
+                assert rows == [
+                    {-target: coef for target, coef in img.items()}
+                    for img in reversed(images)
+                    if img
+                ]
+                assert sparse_rank(rows) == sparse_rank([img for img in images if img])
+        return len(cores)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_mirrored_walk_up_to_n7(self, n):
+        models = list(enumerate_models(n))
+        mirrored = 0
+        for c in models:
+            for weights, terms in model_walks(c):
+                if strings(weights, terms):
+                    self.assert_string_walk(weights, terms)
+                    mirrored += 1
+        assert mirrored == 3 * (len(models) - 1)
+
+    @pytest.mark.parametrize("weights, d1", STRING_RULES)
+    def test_synthetic_strings(self, weights, d1):
+        self.assert_string_walk(weights, cohomology._slot_terms(d1))
+
+    def test_cores_share_their_prefixes(self, monkeypatch):
+        # q = 3,3,2 at j = 4: consecutive cores of the Dolbeault walk share
+        # leading factors, so the walk multiplies fewer products than the
+        # cores' factors but the last, which a walk without the stack would
+        real_times = cohomology._times
+        real_prefix = cohomology._prefix
+        products, heads = [], []
+
+        def counted_times(blocks, factor):
+            products.append(factor)
+            return real_times(blocks, factor)
+
+        def counted_prefix(stack, head):
+            heads.append(len(head))
+            return real_prefix(stack, head)
+
+        monkeypatch.setattr(cohomology, "_times", counted_times)
+        monkeypatch.setattr(cohomology, "_prefix", counted_prefix)
+        _, (weights, terms), _ = model_walks(M([3, 3, 2], 4))
+        assert strings(weights, terms)
+        cohomology._walk(weights, terms)
+        assert 0 < len(products) < sum(heads)
 
 
 def random_rules(rng, size):
