@@ -12,7 +12,7 @@ Size limits, checked before any work starts (one "error:" line on
 stderr and exit status 1 above them): invariants and export take models
 with n = sum(q) <= 150, and invariants --oracle n <= 9; enumerate takes
 --dim <= 100; classify takes Jordan types of total size <= 1000000;
-verify takes --max-dim <= 18.
+verify takes --max-dim <= 20.
 """
 
 import argparse
@@ -51,16 +51,16 @@ WORKERS_ENV = "ALMOSTABELIAN_WORKERS"
 # 300 MB bound.  The rank oracles and the verify sweep grow
 # exponentially in n, and enumerate walks every partition of n: the
 # oracles' worst case, invariants --q 9 --j 10 --oracle, takes about
-# 21 s and 35 MB (--j 1 about 4.3 s and 26 MB), and --q 8 --j 9 about
-# 1.4 s and 22 MB, each walk ranking one of each mirrored pair of
-# weight pieces.
+# 7 s and 37 MB (--j 1 about 1.3 s and 26 MB), and --q 8 --j 9 about
+# 0.6 s and 22 MB, each string core ranked once per shape; verify
+# --max-dim 20, 274 models, takes about 18 s and 39 MB on one worker.
 # classify is linear in the number of parts of --jordan, so memory
 # (about 100 MB per million parts) sets its limit before time does.
 MAX_MODEL_N = 150
 MAX_ORACLE_N = 9
 MAX_ENUMERATE_DIM = 100
 MAX_CLASSIFY_TOTAL = 10**6
-MAX_VERIFY_DIM = 18
+MAX_VERIFY_DIM = 20
 
 
 class _Parser(argparse.ArgumentParser):

@@ -34,8 +34,9 @@ spectator, a symbol that no rule names, is such a chain) changes
 nothing: x -> x ^ s maps the part's core, the product of its other
 factors, onto the part, and D(x ^ s) = D(x) ^ s.  Chains that carry the
 same rules once relabelled, with the same weights, are exchanged by an
-automorphism of the complex, so each walk ranks each distinct core
-once and adds multiplicity x rank into each block.  All of this is
+automorphism of the complex (in a string walk, below, any chains of
+one length and weight give cores of one rank), so each walk ranks each
+distinct core once and adds multiplicity x rank into each block.  All of this is
 exact.  When some term has no live factor or two, all the named live
 symbols form one chain, walked whole.  The walks only rank: D^2 = 0 is
 checked on the generators, which suffices since D^2 is a derivation.
@@ -48,13 +49,30 @@ and highest weights sum to W = sum c_i (L_i - 1), and rank(S_w ->
 S_w+1) = rank(S_W-1-w -> S_W-w) on its weight pieces S_w: reversing
 each string, after a diagonal rescaling over Q, conjugates the shift N
 to its transpose, whose derivation extension is the transpose of N's up
-to a sign per monomial, and the dead symbol only adds a sign.  So each
-walk ranks one piece of each mirrored pair, the one with fewer
-monomials, and counts it twice.  The mirror relates pieces of one
+to a sign per monomial, and the dead symbol only adds a sign.  So a
+string core is ranked on one piece of each mirrored pair, the one with
+fewer monomials, counted twice.  The mirror relates pieces of one
 block; the Poincare and Serre dualities on the oracle tables relate
 different blocks, so they stay independent evidence.
 
-A string walk also builds its rows itself.  Each ruled generator has one
+A string core's rank depends only on its shape, the sorted (L, k) of
+its factors, each k of the L symbols of one chain, so _shape_rank ranks
+one canonical core per shape, cached for the life of the process, and
+every string walk of every model reads it.  Why this is exact:
+1. _cocycle_symbols puts every dead symbol in every rule's pair mask;
+   a pair has at most two factors, one of them live, so a string walk
+   has at most one dead symbol d0.
+2. So D = +-d0 ^ N or D = N, N the even derivation that extends each
+   chain's nonzero shift.  d0 ^ is injective on the live monomials, so
+   a core has one rank under D and under N.
+3. Rescaling each chain's symbols along its path makes every shift
+   coefficient 1, an automorphism of the exterior algebra, and a chain
+   has one weight, so a core lies in one block.  Its rank is therefore
+   an invariant of (x) Lambda^{k_i} J_{L_i}, which the shape records.
+The key keeps (L, k) and (L, L - k) apart, so the Poincare and Serre
+dualities on the oracle tables stay independent of it.
+
+The canonical core builds its rows itself.  Each ruled generator has one
 rule with one live factor, and no live symbol is the factor of two
 generators, so an image moves each ruled factor of a monomial to a
 target of its own and nothing cancels: _string_rows builds each row in
@@ -62,16 +80,13 @@ one pass over those factors, from a table of the one rules.  It hands
 the kernel a ranked piece's rows in the reverse of their build order,
 keyed by negated targets, a row permutation and a column bijection that
 keeps the rank and, on the dim-14 models, roughly halves the kernel's
-reduction steps.  The
-walk meets its cores so that consecutive ones share leading factors,
-and keeps the products of a core's leading factors on a stack that dies
-with the walk.  It sizes each core's pieces from the product of all
-its factors but the last and the last, chooses the mirrored pieces from
-those sizes, and builds masks for the chosen pieces only.
+reduction steps.  _mirror_pieces sizes a core's pieces from the product
+of all its factors but the last and the last, chooses the mirrored
+pieces from those sizes, and builds masks for the chosen pieces only.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, combinations_with_replacement
 from math import comb, factorial
 
@@ -363,20 +378,20 @@ def _positions(chains, weights, terms, dead):
     return positions
 
 
-def _factors(chain, weights, positions, terms, whole):
-    """The factors a part can draw from the chain: its monomials of each
-    degree, or all of them for a chain taken whole, as {(key, weight):
-    masks}, weight the sum of the symbols' positions.  A factor that is
-    one monomial s with an empty image (the empty monomial, or a full
-    chain that D kills) is trivial and is given as its key instead:
-    x -> x ^ s maps the part without it onto the part, and D(x ^ s) =
-    D(x) ^ s."""
+def _factors(chain, weights, terms, whole):
+    """The factors a part can draw from a chain of a walk that is not
+    strings: its monomials of each degree, or all of them for a chain
+    taken whole, as {(key, 0): masks}, one piece per key.  A factor that
+    is one monomial s with an empty image (the empty monomial, or a full
+    chain that D kills) is trivial and is given as its key, an int,
+    instead: x -> x ^ s maps the part without it onto the part, and
+    D(x ^ s) = D(x) ^ s."""
     out = []
     for degrees in [range(len(chain) + 1)] if whole else [[k] for k in range(len(chain) + 1)]:
         blocks = {}
         for k in degrees:
             for combo in combinations(chain, k):
-                key = (sum(weights[s] for s in combo), sum(positions[s] for s in combo))
+                key = (sum(weights[s] for s in combo), 0)
                 blocks.setdefault(key, []).append(sum(1 << s for s in combo))
         masks = [m for group in blocks.values() for m in group]
         if len(masks) == 1 and not _d_mask(masks[0], terms):
@@ -390,10 +405,11 @@ def _factors(chain, weights, positions, terms, whole):
 def _parts(groups):
     """The parts of the complex, one choice of a factor per chain up to
     the exchange of the chains of a group, as {(core, key shift):
-    multiplicity}.  `groups` lists (factors, m) for m chains with one
-    signature.  The core has, per group, the indices of its nontrivial
-    picks in ascending order; the trivial picks add their keys.  A group
-    that picks factor i c_i times does so in m! / prod c_i! ways."""
+    multiplicity}.  `groups` lists (factors, m) for m exchangeable
+    chains, a trivial factor given as its key, an int.  The core has,
+    per group, the indices of its nontrivial picks in ascending order;
+    the trivial picks add their keys.  A group that picks factor i c_i
+    times does so in m! / prod c_i! ways."""
     parts = {((), 0): 1}
     for factors, m in groups:
         own = {}
@@ -403,10 +419,10 @@ def _parts(groups):
                 ways //= factorial(picks.count(i))
             core, key = (), 0
             for i in picks:
-                if isinstance(factors[i], dict):
-                    core += (i,)
-                else:
+                if isinstance(factors[i], int):
                     key += factors[i]
+                else:
+                    core += (i,)
             own[core, key] = ways
         merged = {}
         for (core, key), ways in parts.items():
@@ -421,32 +437,26 @@ def _parts(groups):
 _UNIT = {(0, 0): [0]}
 
 
-def _times(blocks, factor):
-    """The pieces of the product of `blocks` and `factor`, both as
-    {(key, weight): masks}."""
-    out = {}
-    for (k1, w1), m1 in blocks.items():
-        for (k2, w2), m2 in factor.items():
-            out.setdefault((k1 + k2, w1 + w2), []).extend([a | b for a in m1 for b in m2])
-    return out
-
-
 def _core_blocks(factors):
     """The pieces of a core, the product of the factors, as {(key,
     weight): masks}."""
     blocks = _UNIT
     for factor in factors:
-        blocks = _times(blocks, factor)
+        out = {}
+        for (k1, w1), m1 in blocks.items():
+            for (k2, w2), m2 in factor.items():
+                out.setdefault((k1 + k2, w1 + w2), []).extend([a | b for a in m1 for b in m2])
+        blocks = out
     return blocks
 
 
 def _rank_blocks(blocks, terms):
     """Ranks of D on each block of one core of a walk whose chains are
-    not strings, by key: every symbol has position 0 there, so a block
-    is one piece.  Each image is computed once, visiting only the
-    factors that have rules, and goes to the rank kernel as it is, one
-    row per monomial: the rank of D's transpose is D's rank.  An image
-    that cancels is dropped."""
+    not strings, by key: _factors gives every monomial weight 0 there,
+    so a block is one piece.  Each image is computed once, visiting only
+    the factors that have rules, and goes to the rank kernel as it is,
+    one row per monomial: the rank of D's transpose is D's rank.  An
+    image that cancels is dropped."""
     return {
         key: sparse_rank([img for m in masks if (img := _d_mask(m, terms))])
         for (key, _), masks in blocks.items()
@@ -454,7 +464,7 @@ def _rank_blocks(blocks, terms):
 
 
 def _mirror_pieces(prefix, last):
-    """The pieces a string walk ranks of the core prefix x last, as
+    """The pieces a string core prefix x last is ranked on, as
     {(key, times): masks}, the masks of the chosen pieces of the block
     with that key that count `times` times; `prefix` is the product of
     all the core's factors but the last, and both are {(key, weight):
@@ -496,7 +506,7 @@ def _mirror_pieces(prefix, last):
 
 
 def _string_rows(masks, ruled, table):
-    """The rows of D on the monomials `masks` of a string walk, as the
+    """The rows of D on the monomials `masks` of a string core, as the
     rank kernel takes them: in the reverse of the order _mirror_pieces
     builds the masks, each image keyed by its negated target masks, and
     an empty image dropped.  That is a row permutation and a column
@@ -529,9 +539,9 @@ def _string_rows(masks, ruled, table):
 
 
 def _rank_string_core(prefix, last, ruled, table):
-    """Ranks of D on each block of the core prefix x last of a string
-    walk, by key: the pieces _mirror_pieces chooses, those counted twice
-    ranked together and the middle piece apart, rows by _string_rows."""
+    """Ranks of D on each block of the string core prefix x last, by key:
+    the pieces _mirror_pieces chooses, those counted twice ranked
+    together and the middle piece apart, rows by _string_rows."""
     ranks = {}
     for (key, times), masks in _mirror_pieces(prefix, last).items():
         rank = times * sparse_rank(_string_rows(masks, ruled, table))
@@ -539,19 +549,30 @@ def _rank_string_core(prefix, last, ruled, table):
     return ranks
 
 
-def _prefix(stack, head):
-    """The product of the factors `head`, a list of (id, factor), as
-    {(key, weight): masks}.  `stack` holds the products of a prefix of
-    the last core's factors, from the empty product up, each with the id
-    of its last factor: it is cut back to the longest prefix shared with
-    `head` and grown by the rest."""
-    keep = 1
-    while keep < len(stack) and keep <= len(head) and stack[keep][0] == head[keep - 1][0]:
-        keep += 1
-    del stack[keep:]
-    for ident, factor in head[keep - 1 :]:
-        stack.append((ident, _times(stack[-1][1], factor)))
-    return stack[-1][1]
+@cache
+def _shape_rank(shape):
+    """The rank of D on a string core of this shape, the sorted (L, k) of
+    its factors, each k of the L symbols of one chain with 0 < k < L.
+
+    The canonical core puts each chain on consecutive symbols, one-factor
+    rules s -> s + 1 of coefficient 1 and no dead symbol, each symbol's
+    weight its position along its chain; the module docstring shows that
+    every string core of this shape has its rank.  Cached for the life
+    of the process, so each shape is ranked once, whichever walk or
+    model meets it first."""
+    d1, factors, base = {}, [], 0
+    for length, k in shape:
+        chain = range(base, base + length)
+        d1.update((s, ((1, (s + 1,)),)) for s in chain[:-1])
+        pieces = {}
+        for combo in combinations(chain, k):
+            pieces.setdefault((0, sum(combo) - k * base), []).append(sum(1 << s for s in combo))
+        factors.append(pieces)
+        base += length
+    ruled, rules = _slot_terms(d1)
+    table = {bit: rule for bit, (rule,) in rules.items()}
+    *head, last = factors or [_UNIT]
+    return sum(_rank_string_core(_core_blocks(head), last, ruled, table).values())
 
 
 def _walk(weights, terms):
@@ -569,53 +590,46 @@ def _walk(weights, terms):
     drawn from each chain of _chains, so each block is the direct sum
     of its parts, one per chain multidegree, and its rank is the sum of
     theirs.  A part's rank is that of its core, the product of its
-    nontrivial factors (_factors).  Chains with one _signature are
-    exchanged by an automorphism of the complex, so cores that differ by
-    such an exchange have one rank.  The walk ranks each distinct core
-    once and adds multiplicity x rank into the blocks of its parts.
+    nontrivial factors.  The walk ranks each distinct core once and
+    adds multiplicity x rank into the blocks of its parts.
 
-    When every chain is a string (_positions), the weight pieces of each
-    core mirror, as the module docstring shows, and _rank_string_core
-    ranks one piece of each mirrored pair, its rows built by
-    _string_rows from each generator's one rule.  Consecutive cores
-    share their leading factors, so the product of all factors of a
-    core but the last comes off a stack of prefix products that lives
-    for this walk only (_prefix).  Otherwise, as for a chain walked
-    whole, _rank_blocks ranks every piece of each core."""
+    When every chain is a string (_positions), a chain's factors are
+    its degrees k, trivial at k = 0 and k = L, and a core's rank is
+    _shape_rank of its shape, so chains of one length and weight are
+    exchangeable and the walk builds no monomial.  Otherwise chains with
+    one _signature are exchanged by an automorphism of the complex, so
+    cores that differ by such an exchange have one rank, and _rank_blocks
+    ranks every piece of each core's _factors."""
     dead = _cocycle_symbols(terms)
     chains, whole = _chains(weights, terms, dead)
-    positions = _positions(chains, weights, terms, dead)
-    mirrored = positions is not None
-    if mirrored:
-        ruled, rules = terms
-        table = {bit: stated[0] for bit, stated in rules.items()}
-        stack = [(None, _UNIT)]
-    else:
-        positions = dict.fromkeys(weights, 0)
-    # the factors of each chain, grouped by the chain's signature
+    strings = _positions(chains, weights, terms, dead) is not None
+    # the factors of each chain, grouped by the chain's kind: a string's
+    # degree-k factor is its key if trivial, else (L, k, key)
     groups = {}
     for chain in chains:
-        groups.setdefault((chain is whole, _signature(chain, weights, terms)), []).append(
-            _factors(chain, weights, positions, terms, chain is whole)
-        )
+        if strings:
+            length, w = len(chain), weights[chain[0]]
+            groups.setdefault((length, w), []).append(
+                [k * w if k in (0, length) else (length, k, k * w) for k in range(length + 1)]
+            )
+        else:
+            groups.setdefault((chain is whole, _signature(chain, weights, terms)), []).append(
+                _factors(chain, weights, terms, chain is whole)
+            )
     groups = list(groups.values())
     cores = {}
     for (core, key), ways in _parts([(g[0], len(g)) for g in groups]).items():
         cores.setdefault(core, []).append((ways, key))
     ranks = {}
     for core, parts in cores.items():
-        # the picks of a group go to its chains in order: chains with one
-        # signature differ by an automorphism, so any order gives one rank
-        factors = [
-            ((g, c, i), own[i])
-            for g, (group, picks) in enumerate(zip(groups, core))
-            for c, (own, i) in enumerate(zip(group, picks))
-        ]
-        if not mirrored:
-            core_ranks = _rank_blocks(_core_blocks(f for _, f in factors), terms)
+        # the picks of a group go to its chains in order: chains of one
+        # kind are exchangeable, so any order gives one rank
+        factors = [own[i] for group, picks in zip(groups, core) for own, i in zip(group, picks)]
+        if strings:
+            shape = tuple(sorted(factor[:2] for factor in factors))
+            core_ranks = {sum(factor[2] for factor in factors): _shape_rank(shape)}
         else:
-            *head, (_, last) = factors or [(None, _UNIT)]
-            core_ranks = _rank_string_core(_prefix(stack, head), last, ruled, table)
+            core_ranks = _rank_blocks(_core_blocks(factors), terms)
         for ways, key in parts:
             for k, rank in core_ranks.items():
                 if rank:

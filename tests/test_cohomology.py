@@ -719,7 +719,8 @@ class TestCocycleSkip:
 
     def test_images_built_for_verify_dim12(self, monkeypatch):
         # a walk images a monomial through _d_mask or, when its chains are
-        # strings, through _string_rows; both are counted, one per monomial
+        # strings, through _string_rows on the canonical core of a shape
+        # (_shape_rank); both are counted, one per monomial
         real_d_mask = cohomology._d_mask
         real_string_rows = cohomology._string_rows
         real_walk = cohomology._walk
@@ -734,7 +735,10 @@ class TestCocycleSkip:
             return real_d_mask(mono, terms)
 
         def counted_string_rows(masks, ruled, table):
-            assert walking and not any(mono & dead[-1] for mono in masks)
+            # a canonical core: no dead symbol, each rule one step s -> s + 1
+            assert walking and all(
+                coef == 1 and pair == bit << 1 for bit, (coef, pair, _) in table.items()
+            )
             calls.extend([True] * len(masks))
             return real_string_rows(masks, ruled, table)
 
@@ -756,15 +760,19 @@ class TestCocycleSkip:
         # in the walks: 171805 without the skip, 84008 with the spectators
         # walked, 29588 with each block walked whole instead of each
         # distinct core once, 16388 before the mirror ranked one piece of
-        # each mirrored pair
-        assert calls.count(True) == 7652
+        # each mirrored pair, 7652 (772 through _d_mask) before each string
+        # core was ranked once per shape for the whole sweep; now 120
+        # through _d_mask, in the Heisenberg type's walks, and 2115 rows of
+        # 121 canonical cores
+        assert calls.count(True) == 2235
         # outside the walks, each model's CE and Dolbeault records check
         # D^2 once each, imaging each ruled generator and each monomial of
         # its image, dead symbols included; d_squared and the Betti
         # numbers share the CE verdict, dbar_squared and the Hodge numbers
         # the Dolbeault one (17700 while each oracle checked D^2 again,
-        # 17044 before the mirror)
-        assert len(calls) == 8308
+        # 17044 before the mirror, 8308 before the shape ranks)
+        assert len(calls) == 2891
+        assert cohomology._shape_rank.cache_info().misses == 121
 
 
 def ce_reference(alg):
@@ -975,7 +983,9 @@ class TestChainParts:
         terms = cohomology._slot_terms(cohomology._ce_generator_differentials(alg))
         groups = signature_groups(dict.fromkeys(range(alg.dim), 1), terms)
         assert sorted(map(len, groups)) == [1, 6] and sorted(len(g[0]) for g in groups) == [1, 2]
-        # the chains are strings, so _rank_string_core ranks each core
+        # the chains are strings, so each core is ranked by its shape: the
+        # shapes ((2, 1),) * c for c = 0..6 are the walk's seven misses,
+        # each ranked once by _rank_string_core
         assert strings(dict.fromkeys(range(alg.dim), 1), terms)
         real_rank_core = cohomology._rank_string_core
         cores = []
@@ -986,10 +996,11 @@ class TestChainParts:
 
         monkeypatch.setattr(cohomology, "_rank_string_core", counted_rank_core)
         assert_ce_walk_equals_reference(alg)
-        assert len(cores) == 7
-        # no rank outlives its record: a second record ranks every core again
+        assert len(cores) == cohomology._shape_rank.cache_info().misses == 7
+        # the ranks outlive their record: a second record ranks no core
+        # again, and reads every shape from the cache
         cohomology._ce(alg).dims
-        assert len(cores) == 14
+        assert len(cores) == cohomology._shape_rank.cache_info().misses == 7
 
     @staticmethod
     def assert_walk_equals_reference(weights, terms):
@@ -1006,9 +1017,8 @@ class TestChainParts:
         assert cohomology._chains(weights, terms, 0b1) == ([[1], [2]], None)
         # a diagonal term is a cycle, so the chains are not strings
         assert cohomology._positions([[1], [2]], weights, terms, 0b1) is None
-        positions = dict.fromkeys(weights, 0)
         for chain in ([1], [2]):
-            empty, full = cohomology._factors(chain, weights, positions, terms, False)
+            empty, full = cohomology._factors(chain, weights, terms, False)
             assert empty == 0 and full == {(1, 0): [1 << chain[0]]}
         self.assert_walk_equals_reference(weights, terms)
         assert nonzero(cohomology._walk(weights, terms)) == {1: 2}
@@ -1203,12 +1213,20 @@ class TestMirror:
         monkeypatch.setattr(cohomology, "sparse_rank", counted_rank)
         walks = model_walks(M([4], 5))
         assert all(strings(weights, terms) for weights, terms in walks)
-        mirrored = [cohomology._walk(weights, terms) for weights, terms in walks]
+        mirrored = []
+        for weights, terms in walks:
+            # each walk on a cold cache, so no walk reads another's ranks
+            cohomology._shape_rank.cache_clear()
+            mirrored.append(cohomology._walk(weights, terms))
         mirrored_rows = sum(rows)
         rows.clear()
         full = [full_walk(weights, terms) for weights, terms in walks]
         assert list(map(nonzero, mirrored)) == list(map(nonzero, full))
         assert 0 < mirrored_rows < sum(rows)
+        # on a warm cache a walk reads every rank and ranks nothing
+        rows.clear()
+        assert [cohomology._walk(weights, terms) for weights, terms in walks[-1:]] == mirrored[-1:]
+        assert rows == []
 
 
 def mask_bits(mask):
@@ -1216,42 +1234,76 @@ def mask_bits(mask):
     return [s for s in range(mask.bit_length()) if mask >> s & 1]
 
 
+def canonical_core(shape):
+    """The canonical core of a shape, built here apart from _shape_rank:
+    each (L, k) a chain of L consecutive symbols with the one-factor
+    rules s -> s + 1 of coefficient 1, and its degree-k factor.  Returns
+    (factors, terms, positions), each factor as {(0, weight): masks}."""
+    d1, factors, positions, base = {}, [], {}, 0
+    for length, k in shape:
+        for i in range(length):
+            positions[base + i] = i
+            if i + 1 < length:
+                d1[base + i] = ((1, (base + i + 1,)),)
+        factor = {}
+        for combo in combinations(range(base, base + length), k):
+            weight = sum(positions[s] for s in combo)
+            factor.setdefault((0, weight), []).append(sum(1 << s for s in combo))
+        factors.append(factor)
+        base += length
+    return factors, cohomology._slot_terms(d1), positions
+
+
 class TestStringRows:
-    """A string walk images each monomial of a ranked piece once, in one
-    pass over the generators' one rule each, and hands the kernel the
-    rows in the reverse of their build order, keyed by negated targets.
-    Each core's last factor is multiplied onto the product of the others,
-    which a stack keeps across consecutive cores, and only the pieces the
-    mirror chooses get masks.  Every core of every mirrored walk is held
-    against _core_blocks over its full factor list and against _d_mask."""
+    """A string walk ranks each core by its shape, through _shape_rank, on
+    the canonical core of that shape.  That core's last factor is
+    multiplied onto the product of the others, and only the pieces the
+    mirror chooses get masks; each of their monomials is imaged once, in
+    one pass over the generators' one rule each, and the rows go to the
+    kernel in the reverse of their build order, keyed by negated
+    targets.  Every canonical core the walks meet is held against
+    _core_blocks over its full factor list and against _d_mask."""
 
     @staticmethod
     def assert_string_walk(weights, terms):
+        """Walk with _shape_rank and _rank_string_core spied on, check the
+        shapes against the walk's chains and every core ranked against
+        the reference; returns the number of cores ranked."""
         dead = cohomology._cocycle_symbols(terms)
         chains, _ = cohomology._chains(weights, terms, dead)
-        positions = cohomology._positions(chains, weights, terms, dead)
-        assert positions is not None
-        heads, cores = [], []
-        real_prefix = cohomology._prefix
+        assert cohomology._positions(chains, weights, terms, dead) is not None
+        lengths = {len(chain) for chain in chains}
+        shapes, cores = [], []
+        real_shape_rank = cohomology._shape_rank
         real_rank_core = cohomology._rank_string_core
 
-        def spied_prefix(stack, head):
-            heads.append([factor for _, factor in head])
-            return real_prefix(stack, head)
+        def spied_shape_rank(shape):
+            shapes.append(shape)
+            return real_shape_rank(shape)
 
         def spied_rank_core(prefix, last, ruled, table):
-            cores.append((heads[-1] + [last], prefix, last, ruled, table))
+            cores.append((shapes[-1], prefix, last, ruled, table))
             return real_rank_core(prefix, last, ruled, table)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cohomology, "_prefix", spied_prefix)
+            patch.setattr(cohomology, "_shape_rank", spied_shape_rank)
             patch.setattr(cohomology, "_rank_string_core", spied_rank_core)
             cohomology._walk(weights, terms)
-        assert cores
-        for factors, prefix, last, ruled, table in cores:
-            assert (ruled, table) == (terms[0], {bit: rule for bit, (rule,) in terms[1].items()})
+        assert shapes
+        for shape in shapes:
+            assert list(shape) == sorted(shape)
+            assert all(length in lengths and 0 < k < length for length, k in shape)
+        for shape, prefix, last, ruled, table in cores:
+            factors, canonical, positions = canonical_core(shape)
+            assert (ruled, table) == (
+                canonical[0],
+                {bit: rule for bit, (rule,) in canonical[1].items()},
+            )
+            assert all(coef == 1 for coef, _, _ in table.values())
+            factors = factors or [{(0, 0): [0]}]
             blocks = cohomology._core_blocks(factors)
             assert prefix == cohomology._core_blocks(factors[:-1])
+            assert last == factors[-1]
             # the pieces the mirror chooses, from the full product's sizes
             expected = {}
             for key in {key for key, _ in blocks}:
@@ -1273,7 +1325,7 @@ class TestStringRows:
             assert sorted(built) == sorted(expected)
             for piece, masks in built.items():
                 assert sorted(masks) == sorted(blocks[piece])
-                images = [cohomology._d_mask(m, terms) for m in masks]
+                images = [cohomology._d_mask(m, canonical) for m in masks]
                 rows = cohomology._string_rows(masks, ruled, table)
                 assert rows == [
                     {-target: coef for target, coef in img.items()}
@@ -1286,40 +1338,99 @@ class TestStringRows:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_every_mirrored_walk_up_to_n7(self, n):
         models = list(enumerate_models(n))
-        mirrored = 0
+        mirrored = ranked = 0
         for c in models:
             for weights, terms in model_walks(c):
                 if strings(weights, terms):
-                    self.assert_string_walk(weights, terms)
+                    ranked += self.assert_string_walk(weights, terms)
                     mirrored += 1
         assert mirrored == 3 * (len(models) - 1)
+        # each shape is ranked once, by the first walk that meets it
+        assert ranked == cohomology._shape_rank.cache_info().misses
+        assert bool(ranked) == bool(mirrored)
 
     @pytest.mark.parametrize("weights, d1", STRING_RULES)
     def test_synthetic_strings(self, weights, d1):
-        self.assert_string_walk(weights, cohomology._slot_terms(d1))
+        assert self.assert_string_walk(weights, cohomology._slot_terms(d1))
 
-    def test_cores_share_their_prefixes(self, monkeypatch):
-        # q = 3,3,2 at j = 4: consecutive cores of the Dolbeault walk share
-        # leading factors, so the walk multiplies fewer products than the
-        # cores' factors but the last, which a walk without the stack would
-        real_times = cohomology._times
-        real_prefix = cohomology._prefix
-        products, heads = [], []
+    def test_walks_share_their_shapes(self):
+        # q = 3,3,2 at j = 4: the Dolbeault walk meets more parts than
+        # shapes, and the CE walk of the model after it finds most of its
+        # shapes ranked
+        ce, dolbeault, _ = model_walks(M([3, 3, 2], 4))
+        assert strings(*dolbeault) and strings(*ce)
+        cohomology._walk(*dolbeault)
+        first = cohomology._shape_rank.cache_info()
+        assert 0 < first.misses < first.hits
+        cohomology._walk(*ce)
+        second = cohomology._shape_rank.cache_info()
+        assert second.misses - first.misses < second.hits - first.hits
 
-        def counted_times(blocks, factor):
-            products.append(factor)
-            return real_times(blocks, factor)
 
-        def counted_prefix(stack, head):
-            heads.append(len(head))
-            return real_prefix(stack, head)
+def own_string_cores(weights, terms):
+    """Every core of a string walk, one per choice of a degree on each of
+    its chains, as (shape, key, factors): the factors drawn from the
+    walk's own symbols, as {(key, weight): masks}, weight by _positions."""
+    dead = cohomology._cocycle_symbols(terms)
+    chains, _ = cohomology._chains(weights, terms, dead)
+    positions = cohomology._positions(chains, weights, terms, dead)
+    assert positions is not None
+    long = [chain for chain in chains if len(chain) > 1]
+    for degrees in product(*(range(len(chain) + 1) for chain in long)):
+        picked = [(chain, k) for chain, k in zip(long, degrees) if 0 < k < len(chain)]
+        factors = []
+        for chain, k in picked:
+            factor = {}
+            for combo in combinations(chain, k):
+                piece = (sum(weights[s] for s in combo), sum(positions[s] for s in combo))
+                factor.setdefault(piece, []).append(sum(1 << s for s in combo))
+            factors.append(factor)
+        shape = tuple(sorted((len(chain), k) for chain, k in picked))
+        yield shape, sum(k * weights[chain[0]] for chain, k in picked), factors
 
-        monkeypatch.setattr(cohomology, "_times", counted_times)
-        monkeypatch.setattr(cohomology, "_prefix", counted_prefix)
-        _, (weights, terms), _ = model_walks(M([3, 3, 2], 4))
-        assert strings(weights, terms)
-        cohomology._walk(weights, terms)
-        assert 0 < len(products) < sum(heads)
+
+class TestShapeRanks:
+    """A string core's rank depends only on its shape: every core of every
+    string walk, ranked from its own factors with its walk's rules by
+    _rank_string_core, has one block, its key, and the rank _shape_rank
+    gives its shape."""
+
+    @staticmethod
+    def assert_cores_rank_by_shape(weights, terms):
+        ruled, rules = terms
+        table = {bit: rule for bit, (rule,) in rules.items()}
+        cores = 0
+        for shape, key, factors in own_string_cores(weights, terms):
+            *head, last = factors or [{(0, 0): [0]}]
+            ranks = cohomology._rank_string_core(cohomology._core_blocks(head), last, ruled, table)
+            assert set(nonzero(ranks)) <= {key}
+            assert sum(ranks.values()) == cohomology._shape_rank(shape)
+            cores += 1
+        return cores
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_string_walk_up_to_n6(self, n):
+        models = list(enumerate_models(n))
+        walked = 0
+        for c in models:
+            for weights, terms in model_walks(c):
+                if strings(weights, terms):
+                    assert self.assert_cores_rank_by_shape(weights, terms)
+                    walked += 1
+        assert walked == 3 * (len(models) - 1)
+
+    @pytest.mark.parametrize("weights, d1", STRING_RULES)
+    def test_synthetic_strings(self, weights, d1):
+        assert self.assert_cores_rank_by_shape(weights, cohomology._slot_terms(d1))
+
+    def test_reflected_shapes_are_ranked_apart(self):
+        # (L, k) and (L, L - k) are different keys: each is ranked by its
+        # own canonical core, and their ranks agree: Lambda^1 J_4 (x)
+        # Lambda^2 J_5 has 4 x 10 monomials in 4 + 3 sl2 summands, W(4) (x)
+        # (W(7) + W(3)), so the shift has rank 40 - 7
+        assert cohomology._shape_rank(((4, 1), (5, 2))) == 33
+        assert cohomology._shape_rank(((4, 3), (5, 3))) == 33
+        assert cohomology._shape_rank.cache_info().misses == 2
 
 
 def random_rules(rng, size):
