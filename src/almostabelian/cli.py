@@ -113,6 +113,9 @@ def build_parser():
     p.add_argument("--format", choices=("json", "salamon"), required=True)
     p.add_argument("--output", default=None, help="write to this path instead of stdout")
 
+    # errors found after parsing are reported with their subcommand's usage
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -367,7 +370,7 @@ def main(argv=None):
         "export": cmd_export,
     }
     try:
-        status = handlers[args.command](parser, args)
+        status = handlers[args.command](args.parser, args)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader left; devnull keeps the flush at exit from failing again

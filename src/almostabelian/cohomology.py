@@ -72,17 +72,21 @@ every string walk of every model reads it.  Why this is exact:
 The key keeps (L, k) and (L, L - k) apart, so the Poincare and Serre
 dualities on the oracle tables stay independent of it.
 
-The canonical core builds its rows itself.  Each ruled generator has one
-rule with one live factor, and no live symbol is the factor of two
-generators, so an image moves each ruled factor of a monomial to a
-target of its own and nothing cancels: _string_rows builds each row in
-one pass over those factors, from a table of the one rules.  It hands
-the kernel a ranked piece's rows in the reverse of their build order,
-keyed by negated targets, a row permutation and a column bijection that
-keeps the rank and, on the dim-14 models, roughly halves the kernel's
-reduction steps.  _mirror_pieces sizes a core's pieces from the product
-of all its factors but the last and the last, chooses the mirrored
-pieces from those sizes, and builds masks for the chosen pieces only.
+The canonical core builds its rows itself, with no rule table and no
+sign.  Each rule s -> s + 1 is a one-factor rule of degree zero, so its
+only sign is that of moving s + 1 into the slot s leaves, (-1) to the
+number of the monomial's other factors between them, and no symbol
+lies between s and s + 1: every entry is +1.  Symbol s of a monomial
+moves when s + 1 is no factor and s is not last in its chain, so with
+`interior` the mask of those symbols, the moving bits are mono & ~(mono
+>> 1) & interior, and bit b gives the target mono ^ 3b; distinct bits
+give distinct targets, so nothing cancels.  _shape_rank sizes the
+core's pieces from the product of all its factors but the last and the
+last, builds masks for the pieces the mirror chooses only, and hands
+the kernel a piece's rows in the reverse of their build order, keyed by
+negated targets, a row permutation and a column bijection that keeps
+the rank and, on the dim-14 models, roughly halves the kernel's
+reduction steps.
 """
 
 from dataclasses import dataclass
@@ -381,8 +385,8 @@ def _positions(chains, weights, terms, dead):
 def _factors(chain, weights, terms, whole):
     """The factors a part can draw from a chain of a walk that is not
     strings: its monomials of each degree, or all of them for a chain
-    taken whole, as {(key, 0): masks}, one piece per key.  A factor that
-    is one monomial s with an empty image (the empty monomial, or a full
+    taken whole, as {key: masks}, one piece per key.  A factor that is
+    one monomial s with an empty image (the empty monomial, or a full
     chain that D kills) is trivial and is given as its key, an int,
     instead: x -> x ^ s maps the part without it onto the part, and
     D(x ^ s) = D(x) ^ s."""
@@ -391,11 +395,11 @@ def _factors(chain, weights, terms, whole):
         blocks = {}
         for k in degrees:
             for combo in combinations(chain, k):
-                key = (sum(weights[s] for s in combo), 0)
+                key = sum(weights[s] for s in combo)
                 blocks.setdefault(key, []).append(sum(1 << s for s in combo))
         masks = [m for group in blocks.values() for m in group]
         if len(masks) == 1 and not _d_mask(masks[0], terms):
-            [(key, _)] = blocks
+            [key] = blocks
             out.append(key)
         else:
             out.append(blocks)
@@ -433,120 +437,45 @@ def _parts(groups):
     return parts
 
 
-# the empty product: its one monomial, the empty one, has key and weight 0
-_UNIT = {(0, 0): [0]}
+# the empty product: its one monomial, the empty one, has key 0
+_UNIT = {0: [0]}
 
 
 def _core_blocks(factors):
-    """The pieces of a core, the product of the factors, as {(key,
-    weight): masks}."""
+    """The pieces of a core, the product of the factors, as {key: masks},
+    each factor {key: masks} with additive keys: block keys in a walk
+    that is not strings, weights in a canonical string core."""
     blocks = _UNIT
     for factor in factors:
         out = {}
-        for (k1, w1), m1 in blocks.items():
-            for (k2, w2), m2 in factor.items():
-                out.setdefault((k1 + k2, w1 + w2), []).extend([a | b for a in m1 for b in m2])
+        for k1, m1 in blocks.items():
+            for k2, m2 in factor.items():
+                out.setdefault(k1 + k2, []).extend([a | b for a in m1 for b in m2])
         blocks = out
     return blocks
 
 
 def _rank_blocks(blocks, terms):
     """Ranks of D on each block of one core of a walk whose chains are
-    not strings, by key: _factors gives every monomial weight 0 there,
-    so a block is one piece.  Each image is computed once, visiting only
-    the factors that have rules, and goes to the rank kernel as it is,
-    one row per monomial: the rank of D's transpose is D's rank.  An
-    image that cancels is dropped."""
+    not strings, by key.  Each image is computed once, visiting only the
+    factors that have rules, and goes to the rank kernel as it is, one
+    row per monomial: the rank of D's transpose is D's rank.  An image
+    that cancels is dropped."""
     return {
         key: sparse_rank([img for m in masks if (img := _d_mask(m, terms))])
-        for (key, _), masks in blocks.items()
+        for key, masks in blocks.items()
     }
 
 
-def _mirror_pieces(prefix, last):
-    """The pieces a string core prefix x last is ranked on, as
-    {(key, times): masks}, the masks of the chosen pieces of the block
-    with that key that count `times` times; `prefix` is the product of
-    all the core's factors but the last, and both are {(key, weight):
-    masks}.
-
-    The pieces S_w of a block, by weight w, mirror about W, the sum of
-    its lowest and highest weights: rank(S_w -> S_w+1) = rank(S_W-1-w ->
-    S_W-w).  Of each mirrored pair the piece with fewer monomials, the
-    lower one on a tie, is ranked and counted twice, and the middle
-    piece, w = (W - 1) / 2, once.  The sizes of the product decide the
-    choice, so only the chosen pieces get masks."""
-    pairs = [
-        ((k1 + k2, w1 + w2), m1, m2)
-        for (k1, w1), m1 in prefix.items()
-        for (k2, w2), m2 in last.items()
-    ]
-    sizes = {}
-    for piece, m1, m2 in pairs:
-        sizes[piece] = sizes.get(piece, 0) + len(m1) * len(m2)
-    ends = {}
-    for key, weight in sizes:
-        low, high = ends.get(key, (weight, weight))
-        ends[key] = (min(low, weight), max(high, weight))
-    times = {}
-    for (key, weight), size in sizes.items():
-        low, high = ends[key]
-        mirror = low + high - 1 - weight
-        if weight == mirror:
-            times[key, weight] = 1
-        else:
-            other = sizes.get((key, mirror), 0)
-            if size < other or size == other and weight < mirror:
-                times[key, weight] = 2
-    chosen = {}
-    for piece, m1, m2 in pairs:
-        if piece in times:
-            chosen.setdefault((piece[0], times[piece]), []).extend([a | b for a in m1 for b in m2])
-    return chosen
-
-
-def _string_rows(masks, ruled, table):
-    """The rows of D on the monomials `masks` of a string core, as the
-    rank kernel takes them: in the reverse of the order _mirror_pieces
-    builds the masks, each image keyed by its negated target masks, and
-    an empty image dropped.  That is a row permutation and a column
-    bijection of D's transpose, so the rank is D's.  The kernel pivots
-    on a row's lowest column, here its highest target, and in this order
-    meets a nearly triangular matrix: on the dim-14 models it takes
-    about half the reduction steps, and under a third of the scaled
-    ones, of the rows in build order keyed by target, though not on
-    every model (two equal chains, as at q = [9], j = 1, take more).
-
-    `table` maps the bit of each ruled generator to its one rule (coef,
-    factor mask, sign mask), and `ruled` is the mask of those bits.
-    Each generator moves to its own live factor, so the targets of one
-    image are distinct and nothing cancels: a row is built in one pass
-    over the monomial's ruled factors."""
-    rows = []
-    for mono in reversed(masks):
-        row = {}
-        bits = mono & ruled
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            rest = mono ^ low
-            coef, pair, sign = table[low]
-            if not rest & pair:
-                row[-(rest | pair)] = -coef if (rest & sign).bit_count() & 1 else coef
-        if row:
-            rows.append(row)
-    return rows
-
-
-def _rank_string_core(prefix, last, ruled, table):
-    """Ranks of D on each block of the string core prefix x last, by key:
-    the pieces _mirror_pieces chooses, those counted twice ranked
-    together and the middle piece apart, rows by _string_rows."""
-    ranks = {}
-    for (key, times), masks in _mirror_pieces(prefix, last).items():
-        rank = times * sparse_rank(_string_rows(masks, ruled, table))
-        ranks[key] = ranks.get(key, 0) + rank
-    return ranks
+@cache
+def _chain_pieces(length, k):
+    """The degree-k monomials of a string on the symbols 0 .. length - 1,
+    as {weight: masks}, a monomial's weight the sum of its symbols, the
+    masks in combinations order.  Cached for the life of the process."""
+    pieces = {}
+    for combo in combinations(range(length), k):
+        pieces.setdefault(sum(combo), []).append(sum(1 << s for s in combo))
+    return pieces
 
 
 @cache
@@ -557,22 +486,49 @@ def _shape_rank(shape):
     The canonical core puts each chain on consecutive symbols, one-factor
     rules s -> s + 1 of coefficient 1 and no dead symbol, each symbol's
     weight its position along its chain; the module docstring shows that
-    every string core of this shape has its rank.  Cached for the life
-    of the process, so each shape is ranked once, whichever walk or
-    model meets it first."""
-    d1, factors, base = {}, [], 0
+    every string core of this shape has its rank, and why its rows need
+    no rule table and no sign.  Cached for the life of the process, so
+    each shape is ranked once, whichever walk or model meets it first.
+
+    The weight pieces are sized from the product of all factors but the
+    last and the last; of each mirrored pair, the lowest and highest
+    weights summing to W = sum k (L - 1), the piece with fewer
+    monomials, the lower one on a tie, is ranked and counted twice, and
+    the middle piece once.  Only the chosen pieces get masks, those
+    counted twice ranked together and the middle piece apart."""
+    factors, interior, base = [], 0, 0
     for length, k in shape:
-        chain = range(base, base + length)
-        d1.update((s, ((1, (s + 1,)),)) for s in chain[:-1])
-        pieces = {}
-        for combo in combinations(chain, k):
-            pieces.setdefault((0, sum(combo) - k * base), []).append(sum(1 << s for s in combo))
-        factors.append(pieces)
+        pieces = _chain_pieces(length, k)
+        factors.append({w: [m << base for m in masks] for w, masks in pieces.items()})
+        interior |= (1 << base + length - 1) - (1 << base)
         base += length
-    ruled, rules = _slot_terms(d1)
-    table = {bit: rule for bit, (rule,) in rules.items()}
     *head, last = factors or [_UNIT]
-    return sum(_rank_string_core(_core_blocks(head), last, ruled, table).values())
+    pairs = [(w1 + w2, m1, m2) for w1, m1 in _core_blocks(head).items() for w2, m2 in last.items()]
+    sizes = {}
+    for w, m1, m2 in pairs:
+        sizes[w] = sizes.get(w, 0) + len(m1) * len(m2)
+    top = sum(k * (length - 1) for length, k in shape) - 1
+    chosen = {}
+    for w, m1, m2 in pairs:
+        mirror = top - w
+        size, other = sizes[w], sizes.get(mirror, 0)
+        times = 1 if w == mirror else 2 if size < other or size == other and w < mirror else 0
+        if times:
+            chosen.setdefault(times, []).extend([a | b for a in m1 for b in m2])
+    rank = 0
+    for times, masks in chosen.items():
+        rows = []
+        for mono in reversed(masks):
+            bits = mono & ~(mono >> 1) & interior
+            row = {}
+            while bits:
+                b = bits & -bits
+                bits ^= b
+                row[-(mono ^ 3 * b)] = 1
+            if row:
+                rows.append(row)
+        rank += times * sparse_rank(rows)
+    return rank
 
 
 def _walk(weights, terms):

@@ -98,6 +98,29 @@ class TestClassify:
         assert code == 1
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # found after parsing: the model check, the --dim and --jordan
+            # rules, the --max-dim floor
+            ["invariants", "--q", "3", "--j", "3"],
+            ["export", "--q", "3", "--j", "3", "--format", "json"],
+            ["enumerate", "--dim", "5"],
+            ["classify", "--jordan", "2,2"],
+            ["verify", "--max-dim", "2"],
+            # found by argparse
+            ["invariants", "--q", "0", "--j", "1"],
+        ],
+    )
+    def test_reported_with_the_subcommand_usage(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        prog = "almostabelian " + argv[0]
+        assert code == 1 and out == ""
+        assert err.startswith("usage: %s " % prog)
+        assert err.splitlines()[-1].startswith("%s: error: " % prog)
+
+
 class TestInvariants:
     def test_single_block_n2_text(self, capsys):
         code, out, _ = run_cli(["invariants", "--q", "2", "--j", "3"], capsys)

@@ -719,14 +719,16 @@ class TestCocycleSkip:
 
     def test_images_built_for_verify_dim12(self, monkeypatch):
         # a walk images a monomial through _d_mask or, when its chains are
-        # strings, through _string_rows on the canonical core of a shape
-        # (_shape_rank); both are counted, one per monomial
+        # strings, as a row of the canonical core of a shape that
+        # _shape_rank hands the kernel; both are counted, one per image
         real_d_mask = cohomology._d_mask
-        real_string_rows = cohomology._string_rows
+        real_shape_rank = cohomology._shape_rank
+        real_sparse_rank = cohomology.sparse_rank
         real_walk = cohomology._walk
         dead = []
         calls = []
         walking = []
+        ranking = []
 
         def counted_d_mask(mono, terms):
             if walking:
@@ -734,13 +736,19 @@ class TestCocycleSkip:
             calls.append(bool(walking))
             return real_d_mask(mono, terms)
 
-        def counted_string_rows(masks, ruled, table):
-            # a canonical core: no dead symbol, each rule one step s -> s + 1
-            assert walking and all(
-                coef == 1 and pair == bit << 1 for bit, (coef, pair, _) in table.items()
-            )
-            calls.extend([True] * len(masks))
-            return real_string_rows(masks, ruled, table)
+        def scoped_shape_rank(shape):
+            ranking.append(True)
+            try:
+                return real_shape_rank(shape)
+            finally:
+                ranking.pop()
+
+        def counted_sparse_rank(rows):
+            if ranking:
+                # a canonical core: every entry +1
+                assert walking and all(set(row.values()) == {1} for row in rows)
+                calls.extend([True] * len(rows))
+            return real_sparse_rank(rows)
 
         def scoped_walk(weights, terms):
             walking.append(True)
@@ -753,7 +761,8 @@ class TestCocycleSkip:
 
         monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
         monkeypatch.setattr(cohomology, "_d_mask", counted_d_mask)
-        monkeypatch.setattr(cohomology, "_string_rows", counted_string_rows)
+        monkeypatch.setattr(cohomology, "_shape_rank", scoped_shape_rank)
+        monkeypatch.setattr(cohomology, "sparse_rank", counted_sparse_rank)
         monkeypatch.setattr(cohomology, "_walk", scoped_walk)
         lines, all_ok = cli.run_verify(12)
         assert all_ok
@@ -772,7 +781,7 @@ class TestCocycleSkip:
         # the Dolbeault one (17700 while each oracle checked D^2 again,
         # 17044 before the mirror, 8308 before the shape ranks)
         assert len(calls) == 2891
-        assert cohomology._shape_rank.cache_info().misses == 121
+        assert real_shape_rank.cache_info().misses == 121
 
 
 def ce_reference(alg):
@@ -985,16 +994,17 @@ class TestChainParts:
         assert sorted(map(len, groups)) == [1, 6] and sorted(len(g[0]) for g in groups) == [1, 2]
         # the chains are strings, so each core is ranked by its shape: the
         # shapes ((2, 1),) * c for c = 0..6 are the walk's seven misses,
-        # each ranked once by _rank_string_core
+        # each canonical core built once by _shape_rank, the product of
+        # its factors but the last by _core_blocks
         assert strings(dict.fromkeys(range(alg.dim), 1), terms)
-        real_rank_core = cohomology._rank_string_core
+        real_core_blocks = cohomology._core_blocks
         cores = []
 
-        def counted_rank_core(prefix, last, *rest):
-            cores.append(last)
-            return real_rank_core(prefix, last, *rest)
+        def counted_core_blocks(factors):
+            cores.append(len(factors))
+            return real_core_blocks(factors)
 
-        monkeypatch.setattr(cohomology, "_rank_string_core", counted_rank_core)
+        monkeypatch.setattr(cohomology, "_core_blocks", counted_core_blocks)
         assert_ce_walk_equals_reference(alg)
         assert len(cores) == cohomology._shape_rank.cache_info().misses == 7
         # the ranks outlive their record: a second record ranks no core
@@ -1019,7 +1029,7 @@ class TestChainParts:
         assert cohomology._positions([[1], [2]], weights, terms, 0b1) is None
         for chain in ([1], [2]):
             empty, full = cohomology._factors(chain, weights, terms, False)
-            assert empty == 0 and full == {(1, 0): [1 << chain[0]]}
+            assert empty == 0 and full == {1: [1 << chain[0]]}
         self.assert_walk_equals_reference(weights, terms)
         assert nonzero(cohomology._walk(weights, terms)) == {1: 2}
         assert cohomology._squares_vanish(terms)
@@ -1229,129 +1239,142 @@ class TestMirror:
         assert rows == []
 
 
-def mask_bits(mask):
-    """The symbols of a monomial, in bit order."""
-    return [s for s in range(mask.bit_length()) if mask >> s & 1]
-
-
 def canonical_core(shape):
     """The canonical core of a shape, built here apart from _shape_rank:
     each (L, k) a chain of L consecutive symbols with the one-factor
     rules s -> s + 1 of coefficient 1, and its degree-k factor.  Returns
-    (factors, terms, positions), each factor as {(0, weight): masks}."""
-    d1, factors, positions, base = {}, [], {}, 0
+    (factors, terms), each factor as {weight: masks}, a monomial's
+    weight the sum of its symbols' positions along their chains."""
+    d1, factors, base = {}, [], 0
     for length, k in shape:
-        for i in range(length):
-            positions[base + i] = i
-            if i + 1 < length:
-                d1[base + i] = ((1, (base + i + 1,)),)
+        d1.update((base + i, ((1, (base + i + 1,)),)) for i in range(length - 1))
         factor = {}
-        for combo in combinations(range(base, base + length), k):
-            weight = sum(positions[s] for s in combo)
-            factor.setdefault((0, weight), []).append(sum(1 << s for s in combo))
+        for combo in combinations(range(length), k):
+            factor.setdefault(sum(combo), []).append(sum(1 << base + i for i in combo))
         factors.append(factor)
         base += length
-    return factors, cohomology._slot_terms(d1), positions
+    return factors, cohomology._slot_terms(d1)
+
+
+def product_pieces(left, right):
+    """The pairs of pieces of two factors, {weight: masks} each, in the
+    order left x right, as (weight, masks of the pair's products)."""
+    return [
+        (w1 + w2, [a | b for a in m1 for b in m2])
+        for w1, m1 in left.items()
+        for w2, m2 in right.items()
+    ]
 
 
 class TestStringRows:
     """A string walk ranks each core by its shape, through _shape_rank, on
-    the canonical core of that shape.  That core's last factor is
+    the canonical core of that shape.  The core's last factor is
     multiplied onto the product of the others, and only the pieces the
-    mirror chooses get masks; each of their monomials is imaged once, in
-    one pass over the generators' one rule each, and the rows go to the
-    kernel in the reverse of their build order, keyed by negated
-    targets.  Every canonical core the walks meet is held against
-    _core_blocks over its full factor list and against _d_mask."""
+    mirror chooses get masks, those counted twice together and the
+    middle piece apart.  Each monomial's row is read off its bits, every
+    entry +1, and the rows go to the kernel in the reverse of their
+    build order, keyed by negated targets.  For every shape the walks
+    meet, the matrices a cold _shape_rank hands the kernel are held,
+    list for list, against _d_mask's images on a canonical core built
+    here, so a wrong row that keeps the rank is caught too."""
 
     @staticmethod
-    def assert_string_walk(weights, terms):
-        """Walk with _shape_rank and _rank_string_core spied on, check the
-        shapes against the walk's chains and every core ranked against
-        the reference; returns the number of cores ranked."""
+    def reference_matrices(shape):
+        """The kernel input of _shape_rank(shape), from canonical_core
+        and _d_mask, and the rank of the whole core, no piece mirrored."""
+        factors, terms = canonical_core(shape)
+        *head, last = factors or [{0: [0]}]
+        prefix = {0: [0]}
+        for factor in head:
+            out = {}
+            for w, m in product_pieces(prefix, factor):
+                out.setdefault(w, []).extend(m)
+            prefix = out
+        pairs = product_pieces(prefix, last)
+        sizes = {}
+        for w, m in pairs:
+            sizes[w] = sizes.get(w, 0) + len(m)
+        # of each mirrored pair of pieces, the smaller (the lower on a
+        # tie) counts twice; the middle piece counts once
+        top = min(sizes) + max(sizes) - 1
+        times = {}
+        for w, size in sizes.items():
+            other = sizes.get(top - w, 0)
+            if w == top - w:
+                times[w] = 1
+            elif size < other or size == other and w < top - w:
+                times[w] = 2
+        chosen = {}
+        for w, m in pairs:
+            if w in times:
+                chosen.setdefault(times[w], []).extend(m)
+        matrices = []
+        for masks in chosen.values():
+            images = [cohomology._d_mask(m, terms) for m in masks]
+            matrices.append([{-t: c for t, c in img.items()} for img in reversed(images) if img])
+        whole = [img for _, m in pairs for mono in m if (img := cohomology._d_mask(mono, terms))]
+        return matrices, list(chosen), sparse_rank(whole)
+
+    def assert_string_walk(self, weights, terms, seen):
+        """Walk with _shape_rank spied on, check the shapes against the
+        walk's chains, and check the kernel input of every shape not in
+        `seen` against the reference; adds the walk's shapes to `seen`."""
         dead = cohomology._cocycle_symbols(terms)
         chains, _ = cohomology._chains(weights, terms, dead)
         assert cohomology._positions(chains, weights, terms, dead) is not None
         lengths = {len(chain) for chain in chains}
-        shapes, cores = [], []
+        shapes = []
         real_shape_rank = cohomology._shape_rank
-        real_rank_core = cohomology._rank_string_core
 
         def spied_shape_rank(shape):
             shapes.append(shape)
             return real_shape_rank(shape)
 
-        def spied_rank_core(prefix, last, ruled, table):
-            cores.append((shapes[-1], prefix, last, ruled, table))
-            return real_rank_core(prefix, last, ruled, table)
-
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cohomology, "_shape_rank", spied_shape_rank)
-            patch.setattr(cohomology, "_rank_string_core", spied_rank_core)
             cohomology._walk(weights, terms)
         assert shapes
-        for shape in shapes:
+        for shape in dict.fromkeys(shapes):
             assert list(shape) == sorted(shape)
             assert all(length in lengths and 0 < k < length for length, k in shape)
-        for shape, prefix, last, ruled, table in cores:
-            factors, canonical, positions = canonical_core(shape)
-            assert (ruled, table) == (
-                canonical[0],
-                {bit: rule for bit, (rule,) in canonical[1].items()},
-            )
-            assert all(coef == 1 for coef, _, _ in table.values())
-            factors = factors or [{(0, 0): [0]}]
-            blocks = cohomology._core_blocks(factors)
-            assert prefix == cohomology._core_blocks(factors[:-1])
-            assert last == factors[-1]
-            # the pieces the mirror chooses, from the full product's sizes
-            expected = {}
-            for key in {key for key, _ in blocks}:
-                by_weight = {w: len(m) for (k, w), m in blocks.items() if k == key}
-                top = min(by_weight) + max(by_weight) - 1
-                for weight, size in by_weight.items():
-                    mirror = top - weight
-                    other = by_weight.get(mirror, 0)
-                    if weight == mirror:
-                        expected[key, weight] = 1
-                    elif size < other or size == other and weight < mirror:
-                        expected[key, weight] = 2
-            built = {}
-            for (key, times), masks in cohomology._mirror_pieces(prefix, last).items():
-                for mono in masks:
-                    weight = sum(positions[s] for s in mask_bits(mono))
-                    assert expected[key, weight] == times
-                    built.setdefault((key, weight), []).append(mono)
-            assert sorted(built) == sorted(expected)
-            for piece, masks in built.items():
-                assert sorted(masks) == sorted(blocks[piece])
-                images = [cohomology._d_mask(m, canonical) for m in masks]
-                rows = cohomology._string_rows(masks, ruled, table)
-                assert rows == [
-                    {-target: coef for target, coef in img.items()}
-                    for img in reversed(images)
-                    if img
-                ]
-                assert sparse_rank(rows) == sparse_rank([img for img in images if img])
-        return len(cores)
+            if shape in seen:
+                continue
+            seen.add(shape)
+            matrices = []
+
+            def spied_rank(rows):
+                matrices.append(rows)
+                return sparse_rank(rows)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cohomology, "sparse_rank", spied_rank)
+                # the uncached function: a cold rank of this shape
+                rank = real_shape_rank.__wrapped__(shape)
+            expected, times, whole = self.reference_matrices(shape)
+            assert matrices == expected
+            assert rank == sum(t * sparse_rank(m) for t, m in zip(times, expected)) == whole
+            assert rank == real_shape_rank(shape)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_every_mirrored_walk_up_to_n7(self, n):
         models = list(enumerate_models(n))
-        mirrored = ranked = 0
+        mirrored = 0
+        seen = set()
         for c in models:
             for weights, terms in model_walks(c):
                 if strings(weights, terms):
-                    ranked += self.assert_string_walk(weights, terms)
+                    self.assert_string_walk(weights, terms, seen)
                     mirrored += 1
         assert mirrored == 3 * (len(models) - 1)
         # each shape is ranked once, by the first walk that meets it
-        assert ranked == cohomology._shape_rank.cache_info().misses
-        assert bool(ranked) == bool(mirrored)
+        assert len(seen) == cohomology._shape_rank.cache_info().misses
+        assert bool(seen) == bool(mirrored)
 
     @pytest.mark.parametrize("weights, d1", STRING_RULES)
     def test_synthetic_strings(self, weights, d1):
-        assert self.assert_string_walk(weights, cohomology._slot_terms(d1))
+        seen = set()
+        self.assert_string_walk(weights, cohomology._slot_terms(d1), seen)
+        assert len(seen) == cohomology._shape_rank.cache_info().misses
 
     def test_walks_share_their_shapes(self):
         # q = 3,3,2 at j = 4: the Dolbeault walk meets more parts than
@@ -1370,11 +1393,10 @@ class TestStringRows:
 def own_string_cores(weights, terms):
     """Every core of a string walk, one per choice of a degree on each of
     its chains, as (shape, key, factors): the factors drawn from the
-    walk's own symbols, as {(key, weight): masks}, weight by _positions."""
+    walk's own symbols, as {key: masks}."""
     dead = cohomology._cocycle_symbols(terms)
     chains, _ = cohomology._chains(weights, terms, dead)
-    positions = cohomology._positions(chains, weights, terms, dead)
-    assert positions is not None
+    assert cohomology._positions(chains, weights, terms, dead) is not None
     long = [chain for chain in chains if len(chain) > 1]
     for degrees in product(*(range(len(chain) + 1) for chain in long)):
         picked = [(chain, k) for chain, k in zip(long, degrees) if 0 < k < len(chain)]
@@ -1382,8 +1404,9 @@ def own_string_cores(weights, terms):
         for chain, k in picked:
             factor = {}
             for combo in combinations(chain, k):
-                piece = (sum(weights[s] for s in combo), sum(positions[s] for s in combo))
-                factor.setdefault(piece, []).append(sum(1 << s for s in combo))
+                factor.setdefault(sum(weights[s] for s in combo), []).append(
+                    sum(1 << s for s in combo)
+                )
             factors.append(factor)
         shape = tuple(sorted((len(chain), k) for chain, k in picked))
         yield shape, sum(k * weights[chain[0]] for chain, k in picked), factors
@@ -1391,18 +1414,18 @@ def own_string_cores(weights, terms):
 
 class TestShapeRanks:
     """A string core's rank depends only on its shape: every core of every
-    string walk, ranked from its own factors with its walk's rules by
-    _rank_string_core, has one block, its key, and the rank _shape_rank
-    gives its shape."""
+    string walk, ranked from its own factors with its walk's own rules,
+    every monomial of the core imaged by _d_mask and no piece mirrored,
+    has one block, its key, and the rank _shape_rank gives its shape."""
 
     @staticmethod
     def assert_cores_rank_by_shape(weights, terms):
-        ruled, rules = terms
-        table = {bit: rule for bit, (rule,) in rules.items()}
         cores = 0
         for shape, key, factors in own_string_cores(weights, terms):
-            *head, last = factors or [{(0, 0): [0]}]
-            ranks = cohomology._rank_string_core(cohomology._core_blocks(head), last, ruled, table)
+            ranks = {
+                k: sparse_rank([img for m in masks if (img := cohomology._d_mask(m, terms))])
+                for k, masks in cohomology._core_blocks(factors).items()
+            }
             assert set(nonzero(ranks)) <= {key}
             assert sum(ranks.values()) == cohomology._shape_rank(shape)
             cores += 1
