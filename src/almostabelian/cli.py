@@ -10,9 +10,9 @@ All output is deterministic: identical inputs give identical bytes.
 
 Size limits, checked before any work starts (one "error:" line on
 stderr and exit status 1 above them): invariants and export take models
-with n = sum(q) <= 150, and invariants --oracle n <= 9; enumerate takes
+with n = sum(q) <= 150, and invariants --oracle n <= 10; enumerate takes
 --dim <= 100; classify takes Jordan types of total size <= 1000000;
-verify takes --max-dim <= 20.
+verify takes --max-dim <= 22.
 """
 
 import argparse
@@ -49,18 +49,20 @@ WORKERS_ENV = "ALMOSTABELIAN_WORKERS"
 # about 4-5 s and 82 MB), and memory, not time, holds MAX_MODEL_N at
 # 150: at n = 200, --q 199,1 --j 200 peaks at about 312 MB, above CI's
 # 300 MB bound.  The rank oracles and the verify sweep grow
-# exponentially in n, and enumerate walks every partition of n: the
-# oracles' worst case, invariants --q 9 --j 10 --oracle, takes about
-# 7 s and 37 MB (--j 1 about 1.3 s and 26 MB), and --q 8 --j 9 about
-# 0.6 s and 22 MB, each string core ranked once per shape; verify
-# --max-dim 20, 274 models, takes about 18 s and 39 MB on one worker.
+# exponentially in n, and enumerate walks every partition of n.  With
+# each string core ranked through its factors' Jordan types, the
+# oracles' worst case, invariants --q 10 --j 11 --oracle, takes about
+# 0.4 s and 20 MB (126 s and 135 MB when each core was ranked whole),
+# and verify --max-dim 22, 412 models, about 3.2 s and 30 MB on one worker
+# (about 4 minutes and 138 MB before); both limits stay where CI pins
+# their outputs against the code that ranked each core whole.
 # classify is linear in the number of parts of --jordan, so memory
 # (about 100 MB per million parts) sets its limit before time does.
 MAX_MODEL_N = 150
-MAX_ORACLE_N = 9
+MAX_ORACLE_N = 10
 MAX_ENUMERATE_DIM = 100
 MAX_CLASSIFY_TOTAL = 10**6
-MAX_VERIFY_DIM = 20
+MAX_VERIFY_DIM = 22
 
 
 class _Parser(argparse.ArgumentParser):

@@ -56,9 +56,9 @@ block; the Poincare and Serre dualities on the oracle tables relate
 different blocks, so they stay independent evidence.
 
 A string core's rank depends only on its shape, the sorted (L, k) of
-its factors, each k of the L symbols of one chain, so _shape_rank ranks
-one canonical core per shape, cached for the life of the process, and
-every string walk of every model reads it.  Why this is exact:
+its factors, each k of the L symbols of one chain, so _core_rank ranks
+each shape once, cached for the life of the process, and every string
+walk of every model reads it.  Why this is exact:
 1. _cocycle_symbols puts every dead symbol in every rule's pair mask;
    a pair has at most two factors, one of them live, so a string walk
    has at most one dead symbol d0.
@@ -69,8 +69,26 @@ every string walk of every model reads it.  Why this is exact:
    coefficient 1, an automorphism of the exterior algebra, and a chain
    has one weight, so a core lies in one block.  Its rank is therefore
    an invariant of (x) Lambda^{k_i} J_{L_i}, which the shape records.
-The key keeps (L, k) and (L, L - k) apart, so the Poincare and Serre
-dualities on the oracle tables stay independent of it.
+
+_core_rank takes that rank through the factors' Jordan types, so the
+kernel only ever meets products of Jordan blocks.  N acts on the core
+as N_1 (x) 1 + 1 (x) N_2 + ..., N_i on Lambda^{k_i} J_{L_i}.  Over Q,
+N_i = P_i B_i P_i^-1 with B_i its Jordan form, the direct sum of the
+blocks of _chain_jordan's type; P = (x) P_i then conjugates N to B_1 (x)
+1 + 1 (x) B_2 + ..., which keeps the rank.  The tensor product of direct
+sums is the direct sum of the products of one block per factor, and
+the Kronecker sum acts on each product alone, so rank(core) = sum over
+one block b_i per factor of (prod multiplicities) x rank(J_{b_1} (x) ...
+(x) J_{b_r}).  A block of size 1 is the zero map on a line, so it drops
+out of its product, and a product of such blocks alone has rank 0.
+Lambda^1 J_b = J_b, so _shape_rank ranks each block product whole as
+the canonical core of the shape ((b_1, 1), ..., (b_r, 1)), once per
+process.  No sl2 formula, weight or piece size enters.  _chain_jordan
+keeps (L, k) and (L, L - k) apart, each type read off the exact power
+ranks of its own chain piece, so the Poincare and Serre dualities on
+the oracle tables still test that those two types agree, and the
+walks' bookkeeping of parts, multiplicities and block sizes; the block
+products, ranked once, are shared by both sides.
 
 The canonical core builds its rows itself, with no rule table and no
 sign.  Each rule s -> s + 1 is a one-factor rule of degree zero, so its
@@ -80,7 +98,8 @@ lies between s and s + 1: every entry is +1.  Symbol s of a monomial
 moves when s + 1 is no factor and s is not last in its chain, so with
 `interior` the mask of those symbols, the moving bits are mono & ~(mono
 >> 1) & interior, and bit b gives the target mono ^ 3b; distinct bits
-give distinct targets, so nothing cancels.  _shape_rank sizes the
+give distinct targets, so nothing cancels.  _shifted reads the rows of
+both _chain_jordan and _shape_rank this way.  _shape_rank sizes the
 core's pieces from the product of all its factors but the last and the
 last, builds masks for the pieces the mirror chooses only, and hands
 the kernel a piece's rows in the reverse of their build order, keyed by
@@ -89,6 +108,7 @@ the rank and, on the dim-14 models, roughly halves the kernel's
 reduction steps.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations, combinations_with_replacement
@@ -96,7 +116,6 @@ from math import comb, factorial
 
 from .exactla import (
     NotNilpotentError,
-    RationalMatrix,
     jordan_type_from_ranks,
     power_ranks,
     sparse_product,
@@ -478,6 +497,18 @@ def _chain_pieces(length, k):
     return pieces
 
 
+def _shifted(mono, interior):
+    """The monomials that the shift s -> s + 1 of a canonical core sends
+    mono to, each with coefficient +1 (module docstring): one per bit b
+    of mono & ~(mono >> 1) & interior, a factor whose successor is no
+    factor and which is not last in its chain, giving mono ^ 3b."""
+    bits = mono & ~(mono >> 1) & interior
+    while bits:
+        b = bits & -bits
+        bits ^= b
+        yield mono ^ 3 * b
+
+
 @cache
 def _shape_rank(shape):
     """The rank of D on a string core of this shape, the sorted (L, k) of
@@ -487,8 +518,10 @@ def _shape_rank(shape):
     rules s -> s + 1 of coefficient 1 and no dead symbol, each symbol's
     weight its position along its chain; the module docstring shows that
     every string core of this shape has its rank, and why its rows need
-    no rule table and no sign.  Cached for the life of the process, so
-    each shape is ranked once, whichever walk or model meets it first.
+    no rule table and no sign.  _core_rank calls it on products of Jordan
+    blocks, shapes of (b, 1) factors only.  Cached for the life of the
+    process, so each shape is ranked once, whichever walk or model meets
+    it first.
 
     The weight pieces are sized from the product of all factors but the
     last and the last; of each mirrored pair, the lowest and highest
@@ -519,16 +552,51 @@ def _shape_rank(shape):
     for times, masks in chosen.items():
         rows = []
         for mono in reversed(masks):
-            bits = mono & ~(mono >> 1) & interior
-            row = {}
-            while bits:
-                b = bits & -bits
-                bits ^= b
-                row[-(mono ^ 3 * b)] = 1
+            row = {-target: 1 for target in _shifted(mono, interior)}
             if row:
                 rows.append(row)
         rank += times * sparse_rank(rows)
     return rank
+
+
+@cache
+def _chain_jordan(length, k):
+    """The Jordan type of N on Lambda^k J_length, the degree-k monomials
+    of a string of `length` symbols under s -> s + 1, as ((block size,
+    multiplicity), ...) in descending size.  One row per monomial, its
+    image by _shifted, goes to power_ranks, and jordan_type_from_ranks
+    reads the type off the exact ranks.  Cached for the life of the
+    process."""
+    masks = [m for group in _chain_pieces(length, k).values() for m in group]
+    column = {m: i for i, m in enumerate(masks)}
+    interior = (1 << length - 1) - 1
+    rows = [{column[target]: 1 for target in _shifted(mono, interior)} for mono in masks]
+    # the type comes in descending size, and Counter keeps that order
+    return tuple(Counter(jordan_type_from_ranks(len(masks), power_ranks(rows))).items())
+
+
+@cache
+def _core_rank(shape):
+    """The rank of D on a string core of this shape, through its factors'
+    Jordan types (module docstring): the sum, over one block of each
+    factor's _chain_jordan, of the product of their multiplicities times
+    the rank of the product of the blocks, each product a sorted tuple of
+    its sizes other than 1 and ranked by _shape_rank as the shape of
+    (size, 1) factors.  Cached for the life of the process."""
+    products = {(): 1}
+    for length, k in shape:
+        blocks = _chain_jordan(length, k)
+        merged = {}
+        for sizes, ways in products.items():
+            for size, count in blocks:
+                key = sizes if size == 1 else tuple(sorted(sizes + (size,)))
+                merged[key] = merged.get(key, 0) + ways * count
+        products = merged
+    return sum(
+        ways * _shape_rank(tuple((size, 1) for size in sizes))
+        for sizes, ways in products.items()
+        if sizes
+    )
 
 
 def _walk(weights, terms):
@@ -551,7 +619,7 @@ def _walk(weights, terms):
 
     When every chain is a string (_positions), a chain's factors are
     its degrees k, trivial at k = 0 and k = L, and a core's rank is
-    _shape_rank of its shape, so chains of one length and weight are
+    _core_rank of its shape, so chains of one length and weight are
     exchangeable and the walk builds no monomial.  Otherwise chains with
     one _signature are exchanged by an automorphism of the complex, so
     cores that differ by such an exchange have one rank, and _rank_blocks
@@ -583,7 +651,7 @@ def _walk(weights, terms):
         factors = [own[i] for group, picks in zip(groups, core) for own, i in zip(group, picks)]
         if strings:
             shape = tuple(sorted(factor[:2] for factor in factors))
-            core_ranks = {sum(factor[2] for factor in factors): _shape_rank(shape)}
+            core_ranks = {sum(factor[2] for factor in factors): _core_rank(shape)}
         else:
             core_ranks = _rank_blocks(_core_blocks(factors), terms)
         for ways, key in parts:
@@ -864,7 +932,9 @@ class _ModelFacts:
 
     model: object
     alg = _shared(lambda s: build_algebra(s.model))
-    a_ranks = _shared(lambda s: power_ranks(RationalMatrix(s.alg.A)))
+    a_ranks = _shared(
+        lambda s: power_ranks([{c: x for c, x in enumerate(row) if x} for row in s.alg.A])
+    )
     jordan = _shared(lambda s: Partition(jordan_type_from_ranks(len(s.alg.A), s.a_ranks)))
     closed = _shared(lambda s: closed_table(s.model))
     ce = _shared(lambda s: _ce(s.alg))

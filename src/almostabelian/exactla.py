@@ -189,29 +189,29 @@ def sparse_product(left, right):
     return [sparse_apply(right, row) for row in left]
 
 
-def power_ranks(matrix):
+def power_ranks(rows):
     """Ranks of successive powers of a nilpotent matrix, until the zero power.
 
+    M is square, given as its per-row {column: int} dicts without zero
+    entries, every column below the number of rows; ValueError otherwise.
     Returns [rank(M), rank(M^2), ...] for the nonzero powers; the zero
     matrix gives [].  Raises NotNilpotentError when the rank sequence
-    stops strictly decreasing before reaching zero.  M is scaled once by
-    the common denominator of its entries and turned into sparse rows;
-    each power is one `sparse_product` away from the last.
+    stops strictly decreasing before reaching zero.  Each power is one
+    `sparse_product` away from the last.
     """
-    if matrix.rows != matrix.cols:
+    size = len(rows)
+    if any(not 0 <= j < size for row in rows for j in row):
         raise ValueError("matrix must be square")
-    scale = lcm(*(x.denominator for row in matrix.data for x in row if x))
-    base = [{j: int(x * scale) for j, x in enumerate(row) if x} for row in matrix.data]
     out = []
-    power = base
-    for _ in range(matrix.rows + 1):
+    power = rows
+    for _ in range(size + 1):
         r = len(_pivot_rows(power))
         if r == 0:
             return out
         if out and r >= out[-1]:
             raise NotNilpotentError("rank of powers stabilised at %d" % r)
         out.append(r)
-        power = sparse_product(power, base)
+        power = sparse_product(power, rows)
     raise NotNilpotentError("no power vanished within the dimension bound")
 
 

@@ -394,7 +394,7 @@ class TestSizeLimits:
             ["enumerate", "--dim", "102"],
             ["classify", "--jordan", "500001,500000"],
             ["classify", "--jordan", "99999999999999999999"],
-            ["verify", "--max-dim", "22"],
+            ["verify", "--max-dim", "24"],
             ["verify", "--max-dim", "1000000"],
         ],
     )
@@ -419,12 +419,12 @@ class TestSizeLimits:
         code, out, _ = run_cli(["verify", "--max-dim", "17"], capsys)
         assert code == 0 and seen == [16] and out == "result: PASS\n"
 
-    @pytest.mark.parametrize("max_dim", ["20", "21"])
+    @pytest.mark.parametrize("max_dim", ["22", "23"])
     def test_max_dim_at_the_limit_runs(self, monkeypatch, capsys, max_dim):
         seen = []
         monkeypatch.setattr(cli, "run_verify", lambda d: seen.append(d) or (["result: PASS"], True))
         code, out, _ = run_cli(["verify", "--max-dim", max_dim], capsys)
-        assert code == 0 and seen == [20] == [cli.MAX_VERIFY_DIM]
+        assert code == 0 and seen == [22] == [cli.MAX_VERIFY_DIM]
 
     def test_at_the_limit_is_accepted(self, capsys):
         ones = ",".join(["1"] * cli.MAX_MODEL_N)

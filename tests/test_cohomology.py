@@ -308,7 +308,8 @@ def permuted_hodge(c, order):
 
 
 def jordan_type(alg):
-    return Partition(jordan_type_from_ranks(len(alg.A), power_ranks(RationalMatrix(alg.A))))
+    rows = [{c: x for c, x in enumerate(row) if x} for row in alg.A]
+    return Partition(jordan_type_from_ranks(len(alg.A), power_ranks(rows)))
 
 
 class TestBasisPermutations:
@@ -719,11 +720,13 @@ class TestCocycleSkip:
 
     def test_images_built_for_verify_dim12(self, monkeypatch):
         # a walk images a monomial through _d_mask or, when its chains are
-        # strings, as a row of the canonical core of a shape that
-        # _shape_rank hands the kernel; both are counted, one per image
+        # strings, as a row of a chain piece that _chain_jordan hands
+        # power_ranks or of the canonical core of a block product that
+        # _shape_rank hands the kernel; all are counted, one per image
         real_d_mask = cohomology._d_mask
         real_shape_rank = cohomology._shape_rank
         real_sparse_rank = cohomology.sparse_rank
+        real_power_ranks = cohomology.power_ranks
         real_walk = cohomology._walk
         dead = []
         calls = []
@@ -750,6 +753,13 @@ class TestCocycleSkip:
                 calls.extend([True] * len(rows))
             return real_sparse_rank(rows)
 
+        def counted_power_ranks(rows):
+            if walking:
+                # a chain piece: every entry +1
+                assert all(set(row.values()) <= {1} for row in rows)
+                calls.extend([True] * len(rows))
+            return real_power_ranks(rows)
+
         def scoped_walk(weights, terms):
             walking.append(True)
             dead.append(cohomology._cocycle_symbols(terms))
@@ -763,6 +773,7 @@ class TestCocycleSkip:
         monkeypatch.setattr(cohomology, "_d_mask", counted_d_mask)
         monkeypatch.setattr(cohomology, "_shape_rank", scoped_shape_rank)
         monkeypatch.setattr(cohomology, "sparse_rank", counted_sparse_rank)
+        monkeypatch.setattr(cohomology, "power_ranks", counted_power_ranks)
         monkeypatch.setattr(cohomology, "_walk", scoped_walk)
         lines, all_ok = cli.run_verify(12)
         assert all_ok
@@ -770,18 +781,23 @@ class TestCocycleSkip:
         # walked, 29588 with each block walked whole instead of each
         # distinct core once, 16388 before the mirror ranked one piece of
         # each mirrored pair, 7652 (772 through _d_mask) before each string
-        # core was ranked once per shape for the whole sweep; now 120
-        # through _d_mask, in the Heisenberg type's walks, and 2115 rows of
-        # 121 canonical cores
-        assert calls.count(True) == 2235
+        # core was ranked once per shape for the whole sweep, 2235 (2115
+        # rows of 121 canonical cores) before each core was ranked through
+        # its factors' Jordan types; now 120 through _d_mask, in the
+        # Heisenberg type's walks, 114 rows of 15 chain pieces and 558 rows
+        # of 49 block products, for the same 121 core shapes
+        assert calls.count(True) == 792
         # outside the walks, each model's CE and Dolbeault records check
         # D^2 once each, imaging each ruled generator and each monomial of
         # its image, dead symbols included; d_squared and the Betti
         # numbers share the CE verdict, dbar_squared and the Hodge numbers
         # the Dolbeault one (17700 while each oracle checked D^2 again,
-        # 17044 before the mirror, 8308 before the shape ranks)
-        assert len(calls) == 2891
-        assert real_shape_rank.cache_info().misses == 121
+        # 17044 before the mirror, 8308 before the shape ranks, 2891
+        # before the Jordan types)
+        assert len(calls) == 1448
+        assert cohomology._core_rank.cache_info().misses == 121
+        assert cohomology._chain_jordan.cache_info().misses == 15
+        assert real_shape_rank.cache_info().misses == 49
 
 
 def ce_reference(alg):
@@ -993,9 +1009,11 @@ class TestChainParts:
         groups = signature_groups(dict.fromkeys(range(alg.dim), 1), terms)
         assert sorted(map(len, groups)) == [1, 6] and sorted(len(g[0]) for g in groups) == [1, 2]
         # the chains are strings, so each core is ranked by its shape: the
-        # shapes ((2, 1),) * c for c = 0..6 are the walk's seven misses,
-        # each canonical core built once by _shape_rank, the product of
-        # its factors but the last by _core_blocks
+        # shapes ((2, 1),) * c for c = 0..6 are _core_rank's seven misses.
+        # Lambda^1 J_2 is the one block J_2, so the block products are the
+        # same shapes but the empty one, each canonical core built once by
+        # _shape_rank, the product of its factors but the last by
+        # _core_blocks
         assert strings(dict.fromkeys(range(alg.dim), 1), terms)
         real_core_blocks = cohomology._core_blocks
         cores = []
@@ -1006,11 +1024,14 @@ class TestChainParts:
 
         monkeypatch.setattr(cohomology, "_core_blocks", counted_core_blocks)
         assert_ce_walk_equals_reference(alg)
-        assert len(cores) == cohomology._shape_rank.cache_info().misses == 7
+        assert cohomology._core_rank.cache_info().misses == 7
+        assert len(cores) == cohomology._shape_rank.cache_info().misses == 6
+        assert cohomology._chain_jordan.cache_info().misses == 1
         # the ranks outlive their record: a second record ranks no core
         # again, and reads every shape from the cache
         cohomology._ce(alg).dims
-        assert len(cores) == cohomology._shape_rank.cache_info().misses == 7
+        assert cohomology._core_rank.cache_info().misses == 7
+        assert len(cores) == cohomology._shape_rank.cache_info().misses == 6
 
     @staticmethod
     def assert_walk_equals_reference(weights, terms):
@@ -1225,7 +1246,9 @@ class TestMirror:
         assert all(strings(weights, terms) for weights, terms in walks)
         mirrored = []
         for weights, terms in walks:
-            # each walk on a cold cache, so no walk reads another's ranks
+            # each walk on cold caches, so no walk reads another's ranks
+            cohomology._core_rank.cache_clear()
+            cohomology._chain_jordan.cache_clear()
             cohomology._shape_rank.cache_clear()
             mirrored.append(cohomology._walk(weights, terms))
         mirrored_rows = sum(rows)
@@ -1267,16 +1290,18 @@ def product_pieces(left, right):
 
 
 class TestStringRows:
-    """A string walk ranks each core by its shape, through _shape_rank, on
-    the canonical core of that shape.  The core's last factor is
-    multiplied onto the product of the others, and only the pieces the
-    mirror chooses get masks, those counted twice together and the
-    middle piece apart.  Each monomial's row is read off its bits, every
-    entry +1, and the rows go to the kernel in the reverse of their
-    build order, keyed by negated targets.  For every shape the walks
-    meet, the matrices a cold _shape_rank hands the kernel are held,
-    list for list, against _d_mask's images on a canonical core built
-    here, so a wrong row that keeps the rank is caught too."""
+    """A string walk ranks each core by its shape, through _core_rank, and
+    _core_rank ranks each product of Jordan blocks through _shape_rank,
+    on the canonical core of its shape ((b_1, 1), ..., (b_r, 1)).  The
+    core's last factor is multiplied onto the product of the others, and
+    only the pieces the mirror chooses get masks, those counted twice
+    together and the middle piece apart.  Each monomial's row is read off
+    its bits, every entry +1, and the rows go to the kernel in the
+    reverse of their build order, keyed by negated targets.  For every
+    block product the walks meet, the matrices a cold _shape_rank hands
+    the kernel are held, list for list, against _d_mask's images on a
+    canonical core built here, so a wrong row that keeps the rank is
+    caught too."""
 
     @staticmethod
     def reference_matrices(shape):
@@ -1316,27 +1341,36 @@ class TestStringRows:
         return matrices, list(chosen), sparse_rank(whole)
 
     def assert_string_walk(self, weights, terms, seen):
-        """Walk with _shape_rank spied on, check the shapes against the
-        walk's chains, and check the kernel input of every shape not in
-        `seen` against the reference; adds the walk's shapes to `seen`."""
+        """Walk with _core_rank and _shape_rank spied on, check the core
+        shapes against the walk's chains and the block products' shapes,
+        and check the kernel input of every block product not in `seen`
+        against the reference; adds the walk's block products to `seen`."""
         dead = cohomology._cocycle_symbols(terms)
         chains, _ = cohomology._chains(weights, terms, dead)
         assert cohomology._positions(chains, weights, terms, dead) is not None
         lengths = {len(chain) for chain in chains}
-        shapes = []
-        real_shape_rank = cohomology._shape_rank
+        cores, products = [], []
+        real_core_rank, real_shape_rank = cohomology._core_rank, cohomology._shape_rank
+
+        def spied_core_rank(shape):
+            cores.append(shape)
+            return real_core_rank(shape)
 
         def spied_shape_rank(shape):
-            shapes.append(shape)
+            products.append(shape)
             return real_shape_rank(shape)
 
         with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cohomology, "_core_rank", spied_core_rank)
             patch.setattr(cohomology, "_shape_rank", spied_shape_rank)
             cohomology._walk(weights, terms)
-        assert shapes
-        for shape in dict.fromkeys(shapes):
+        assert cores
+        for shape in dict.fromkeys(cores):
             assert list(shape) == sorted(shape)
             assert all(length in lengths and 0 < k < length for length, k in shape)
+        for shape in dict.fromkeys(products):
+            # a product of Jordan blocks, none of size 1
+            assert list(shape) == sorted(shape) and all(b > 1 and k == 1 for b, k in shape)
             if shape in seen:
                 continue
             seen.add(shape)
@@ -1366,7 +1400,7 @@ class TestStringRows:
                     self.assert_string_walk(weights, terms, seen)
                     mirrored += 1
         assert mirrored == 3 * (len(models) - 1)
-        # each shape is ranked once, by the first walk that meets it
+        # each block product is ranked once, by the first walk that meets it
         assert len(seen) == cohomology._shape_rank.cache_info().misses
         assert bool(seen) == bool(mirrored)
 
@@ -1377,16 +1411,17 @@ class TestStringRows:
         assert len(seen) == cohomology._shape_rank.cache_info().misses
 
     def test_walks_share_their_shapes(self):
-        # q = 3,3,2 at j = 4: the Dolbeault walk meets more parts than
-        # shapes, and the CE walk of the model after it finds most of its
-        # shapes ranked
+        # q = 3,3,2 at j = 4: the Dolbeault walk meets more parts than core
+        # shapes, and more core shapes than block products; the CE walk of
+        # the model after it finds its core shapes ranked
         ce, dolbeault, _ = model_walks(M([3, 3, 2], 4))
         assert strings(*dolbeault) and strings(*ce)
         cohomology._walk(*dolbeault)
-        first = cohomology._shape_rank.cache_info()
+        first = cohomology._core_rank.cache_info()
         assert 0 < first.misses < first.hits
+        assert 0 < cohomology._shape_rank.cache_info().misses < first.misses
         cohomology._walk(*ce)
-        second = cohomology._shape_rank.cache_info()
+        second = cohomology._core_rank.cache_info()
         assert second.misses - first.misses < second.hits - first.hits
 
 
@@ -1416,7 +1451,9 @@ class TestShapeRanks:
     """A string core's rank depends only on its shape: every core of every
     string walk, ranked from its own factors with its walk's own rules,
     every monomial of the core imaged by _d_mask and no piece mirrored,
-    has one block, its key, and the rank _shape_rank gives its shape."""
+    has one block, its key, and the rank _core_rank gives its shape,
+    through its factors' Jordan types, which is also the rank
+    _shape_rank gives the canonical core of that shape."""
 
     @staticmethod
     def assert_cores_rank_by_shape(weights, terms):
@@ -1427,6 +1464,7 @@ class TestShapeRanks:
                 for k, masks in cohomology._core_blocks(factors).items()
             }
             assert set(nonzero(ranks)) <= {key}
+            assert sum(ranks.values()) == cohomology._core_rank(shape)
             assert sum(ranks.values()) == cohomology._shape_rank(shape)
             cores += 1
         return cores
@@ -1454,6 +1492,94 @@ class TestShapeRanks:
         assert cohomology._shape_rank(((4, 1), (5, 2))) == 33
         assert cohomology._shape_rank(((4, 3), (5, 3))) == 33
         assert cohomology._shape_rank.cache_info().misses == 2
+        # through the Jordan types: Lambda^2 J_5 and Lambda^3 J_5 are each
+        # J_7 + J_3, read off their own chain pieces, and both cores rank
+        # the block products J_4 (x) J_7 and J_4 (x) J_3
+        assert cohomology._core_rank(((4, 1), (5, 2))) == 33
+        assert cohomology._core_rank(((4, 3), (5, 3))) == 33
+        assert cohomology._chain_jordan(5, 2) == cohomology._chain_jordan(5, 3) == ((7, 1), (3, 1))
+        assert cohomology._chain_jordan.cache_info().misses == 4
+        assert cohomology._core_rank.cache_info().misses == 2
+        # the two block products, ranked once for both cores
+        assert cohomology._shape_rank.cache_info().misses == 4
+
+
+def dense_jordan_type(length, k):
+    """The Jordan type of N on Lambda^k J_length, apart from _chain_jordan:
+    the canonical chain's rules s -> s + 1 through _slot_terms, a dense
+    RationalMatrix of _d_mask's images of the degree-k monomials, and the
+    ranks of its powers by RationalMatrix.mul and .rank."""
+    terms = cohomology._slot_terms({s: ((1, (s + 1,)),) for s in range(length - 1)})
+    monos = [sum(1 << s for s in combo) for combo in combinations(range(length), k)]
+    images = [cohomology._d_mask(m, terms) for m in monos]
+    matrix = RationalMatrix([[img.get(t, 0) for t in monos] for img in images])
+    ranks, power = [], matrix
+    while rank := power.rank():
+        ranks.append(rank)
+        power = power.mul(matrix)
+    return jordan_type_from_ranks(len(monos), ranks)
+
+
+class TestCoreRanks:
+    """_core_rank ranks a string core through its factors' Jordan types,
+    _chain_jordan's, and the block products _shape_rank ranks; the module
+    docstring proves it exact, and these tests hold it to the canonical
+    core ranked whole."""
+
+    def test_every_shape_of_verify_dim16(self, monkeypatch):
+        # the reduced rank against the uncached direct rank of the
+        # canonical core, on every core shape the 112-model sweep meets
+        real_core_rank = cohomology._core_rank
+        shapes = []
+
+        def spied_core_rank(shape):
+            shapes.append(shape)
+            return real_core_rank(shape)
+
+        monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+        monkeypatch.setattr(cohomology, "_core_rank", spied_core_rank)
+        _, all_ok = cli.run_verify(16)
+        assert all_ok
+        shapes = list(dict.fromkeys(shapes))
+        assert len(shapes) == real_core_rank.cache_info().misses == 640
+        for shape in shapes:
+            assert real_core_rank(shape) == cohomology._shape_rank.__wrapped__(shape), shape
+
+    @pytest.mark.parametrize("length", range(1, 9))
+    def test_chain_jordan_against_a_dense_matrix(self, length):
+        for k in range(length + 1):
+            blocks = cohomology._chain_jordan(length, k)
+            sizes = [size for size, _ in blocks]
+            assert sizes == sorted(set(sizes), reverse=True)
+            expanded = [size for size, count in blocks for _ in range(count)]
+            assert expanded == dense_jordan_type(length, k)
+            assert sum(expanded) == comb(length, k)
+
+    @pytest.mark.parametrize(
+        "bumped", [(length, k) for length in range(2, 6) for k in range(1, length)]
+    )
+    def test_a_bumped_multiplicity_fails_an_oracle_check(self, bumped, monkeypatch):
+        # one more block of the largest size in one chain piece's type: some
+        # model with n <= 4 must then fail betti_oracle_eq or hodge_oracle_eq
+        real_chain_jordan = cohomology._chain_jordan
+
+        def mutated(length, k):
+            blocks = real_chain_jordan(length, k)
+            if (length, k) != bumped:
+                return blocks
+            (size, count), *rest = blocks
+            return ((size, count + 1), *rest)
+
+        monkeypatch.setattr(cohomology, "_chain_jordan", mutated)
+        names = [name for name, _, _ in CHECKS]
+        oracle_checks = [names.index("betti_oracle_eq"), names.index("hodge_oracle_eq")]
+        caught = [
+            c
+            for n in range(1, 5)
+            for c in enumerate_models(n)
+            if not all(run_checks(c)[i] for i in oracle_checks)
+        ]
+        assert caught
 
 
 def random_rules(rng, size):

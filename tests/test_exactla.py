@@ -386,6 +386,14 @@ def dense_power_ranks(matrix):
     raise NotNilpotentError("no power vanished within the dimension bound")
 
 
+def integer_rows(matrix):
+    """A RationalMatrix scaled by the common denominator of its entries,
+    which keeps the rank of every power, as the sparse integer rows
+    power_ranks takes."""
+    scale = lcm(*(x.denominator for row in matrix.data for x in row if x))
+    return [{j: int(x * scale) for j, x in enumerate(row) if x} for row in matrix.data]
+
+
 def ranks_or_error(ranks, matrix):
     """What a power-ranks function returns on matrix, or its error."""
     try:
@@ -432,13 +440,14 @@ def random_jordan_sizes(rng, d):
 
 class TestPowerRanks:
     def test_single_jordan_block(self):
-        assert power_ranks(jordan_block(3)) == [2, 1]
-        assert jordan_type_from_ranks(3, power_ranks(jordan_block(3))) == [3]
+        assert power_ranks(integer_rows(jordan_block(3))) == [2, 1]
+        assert power_ranks([{}, {0: 1}, {1: 1}]) == [2, 1]
+        assert jordan_type_from_ranks(3, power_ranks(integer_rows(jordan_block(3)))) == [3]
 
     def test_zero_matrix(self):
         z = RationalMatrix([[0] * 5 for _ in range(5)])
-        assert power_ranks(z) == []
-        assert jordan_type_from_ranks(z.rows, power_ranks(z)) == [1, 1, 1, 1, 1]
+        assert power_ranks(integer_rows(z)) == [] == power_ranks([{}] * 5)
+        assert jordan_type_from_ranks(z.rows, power_ranks([{}] * 5)) == [1, 1, 1, 1, 1]
 
     def test_block_sum(self):
         b3, b2 = jordan_block(3), jordan_block(2)
@@ -450,17 +459,20 @@ class TestPowerRanks:
             for j in range(2):
                 data[3 + i][3 + j] = b2.data[i][j]
         m = RationalMatrix(data)
-        assert jordan_type_from_ranks(m.rows, power_ranks(m)) == [3, 2]
+        assert jordan_type_from_ranks(m.rows, power_ranks(integer_rows(m))) == [3, 2]
 
     def test_not_nilpotent(self):
         with pytest.raises(NotNilpotentError):
-            power_ranks(RationalMatrix.identity(3))
+            power_ranks([{0: 1}, {1: 1}, {2: 1}])
         with pytest.raises(NotNilpotentError):
-            power_ranks(RationalMatrix([[0, 1], [1, 0]]))
+            power_ranks([{1: 1}, {0: 1}])
 
     def test_requires_square(self):
-        with pytest.raises(ValueError):
-            power_ranks(RationalMatrix([[0] * 3 for _ in range(2)]))
+        # sparse rows name their columns: a square matrix names none past
+        # its last row
+        for rows in ([{2: 1}, {}], [{}, {-1: 1}]):
+            with pytest.raises(ValueError, match="square"):
+                power_ranks(rows)
 
     def test_conjugated_jordan_matrices(self):
         # U N U^-1 spreads each Jordan matrix N over dense integer rows
@@ -471,7 +483,7 @@ class TestPowerRanks:
             sizes = random_jordan_sizes(rng, d)
             m = conjugated(rng, block_diagonal([jordan_block(k) for k in sizes]))
             expected = dense_power_ranks(m)
-            assert power_ranks(m) == expected
+            assert power_ranks(integer_rows(m)) == expected
             assert jordan_type_from_ranks(d, expected) == sizes
             if sizes[0] > 1:
                 filled.append(sum(1 for row in m.data for x in row if x) / d**2)
@@ -488,7 +500,8 @@ class TestPowerRanks:
             diag = [[Fraction(int(r == s), r + 1) for s in range(d)] for r in range(d)]
             inverse = [[(r + 1) * int(r == s) for s in range(d)] for r in range(d)]
             q = RationalMatrix(diag).mul(m).mul(RationalMatrix(inverse))
-            assert power_ranks(q) == dense_power_ranks(q) == power_ranks(m)
+            assert power_ranks(integer_rows(q)) == dense_power_ranks(q)
+            assert dense_power_ranks(q) == power_ranks(integer_rows(m))
 
     def test_errors_match_dense_reference(self):
         rng = random.Random(19)
@@ -496,7 +509,8 @@ class TestPowerRanks:
             RationalMatrix([]),
             RationalMatrix.identity(3),
             RationalMatrix([[0, 1], [1, 0]]),
-            RationalMatrix([[0] * 3 for _ in range(2)]),
+            # not square: a 2 x 3 matrix with an entry in its last column
+            RationalMatrix([[0, 0, 1], [0, 0, 0]]),
             RationalMatrix([[Fraction(1, 2), 0], [0, 0]]),
         ]
         for _ in range(10):
@@ -512,7 +526,7 @@ class TestPowerRanks:
             cases.append(conjugated(rng, block_diagonal(jordan + [RationalMatrix([[1]])])))
             cases.append(RationalMatrix(random_int_matrix(rng, d, d)))
         for m in cases:
-            got = ranks_or_error(power_ranks, m)
+            got = ranks_or_error(lambda m: power_ranks(integer_rows(m)), m)
             assert got == ranks_or_error(dense_power_ranks, m)
             if m.rows != m.cols:
                 assert got[0] is ValueError
