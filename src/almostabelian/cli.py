@@ -50,9 +50,9 @@ WORKERS_ENV = "ALMOSTABELIAN_WORKERS"
 # 150: at n = 200, --q 199,1 --j 200 peaks at about 312 MB, above CI's
 # 300 MB bound.  The rank oracles and the verify sweep grow
 # exponentially in n, and enumerate walks every partition of n.  With
-# each string core ranked through its factors' Jordan types, the
-# oracles' worst case, invariants --q 10 --j 11 --oracle, takes about
-# 0.4 s and 20 MB (126 s and 135 MB when each core was ranked whole),
+# each walk one fold over its strings' Jordan blocks, the oracles'
+# worst case, invariants --q 10 --j 11 --oracle, takes about 0.4 s and
+# 20 MB (126 s and 135 MB when each string core was ranked whole),
 # and verify --max-dim 22, 412 models, about 3.2 s and 30 MB on one worker
 # (about 4 minutes and 138 MB before); both limits stay where CI pins
 # their outputs against the code that ranked each core whole.

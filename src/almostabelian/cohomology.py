@@ -21,86 +21,75 @@ holomorphic degree; building those rules is where the split of d into
 its generator rules on factor tuples in any order, and _slot_terms alone
 applies the wedge signs.
 
-Every walk is split by chain multidegree.  Set aside the symbols that
-kill every monomial they divide (e^0, conj(alpha)); every term of every
-rule then has one other, live, factor (-e^0 ^ e^c in the CE complex,
-+-conj(alpha) ^ beta in the Dolbeault complex, r -> c in the ideal
-action), so D moves one factor inside a chain, a connected component of
-the rules, and keeps the number of factors drawn from each chain.  Each
-block is the direct sum of its parts, one per multidegree, and its rank
-is the sum of theirs.  A part's factor that is one monomial s with an
-empty image (the empty monomial, or a full chain that D kills; a
-spectator, a symbol that no rule names, is such a chain) changes
-nothing: x -> x ^ s maps the part's core, the product of its other
-factors, onto the part, and D(x ^ s) = D(x) ^ s.  Chains that carry the
-same rules once relabelled, with the same weights, are exchanged by an
-automorphism of the complex (in a string walk, below, any chains of
-one length and weight give cores of one rank), so each walk ranks each
-distinct core once and adds multiplicity x rank into each block.  All of this is
-exact.  When some term has no live factor or two, all the named live
-symbols form one chain, walked whole.  The walks only rank: D^2 = 0 is
-checked on the generators, which suffices since D^2 is a derivation.
-
-Every walk but the Heisenberg type's also mirrors.  When every chain is
-a string (_positions), give each symbol its position along its chain:
-D raises a monomial's weight, the sum of its factors' positions, by
-one.  In a core with c_i factors from chains of lengths L_i, the lowest
-and highest weights sum to W = sum c_i (L_i - 1), and rank(S_w ->
-S_w+1) = rank(S_W-1-w -> S_W-w) on its weight pieces S_w: reversing
-each string, after a diagonal rescaling over Q, conjugates the shift N
-to its transpose, whose derivation extension is the transpose of N's up
-to a sign per monomial, and the dead symbol only adds a sign.  So a
-string core is ranked on one piece of each mirrored pair, the one with
-fewer monomials, counted twice.  The mirror relates pieces of one
-block; the Poincare and Serre dualities on the oracle tables relate
-different blocks, so they stay independent evidence.
-
-A string core's rank depends only on its shape, the sorted (L, k) of
-its factors, each k of the L symbols of one chain, so _core_rank ranks
-each shape once, cached for the life of the process, and every string
-walk of every model reads it.  Why this is exact:
-1. _cocycle_symbols puts every dead symbol in every rule's pair mask;
-   a pair has at most two factors, one of them live, so a string walk
-   has at most one dead symbol d0.
-2. So D = +-d0 ^ N or D = N, N the even derivation that extends each
-   chain's nonzero shift.  d0 ^ is injective on the live monomials, so
-   a core has one rank under D and under N.
-3. Rescaling each chain's symbols along its path makes every shift
-   coefficient 1, an automorphism of the exterior algebra, and a chain
-   has one weight, so a core lies in one block.  Its rank is therefore
-   an invariant of (x) Lambda^{k_i} J_{L_i}, which the shape records.
-
-_core_rank takes that rank through the factors' Jordan types, so the
-kernel only ever meets products of Jordan blocks.  N acts on the core
-as N_1 (x) 1 + 1 (x) N_2 + ..., N_i on Lambda^{k_i} J_{L_i}.  Over Q,
-N_i = P_i B_i P_i^-1 with B_i its Jordan form, the direct sum of the
-blocks of _chain_jordan's type; P = (x) P_i then conjugates N to B_1 (x)
-1 + 1 (x) B_2 + ..., which keeps the rank.  The tensor product of direct
-sums is the direct sum of the products of one block per factor, and
-the Kronecker sum acts on each product alone, so rank(core) = sum over
-one block b_i per factor of (prod multiplicities) x rank(J_{b_1} (x) ...
-(x) J_{b_r}).  A block of size 1 is the zero map on a line, so it drops
-out of its product, and a product of such blocks alone has rank 0.
-Lambda^1 J_b = J_b, so _shape_rank ranks each block product whole as
-the canonical core of the shape ((b_1, 1), ..., (b_r, 1)), once per
-process.  No sl2 formula, weight or piece size enters.  _chain_jordan
-keeps (L, k) and (L, L - k) apart, each type read off the exact power
-ranks of its own chain piece, so the Poincare and Serre dualities on
-the oracle tables still test that those two types agree, and the
-walks' bookkeeping of parts, multiplicities and block sizes; the block
+Every walk is one fold over Jordan blocks.  Set aside the symbols
+that kill every monomial they divide (e^0, conj(alpha);
+_cocycle_symbols).  The walk is strings (_chains) when each ruled
+generator's rule is one term with a nonzero coefficient and one live
+factor, its step, no two generators step to one symbol, and the paths
+that follow the steps from the heads, the live symbols that are no
+step, cover every live symbol, each path of one weight: D then moves
+one factor one step along its string.  Up to dim 22 every CE,
+Dolbeault and ideal-action walk is strings but the Heisenberg type's
+(q = 1^n at j = 2).  Why the fold is exact:
+1. _cocycle_symbols puts every dead symbol in every rule's pair mask; a
+   pair has at most two factors, one of them live, so a string walk
+   has at most one dead symbol d0, and D = +-d0 ^ N or D = N, N the
+   even derivation that extends each string's shift.  d0 ^ is
+   injective on the live monomials, so D and N have one rank on each
+   block, keyed by its live monomials' key.
+2. Rescaling each string's symbols along its path makes every shift
+   coefficient 1, an automorphism of the exterior algebra, and the
+   live monomials, up to a sign per monomial, are the tensor product of
+   the Lambda J_L = sum_k Lambda^k J_L of the strings, N acting as N_1
+   (x) 1 + 1 (x) N_2 + ..., N_c on its own string.
+3. Over Q, N_c on Lambda^k J_L is conjugate to its Jordan form, the
+   blocks of _chain_jordan(L, k).  Conjugating each factor alone
+   conjugates N, which keeps the rank, and the tensor product of direct
+   sums is the direct sum of the products of one block per factor, on
+   each of which N acts alone, in one block of the complex: key sum k w
+   over the strings, w a string's weight.  A block of size 1 is the
+   zero map on a line, so it drops out of its product, and a product of
+   such blocks alone has rank 0.
+So _walk folds in the strings one at a time, keeping {(key, sorted
+block sizes > 1): count}, and the rank of each block is sum count x
+rank(J_{b_1} (x) ... (x) J_{b_r}), each product ranked by _shape_rank
+once per process, whichever walk or model meets it first; no sl2
+formula or piece size enters.  A walk that is not strings ranks the
+monomials of its named live symbols, those a rule names, whole through
+_d_mask, block by block.  Its unnamed symbols fold in as strings of
+length 1, whose blocks of size 1 only shift the key: D(x ^ s) = +-D(x)
+^ s, a sign per monomial, for a monomial s of unnamed symbols.  So a
+block of rank r enters the fold as r products J_2, of rank 1 each.
+The walks only rank: D^2 = 0 is checked on the generators, which
+suffices since D^2 is a derivation.  _chain_jordan keeps (L, k) and
+(L, L - k) apart, each type read off the exact power ranks of its own
+chain piece, so the Poincare and Serre dualities on the oracle tables
+still test that those two types agree, and the fold; the block
 products, ranked once, are shared by both sides.
+
+_shape_rank ranks a block product J_{b_1} (x) ... (x) J_{b_r} as its
+canonical core: each block on consecutive symbols, one-factor rules s
+-> s + 1 of coefficient 1, no dead symbol, and each symbol's weight its
+position along its block.  N raises a monomial's weight by one, the
+lowest and highest weights sum to W = sum (b_i - 1), and rank(S_w ->
+S_w+1) = rank(S_W-1-w -> S_W-w) on the weight pieces S_w: reversing
+each block conjugates N to its transpose, whose derivation extension is
+the transpose of N's up to a sign per monomial.  So it ranks one piece
+of each mirrored pair, the one with fewer monomials, counted twice.
+The mirror relates pieces of one block; the Poincare and Serre
+dualities relate different blocks, so they stay independent evidence.
 
 The canonical core builds its rows itself, with no rule table and no
 sign.  Each rule s -> s + 1 is a one-factor rule of degree zero, so its
 only sign is that of moving s + 1 into the slot s leaves, (-1) to the
 number of the monomial's other factors between them, and no symbol
 lies between s and s + 1: every entry is +1.  Symbol s of a monomial
-moves when s + 1 is no factor and s is not last in its chain, so with
+moves when s + 1 is no factor and s is not last in its block, so with
 `interior` the mask of those symbols, the moving bits are mono & ~(mono
 >> 1) & interior, and bit b gives the target mono ^ 3b; distinct bits
 give distinct targets, so nothing cancels.  _shifted reads the rows of
 both _chain_jordan and _shape_rank this way.  _shape_rank sizes the
-core's pieces from the product of all its factors but the last and the
+core's pieces from the product of all its blocks but the last and the
 last, builds masks for the pieces the mirror chooses only, and hands
 the kernel a piece's rows in the reverse of their build order, keyed by
 negated targets, a row permutation and a column bijection that keeps
@@ -111,8 +100,8 @@ reduction steps.
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations, combinations_with_replacement
-from math import comb, factorial
+from itertools import combinations
+from math import comb
 
 from .exactla import (
     NotNilpotentError,
@@ -307,163 +296,49 @@ def _cocycle_symbols(terms):
 
 
 def _chains(weights, terms, dead):
-    """The live symbols of `weights`, those outside `dead`, as chains:
-    lists of symbols in bit order.  Returns (chains, whole).
+    """The live symbols of `weights`, those outside `dead`, as strings or
+    whole (module docstring).  Returns (chains, whole).
 
-    When every term of every rule has exactly one live factor, the
-    chains are the connected components of the graph that joins each
-    generator to the live factor of each of its terms, so D moves one
-    factor inside its chain, and whole is None.  If some term has no
-    live factor or two, D does not keep the number of factors drawn
-    from a chain: all the named live symbols form one chain, whole,
-    which a walk takes whole.  A symbol that no rule names is a chain
-    of its own either way."""
+    When the walk is strings, the chains are its strings, each a list of
+    symbols from its head along the steps, and whole is None.  Otherwise
+    whole lists the named live symbols, those some rule names, in bit
+    order, and the chains are the unnamed ones, one symbol each."""
     ruled, rules = terms
-    root = {s: s for s in weights if not dead >> s & 1}
-
-    def find(s):
-        while root[s] != s:
-            s = root[s]
-        return s
-
-    named = ruled
-    split = True
+    named, step = ruled, {}
     for bit, stated in rules.items():
         for _, pair, _ in stated:
-            live = pair & ~dead
-            named |= live
-            if not live or live & (live - 1):
-                split = False
-            elif split:
-                root[find(live.bit_length() - 1)] = find(bit.bit_length() - 1)
-    if not split:
-        root = {s: -1 if named >> s & 1 else s for s in root}
-        find = root.get
-    chains = {}
-    for s in sorted(root):
-        chains.setdefault(find(s), []).append(s)
-    return list(chains.values()), None if split else chains.get(-1)
+            named |= pair & ~dead
+        coef, pair, _ = stated[0]
+        factor = pair & ~dead
+        if len(stated) == 1 and coef and factor and not factor & (factor - 1):
+            step[bit.bit_length() - 1] = factor.bit_length() - 1
+    live = sorted(s for s in weights if not dead >> s & 1)
+    steps = set(step.values())
+    if len(step) == len(rules) and len(steps) == len(step):
+        # step is one-to-one, so the path from a head never meets itself
+        # and paths from two heads never meet; a symbol on no path lies
+        # on a cycle
+        chains = []
+        for head in live:
+            if head not in steps:
+                chain = [head]
+                while chain[-1] in step:
+                    chain.append(step[chain[-1]])
+                chains.append(chain)
+        if sum(map(len, chains)) == len(live) and all(
+            len({weights[s] for s in chain}) == 1 for chain in chains
+        ):
+            return chains, None
+    return [[s] for s in live if not named >> s & 1], [s for s in live if named >> s & 1]
 
 
-def _signature(chain, weights, terms):
-    """The chain's rules with its symbols relabelled 0, 1, ... in bit
-    order, every other symbol (a dead one) kept as ~symbol, each term's
-    factors in bit order and its coefficient as _slot_terms signs it,
-    and each symbol's weight.  Two chains with one signature are
-    exchanged by an automorphism of the complex that keeps every block:
-    the exchange maps each generator rule onto a rule, factor order and
-    all."""
-    label = {s: i for i, s in enumerate(chain)}
-    rules = terms[1]
-    return tuple(
-        (
-            weights[s],
-            tuple(
-                (coef, tuple(label.get(f, ~f) for f in range(pair.bit_length()) if pair >> f & 1))
-                for coef, pair, _ in rules.get(1 << s, ())
-            ),
-        )
-        for s in chain
-    )
-
-
-def _positions(chains, weights, terms, dead):
-    """Each live symbol's position along its chain, when every chain is
-    a string, or None.  A string: every ruled generator has one term,
-    with a nonzero coefficient and one live factor; no live symbol is the
-    factor of two generators; each chain is one path, its head (the one
-    symbol that is no generator's factor) at position 0 and each factor
-    one past its generator, so D raises the position sum by one; and a
-    chain's symbols share one weight, so reflecting a chain keeps every
-    block key."""
-    step = {}
-    for bit, stated in terms[1].items():
-        if len(stated) != 1:
-            return None
-        [(coef, pair, _)] = stated
-        live = pair & ~dead
-        if not coef or not live or live & (live - 1):
-            return None
-        step[bit.bit_length() - 1] = live.bit_length() - 1
-    factors = set(step.values())
-    if len(factors) < len(step):
-        return None
-    positions = {}
-    for chain in chains:
-        heads = [s for s in chain if s not in factors]
-        if len(heads) != 1 or len({weights[s] for s in chain}) > 1:
-            return None
-        # one head, and no symbol entered twice: the path from it is the chain
-        s = heads[0]
-        for i in range(len(chain)):
-            positions[s] = i
-            s = step.get(s)
-    return positions
-
-
-def _factors(chain, weights, terms, whole):
-    """The factors a part can draw from a chain of a walk that is not
-    strings: its monomials of each degree, or all of them for a chain
-    taken whole, as {key: masks}, one piece per key.  A factor that is
-    one monomial s with an empty image (the empty monomial, or a full
-    chain that D kills) is trivial and is given as its key, an int,
-    instead: x -> x ^ s maps the part without it onto the part, and
-    D(x ^ s) = D(x) ^ s."""
-    out = []
-    for degrees in [range(len(chain) + 1)] if whole else [[k] for k in range(len(chain) + 1)]:
-        blocks = {}
-        for k in degrees:
-            for combo in combinations(chain, k):
-                key = sum(weights[s] for s in combo)
-                blocks.setdefault(key, []).append(sum(1 << s for s in combo))
-        masks = [m for group in blocks.values() for m in group]
-        if len(masks) == 1 and not _d_mask(masks[0], terms):
-            [key] = blocks
-            out.append(key)
-        else:
-            out.append(blocks)
-    return out
-
-
-def _parts(groups):
-    """The parts of the complex, one choice of a factor per chain up to
-    the exchange of the chains of a group, as {(core, key shift):
-    multiplicity}.  `groups` lists (factors, m) for m exchangeable
-    chains, a trivial factor given as its key, an int.  The core has,
-    per group, the indices of its nontrivial picks in ascending order;
-    the trivial picks add their keys.  A group that picks factor i c_i
-    times does so in m! / prod c_i! ways."""
-    parts = {((), 0): 1}
-    for factors, m in groups:
-        own = {}
-        for picks in combinations_with_replacement(range(len(factors)), m):
-            ways = factorial(m)
-            for i in set(picks):
-                ways //= factorial(picks.count(i))
-            core, key = (), 0
-            for i in picks:
-                if isinstance(factors[i], int):
-                    key += factors[i]
-                else:
-                    core += (i,)
-            own[core, key] = ways
-        merged = {}
-        for (core, key), ways in parts.items():
-            for (c, k), w in own.items():
-                part = (core + (c,), key + k)
-                merged[part] = merged.get(part, 0) + ways * w
-        parts = merged
-    return parts
-
-
-# the empty product: its one monomial, the empty one, has key 0
+# the empty product: its one monomial, the empty one, has weight 0
 _UNIT = {0: [0]}
 
 
 def _core_blocks(factors):
-    """The pieces of a core, the product of the factors, as {key: masks},
-    each factor {key: masks} with additive keys: block keys in a walk
-    that is not strings, weights in a canonical string core."""
+    """The pieces of a canonical core, the product of the factors, as
+    {weight: masks}, each factor {weight: masks} with additive weights."""
     blocks = _UNIT
     for factor in factors:
         out = {}
@@ -474,34 +349,11 @@ def _core_blocks(factors):
     return blocks
 
 
-def _rank_blocks(blocks, terms):
-    """Ranks of D on each block of one core of a walk whose chains are
-    not strings, by key.  Each image is computed once, visiting only the
-    factors that have rules, and goes to the rank kernel as it is, one
-    row per monomial: the rank of D's transpose is D's rank.  An image
-    that cancels is dropped."""
-    return {
-        key: sparse_rank([img for m in masks if (img := _d_mask(m, terms))])
-        for key, masks in blocks.items()
-    }
-
-
-@cache
-def _chain_pieces(length, k):
-    """The degree-k monomials of a string on the symbols 0 .. length - 1,
-    as {weight: masks}, a monomial's weight the sum of its symbols, the
-    masks in combinations order.  Cached for the life of the process."""
-    pieces = {}
-    for combo in combinations(range(length), k):
-        pieces.setdefault(sum(combo), []).append(sum(1 << s for s in combo))
-    return pieces
-
-
 def _shifted(mono, interior):
     """The monomials that the shift s -> s + 1 of a canonical core sends
     mono to, each with coefficient +1 (module docstring): one per bit b
     of mono & ~(mono >> 1) & interior, a factor whose successor is no
-    factor and which is not last in its chain, giving mono ^ 3b."""
+    factor and which is not last in its block, giving mono ^ 3b."""
     bits = mono & ~(mono >> 1) & interior
     while bits:
         b = bits & -bits
@@ -510,41 +362,33 @@ def _shifted(mono, interior):
 
 
 @cache
-def _shape_rank(shape):
-    """The rank of D on a string core of this shape, the sorted (L, k) of
-    its factors, each k of the L symbols of one chain with 0 < k < L.
+def _shape_rank(sizes):
+    """The rank of N on the block product J_{b_1} (x) ... (x) J_{b_r},
+    `sizes` the sorted b_i, each above 1, ranked as its canonical core
+    (module docstring).  Cached for the life of the process, so each
+    product is ranked once, whichever walk or model meets it first.
 
-    The canonical core puts each chain on consecutive symbols, one-factor
-    rules s -> s + 1 of coefficient 1 and no dead symbol, each symbol's
-    weight its position along its chain; the module docstring shows that
-    every string core of this shape has its rank, and why its rows need
-    no rule table and no sign.  _core_rank calls it on products of Jordan
-    blocks, shapes of (b, 1) factors only.  Cached for the life of the
-    process, so each shape is ranked once, whichever walk or model meets
-    it first.
-
-    The weight pieces are sized from the product of all factors but the
+    The weight pieces are sized from the product of all blocks but the
     last and the last; of each mirrored pair, the lowest and highest
-    weights summing to W = sum k (L - 1), the piece with fewer
-    monomials, the lower one on a tie, is ranked and counted twice, and
-    the middle piece once.  Only the chosen pieces get masks, those
-    counted twice ranked together and the middle piece apart."""
+    weights summing to W = sum (b - 1), the piece with fewer monomials,
+    the lower one on a tie, is ranked and counted twice, and the middle
+    piece once.  Only the chosen pieces get masks, those counted twice
+    ranked together and the middle piece apart."""
     factors, interior, base = [], 0, 0
-    for length, k in shape:
-        pieces = _chain_pieces(length, k)
-        factors.append({w: [m << base for m in masks] for w, masks in pieces.items()})
-        interior |= (1 << base + length - 1) - (1 << base)
-        base += length
-    *head, last = factors or [_UNIT]
+    for size in sizes:
+        factors.append({i: [1 << base + i] for i in range(size)})
+        interior |= (1 << base + size - 1) - (1 << base)
+        base += size
+    *head, last = factors
     pairs = [(w1 + w2, m1, m2) for w1, m1 in _core_blocks(head).items() for w2, m2 in last.items()]
-    sizes = {}
+    pieces = {}
     for w, m1, m2 in pairs:
-        sizes[w] = sizes.get(w, 0) + len(m1) * len(m2)
-    top = sum(k * (length - 1) for length, k in shape) - 1
+        pieces[w] = pieces.get(w, 0) + len(m1) * len(m2)
+    top = sum(sizes) - len(sizes) - 1
     chosen = {}
     for w, m1, m2 in pairs:
         mirror = top - w
-        size, other = sizes[w], sizes.get(mirror, 0)
+        size, other = pieces[w], pieces.get(mirror, 0)
         times = 1 if w == mirror else 2 if size < other or size == other and w < mirror else 0
         if times:
             chosen.setdefault(times, []).extend([a | b for a in m1 for b in m2])
@@ -563,11 +407,14 @@ def _shape_rank(shape):
 def _chain_jordan(length, k):
     """The Jordan type of N on Lambda^k J_length, the degree-k monomials
     of a string of `length` symbols under s -> s + 1, as ((block size,
-    multiplicity), ...) in descending size.  One row per monomial, its
-    image by _shifted, goes to power_ranks, and jordan_type_from_ranks
-    reads the type off the exact ranks.  Cached for the life of the
-    process."""
-    masks = [m for group in _chain_pieces(length, k).values() for m in group]
+    multiplicity), ...) in descending size.  One row per monomial, in
+    the order of its weight, the sum of its symbols, its image by
+    _shifted, goes to power_ranks, and jordan_type_from_ranks reads the
+    type off the exact ranks.  Cached for the life of the process."""
+    pieces = {}
+    for combo in combinations(range(length), k):
+        pieces.setdefault(sum(combo), []).append(sum(1 << s for s in combo))
+    masks = [m for group in pieces.values() for m in group]
     column = {m: i for i, m in enumerate(masks)}
     interior = (1 << length - 1) - 1
     rows = [{column[target]: 1 for target in _shifted(mono, interior)} for mono in masks]
@@ -575,89 +422,49 @@ def _chain_jordan(length, k):
     return tuple(Counter(jordan_type_from_ranks(len(masks), power_ranks(rows))).items())
 
 
-@cache
-def _core_rank(shape):
-    """The rank of D on a string core of this shape, through its factors'
-    Jordan types (module docstring): the sum, over one block of each
-    factor's _chain_jordan, of the product of their multiplicities times
-    the rank of the product of the blocks, each product a sorted tuple of
-    its sizes other than 1 and ranked by _shape_rank as the shape of
-    (size, 1) factors.  Cached for the life of the process."""
-    products = {(): 1}
-    for length, k in shape:
-        blocks = _chain_jordan(length, k)
-        merged = {}
-        for sizes, ways in products.items():
-            for size, count in blocks:
-                key = sizes if size == 1 else tuple(sorted(sizes + (size,)))
-                merged[key] = merged.get(key, 0) + ways * count
-        products = merged
-    return sum(
-        ways * _shape_rank(tuple((size, 1) for size in sizes))
-        for sizes, ways in products.items()
-        if sizes
-    )
-
-
 def _walk(weights, terms):
-    """One pass over the monomials of a graded complex with differential
-    D, part by part.
+    """The rank of D on each block of a graded complex, by key, from one
+    fold over the Jordan blocks of its strings (module docstring); a
+    block of rank zero may be missing.
 
     `weights` maps each symbol to its block weight, an int; a monomial's
     block key, the sum of its symbols' weights, determines its degree.
     D is the derivation extension of the generator rules `terms`, as
-    _d_mask applies them.  Returns the rank of D on each block, by key
-    (a block of rank zero may be missing).
+    _d_mask applies them.  A monomial divisible by a symbol of
+    _cocycle_symbols(terms) has an empty image, so no walk visits it.
 
-    A monomial divisible by a symbol of _cocycle_symbols(terms) has an
-    empty image, so no walk visits it.  D keeps the number of factors
-    drawn from each chain of _chains, so each block is the direct sum
-    of its parts, one per chain multidegree, and its rank is the sum of
-    theirs.  A part's rank is that of its core, the product of its
-    nontrivial factors.  The walk ranks each distinct core once and
-    adds multiplicity x rank into the blocks of its parts.
-
-    When every chain is a string (_positions), a chain's factors are
-    its degrees k, trivial at k = 0 and k = L, and a core's rank is
-    _core_rank of its shape, so chains of one length and weight are
-    exchangeable and the walk builds no monomial.  Otherwise chains with
-    one _signature are exchanged by an automorphism of the complex, so
-    cores that differ by such an exchange have one rank, and _rank_blocks
-    ranks every piece of each core's _factors."""
-    dead = _cocycle_symbols(terms)
-    chains, whole = _chains(weights, terms, dead)
-    strings = _positions(chains, weights, terms, dead) is not None
-    # the factors of each chain, grouped by the chain's kind: a string's
-    # degree-k factor is its key if trivial, else (L, k, key)
-    groups = {}
+    The fold maps (key, sorted block sizes > 1) to a count.  Each string
+    of length L and weight w multiplies in the blocks of each Lambda^k
+    J_L: the key grows by k w and the counts multiply.  A walk that is
+    not strings starts from the ranks of its whole symbols instead, each
+    block of rank r as r products (2,)."""
+    chains, whole = _chains(weights, terms, _cocycle_symbols(terms))
+    if whole is None:
+        fold = {(0, ()): 1}
+    else:
+        pieces = {}
+        for k in range(len(whole) + 1):
+            for combo in combinations(whole, k):
+                key = sum(weights[s] for s in combo)
+                pieces.setdefault(key, []).append(sum(1 << s for s in combo))
+        fold = {}
+        for key, masks in pieces.items():
+            rank = sparse_rank([img for m in masks if (img := _d_mask(m, terms))])
+            if rank:
+                fold[key, (2,)] = rank
     for chain in chains:
-        if strings:
-            length, w = len(chain), weights[chain[0]]
-            groups.setdefault((length, w), []).append(
-                [k * w if k in (0, length) else (length, k, k * w) for k in range(length + 1)]
-            )
-        else:
-            groups.setdefault((chain is whole, _signature(chain, weights, terms)), []).append(
-                _factors(chain, weights, terms, chain is whole)
-            )
-    groups = list(groups.values())
-    cores = {}
-    for (core, key), ways in _parts([(g[0], len(g)) for g in groups]).items():
-        cores.setdefault(core, []).append((ways, key))
+        length, w = len(chain), weights[chain[0]]
+        merged = {}
+        for (key, sizes), count in fold.items():
+            for k in range(length + 1):
+                for size, ways in _chain_jordan(length, k):
+                    grown = (key + k * w, sizes if size == 1 else tuple(sorted(sizes + (size,))))
+                    merged[grown] = merged.get(grown, 0) + count * ways
+        fold = merged
     ranks = {}
-    for core, parts in cores.items():
-        # the picks of a group go to its chains in order: chains of one
-        # kind are exchangeable, so any order gives one rank
-        factors = [own[i] for group, picks in zip(groups, core) for own, i in zip(group, picks)]
-        if strings:
-            shape = tuple(sorted(factor[:2] for factor in factors))
-            core_ranks = {sum(factor[2] for factor in factors): _core_rank(shape)}
-        else:
-            core_ranks = _rank_blocks(_core_blocks(factors), terms)
-        for ways, key in parts:
-            for k, rank in core_ranks.items():
-                if rank:
-                    ranks[k + key] = ranks.get(k + key, 0) + ways * rank
+    for (key, sizes), count in fold.items():
+        if sizes:
+            ranks[key] = ranks.get(key, 0) + count * _shape_rank(sizes)
     return ranks
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 from itertools import combinations, product
@@ -783,20 +784,22 @@ class TestCocycleSkip:
         # each mirrored pair, 7652 (772 through _d_mask) before each string
         # core was ranked once per shape for the whole sweep, 2235 (2115
         # rows of 121 canonical cores) before each core was ranked through
-        # its factors' Jordan types; now 120 through _d_mask, in the
-        # Heisenberg type's walks, 114 rows of 15 chain pieces and 558 rows
-        # of 49 block products, for the same 121 core shapes
-        assert calls.count(True) == 792
+        # its factors' Jordan types, 792 (120 through _d_mask, 114 rows of
+        # 15 chain pieces and 558 rows of 49 block products) before one
+        # fold took the place of parts and core shapes; now 20 through
+        # _d_mask, the Heisenberg type's whole monomials, 126 rows of 27
+        # chain pieces, the degrees 0 and L and the strings of length 1
+        # among them, and the same 558 rows of 49 block products
+        assert calls.count(True) == 704
         # outside the walks, each model's CE and Dolbeault records check
         # D^2 once each, imaging each ruled generator and each monomial of
         # its image, dead symbols included; d_squared and the Betti
         # numbers share the CE verdict, dbar_squared and the Hodge numbers
         # the Dolbeault one (17700 while each oracle checked D^2 again,
         # 17044 before the mirror, 8308 before the shape ranks, 2891
-        # before the Jordan types)
-        assert len(calls) == 1448
-        assert cohomology._core_rank.cache_info().misses == 121
-        assert cohomology._chain_jordan.cache_info().misses == 15
+        # before the Jordan types, 1448 before the fold)
+        assert len(calls) == 1360
+        assert cohomology._chain_jordan.cache_info().misses == 27
         assert real_shape_rank.cache_info().misses == 49
 
 
@@ -840,10 +843,11 @@ def ideal_action_reference(alg):
 
 def spectators(terms, size):
     """The symbols below `size` that no rule names: the chains of one
-    symbol without a rule, other than the chain a walk takes whole."""
+    symbol, strings of length 1 or, in a walk that is not strings, the
+    symbols it does not take whole."""
     weights = dict.fromkeys(range(size), 1)
-    chains, whole = cohomology._chains(weights, terms, cohomology._cocycle_symbols(terms))
-    return [c[0] for c in chains if c is not whole and len(c) == 1 and 1 << c[0] not in terms[1]]
+    chains, _ = cohomology._chains(weights, terms, cohomology._cocycle_symbols(terms))
+    return [c[0] for c in chains if len(c) == 1]
 
 
 def assert_ce_walk_equals_reference(alg):
@@ -896,11 +900,11 @@ def assert_walks_equal_references(c):
 
 
 class TestSpectatorFold:
-    """Each walk drops the symbols that no rule names, chains of their own
-    whose every factor is trivial; its ranks are those of the walk over
-    every symbol.  (TestCocycleSkip compares _walk with the
-    reference on the symbols the walks hand it, so only these tests can
-    see a bug in how a walk's caller keys its blocks.)"""
+    """Each walk folds in the symbols that no rule names as strings of
+    length 1, whose blocks of size 1 only shift keys; its ranks are those
+    of the walk over every symbol.  (TestCocycleSkip compares _walk with
+    the reference on the symbols the walks hand it, so only these tests
+    can see a bug in how a walk's caller keys its blocks.)"""
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_walks_equal_the_walk_over_every_symbol(self, n):
@@ -971,20 +975,23 @@ class TestSpectatorFold:
         assert permuted_hodge(c, order) == hodge_oracle(c) == hodge_closed(c)
 
 
-def signature_groups(weights, terms):
-    """_walk's chains, grouped by _signature, in the order _walk meets them."""
-    chains, _ = cohomology._chains(weights, terms, cohomology._cocycle_symbols(terms))
-    groups = {}
-    for chain in chains:
-        groups.setdefault(cohomology._signature(chain, weights, terms), []).append(chain)
-    return list(groups.values())
+def chains_of(weights, terms):
+    """_chains of the walk, with its dead symbols found as _walk finds
+    them."""
+    return cohomology._chains(weights, terms, cohomology._cocycle_symbols(terms))
+
+
+def strings(weights, terms):
+    """Whether _walk folds the Jordan blocks of strings for these rules,
+    rather than ranking their named symbols whole."""
+    return chains_of(weights, terms)[1] is None
 
 
 class TestChainParts:
-    """_walk splits each block by chain multidegree, drops a part's
-    trivial factors and ranks each core once up to exchanging chains
-    with one signature.  Chains that only look alike must stay apart, and
-    a full chain with an image must stay in the core."""
+    """_walk folds in each string's Jordan blocks by its length and
+    weight alone, so strings that carry one length and weight fold
+    alike.  Rules that only look like strings must be walked whole, and
+    a full chain with an image must be ranked."""
 
     @pytest.mark.parametrize(
         "qparts, j",
@@ -995,26 +1002,24 @@ class TestChainParts:
         symbols = assert_walks_equal_references(M(qparts, j))
         g = symbols[1]
         weights = {s: g + 1 if s < g else 1 for s in range(2 * g)}
-        groups = signature_groups(weights, cohomology._dbar_rules(symbols))
-        # relabelled chains of two or more symbols share the Dolbeault cores
-        assert any(len(group) > 1 and len(group[0]) > 1 for group in groups)
+        chains, whole = chains_of(weights, cohomology._dbar_rules(symbols))
+        assert whole is None
+        # strings of two or more symbols share a length and a weight
+        kinds = [(len(c), weights[c[0]]) for c in chains if len(c) > 1]
+        assert len(set(kinds)) < len(kinds)
 
     def test_relabelled_chains_are_ranked_once(self, monkeypatch):
-        # CE of q = 2,2,2 at j = 1: six 2-chains with one signature and
-        # one spectator.  A 2-chain's empty and full monomials are
-        # trivial, so a core is the number of chains that give one factor
+        # CE of q = 2,2,2 at j = 1: six 2-strings and one spectator.  The
+        # fold meets Lambda^k J_2 for k = 0, 1, 2 and Lambda^k J_1 for
+        # k = 0, 1, five chain pieces, and Lambda^1 J_2 is the one block
+        # J_2, so the block products are J_2^(x c) for c = 1..6, each
+        # canonical core built once by _shape_rank, the product of its
+        # blocks but the last by _core_blocks
         c = M([2, 2, 2], 1)
         alg = build_algebra(c)
         terms = cohomology._slot_terms(cohomology._ce_generator_differentials(alg))
-        groups = signature_groups(dict.fromkeys(range(alg.dim), 1), terms)
-        assert sorted(map(len, groups)) == [1, 6] and sorted(len(g[0]) for g in groups) == [1, 2]
-        # the chains are strings, so each core is ranked by its shape: the
-        # shapes ((2, 1),) * c for c = 0..6 are _core_rank's seven misses.
-        # Lambda^1 J_2 is the one block J_2, so the block products are the
-        # same shapes but the empty one, each canonical core built once by
-        # _shape_rank, the product of its factors but the last by
-        # _core_blocks
-        assert strings(dict.fromkeys(range(alg.dim), 1), terms)
+        chains, whole = chains_of(dict.fromkeys(range(alg.dim), 1), terms)
+        assert whole is None and sorted(map(len, chains)) == [1] + [2] * 6
         real_core_blocks = cohomology._core_blocks
         cores = []
 
@@ -1024,13 +1029,12 @@ class TestChainParts:
 
         monkeypatch.setattr(cohomology, "_core_blocks", counted_core_blocks)
         assert_ce_walk_equals_reference(alg)
-        assert cohomology._core_rank.cache_info().misses == 7
+        assert sorted(cores) == list(range(6))
         assert len(cores) == cohomology._shape_rank.cache_info().misses == 6
-        assert cohomology._chain_jordan.cache_info().misses == 1
-        # the ranks outlive their record: a second record ranks no core
-        # again, and reads every shape from the cache
+        assert cohomology._chain_jordan.cache_info().misses == 5
+        # the ranks outlive their record: a second record ranks no block
+        # product again, and reads every one from the cache
         cohomology._ce(alg).dims
-        assert cohomology._core_rank.cache_info().misses == 7
         assert len(cores) == cohomology._shape_rank.cache_info().misses == 6
 
     @staticmethod
@@ -1041,26 +1045,23 @@ class TestChainParts:
 
     def test_full_chain_with_an_image_is_not_trivial(self):
         # x0 kills every monomial; d(x1) = x0 ^ x1 and d(x2) = -x0 ^ x2 are
-        # diagonal terms s -> dead ^ s, so the full chains {1} and {2} have
-        # images, which cancel on x1 ^ x2
+        # diagonal terms s -> dead ^ s, each a step from a symbol to
+        # itself: a cycle, so the walk is not strings, and x1, x2 and
+        # x1 ^ x2 all have images, which cancel on x1 ^ x2
         weights = dict.fromkeys(range(3), 1)
         terms = cohomology._slot_terms({1: ((1, (0, 1)),), 2: ((-1, (0, 2)),)})
-        assert cohomology._chains(weights, terms, 0b1) == ([[1], [2]], None)
-        # a diagonal term is a cycle, so the chains are not strings
-        assert cohomology._positions([[1], [2]], weights, terms, 0b1) is None
-        for chain in ([1], [2]):
-            empty, full = cohomology._factors(chain, weights, terms, False)
-            assert empty == 0 and full == {1: [1 << chain[0]]}
+        assert cohomology._chains(weights, terms, 0b1) == ([], [1, 2])
         self.assert_walk_equals_reference(weights, terms)
         assert nonzero(cohomology._walk(weights, terms)) == {1: 2}
         assert cohomology._squares_vanish(terms)
 
     @pytest.mark.parametrize(
-        "weights, d1, apart",
+        "weights, d1, chains",
         [
-            # one coefficient: x0 kills every monomial, and the chains
+            # one coefficient: x0 kills every monomial, and the pairs
             # {1, 2} and {3, 4} act on their symbols as [[1, 1], [1, 1]]
-            # (rank 1) and [[1, 1], [1, 2]] (rank 2)
+            # (rank 1) and [[1, 1], [1, 2]] (rank 2); two terms per rule,
+            # so the walk is whole
             (
                 dict.fromkeys(range(5), 1),
                 {
@@ -1069,32 +1070,32 @@ class TestChainParts:
                     3: ((1, (0, 3)), (1, (0, 4))),
                     4: ((1, (0, 3)), (2, (0, 4))),
                 },
-                ([1, 2], [3, 4]),
+                ([], [1, 2, 3, 4]),
             ),
             # the side of the dead symbol x2: d(x1) = x1 ^ x2 lies below it,
             # d(x3) = x2 ^ x3 and d(x4) = x2 ^ x4 above; x1 ^ x3 is a
-            # cocycle and x3 ^ x4 is not
+            # cocycle and x3 ^ x4 is not.  Each step is a cycle, so the
+            # walk is whole, x0 a spectator
             (
                 dict.fromkeys(range(5), 1),
                 {1: ((1, (1, 2)),), 3: ((1, (2, 3)),), 4: ((1, (2, 4)),)},
-                ([1], [3]),
+                ([[0]], [1, 3, 4]),
             ),
             # the weight: keys as the Dolbeault walk gives them for g = 4,
-            # a holomorphic chain {1, 2} and an antiholomorphic chain
-            # {5, 6}, both below the dead symbol x7, with one rule each
+            # a holomorphic string 2 -> 1 and an antiholomorphic string
+            # 6 -> 5, both below the dead symbol x7, with one rule each:
+            # strings of one length and two weights
             (
                 {s: 5 if s < 4 else 1 for s in range(8)},
                 {2: ((1, (7, 1)),), 6: ((1, (7, 5)),)},
-                ([1, 2], [5, 6]),
+                ([[0], [2, 1], [3], [4], [6, 5]], None),
             ),
         ],
         ids=["coefficient", "side", "weight"],
     )
-    def test_equal_shapes_are_kept_apart(self, weights, d1, apart):
+    def test_equal_shapes_are_kept_apart(self, weights, d1, chains):
         terms = cohomology._slot_terms(d1)
-        groups = signature_groups(weights, terms)
-        first, second = apart
-        assert not any(first in group and second in group for group in groups)
+        assert chains_of(weights, terms) == chains
         self.assert_walk_equals_reference(weights, terms)
 
     def test_holomorphic_and_antiholomorphic_chains_in_the_dolbeault_walk(self):
@@ -1103,13 +1104,6 @@ class TestChainParts:
         d1 = {2: ((1, (7, 1)),), 6: ((1, (7, 5)),)}
         symbols = ({s: d1.get(s, ()) for s in range(8)}, 4)
         assert_dolbeault_walk_equals_reference(symbols)
-
-
-def full_walk(weights, terms):
-    """_walk with every piece ranked, as for rules that are not strings."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cohomology, "_positions", lambda *args: None)
-        return cohomology._walk(weights, terms)
 
 
 def model_walks(c):
@@ -1126,8 +1120,31 @@ def model_walks(c):
     ]
 
 
+def full_walk(weights, terms):
+    """_walk with every named symbol ranked whole, as for rules that are
+    not strings: the symbols of a string walk's strings of two or more,
+    its strings of length 1 left to fold in."""
+    real_chains = cohomology._chains
+
+    def whole_chains(weights, terms, dead):
+        chains, whole = real_chains(weights, terms, dead)
+        if whole is None:
+            whole = sorted(s for chain in chains if len(chain) > 1 for s in chain)
+            chains = [chain for chain in chains if len(chain) == 1]
+        return chains, whole
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cohomology, "_chains", whole_chains)
+        return cohomology._walk(weights, terms)
+
+
+def heisenberg(c):
+    """Whether the model is the Heisenberg type, q = 1^n at j = 2."""
+    return c.j == 2 and set(c.q.parts) == {1}
+
+
 # synthetic rules whose chains are strings, with coefficients other than
-# +-1, as (weights, d1): each (weights, _slot_terms(d1)) is a walk that mirrors
+# +-1, as (weights, d1): each (weights, _slot_terms(d1)) is a string walk
 STRING_RULES = [
     # dead x0; the chain 1 -> 2 -> 3 -> 4 and, out of bit order,
     # 5 -> 7 -> 6; x8 a spectator
@@ -1164,31 +1181,41 @@ STRING_RULES = [
 ]
 
 
-def strings(weights, terms):
-    """Whether _walk mirrors the weight pieces of these rules."""
-    dead = cohomology._cocycle_symbols(terms)
-    chains, _ = cohomology._chains(weights, terms, dead)
-    return cohomology._positions(chains, weights, terms, dead) is not None
+# one sha256 over the nonzero ranks of the CE, Dolbeault and ideal-action
+# walks of the 112 models with n <= 7, taken with the walks that split
+# each block into chain-multidegree parts and ranked each distinct core
+# once, checked there against the walks that ranked every piece
+WALK_RANKS_UP_TO_N7 = "8089f2b9a03492b06f454c17ce99d0f6caca3cb964dead022fcfc8b2caa76424"
 
 
 class TestMirror:
-    """When every chain is a string, _walk ranks one piece of each
-    mirrored pair of weight pieces and counts it twice; otherwise it
-    ranks every piece.  (TestCocycleSkip compares every walk with n <= 5
-    with the walk over every monomial.)"""
+    """When the rules are strings, _walk folds in their Jordan blocks and
+    _shape_rank ranks one piece of each mirrored pair of weight pieces of
+    each block product, counted twice; otherwise _walk ranks the named
+    symbols whole.  (TestCocycleSkip compares every walk with n <= 5 with
+    the walk over every monomial.)"""
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_mirrored_walks_equal_full_walks(self, n):
-        models = list(enumerate_models(n))
-        mirrored = 0
-        for c in models:
+        for c in enumerate_models(n):
             for weights, terms in model_walks(c):
-                mirrored += strings(weights, terms)
+                assert strings(weights, terms) is not heisenberg(c), c
                 assert nonzero(cohomology._walk(weights, terms)) == nonzero(
                     full_walk(weights, terms)
                 )
-        # only the Heisenberg type, q = 1^n at j = 2, is not strings
-        assert mirrored == 3 * (len(models) - 1)
+
+    def test_walk_ranks_up_to_n7_as_pinned(self):
+        digest = hashlib.sha256()
+        count = 0
+        for n in range(1, 8):
+            for c in enumerate_models(n):
+                ranks = [
+                    sorted(nonzero(cohomology._walk(weights, terms)).items())
+                    for weights, terms in model_walks(c)
+                ]
+                digest.update(repr((str(c), ranks)).encode())
+                count += 1
+        assert (count, digest.hexdigest()) == (112, WALK_RANKS_UP_TO_N7)
 
     @pytest.mark.parametrize("weights, d1", STRING_RULES)
     def test_strings_with_non_unit_coefficients(self, weights, d1):
@@ -1224,8 +1251,8 @@ class TestMirror:
         )
 
     def test_a_chain_of_mixed_weights_ranks_every_piece(self):
-        # the string 1 -> 2 -> 3 with weights 1, 2, 3: reflecting it would
-        # change block keys
+        # the string 1 -> 2 -> 3 with weights 1, 2, 3: its Lambda^k J_3
+        # would not lie in one block
         weights = {0: 1, 1: 1, 2: 2, 3: 3}
         terms = cohomology._slot_terms({1: ((3, (0, 2)),), 2: ((-2, (0, 3)),)})
         assert not strings(weights, terms)
@@ -1244,22 +1271,40 @@ class TestMirror:
         monkeypatch.setattr(cohomology, "sparse_rank", counted_rank)
         walks = model_walks(M([4], 5))
         assert all(strings(weights, terms) for weights, terms in walks)
-        mirrored = []
-        for weights, terms in walks:
-            # each walk on cold caches, so no walk reads another's ranks
-            cohomology._core_rank.cache_clear()
-            cohomology._chain_jordan.cache_clear()
-            cohomology._shape_rank.cache_clear()
-            mirrored.append(cohomology._walk(weights, terms))
-        mirrored_rows = sum(rows)
-        rows.clear()
-        full = [full_walk(weights, terms) for weights, terms in walks]
-        assert list(map(nonzero, mirrored)) == list(map(nonzero, full))
-        assert 0 < mirrored_rows < sum(rows)
+        mirrored = [cohomology._walk(weights, terms) for weights, terms in walks]
+        # the rows of every block product met, each ranked whole, no piece
+        # mirrored: one per monomial with an image
+        met = walked_products(walks)
+        whole_rows = 0
+        for sizes in met:
+            factors, terms = canonical_core(tuple((b, 1) for b in sizes))
+            whole_rows += sum(
+                1 for masks in core_pieces(factors).values() for m in masks
+                if cohomology._d_mask(m, terms)
+            )
+        assert len(met) == cohomology._shape_rank.cache_info().misses
+        assert 0 < sum(rows) < whole_rows
         # on a warm cache a walk reads every rank and ranks nothing
         rows.clear()
         assert [cohomology._walk(weights, terms) for weights, terms in walks[-1:]] == mirrored[-1:]
         assert rows == []
+
+
+def walked_products(walks):
+    """The block products that _walk hands _shape_rank on these walks,
+    in the order first met."""
+    met = []
+    real_shape_rank = cohomology._shape_rank
+
+    def spied_shape_rank(sizes):
+        met.append(sizes)
+        return real_shape_rank(sizes)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cohomology, "_shape_rank", spied_shape_rank)
+        for weights, terms in walks:
+            cohomology._walk(weights, terms)
+    return list(dict.fromkeys(met))
 
 
 def canonical_core(shape):
@@ -1267,7 +1312,9 @@ def canonical_core(shape):
     each (L, k) a chain of L consecutive symbols with the one-factor
     rules s -> s + 1 of coefficient 1, and its degree-k factor.  Returns
     (factors, terms), each factor as {weight: masks}, a monomial's
-    weight the sum of its symbols' positions along their chains."""
+    weight the sum of its symbols' positions along their chains.  A
+    block product J_{b_1} (x) ... (x) J_{b_r} is the shape ((b_1, 1),
+    ..., (b_r, 1))."""
     d1, factors, base = {}, [], 0
     for length, k in shape:
         d1.update((base + i, ((1, (base + i + 1,)),)) for i in range(length - 1))
@@ -1289,42 +1336,61 @@ def product_pieces(left, right):
     ]
 
 
+def core_pieces(factors):
+    """The pieces of the product of the factors, as {weight: masks}."""
+    pieces = {0: [0]}
+    for factor in factors:
+        out = {}
+        for w, m in product_pieces(pieces, factor):
+            out.setdefault(w, []).extend(m)
+        pieces = out
+    return pieces
+
+
+def canonical_rank(shape):
+    """The rank of the canonical core of a shape, every monomial imaged
+    by _d_mask and no piece mirrored."""
+    factors, terms = canonical_core(shape)
+    return sparse_rank(
+        [
+            img
+            for masks in core_pieces(factors).values()
+            for m in masks
+            if (img := cohomology._d_mask(m, terms))
+        ]
+    )
+
+
 class TestStringRows:
-    """A string walk ranks each core by its shape, through _core_rank, and
-    _core_rank ranks each product of Jordan blocks through _shape_rank,
-    on the canonical core of its shape ((b_1, 1), ..., (b_r, 1)).  The
-    core's last factor is multiplied onto the product of the others, and
-    only the pieces the mirror chooses get masks, those counted twice
-    together and the middle piece apart.  Each monomial's row is read off
-    its bits, every entry +1, and the rows go to the kernel in the
-    reverse of their build order, keyed by negated targets.  For every
-    block product the walks meet, the matrices a cold _shape_rank hands
-    the kernel are held, list for list, against _d_mask's images on a
-    canonical core built here, so a wrong row that keeps the rank is
-    caught too."""
+    """A string walk folds in its strings' Jordan blocks and ranks each
+    product of blocks through _shape_rank, on the canonical core of its
+    shape ((b_1, 1), ..., (b_r, 1)).  The core's last factor is
+    multiplied onto the product of the others, and only the pieces the
+    mirror chooses get masks, those counted twice together and the middle
+    piece apart.  Each monomial's row is read off its bits, every entry
+    +1, and the rows go to the kernel in the reverse of their build
+    order, keyed by negated targets.  For every block product the walks
+    meet, the matrices a cold _shape_rank hands the kernel are held, list
+    for list, against _d_mask's images on a canonical core built here, so
+    a wrong row that keeps the rank is caught too."""
 
     @staticmethod
-    def reference_matrices(shape):
-        """The kernel input of _shape_rank(shape), from canonical_core
+    def reference_matrices(sizes):
+        """The kernel input of _shape_rank(sizes), from canonical_core
         and _d_mask, and the rank of the whole core, no piece mirrored."""
+        shape = tuple((b, 1) for b in sizes)
         factors, terms = canonical_core(shape)
-        *head, last = factors or [{0: [0]}]
-        prefix = {0: [0]}
-        for factor in head:
-            out = {}
-            for w, m in product_pieces(prefix, factor):
-                out.setdefault(w, []).extend(m)
-            prefix = out
-        pairs = product_pieces(prefix, last)
-        sizes = {}
+        *head, last = factors
+        pairs = product_pieces(core_pieces(head), last)
+        pieces = {}
         for w, m in pairs:
-            sizes[w] = sizes.get(w, 0) + len(m)
+            pieces[w] = pieces.get(w, 0) + len(m)
         # of each mirrored pair of pieces, the smaller (the lower on a
         # tie) counts twice; the middle piece counts once
-        top = min(sizes) + max(sizes) - 1
+        top = min(pieces) + max(pieces) - 1
         times = {}
-        for w, size in sizes.items():
-            other = sizes.get(top - w, 0)
+        for w, size in pieces.items():
+            other = pieces.get(top - w, 0)
             if w == top - w:
                 times[w] = 1
             elif size < other or size == other and w < top - w:
@@ -1337,43 +1403,25 @@ class TestStringRows:
         for masks in chosen.values():
             images = [cohomology._d_mask(m, terms) for m in masks]
             matrices.append([{-t: c for t, c in img.items()} for img in reversed(images) if img])
-        whole = [img for _, m in pairs for mono in m if (img := cohomology._d_mask(mono, terms))]
-        return matrices, list(chosen), sparse_rank(whole)
+        return matrices, list(chosen), canonical_rank(shape)
 
     def assert_string_walk(self, weights, terms, seen):
-        """Walk with _core_rank and _shape_rank spied on, check the core
-        shapes against the walk's chains and the block products' shapes,
-        and check the kernel input of every block product not in `seen`
-        against the reference; adds the walk's block products to `seen`."""
-        dead = cohomology._cocycle_symbols(terms)
-        chains, _ = cohomology._chains(weights, terms, dead)
-        assert cohomology._positions(chains, weights, terms, dead) is not None
-        lengths = {len(chain) for chain in chains}
-        cores, products = [], []
-        real_core_rank, real_shape_rank = cohomology._core_rank, cohomology._shape_rank
-
-        def spied_core_rank(shape):
-            cores.append(shape)
-            return real_core_rank(shape)
-
-        def spied_shape_rank(shape):
-            products.append(shape)
-            return real_shape_rank(shape)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cohomology, "_core_rank", spied_core_rank)
-            patch.setattr(cohomology, "_shape_rank", spied_shape_rank)
-            cohomology._walk(weights, terms)
-        assert cores
-        for shape in dict.fromkeys(cores):
-            assert list(shape) == sorted(shape)
-            assert all(length in lengths and 0 < k < length for length, k in shape)
-        for shape in dict.fromkeys(products):
-            # a product of Jordan blocks, none of size 1
-            assert list(shape) == sorted(shape) and all(b > 1 and k == 1 for b, k in shape)
-            if shape in seen:
+        """Walk with _shape_rank spied on, check the block products'
+        sizes against the walk's strings, and check the kernel input of
+        every block product not in `seen` against the reference; adds the
+        walk's block products to `seen`."""
+        chains, whole = chains_of(weights, terms)
+        assert whole is None
+        strung = sum(len(chain) > 1 for chain in chains)
+        products = walked_products([(weights, terms)])
+        for sizes in products:
+            # a product of Jordan blocks, none of size 1, at most one per
+            # string
+            assert list(sizes) == sorted(sizes) and all(b > 1 for b in sizes)
+            assert 0 < len(sizes) <= strung
+            if sizes in seen:
                 continue
-            seen.add(shape)
+            seen.add(sizes)
             matrices = []
 
             def spied_rank(rows):
@@ -1382,27 +1430,27 @@ class TestStringRows:
 
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(cohomology, "sparse_rank", spied_rank)
-                # the uncached function: a cold rank of this shape
-                rank = real_shape_rank.__wrapped__(shape)
-            expected, times, whole = self.reference_matrices(shape)
+                # the uncached function: a cold rank of this product
+                rank = cohomology._shape_rank.__wrapped__(sizes)
+            expected, times, whole_rank = self.reference_matrices(sizes)
             assert matrices == expected
-            assert rank == sum(t * sparse_rank(m) for t, m in zip(times, expected)) == whole
-            assert rank == real_shape_rank(shape)
+            assert rank == sum(t * sparse_rank(m) for t, m in zip(times, expected)) == whole_rank
+            assert rank == cohomology._shape_rank(sizes)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_every_mirrored_walk_up_to_n7(self, n):
         models = list(enumerate_models(n))
-        mirrored = 0
+        walked = 0
         seen = set()
         for c in models:
             for weights, terms in model_walks(c):
                 if strings(weights, terms):
                     self.assert_string_walk(weights, terms, seen)
-                    mirrored += 1
-        assert mirrored == 3 * (len(models) - 1)
+                    walked += 1
+        assert walked == 3 * (len(models) - 1)
         # each block product is ranked once, by the first walk that meets it
         assert len(seen) == cohomology._shape_rank.cache_info().misses
-        assert bool(seen) == bool(mirrored)
+        assert bool(seen) == bool(walked)
 
     @pytest.mark.parametrize("weights, d1", STRING_RULES)
     def test_synthetic_strings(self, weights, d1):
@@ -1411,27 +1459,27 @@ class TestStringRows:
         assert len(seen) == cohomology._shape_rank.cache_info().misses
 
     def test_walks_share_their_shapes(self):
-        # q = 3,3,2 at j = 4: the Dolbeault walk meets more parts than core
-        # shapes, and more core shapes than block products; the CE walk of
-        # the model after it finds its core shapes ranked
+        # q = 3,3,2 at j = 4: the Dolbeault walk's fold meets more (key,
+        # block sizes) entries than block products; the CE walk of the
+        # model after it finds most of its block products ranked
         ce, dolbeault, _ = model_walks(M([3, 3, 2], 4))
         assert strings(*dolbeault) and strings(*ce)
         cohomology._walk(*dolbeault)
-        first = cohomology._core_rank.cache_info()
+        first = cohomology._shape_rank.cache_info()
         assert 0 < first.misses < first.hits
-        assert 0 < cohomology._shape_rank.cache_info().misses < first.misses
         cohomology._walk(*ce)
-        second = cohomology._core_rank.cache_info()
+        second = cohomology._shape_rank.cache_info()
         assert second.misses - first.misses < second.hits - first.hits
 
 
 def own_string_cores(weights, terms):
     """Every core of a string walk, one per choice of a degree on each of
-    its chains, as (shape, key, factors): the factors drawn from the
-    walk's own symbols, as {key: masks}."""
-    dead = cohomology._cocycle_symbols(terms)
-    chains, _ = cohomology._chains(weights, terms, dead)
-    assert cohomology._positions(chains, weights, terms, dead) is not None
+    its strings of two or more symbols, as (shape, key, shift, factors):
+    the factors drawn from the walk's own symbols, as {key: masks}, for
+    the degrees other than 0 and L, and shift the key that the full
+    strings add."""
+    chains, whole = chains_of(weights, terms)
+    assert whole is None
     long = [chain for chain in chains if len(chain) > 1]
     for degrees in product(*(range(len(chain) + 1) for chain in long)):
         picked = [(chain, k) for chain, k in zip(long, degrees) if 0 < k < len(chain)]
@@ -1444,64 +1492,86 @@ def own_string_cores(weights, terms):
                 )
             factors.append(factor)
         shape = tuple(sorted((len(chain), k) for chain, k in picked))
-        yield shape, sum(k * weights[chain[0]] for chain, k in picked), factors
+        key = sum(k * weights[chain[0]] for chain, k in picked)
+        shift = sum(k * weights[chain[0]] for chain, k in zip(long, degrees)) - key
+        yield shape, key, shift, factors
 
 
 class TestShapeRanks:
-    """A string core's rank depends only on its shape: every core of every
-    string walk, ranked from its own factors with its walk's own rules,
-    every monomial of the core imaged by _d_mask and no piece mirrored,
-    has one block, its key, and the rank _core_rank gives its shape,
-    through its factors' Jordan types, which is also the rank
-    _shape_rank gives the canonical core of that shape."""
+    """The fold is the sum of its cores: every core of every string walk,
+    one degree per string, ranked from its own factors with its walk's
+    own rules, every monomial of the core imaged by _d_mask and no piece
+    mirrored, has one block, its key, and a rank that depends only on its
+    shape, the rank of the canonical core of that shape; and the walk's
+    rank on each block is the sum of its cores' ranks there, times the
+    ways the degrees 0 and L of the strings left out shift the key."""
 
     @staticmethod
-    def assert_cores_rank_by_shape(weights, terms):
+    def assert_cores_rank_by_shape(weights, terms, canonical):
+        ranks = {}
         cores = 0
-        for shape, key, factors in own_string_cores(weights, terms):
-            ranks = {
+        for shape, key, shift, factors in own_string_cores(weights, terms):
+            own = {
                 k: sparse_rank([img for m in masks if (img := cohomology._d_mask(m, terms))])
-                for k, masks in cohomology._core_blocks(factors).items()
+                for k, masks in core_pieces(factors).items()
             }
-            assert set(nonzero(ranks)) <= {key}
-            assert sum(ranks.values()) == cohomology._core_rank(shape)
-            assert sum(ranks.values()) == cohomology._shape_rank(shape)
+            assert set(nonzero(own)) <= {key}
+            if shape not in canonical:
+                canonical[shape] = canonical_rank(shape)
+            assert sum(own.values()) == canonical[shape]
+            ranks[key + shift] = ranks.get(key + shift, 0) + canonical[shape]
             cores += 1
+        # each string of length 1 doubles the cores, with and without its
+        # symbol
+        chains, _ = chains_of(weights, terms)
+        for chain in chains:
+            if len(chain) == 1:
+                shifted = {}
+                for k, rank in ranks.items():
+                    for s in (0, weights[chain[0]]):
+                        shifted[k + s] = shifted.get(k + s, 0) + rank
+                ranks = shifted
+        assert nonzero(cohomology._walk(weights, terms)) == nonzero(ranks)
         return cores
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_every_string_walk_up_to_n6(self, n):
         models = list(enumerate_models(n))
         walked = 0
+        canonical = {}
         for c in models:
             for weights, terms in model_walks(c):
                 if strings(weights, terms):
-                    assert self.assert_cores_rank_by_shape(weights, terms)
+                    assert self.assert_cores_rank_by_shape(weights, terms, canonical)
                     walked += 1
         assert walked == 3 * (len(models) - 1)
 
     @pytest.mark.parametrize("weights, d1", STRING_RULES)
     def test_synthetic_strings(self, weights, d1):
-        assert self.assert_cores_rank_by_shape(weights, cohomology._slot_terms(d1))
+        assert self.assert_cores_rank_by_shape(weights, cohomology._slot_terms(d1), {})
 
     def test_reflected_shapes_are_ranked_apart(self):
-        # (L, k) and (L, L - k) are different keys: each is ranked by its
-        # own canonical core, and their ranks agree: Lambda^1 J_4 (x)
-        # Lambda^2 J_5 has 4 x 10 monomials in 4 + 3 sl2 summands, W(4) (x)
-        # (W(7) + W(3)), so the shift has rank 40 - 7
-        assert cohomology._shape_rank(((4, 1), (5, 2))) == 33
-        assert cohomology._shape_rank(((4, 3), (5, 3))) == 33
-        assert cohomology._shape_rank.cache_info().misses == 2
-        # through the Jordan types: Lambda^2 J_5 and Lambda^3 J_5 are each
-        # J_7 + J_3, read off their own chain pieces, and both cores rank
-        # the block products J_4 (x) J_7 and J_4 (x) J_3
-        assert cohomology._core_rank(((4, 1), (5, 2))) == 33
-        assert cohomology._core_rank(((4, 3), (5, 3))) == 33
+        # (L, k) and (L, L - k) keep separate Jordan types, each read off
+        # its own chain piece, and they agree: Lambda^2 J_5 and Lambda^3
+        # J_5 are each J_7 + J_3
         assert cohomology._chain_jordan(5, 2) == cohomology._chain_jordan(5, 3) == ((7, 1), (3, 1))
-        assert cohomology._chain_jordan.cache_info().misses == 4
-        assert cohomology._core_rank.cache_info().misses == 2
-        # the two block products, ranked once for both cores
-        assert cohomology._shape_rank.cache_info().misses == 4
+        assert cohomology._chain_jordan.cache_info().misses == 2
+        # Lambda^1 J_4 (x) Lambda^2 J_5 has 4 x 10 monomials in 4 + 3 sl2
+        # summands, W(4) (x) (W(7) + W(3)), so the shift has rank 40 - 7,
+        # the sum over its two block products J_4 (x) J_7 and J_4 (x) J_3
+        assert cohomology._shape_rank((4, 7)) + cohomology._shape_rank((3, 4)) == 33
+        assert canonical_rank(((4, 1), (5, 2))) == canonical_rank(((4, 3), (5, 3))) == 33
+        assert cohomology._shape_rank.cache_info().misses == 2
+        # a walk of the strings 0..3 and 4..8, one-factor rules, meets
+        # both products and ranks as the walk over every monomial
+        d1 = {s: ((1, (s + 1,)),) for s in (0, 1, 2, 4, 5, 6, 7)}
+        weights = dict.fromkeys(range(9), 1)
+        terms = cohomology._slot_terms(d1)
+        assert chains_of(weights, terms) == ([[0, 1, 2, 3], [4, 5, 6, 7, 8]], None)
+        assert {(4, 7), (3, 4)} <= set(walked_products([(weights, terms)]))
+        assert nonzero(cohomology._walk(weights, terms)) == nonzero(
+            weighted_reference(weights, terms)[0]
+        )
 
 
 def dense_jordan_type(length, k):
@@ -1521,29 +1591,28 @@ def dense_jordan_type(length, k):
 
 
 class TestCoreRanks:
-    """_core_rank ranks a string core through its factors' Jordan types,
-    _chain_jordan's, and the block products _shape_rank ranks; the module
-    docstring proves it exact, and these tests hold it to the canonical
-    core ranked whole."""
+    """_walk ranks the strings' Jordan blocks, _chain_jordan's, through
+    the block products _shape_rank ranks; the module docstring proves it
+    exact, and these tests hold each piece to a reference built here."""
 
     def test_every_shape_of_verify_dim16(self, monkeypatch):
-        # the reduced rank against the uncached direct rank of the
-        # canonical core, on every core shape the 112-model sweep meets
-        real_core_rank = cohomology._core_rank
-        shapes = []
+        # the mirrored rank against the canonical core ranked whole, on
+        # every block product the 112-model sweep meets
+        real_shape_rank = cohomology._shape_rank
+        met = []
 
-        def spied_core_rank(shape):
-            shapes.append(shape)
-            return real_core_rank(shape)
+        def spied_shape_rank(sizes):
+            met.append(sizes)
+            return real_shape_rank(sizes)
 
         monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
-        monkeypatch.setattr(cohomology, "_core_rank", spied_core_rank)
+        monkeypatch.setattr(cohomology, "_shape_rank", spied_shape_rank)
         _, all_ok = cli.run_verify(16)
         assert all_ok
-        shapes = list(dict.fromkeys(shapes))
-        assert len(shapes) == real_core_rank.cache_info().misses == 640
-        for shape in shapes:
-            assert real_core_rank(shape) == cohomology._shape_rank.__wrapped__(shape), shape
+        met = list(dict.fromkeys(met))
+        assert len(met) == real_shape_rank.cache_info().misses == 203
+        for sizes in met:
+            assert real_shape_rank(sizes) == canonical_rank(tuple((b, 1) for b in sizes)), sizes
 
     @pytest.mark.parametrize("length", range(1, 9))
     def test_chain_jordan_against_a_dense_matrix(self, length):
