@@ -50,16 +50,20 @@ Dolbeault and ideal-action walk is strings but the Heisenberg type's
    over the strings, w a string's weight.  A block of size 1 is the
    zero map on a line, so it drops out of its product, and a product of
    such blocks alone has rank 0.
-So _walk folds in the strings one at a time, keeping {(key, sorted
-block sizes > 1): count}, and the rank of each block is sum count x
-rank(J_{b_1} (x) ... (x) J_{b_r}), each product ranked by _shape_rank
-once per process, whichever walk or model meets it first; no sl2
-formula or piece size enters.  A walk that is not strings ranks the
-monomials of its named live symbols, those a rule names, whole through
-_d_mask, block by block.  Its unnamed symbols fold in as strings of
-length 1, whose blocks of size 1 only shift the key: D(x ^ s) = +-D(x)
-^ s, a sign per monomial, for a monomial s of unnamed symbols.  So a
-block of rank r enters the fold as r products J_2, of rank 1 each.
+So _walk folds in the strings of length 2 or more one at a time,
+keeping {(key, sorted block sizes > 1): count}, and the rank of each
+block is sum count x rank(J_{b_1} (x) ... (x) J_{b_r}), each product
+ranked by _shape_rank once per process, whichever walk or model meets
+it first; no sl2 formula or piece size enters.  A string of length 1,
+a symbol s with no rule that no rule names, never enters the fold:
+D(x ^ s) = +-D(x) ^ s, a sign per monomial, so the complex is (the
+rest) (x) Lambda(s), and m such symbols of weight w multiply the
+rest's ranks by (1 + x^w)^m, one _binomial_shift per weight applied to
+the ranks.  A walk that is not strings ranks the monomials of its
+named live symbols, those a rule names, whole through _d_mask, block
+by block, each block of rank r entering the fold as r products J_2, of
+rank 1 each; its unnamed symbols are strings of length 1 and take the
+same shift.
 The walks only rank: D^2 = 0 is checked on the generators, which
 suffices since D^2 is a derivation.  _chain_jordan keeps (L, k) and
 (L, L - k) apart, each type read off the exact power ranks of its own
@@ -422,6 +426,19 @@ def _chain_jordan(length, k):
     return tuple(Counter(jordan_type_from_ranks(len(masks), power_ranks(rows))).items())
 
 
+def _binomial_shift(counts, w, m):
+    """counts times (1 + x^w)^m, a dict keyed by exponent: the count c
+    at key K gives comb(m, i) c at K + i w for i = 0..m.  A graded
+    space tensored with the exterior algebra of m symbols of weight w
+    has its block sizes times (1 + x^w)^m, and so has D's rank on it
+    when no rule has or names those symbols (module docstring)."""
+    out = {}
+    for key, count in counts.items():
+        for i in range(m + 1):
+            out[key + i * w] = out.get(key + i * w, 0) + comb(m, i) * count
+    return out
+
+
 def _walk(weights, terms):
     """The rank of D on each block of a graded complex, by key, from one
     fold over the Jordan blocks of its strings (module docstring); a
@@ -434,10 +451,14 @@ def _walk(weights, terms):
     _cocycle_symbols(terms) has an empty image, so no walk visits it.
 
     The fold maps (key, sorted block sizes > 1) to a count.  Each string
-    of length L and weight w multiplies in the blocks of each Lambda^k
-    J_L: the key grows by k w and the counts multiply.  A walk that is
-    not strings starts from the ranks of its whole symbols instead, each
-    block of rank r as r products (2,)."""
+    of length L >= 2 and weight w multiplies in the blocks of each
+    Lambda^k J_L: the key grows by k w and the counts multiply.  A walk
+    that is not strings starts from the ranks of its whole symbols
+    instead, each block of rank r as r products (2,).  The strings of
+    length 1 are counted per weight and applied last, m of weight w as
+    one _binomial_shift of the ranks: such a symbol s has no rule and no
+    rule names it, so D(x ^ s) = +-D(x) ^ s and the complex is the rest
+    (x) Lambda(s)."""
     chains, whole = _chains(weights, terms, _cocycle_symbols(terms))
     if whole is None:
         fold = {(0, ()): 1}
@@ -452,8 +473,12 @@ def _walk(weights, terms):
             rank = sparse_rank([img for m in masks if (img := _d_mask(m, terms))])
             if rank:
                 fold[key, (2,)] = rank
+    singles = Counter()
     for chain in chains:
         length, w = len(chain), weights[chain[0]]
+        if length == 1:
+            singles[w] += 1
+            continue
         merged = {}
         for (key, sizes), count in fold.items():
             for k in range(length + 1):
@@ -465,6 +490,8 @@ def _walk(weights, terms):
     for (key, sizes), count in fold.items():
         if sizes:
             ranks[key] = ranks.get(key, 0) + count * _shape_rank(sizes)
+    for w, m in singles.items():
+        ranks = _binomial_shift(ranks, w, m)
     return ranks
 
 
@@ -487,16 +514,15 @@ class _Complex:
     @cached_property
     def dims(self):
         """The cohomology's dimension at each block key, in key order: the
-        block size (a knapsack over the weights) less the ranks of D out
-        of the block and into it, from one _walk.  Raises
+        block size (one _binomial_shift per weight) less the ranks of D
+        out of the block and into it, from one _walk.  Raises
         DifferentialError if D^2 fails on a generator."""
         if not self.squares:
             raise DifferentialError("%s^2 != 0" % self.name)
         ranks = _walk(self.weights, self.terms)
         sizes = {0: 1}
-        for w in self.weights.values():
-            for key, size in list(sizes.items()):
-                sizes[key + w] = sizes.get(key + w, 0) + size
+        for w, m in Counter(self.weights.values()).items():
+            sizes = _binomial_shift(sizes, w, m)
         return tuple(n - ranks.get(k, 0) - ranks.get(k - 1, 0) for k, n in sorted(sizes.items()))
 
 

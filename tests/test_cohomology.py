@@ -786,20 +786,23 @@ class TestCocycleSkip:
         # rows of 121 canonical cores) before each core was ranked through
         # its factors' Jordan types, 792 (120 through _d_mask, 114 rows of
         # 15 chain pieces and 558 rows of 49 block products) before one
-        # fold took the place of parts and core shapes; now 20 through
-        # _d_mask, the Heisenberg type's whole monomials, 126 rows of 27
-        # chain pieces, the degrees 0 and L and the strings of length 1
+        # fold took the place of parts and core shapes, 704 (126 rows of 27
+        # chain pieces, Lambda^0 J_1 and Lambda^1 J_1 among them) before
+        # the strings of length 1 left the fold for one binomial shift per
+        # weight; now 20 through _d_mask, the Heisenberg type's whole
+        # monomials, 124 rows of 25 chain pieces, the degrees 0 and L
         # among them, and the same 558 rows of 49 block products
-        assert calls.count(True) == 704
+        assert calls.count(True) == 702
         # outside the walks, each model's CE and Dolbeault records check
         # D^2 once each, imaging each ruled generator and each monomial of
         # its image, dead symbols included; d_squared and the Betti
         # numbers share the CE verdict, dbar_squared and the Hodge numbers
         # the Dolbeault one (17700 while each oracle checked D^2 again,
         # 17044 before the mirror, 8308 before the shape ranks, 2891
-        # before the Jordan types, 1448 before the fold)
-        assert len(calls) == 1360
-        assert cohomology._chain_jordan.cache_info().misses == 27
+        # before the Jordan types, 1448 before the fold, 1360 before the
+        # binomial shift, with 27 chain pieces)
+        assert len(calls) == 1358
+        assert cohomology._chain_jordan.cache_info().misses == 25
         assert real_shape_rank.cache_info().misses == 49
 
 
@@ -900,9 +903,10 @@ def assert_walks_equal_references(c):
 
 
 class TestSpectatorFold:
-    """Each walk folds in the symbols that no rule names as strings of
-    length 1, whose blocks of size 1 only shift keys; its ranks are those
-    of the walk over every symbol.  (TestCocycleSkip compares _walk with
+    """Each walk leaves the symbols that no rule names, its strings of
+    length 1, out of the fold and applies them to its ranks as one
+    binomial shift per weight; its ranks are those of the walk over
+    every symbol.  (TestCocycleSkip compares _walk with
     the reference on the symbols the walks hand it, so only these tests
     can see a bug in how a walk's caller keys its blocks.)"""
 
@@ -975,6 +979,75 @@ class TestSpectatorFold:
         assert permuted_hodge(c, order) == hodge_oracle(c) == hodge_closed(c)
 
 
+def expanded(counts, w, m):
+    """counts times (1 + x^w)^m, one factor at a time, as polynomials
+    in x keyed by exponent."""
+    for _ in range(m):
+        times = {}
+        for key, count in counts.items():
+            for shift in (0, w):
+                times[key + shift] = times.get(key + shift, 0) + count
+        counts = times
+    return counts
+
+
+class TestBinomialShift:
+    """_walk applies its strings of length 1 to the ranks as one
+    _binomial_shift per weight, and _Complex.dims sizes its blocks with
+    the same helper, so both must multiply by (1 + x^w)^m exactly, and
+    no walk may fold a string of length 1 in through _chain_jordan."""
+
+    @pytest.mark.parametrize("g", [1, 3, 4])
+    def test_against_the_product_of_factors(self, g):
+        rng = random.Random(g)
+        starts = [{}, {0: 1}] + [
+            {rng.randrange(12): rng.randrange(1, 20) for _ in range(rng.randrange(1, 6))}
+            for _ in range(4)
+        ]
+        for counts in starts:
+            for w in (1, 2, g + 1):
+                for m in range(5):
+                    assert cohomology._binomial_shift(counts, w, m) == expanded(counts, w, m)
+        # m = 0 is the identity, and the start is left as it was
+        counts = {3: 2, 7: 5}
+        assert cohomology._binomial_shift(counts, g + 1, 0) == counts == {3: 2, 7: 5}
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_block_sizes_count_the_monomials(self, n, monkeypatch):
+        # with no rank, dims is the block sizes themselves
+        monkeypatch.setattr(cohomology, "_walk", lambda weights, terms: {})
+        for c in enumerate_models(n):
+            alg = build_algebra(c)
+            dim = alg.dim
+            assert cohomology._ce(alg).dims == tuple(comb(dim, k) for k in range(dim + 1))
+            symbols = cohomology._dolbeault_symbols(cohomology.structure_equations(c))
+            g = symbols[1]
+            assert cohomology._dolbeault(symbols).dims == tuple(
+                comb(g, p) * comb(g, q) for p in range(g + 1) for q in range(g + 1)
+            )
+
+    @pytest.mark.parametrize("qparts, j", [([6, 1, 1], 1), ([4, 1, 1, 1, 1], 5), ([1] * 4, 2)])
+    def test_no_chain_piece_of_one_symbol(self, qparts, j, monkeypatch):
+        real_chain_jordan = cohomology._chain_jordan
+        lengths = []
+
+        def spied_chain_jordan(length, k):
+            lengths.append(length)
+            return real_chain_jordan(length, k)
+
+        monkeypatch.setattr(cohomology, "_chain_jordan", spied_chain_jordan)
+        c = M(qparts, j)
+        folded = 0
+        for weights, terms in model_walks(c):
+            chains, _ = chains_of(weights, terms)
+            folded += sum(len(chain) == 1 for chain in chains)
+        assert folded
+        assert_walks_equal_references(c)
+        assert 1 not in lengths
+        # the Heisenberg type's walks are whole, so they fold no string
+        assert bool(lengths) is not heisenberg(c)
+
+
 def chains_of(weights, terms):
     """_chains of the walk, with its dead symbols found as _walk finds
     them."""
@@ -1010,11 +1083,12 @@ class TestChainParts:
 
     def test_relabelled_chains_are_ranked_once(self, monkeypatch):
         # CE of q = 2,2,2 at j = 1: six 2-strings and one spectator.  The
-        # fold meets Lambda^k J_2 for k = 0, 1, 2 and Lambda^k J_1 for
-        # k = 0, 1, five chain pieces, and Lambda^1 J_2 is the one block
-        # J_2, so the block products are J_2^(x c) for c = 1..6, each
-        # canonical core built once by _shape_rank, the product of its
-        # blocks but the last by _core_blocks
+        # fold meets Lambda^k J_2 for k = 0, 1, 2, three chain pieces (five
+        # while the spectator folded in through Lambda^0 J_1 and Lambda^1
+        # J_1; it is now one binomial shift of the ranks), and Lambda^1 J_2
+        # is the one block J_2, so the block products are J_2^(x c) for
+        # c = 1..6, each canonical core built once by _shape_rank, the
+        # product of its blocks but the last by _core_blocks
         c = M([2, 2, 2], 1)
         alg = build_algebra(c)
         terms = cohomology._slot_terms(cohomology._ce_generator_differentials(alg))
@@ -1031,7 +1105,7 @@ class TestChainParts:
         assert_ce_walk_equals_reference(alg)
         assert sorted(cores) == list(range(6))
         assert len(cores) == cohomology._shape_rank.cache_info().misses == 6
-        assert cohomology._chain_jordan.cache_info().misses == 5
+        assert cohomology._chain_jordan.cache_info().misses == 3
         # the ranks outlive their record: a second record ranks no block
         # product again, and reads every one from the cache
         cohomology._ce(alg).dims
@@ -1123,7 +1197,7 @@ def model_walks(c):
 def full_walk(weights, terms):
     """_walk with every named symbol ranked whole, as for rules that are
     not strings: the symbols of a string walk's strings of two or more,
-    its strings of length 1 left to fold in."""
+    its strings of length 1 left to the binomial shift."""
     real_chains = cohomology._chains
 
     def whole_chains(weights, terms, dead):
