@@ -52,12 +52,9 @@ WORKERS_ENV = "ALMOSTABELIAN_WORKERS"
 # exponentially in n, and enumerate walks every partition of n.  With
 # each walk one fold over its strings' Jordan blocks, the oracles'
 # worst case, invariants --q 10 --j 11 --oracle, takes about 0.4 s and
-# 20 MB (126 s and 135 MB when each string core was ranked whole),
-# and verify --max-dim 22, 412 models, about 4.4 s and 22 MB on one worker
-# with the strings of length 1 applied as binomial shifts (6.4 s with
-# them folded in, timed side by side; about 4 minutes and 138 MB when
-# each string core was ranked whole); both limits stay where CI pins
-# their outputs against the code that ranked each core whole.
+# 20 MB, and verify --max-dim 22, 412 models, about 4.4 s and 22 MB on
+# one worker; both limits stay where CI pins their outputs against the
+# code that ranked each core whole.
 # classify is linear in the number of parts of --jordan, so memory
 # (about 100 MB per million parts) sets its limit before time does.
 MAX_MODEL_N = 150

@@ -74,12 +74,17 @@ products, ranked once, are shared by both sides.
 _shape_rank ranks a block product J_{b_1} (x) ... (x) J_{b_r} as its
 canonical core: each block on consecutive symbols, one-factor rules s
 -> s + 1 of coefficient 1, no dead symbol, and each symbol's weight its
-position along its block.  N raises a monomial's weight by one, the
-lowest and highest weights sum to W = sum (b_i - 1), and rank(S_w ->
-S_w+1) = rank(S_W-1-w -> S_W-w) on the weight pieces S_w: reversing
-each block conjugates N to its transpose, whose derivation extension is
-the transpose of N's up to a sign per monomial.  So it ranks one piece
-of each mirrored pair, the one with fewer monomials, counted twice.
+position along its block.  N raises a monomial's weight by one, from
+0 up to W = sum (b_i - 1), and with top = W - 1 it ranks only the
+weight pieces S_w with w <= top // 2, each counted twice, for itself
+and its mirror top - w, or once when 2w = top.  Two reasons:
+1. The mirror makes it exact: rank(S_w -> S_w+1) = rank(S_top-w ->
+   S_top-w+1), since reversing each block conjugates N to its
+   transpose, whose derivation extension is the transpose of N's up to
+   a sign per monomial.
+2. The sizes make it cheap: |S_w| is the coefficient of x^w in the
+   product of the 1 + x + ... + x^(b_i - 1), palindromic and unimodal,
+   so the lower piece of each mirrored pair is never the larger.
 The mirror relates pieces of one block; the Poincare and Serre
 dualities relate different blocks, so they stay independent evidence.
 
@@ -92,12 +97,12 @@ moves when s + 1 is no factor and s is not last in its block, so with
 `interior` the mask of those symbols, the moving bits are mono & ~(mono
 >> 1) & interior, and bit b gives the target mono ^ 3b; distinct bits
 give distinct targets, so nothing cancels.  _shifted reads the rows of
-both _chain_jordan and _shape_rank this way.  _shape_rank sizes the
-core's pieces from the product of all its blocks but the last and the
-last, builds masks for the pieces the mirror chooses only, and hands
-the kernel a piece's rows in the reverse of their build order, keyed by
-negated targets, a row permutation and a column bijection that keeps
-the rank and, on the dim-14 models, roughly halves the kernel's
+both _chain_jordan and _shape_rank this way.  _shape_rank builds the
+pieces block by block, dropping a partial product once its weight
+passes top // 2, as weights only grow, and hands the kernel each
+piece's rows on their own, in the reverse of their build order, keyed
+by negated targets, a row permutation and a column bijection that
+keeps the rank and, on the dim-14 models, roughly halves the kernel's
 reduction steps.
 """
 
@@ -336,23 +341,6 @@ def _chains(weights, terms, dead):
     return [[s] for s in live if not named >> s & 1], [s for s in live if named >> s & 1]
 
 
-# the empty product: its one monomial, the empty one, has weight 0
-_UNIT = {0: [0]}
-
-
-def _core_blocks(factors):
-    """The pieces of a canonical core, the product of the factors, as
-    {weight: masks}, each factor {weight: masks} with additive weights."""
-    blocks = _UNIT
-    for factor in factors:
-        out = {}
-        for k1, m1 in blocks.items():
-            for k2, m2 in factor.items():
-                out.setdefault(k1 + k2, []).extend([a | b for a in m1 for b in m2])
-        blocks = out
-    return blocks
-
-
 def _shifted(mono, interior):
     """The monomials that the shift s -> s + 1 of a canonical core sends
     mono to, each with coefficient +1 (module docstring): one per bit b
@@ -372,38 +360,29 @@ def _shape_rank(sizes):
     (module docstring).  Cached for the life of the process, so each
     product is ranked once, whichever walk or model meets it first.
 
-    The weight pieces are sized from the product of all blocks but the
-    last and the last; of each mirrored pair, the lowest and highest
-    weights summing to W = sum (b - 1), the piece with fewer monomials,
-    the lower one on a tie, is ranked and counted twice, and the middle
-    piece once.  Only the chosen pieces get masks, those counted twice
-    ranked together and the middle piece apart."""
-    factors, interior, base = [], 0, 0
+    Only the lower weight pieces w <= top // 2, top = sum (b - 1) - 1,
+    are built, block by block, and ranked, each on its own and counted
+    twice, for itself and its mirror top - w, or once when 2w = top:
+    the mirror makes this exact, and the unimodal piece sizes make the
+    lower piece of each mirrored pair never the larger."""
+    top = sum(sizes) - len(sizes) - 1
+    pieces, interior, base = {0: [0]}, 0, 0
     for size in sizes:
-        factors.append({i: [1 << base + i] for i in range(size)})
+        out = {}
+        for w, masks in pieces.items():
+            for i in range(min(size, top // 2 - w + 1)):
+                out.setdefault(w + i, []).extend([m | 1 << base + i for m in masks])
+        pieces = out
         interior |= (1 << base + size - 1) - (1 << base)
         base += size
-    *head, last = factors
-    pairs = [(w1 + w2, m1, m2) for w1, m1 in _core_blocks(head).items() for w2, m2 in last.items()]
-    pieces = {}
-    for w, m1, m2 in pairs:
-        pieces[w] = pieces.get(w, 0) + len(m1) * len(m2)
-    top = sum(sizes) - len(sizes) - 1
-    chosen = {}
-    for w, m1, m2 in pairs:
-        mirror = top - w
-        size, other = pieces[w], pieces.get(mirror, 0)
-        times = 1 if w == mirror else 2 if size < other or size == other and w < mirror else 0
-        if times:
-            chosen.setdefault(times, []).extend([a | b for a in m1 for b in m2])
     rank = 0
-    for times, masks in chosen.items():
+    for w, masks in pieces.items():
         rows = []
         for mono in reversed(masks):
             row = {-target: 1 for target in _shifted(mono, interior)}
             if row:
                 rows.append(row)
-        rank += times * sparse_rank(rows)
+        rank += (1 if 2 * w == top else 2) * sparse_rank(rows)
     return rank
 
 

@@ -106,12 +106,8 @@ def _pivot_rows(rows):
     The rows are taken in the order given: each is reduced at its
     lowest column c, against the pivot row stored there, until c has no
     pivot row or the row is empty, and a nonzero result is stored at c.
-    A reduction step with pivot p and entry a at c is exact: when p
-    divides a, as +-1 always does, the row becomes row - (a // p) *
-    pivot_row, and no other step is needed; otherwise it becomes
-    (p / g) * row - (a / g) * pivot_row, g = gcd(a, p), and is then
-    divided by its content.  Either way the step visits the pivot row's
-    columns only.
+    Each reduction step is `_cancel`, exact, visiting the pivot row's
+    columns only; a row it scaled is then divided by its content.
 
     No dict given is written to: a row is copied just before its first
     step, an unreduced row is stored as it is, and a stored row is
@@ -129,22 +125,7 @@ def _pivot_rows(rows):
             if not owned:
                 row = dict(row)
                 owned = True
-            a = row[c]
-            p = prow[c]
-            f, r = divmod(a, p)
-            if r:
-                g = gcd(a, p)
-                s = p // g
-                f = a // g
-                for j in row:
-                    row[j] *= s
-            for j, x in prow.items():
-                v = row.get(j, 0) - f * x
-                if v:
-                    row[j] = v
-                else:
-                    del row[j]
-            if r:
+            if _cancel(row, prow, c):
                 g = gcd(*row.values())
                 if g > 1:
                     for j in row:
@@ -197,7 +178,7 @@ def power_ranks(rows):
     Returns [rank(M), rank(M^2), ...] for the nonzero powers; the zero
     matrix gives [].  Raises NotNilpotentError when the rank sequence
     stops strictly decreasing before reaching zero.  Each power is one
-    `sparse_product` away from the last.
+    `sparse_product` away from the last and ranked by `sparse_rank`.
     """
     size = len(rows)
     if any(not 0 <= j < size for row in rows for j in row):
@@ -205,7 +186,7 @@ def power_ranks(rows):
     out = []
     power = rows
     for _ in range(size + 1):
-        r = len(_pivot_rows(power))
+        r = sparse_rank(power)
         if r == 0:
             return out
         if out and r >= out[-1]:
@@ -229,9 +210,9 @@ def jordan_type_from_ranks(n, powers):
 
 def _cancel(row, prow, c):
     """Clear column c of the owned dict `row` against `prow`, whose entry
-    there is p: row - (a // p) * prow when p divides the entry a, else
-    (p / g) * row - (a / g) * prow with g = gcd(a, p).  No content is
-    divided out.  `_pivot_rows` keeps this step inline, in its hot loop."""
+    there is p: row - (a // p) * prow when p divides the entry a, as +-1
+    always does, else (p / g) * row - (a / g) * prow with g = gcd(a, p).
+    No content is divided out; returns whether the row was scaled."""
     a = row[c]
     p = prow[c]
     f, r = divmod(a, p)
@@ -247,6 +228,7 @@ def _cancel(row, prow, c):
             row[j] = v
         else:
             del row[j]
+    return bool(r)
 
 
 def _reduced_rows(pivots):

@@ -1,7 +1,7 @@
 import hashlib
 import random
 from dataclasses import replace
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 from types import SimpleNamespace
 
@@ -1087,29 +1087,30 @@ class TestChainParts:
         # while the spectator folded in through Lambda^0 J_1 and Lambda^1
         # J_1; it is now one binomial shift of the ranks), and Lambda^1 J_2
         # is the one block J_2, so the block products are J_2^(x c) for
-        # c = 1..6, each canonical core built once by _shape_rank, the
-        # product of its blocks but the last by _core_blocks
+        # c = 1..6, each canonical core built once by _shape_rank (6 calls
+        # of _core_blocks, which built the product of each core's blocks
+        # but the last, while it paired that product with the last block)
         c = M([2, 2, 2], 1)
         alg = build_algebra(c)
         terms = cohomology._slot_terms(cohomology._ce_generator_differentials(alg))
         chains, whole = chains_of(dict.fromkeys(range(alg.dim), 1), terms)
         assert whole is None and sorted(map(len, chains)) == [1] + [2] * 6
-        real_core_blocks = cohomology._core_blocks
-        cores = []
+        real_shape_rank = cohomology._shape_rank
+        met = []
 
-        def counted_core_blocks(factors):
-            cores.append(len(factors))
-            return real_core_blocks(factors)
+        def spied_shape_rank(sizes):
+            met.append(sizes)
+            return real_shape_rank(sizes)
 
-        monkeypatch.setattr(cohomology, "_core_blocks", counted_core_blocks)
+        monkeypatch.setattr(cohomology, "_shape_rank", spied_shape_rank)
         assert_ce_walk_equals_reference(alg)
-        assert sorted(cores) == list(range(6))
-        assert len(cores) == cohomology._shape_rank.cache_info().misses == 6
+        assert sorted(set(met)) == [(2,) * c for c in range(1, 7)]
+        assert real_shape_rank.cache_info().misses == 6
         assert cohomology._chain_jordan.cache_info().misses == 3
         # the ranks outlive their record: a second record ranks no block
         # product again, and reads every one from the cache
         cohomology._ce(alg).dims
-        assert len(cores) == cohomology._shape_rank.cache_info().misses == 6
+        assert real_shape_rank.cache_info().misses == 6
 
     @staticmethod
     def assert_walk_equals_reference(weights, terms):
@@ -1264,9 +1265,9 @@ WALK_RANKS_UP_TO_N7 = "8089f2b9a03492b06f454c17ce99d0f6caca3cb964dead022fcfc8b2c
 
 class TestMirror:
     """When the rules are strings, _walk folds in their Jordan blocks and
-    _shape_rank ranks one piece of each mirrored pair of weight pieces of
-    each block product, counted twice; otherwise _walk ranks the named
-    symbols whole.  (TestCocycleSkip compares every walk with n <= 5 with
+    _shape_rank ranks the lower weight pieces of each block product,
+    each counted for itself and its mirror; otherwise _walk ranks the
+    named symbols whole.  (TestCocycleSkip compares every walk with n <= 5 with
     the walk over every monomial.)"""
 
     @pytest.mark.parametrize("n", range(1, 8))
@@ -1400,23 +1401,14 @@ def canonical_core(shape):
     return factors, cohomology._slot_terms(d1)
 
 
-def product_pieces(left, right):
-    """The pairs of pieces of two factors, {weight: masks} each, in the
-    order left x right, as (weight, masks of the pair's products)."""
-    return [
-        (w1 + w2, [a | b for a in m1 for b in m2])
-        for w1, m1 in left.items()
-        for w2, m2 in right.items()
-    ]
-
-
 def core_pieces(factors):
     """The pieces of the product of the factors, as {weight: masks}."""
     pieces = {0: [0]}
     for factor in factors:
         out = {}
-        for w, m in product_pieces(pieces, factor):
-            out.setdefault(w, []).extend(m)
+        for w1, m1 in pieces.items():
+            for w2, m2 in factor.items():
+                out.setdefault(w1 + w2, []).extend([a | b for a in m1 for b in m2])
         pieces = out
     return pieces
 
@@ -1438,46 +1430,43 @@ def canonical_rank(shape):
 class TestStringRows:
     """A string walk folds in its strings' Jordan blocks and ranks each
     product of blocks through _shape_rank, on the canonical core of its
-    shape ((b_1, 1), ..., (b_r, 1)).  The core's last factor is
-    multiplied onto the product of the others, and only the pieces the
-    mirror chooses get masks, those counted twice together and the middle
-    piece apart.  Each monomial's row is read off its bits, every entry
-    +1, and the rows go to the kernel in the reverse of their build
-    order, keyed by negated targets.  For every block product the walks
-    meet, the matrices a cold _shape_rank hands the kernel are held, list
-    for list, against _d_mask's images on a canonical core built here, so
-    a wrong row that keeps the rank is caught too."""
+    shape ((b_1, 1), ..., (b_r, 1)).  The core's weight pieces are built
+    block by block up to weight top // 2, and each piece is ranked on
+    its own, one matrix per piece in ascending weight.  Each monomial's
+    row is read off its bits, every entry +1, and the rows go to the
+    kernel in the reverse of their build order, keyed by negated
+    targets.  For every block product the walks meet, the matrices a
+    cold _shape_rank hands the kernel are held, list for list, against
+    _d_mask's images on a canonical core built here, so a wrong row that
+    keeps the rank is caught too."""
 
     @staticmethod
     def reference_matrices(sizes):
         """The kernel input of _shape_rank(sizes), from canonical_core
-        and _d_mask, and the rank of the whole core, no piece mirrored."""
+        and _d_mask, how many times each matrix counts, and the rank of
+        the whole core, no piece mirrored."""
         shape = tuple((b, 1) for b in sizes)
         factors, terms = canonical_core(shape)
-        *head, last = factors
-        pairs = product_pieces(core_pieces(head), last)
-        pieces = {}
-        for w, m in pairs:
-            pieces[w] = pieces.get(w, 0) + len(m)
-        # of each mirrored pair of pieces, the smaller (the lower on a
-        # tie) counts twice; the middle piece counts once
+        pieces = core_pieces(factors)
         top = min(pieces) + max(pieces) - 1
+        lower = {w: 1 if 2 * w == top else 2 for w in pieces if w <= top // 2}
+        # the size rule the pieces were once chosen by: of each mirrored
+        # pair, the piece with fewer monomials (the lower on a tie) counts
+        # twice, the middle piece once; it picks the lower half
+        sizes_of = {w: len(m) for w, m in pieces.items()}
         times = {}
-        for w, size in pieces.items():
-            other = pieces.get(top - w, 0)
+        for w, size in sizes_of.items():
+            other = sizes_of.get(top - w, 0)
             if w == top - w:
                 times[w] = 1
             elif size < other or size == other and w < top - w:
                 times[w] = 2
-        chosen = {}
-        for w, m in pairs:
-            if w in times:
-                chosen.setdefault(times[w], []).extend(m)
+        assert times == lower
         matrices = []
-        for masks in chosen.values():
-            images = [cohomology._d_mask(m, terms) for m in masks]
+        for w in lower:
+            images = [cohomology._d_mask(m, terms) for m in pieces[w]]
             matrices.append([{-t: c for t, c in img.items()} for img in reversed(images) if img])
-        return matrices, list(chosen), canonical_rank(shape)
+        return matrices, list(lower.values()), canonical_rank(shape)
 
     def assert_string_walk(self, weights, terms, seen):
         """Walk with _shape_rank spied on, check the block products'
@@ -1687,6 +1676,45 @@ class TestCoreRanks:
         assert len(met) == real_shape_rank.cache_info().misses == 203
         for sizes in met:
             assert real_shape_rank(sizes) == canonical_rank(tuple((b, 1) for b in sizes)), sizes
+
+    def test_lower_pieces_of_every_small_shape(self, monkeypatch):
+        # every sorted block product with each b >= 2, sum (b - 1) <= 12
+        # and at most 6 blocks: its piece sizes, the coefficients of the
+        # product of the 1 + x + ... + x^(b - 1), are palindromic and
+        # unimodal, so the lower half holds the smaller piece of each
+        # mirrored pair; the kernel sees one matrix per piece w <= top //
+        # 2, the images of its monomials; and the rank is that of the
+        # whole core, every piece ranked and none mirrored
+        shapes = [
+            sizes
+            for r in range(1, 7)
+            for sizes in combinations_with_replacement(range(2, 14), r)
+            if sum(sizes) - r <= 12
+        ]
+        assert len(shapes) == 226
+        matrices = []
+
+        def spied_rank(rows):
+            matrices.append(rows)
+            return sparse_rank(rows)
+
+        monkeypatch.setattr(cohomology, "sparse_rank", spied_rank)
+        for sizes in shapes:
+            shape = tuple((b, 1) for b in sizes)
+            pieces = core_pieces(canonical_core(shape)[0])
+            counts = [len(pieces[w]) for w in range(len(pieces))]
+            top = len(counts) - 2
+            peak = counts.index(max(counts))
+            assert counts == counts[::-1]
+            assert counts[: peak + 1] == sorted(counts[: peak + 1])
+            assert counts[peak:] == sorted(counts[peak:], reverse=True)
+            matrices.clear()
+            rank = cohomology._shape_rank(sizes)
+            assert len(matrices) == top // 2 + 1, sizes
+            for w, rows in enumerate(matrices):
+                assert len(rows) == counts[w]
+                assert {-t for row in rows for t in row} <= set(pieces[w + 1])
+            assert rank == canonical_rank(shape), sizes
 
     @pytest.mark.parametrize("length", range(1, 9))
     def test_chain_jordan_against_a_dense_matrix(self, length):
