@@ -92,10 +92,12 @@ def build_parser():
 
     p = sub.add_parser("enumerate", help="list the models of one dimension")
     p.add_argument("--dim", type=int, required=True, help="algebra dimension (even, >= 4)")
+    p.set_defaults(handler=cmd_enumerate)
 
     p = sub.add_parser("classify", help="test a Jordan type for a complex structure")
     p.add_argument("--jordan", type=partition_argument, required=True, metavar="a,b,c",
                    help="Jordan block sizes, any order")
+    p.set_defaults(handler=cmd_classify)
 
     p = sub.add_parser("invariants", help="Betti and Hodge tables of one model")
     p.add_argument("--q", type=partition_argument, required=True, metavar="a,b")
@@ -103,16 +105,19 @@ def build_parser():
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--oracle", action="store_true", help="use the rank oracle instead of the closed forms")
     p.add_argument("--output", default=None, help="write to this path instead of stdout")
+    p.set_defaults(handler=cmd_invariants)
 
     p = sub.add_parser("verify", help="run the full cross-check sweep")
     p.add_argument("--max-dim", type=int, default=12, dest="max_dim",
                    help="largest algebra dimension to sweep (default 12)")
+    p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("export", help="structure equations of one model")
     p.add_argument("--q", type=partition_argument, required=True, metavar="a,b")
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--format", choices=("json", "salamon"), required=True)
     p.add_argument("--output", default=None, help="write to this path instead of stdout")
+    p.set_defaults(handler=cmd_export)
 
     # errors found after parsing are reported with their subcommand's usage
     for p in sub.choices.values():
@@ -176,37 +181,6 @@ def cmd_classify(parser, args):
     return EXIT_OK
 
 
-def _render_text_tables(record):
-    lines = []
-    lines.append(
-        "model: n=%d q=[%s] j=%d eps=%d m=[%s] step=%d"
-        % (
-            record.n,
-            ",".join(str(p) for p in record.q),
-            record.j,
-            record.epsilon,
-            ",".join(str(p) for p in record.m),
-            record.step,
-        )
-    )
-    lines.append("source: %s" % record.source)
-    lines.append("betti: " + " ".join(str(b) for b in record.betti))
-    lines.append("hodge (rows p=0..%d, cols q=0..%d):" % (record.n + 1, record.n + 1))
-    for row in record.hodge:
-        lines.append("  " + " ".join(str(h) for h in row))
-    checks = dict(record.checks)
-    symmetry = "n/a" if checks["symmetry"] is None else ("yes" if checks["symmetry"] else "no")
-    lines.append(
-        "checks: frolicher=%s symmetry=%s nijenhuis=%s"
-        % (
-            "yes" if checks["frolicher"] else "no",
-            symmetry,
-            "yes" if checks["nijenhuis"] else "no",
-        )
-    )
-    return "\n".join(lines) + "\n"
-
-
 def cmd_invariants(parser, args):
     if args.oracle and args.q.n > MAX_ORACLE_N:
         return _over_limit("n with --oracle", args.q.n, MAX_ORACLE_N)
@@ -214,9 +188,7 @@ def cmd_invariants(parser, args):
         return _over_limit("n", args.q.n, MAX_MODEL_N)
     model = _model_from_args(parser, args)
     record = ExportRecord.for_model(model, source="oracle" if args.oracle else "closed-form")
-    if args.format == "json":
-        return _emit(record.to_json(), args.output)
-    return _emit(_render_text_tables(record), args.output)
+    return _emit(record.to_json() if args.format == "json" else record.to_text(), args.output)
 
 
 def cmd_export(parser, args):
@@ -363,15 +335,8 @@ def cmd_verify(parser, args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "enumerate": cmd_enumerate,
-        "classify": cmd_classify,
-        "invariants": cmd_invariants,
-        "verify": cmd_verify,
-        "export": cmd_export,
-    }
     try:
-        status = handlers[args.command](args.parser, args)
+        status = args.handler(args.parser, args)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader left; devnull keeps the flush at exit from failing again

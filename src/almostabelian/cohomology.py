@@ -61,9 +61,9 @@ rest) (x) Lambda(s), and m such symbols of weight w multiply the
 rest's ranks by (1 + x^w)^m, one _binomial_shift per weight applied to
 the ranks.  A walk that is not strings ranks the monomials of its
 named live symbols, those a rule names, whole through _d_mask, block
-by block, each block of rank r entering the fold as r products J_2, of
-rank 1 each; its unnamed symbols are strings of length 1 and take the
-same shift.
+by block, each block's rank written straight into the ranks, so its
+fold stays at the empty product; its unnamed symbols are strings of
+length 1 and take the same shift.
 The walks only rank: D^2 = 0 is checked on the generators, which
 suffices since D^2 is a derivation.  _chain_jordan keeps (L, k) and
 (L, L - k) apart, each type read off the exact power ranks of its own
@@ -364,7 +364,10 @@ def _shape_rank(sizes):
     are built, block by block, and ranked, each on its own and counted
     twice, for itself and its mirror top - w, or once when 2w = top:
     the mirror makes this exact, and the unimodal piece sizes make the
-    lower piece of each mirrored pair never the larger."""
+    lower piece of each mirrored pair never the larger.  No row is
+    empty: a core monomial, one symbol per block, has no image only when
+    each symbol is last in its block, at the top weight W = top + 1, and
+    the lower pieces stop at (W - 1) // 2."""
     top = sum(sizes) - len(sizes) - 1
     pieces, interior, base = {0: [0]}, 0, 0
     for size in sizes:
@@ -377,11 +380,7 @@ def _shape_rank(sizes):
         base += size
     rank = 0
     for w, masks in pieces.items():
-        rows = []
-        for mono in reversed(masks):
-            row = {-target: 1 for target in _shifted(mono, interior)}
-            if row:
-                rows.append(row)
+        rows = [{-target: 1 for target in _shifted(mono, interior)} for mono in reversed(masks)]
         rank += (1 if 2 * w == top else 2) * sparse_rank(rows)
     return rank
 
@@ -432,26 +431,24 @@ def _walk(weights, terms):
     The fold maps (key, sorted block sizes > 1) to a count.  Each string
     of length L >= 2 and weight w multiplies in the blocks of each
     Lambda^k J_L: the key grows by k w and the counts multiply.  A walk
-    that is not strings starts from the ranks of its whole symbols
-    instead, each block of rank r as r products (2,).  The strings of
-    length 1 are counted per weight and applied last, m of weight w as
-    one _binomial_shift of the ranks: such a symbol s has no rule and no
-    rule names it, so D(x ^ s) = +-D(x) ^ s and the complex is the rest
-    (x) Lambda(s)."""
+    that is not strings ranks the monomials of its whole symbols block
+    by block, straight into the ranks, and its other symbols are all
+    strings of length 1, so its fold stays at the empty product.  The
+    strings of length 1 are counted per weight and applied last, m of
+    weight w as one _binomial_shift of the ranks: such a symbol s has no
+    rule and no rule names it, so D(x ^ s) = +-D(x) ^ s and the complex
+    is the rest (x) Lambda(s)."""
     chains, whole = _chains(weights, terms, _cocycle_symbols(terms))
-    if whole is None:
-        fold = {(0, ()): 1}
-    else:
+    ranks = {}
+    if whole is not None:
         pieces = {}
         for k in range(len(whole) + 1):
             for combo in combinations(whole, k):
                 key = sum(weights[s] for s in combo)
                 pieces.setdefault(key, []).append(sum(1 << s for s in combo))
-        fold = {}
         for key, masks in pieces.items():
-            rank = sparse_rank([img for m in masks if (img := _d_mask(m, terms))])
-            if rank:
-                fold[key, (2,)] = rank
+            ranks[key] = sparse_rank([img for m in masks if (img := _d_mask(m, terms))])
+    fold = {(0, ()): 1}
     singles = Counter()
     for chain in chains:
         length, w = len(chain), weights[chain[0]]
@@ -465,7 +462,6 @@ def _walk(weights, terms):
                     grown = (key + k * w, sizes if size == 1 else tuple(sorted(sizes + (size,))))
                     merged[grown] = merged.get(grown, 0) + count * ways
         fold = merged
-    ranks = {}
     for (key, sizes), count in fold.items():
         if sizes:
             ranks[key] = ranks.get(key, 0) + count * _shape_rank(sizes)

@@ -1,10 +1,14 @@
-"""Serialisation of models and their invariants.
+"""Serialisation of models and their invariants: every format the
+command line prints.
 
-One JSON record format is shared by the `invariants` and `export`
-commands; EXPORT_SCHEMA is the published JSON Schema for it.  The
-compact text format writes each differential as sums of wedge pairs of
-generator indices, conjugates suffixed with `b`, as customary in the
-low-dimensional classification tables.
+ExportRecord is one model's record, written as the JSON record that the
+`invariants` and `export` commands share (EXPORT_SCHEMA is its
+published JSON Schema) or as the text tables of `invariants`.  The
+record's checks are named once, in RECORD_CHECKS, which every format
+reads.  The compact format of `export --format salamon` writes each
+differential as sums of wedge pairs of generator indices, conjugates
+suffixed with `b`, as customary in the low-dimensional classification
+tables.
 """
 
 import json
@@ -18,6 +22,15 @@ from .model import (
     structure_equations,
 )
 from .partitions import Partition
+
+# The record's checks as (name, JSON type), in the order every format
+# lists them; a check that may be null is None where it does not apply.
+RECORD_CHECKS = (
+    ("frolicher", "boolean"),
+    ("symmetry", ["boolean", "null"]),
+    ("nijenhuis", "boolean"),
+)
+_CHECK_TEXT = {True: "yes", False: "no", None: "n/a"}
 
 EXPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -68,12 +81,8 @@ EXPORT_SCHEMA = {
         "checks": {
             "type": "object",
             "additionalProperties": False,
-            "required": ["frolicher", "symmetry", "nijenhuis"],
-            "properties": {
-                "frolicher": {"type": "boolean"},
-                "symmetry": {"type": ["boolean", "null"]},
-                "nijenhuis": {"type": "boolean"},
-            },
+            "required": [name for name, _ in RECORD_CHECKS],
+            "properties": {name: {"type": kind} for name, kind in RECORD_CHECKS},
         },
         "source": {"enum": ["closed-form", "oracle"]},
     },
@@ -99,18 +108,16 @@ class ExportRecord:
     betti: tuple
     hodge: tuple
     equations: tuple  # (gen, ((coef, (label, label)), ...)) in generator order
-    checks: tuple  # ((name, value), ...) in fixed order
+    checks: tuple  # ((name, value), ...) in the order of RECORD_CHECKS
     source: str
 
     @classmethod
     def for_model(cls, model, source="closed-form"):
         table = closed_table(model) if source == "closed-form" else oracle_table(model)
-        rep = verify_symmetry(model, table=table)
-        symmetry = rep.ok if model.epsilon == 0 else None
-        checks = (
-            ("frolicher", frolicher_holds(table.betti, table.hodge)),
-            ("symmetry", symmetry),
-            ("nijenhuis", nijenhuis_vanishes(build_algebra(model))),
+        values = (
+            frolicher_holds(table.betti, table.hodge),
+            verify_symmetry(model, table=table).ok if model.epsilon == 0 else None,
+            nijenhuis_vanishes(build_algebra(model)),
         )
         frozen_eqs = tuple(
             (gen, tuple((coef, (factor_label(f1), factor_label(f2))) for coef, (f1, f2) in terms))
@@ -126,7 +133,7 @@ class ExportRecord:
             betti=table.betti,
             hodge=table.hodge,
             equations=frozen_eqs,
-            checks=checks,
+            checks=tuple((name, value) for (name, _), value in zip(RECORD_CHECKS, values)),
             source=table.source,
         )
 
@@ -159,7 +166,6 @@ class ExportRecord:
 
     @classmethod
     def from_dict(cls, data):
-        checks = data["checks"]
         return cls(
             n=data["n"],
             q=tuple(data["q"]),
@@ -173,17 +179,31 @@ class ExportRecord:
                 (item["gen"], tuple((t["coef"], tuple(t["factors"])) for t in item["d"]))
                 for item in data["equations"]
             ),
-            checks=(
-                ("frolicher", checks["frolicher"]),
-                ("symmetry", checks["symmetry"]),
-                ("nijenhuis", checks["nijenhuis"]),
-            ),
+            checks=tuple((name, data["checks"][name]) for name, _ in RECORD_CHECKS),
             source=data.get("source", "closed-form"),
         )
 
     @classmethod
     def from_json(cls, text):
         return cls.from_dict(json.loads(text))
+
+    def to_text(self):
+        """The text tables of `invariants`: the model, the source, the
+        Betti numbers, the Hodge grid one row per p, and the checks, each
+        yes, no or n/a."""
+        lines = [
+            "model: n=%d q=[%s] j=%d eps=%d m=[%s] step=%d"
+            % (self.n, ",".join(map(str, self.q)), self.j, self.epsilon,
+               ",".join(map(str, self.m)), self.step),
+            "source: %s" % self.source,
+            "betti: " + " ".join(map(str, self.betti)),
+            "hodge (rows p=0..%d, cols q=0..%d):" % (self.n + 1, self.n + 1),
+        ]
+        lines.extend("  " + " ".join(map(str, row)) for row in self.hodge)
+        lines.append(
+            "checks: " + " ".join("%s=%s" % (name, _CHECK_TEXT[value]) for name, value in self.checks)
+        )
+        return "\n".join(lines) + "\n"
 
 
 def _index_token(idx, bar):

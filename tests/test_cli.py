@@ -244,6 +244,10 @@ class TestExport:
 # into cohomology._slot_terms.
 OUTPUT_DIGEST = "8a3d4d1123da131dc114d0d0ffcd9812de5a8829e9dfdb5b2904e41d9c399f46"
 
+# sha256 over the stdout of every run in
+# TestPinnedOutput.test_record_formats_are_byte_identical.
+RECORD_FORMATS_DIGEST = "f9345bf2befec2c9e102692259753089a5a0e27fff26aa25d3b2fe662bf05c0e"
+
 
 class TestPinnedOutput:
     def test_invariants_and_export_are_byte_identical(self, capsys):
@@ -269,6 +273,32 @@ class TestPinnedOutput:
                     runs += 1
         assert runs == 3 * 178 + 39
         assert digest.hexdigest() == OUTPUT_DIGEST
+
+    def test_record_formats_are_byte_identical(self, capsys):
+        # one sha256 over the stdout alone of invariants (text and json) and
+        # export (json and salamon) on the 68 models with n <= 6, and of
+        # invariants --oracle (text) on the 21 with n <= 4, pinned while cli
+        # rendered the text tables itself
+        digest = hashlib.sha256()
+        runs = 0
+        for n in range(1, 7):
+            for c in enumerate_models(n):
+                model = ["--q", ",".join(map(str, c.q)), "--j", str(c.j)]
+                argvs = [
+                    ["invariants"] + model,
+                    ["invariants"] + model + ["--format", "json"],
+                    ["export"] + model + ["--format", "json"],
+                    ["export"] + model + ["--format", "salamon"],
+                ]
+                if n <= 4:
+                    argvs.append(["invariants"] + model + ["--oracle"])
+                for argv in argvs:
+                    code, out, _ = run_cli(argv, capsys)
+                    assert code == 0, argv
+                    digest.update(out.encode())
+                    runs += 1
+        assert runs == 4 * 68 + 21
+        assert digest.hexdigest() == RECORD_FORMATS_DIGEST
 
 
 # The exact stdout of `verify`, pinned before the per-model checks moved
@@ -478,6 +508,21 @@ class TestRecords:
         data = record.to_dict()
         del data["source"]
         assert ExportRecord.from_dict(data).source == "closed-form"
+
+    def test_text_checks_line_when_every_check_fails(self):
+        # no real model fails its checks; the line was confirmed on this
+        # record while cli rendered the text tables itself
+        record = ExportRecord.for_model(ComplexModel(2, Partition([2]), 1))
+        failed = replace(record, checks=tuple((name, False) for name, _ in record.checks))
+        assert failed.to_text().splitlines()[-1] == (
+            "checks: frolicher=no symmetry=no nijenhuis=no"
+        )
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_json_round_trip(self, n):
+        for c in enumerate_models(n):
+            record = ExportRecord.for_model(c)
+            assert ExportRecord.from_json(record.to_json()) == record
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
