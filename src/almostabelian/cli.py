@@ -10,7 +10,7 @@ All output is deterministic: identical inputs give identical bytes.
 
 Size limits, checked before any work starts (one "error:" line on
 stderr and exit status 1 above them): invariants and export take models
-with n = sum(q) <= 150, and invariants --oracle n <= 10; enumerate takes
+with n = sum(q) <= 150, and invariants --oracle n <= 12; enumerate takes
 --dim <= 100; classify takes Jordan types of total size <= 1000000;
 verify takes --max-dim <= 22.
 """
@@ -50,15 +50,18 @@ WORKERS_ENV = "ALMOSTABELIAN_WORKERS"
 # 150: at n = 200, --q 199,1 --j 200 peaks at about 312 MB, above CI's
 # 300 MB bound.  The rank oracles and the verify sweep grow
 # exponentially in n, and enumerate walks every partition of n.  With
-# each walk one fold over its strings' Jordan blocks, the oracles'
-# worst case, invariants --q 10 --j 11 --oracle, takes about 0.4 s and
-# 20 MB, and verify --max-dim 22, 412 models, about 4.4 s and 22 MB on
-# one worker; both limits stay where CI pins their outputs against the
+# each walk one fold over its strings' Jordan blocks, each string's
+# types read off one persistence pass, the oracles' worst case,
+# invariants --q 12 --j 13 --oracle, takes about 0.7 s and 20 MB, and
+# verify --max-dim 22, 412 models, about 2.5 s and 21 MB on one worker;
+# both limits stay where CI pins their outputs against older code:
+# n = 12 against the walks that read each string's types off the ranks
+# of its powers (16.8 s at q = 12, j = 13), and dim 22 against the
 # code that ranked each core whole.
 # classify is linear in the number of parts of --jordan, so memory
 # (about 100 MB per million parts) sets its limit before time does.
 MAX_MODEL_N = 150
-MAX_ORACLE_N = 10
+MAX_ORACLE_N = 12
 MAX_ENUMERATE_DIM = 100
 MAX_CLASSIFY_TOTAL = 10**6
 MAX_VERIFY_DIM = 22

@@ -51,25 +51,32 @@ Dolbeault and ideal-action walk is strings but the Heisenberg type's
    zero map on a line, so it drops out of its product, and a product of
    such blocks alone has rank 0.
 So _walk folds in the strings of length 2 or more one at a time,
-keeping {(key, sorted block sizes > 1): count}, and the rank of each
-block is sum count x rank(J_{b_1} (x) ... (x) J_{b_r}), each product
-ranked by _shape_rank once per process, whichever walk or model meets
-it first; no sl2 formula or piece size enters.  A string of length 1,
-a symbol s with no rule that no rule names, never enters the fold:
-D(x ^ s) = +-D(x) ^ s, a sign per monomial, so the complex is (the
-rest) (x) Lambda(s), and m such symbols of weight w multiply the
-rest's ranks by (1 + x^w)^m, one _binomial_shift per weight applied to
-the ranks.  A walk that is not strings ranks the monomials of its
-named live symbols, those a rule names, whole through _d_mask, block
-by block, each block's rank written straight into the ranks, so its
-fold stays at the empty product; its unnamed symbols are strings of
-length 1 and take the same shift.
+keeping one polynomial per sorted multiset of block sizes > 1, whose
+coefficient of x^key counts that block product in the block of that
+key.  Each polynomial is one int, a fixed-width count per key, as
+sl2._knapsack packs its weights, and a string of length L and weight
+w multiplies it, for each block size b, by sum over k of the
+multiplicity of b in Lambda^k J_L times x^(k w): one int product per
+multiset and block size.  The ranks are then the sum over multisets
+of rank(J_{b_1} (x) ... (x) J_{b_r}) times its polynomial, each
+product ranked by _shape_rank once per process, whichever walk or
+model meets it first; no sl2 formula or piece size enters.  A string
+of length 1, a symbol s with no rule that no rule names, never enters
+the fold: D(x ^ s) = +-D(x) ^ s, a sign per monomial, so the complex
+is (the rest) (x) Lambda(s), and m such symbols of weight w multiply
+the rest's ranks by (1 + x^w)^m, one int power per weight.  A walk
+that is not strings ranks the monomials of its named live symbols,
+those a rule names, whole through _d_mask, block by block, each
+block's rank written straight into the ranks, so its fold stays at
+the empty product; its unnamed symbols are strings of length 1 and
+take the same factor.
 The walks only rank: D^2 = 0 is checked on the generators, which
 suffices since D^2 is a derivation.  _chain_jordan keeps (L, k) and
-(L, L - k) apart, each type read off the exact power ranks of its own
-chain piece, so the Poincare and Serre dualities on the oracle tables
-still test that those two types agree, and the fold; the block
-products, ranked once, are shared by both sides.
+(L, L - k) apart, each type read off one persistence pass over the
+weight pieces of its own chain piece (exactla.graded_jordan_type), so
+the Poincare and Serre dualities on the oracle tables still test that
+those two types agree, and the fold; the block products, ranked once,
+are shared by both sides.
 
 _shape_rank ranks a block product J_{b_1} (x) ... (x) J_{b_r} as its
 canonical core: each block on consecutive symbols, one-factor rules s
@@ -96,14 +103,14 @@ lies between s and s + 1: every entry is +1.  Symbol s of a monomial
 moves when s + 1 is no factor and s is not last in its block, so with
 `interior` the mask of those symbols, the moving bits are mono & ~(mono
 >> 1) & interior, and bit b gives the target mono ^ 3b; distinct bits
-give distinct targets, so nothing cancels.  _shifted reads the rows of
-both _chain_jordan and _shape_rank this way.  _shape_rank builds the
-pieces block by block, dropping a partial product once its weight
-passes top // 2, as weights only grow, and hands the kernel each
-piece's rows on their own, in the reverse of their build order, keyed
-by negated targets, a row permutation and a column bijection that
-keeps the rank and, on the dim-14 models, roughly halves the kernel's
-reduction steps.
+give distinct targets, so nothing cancels.  _shifted reads the images
+of _chain_jordan's pass and the rows of _shape_rank this way.
+_shape_rank builds the pieces block by block, dropping a partial
+product once its weight passes top // 2, as weights only grow, and
+hands the kernel each piece's rows on their own, in the reverse of
+their build order, keyed by negated targets, a row permutation and a
+column bijection that keeps the rank and, on the dim-14 models,
+roughly halves the kernel's reduction steps.
 """
 
 from collections import Counter
@@ -114,6 +121,7 @@ from math import comb
 
 from .exactla import (
     NotNilpotentError,
+    graded_jordan_type,
     jordan_type_from_ranks,
     power_ranks,
     sparse_product,
@@ -389,19 +397,19 @@ def _shape_rank(sizes):
 def _chain_jordan(length, k):
     """The Jordan type of N on Lambda^k J_length, the degree-k monomials
     of a string of `length` symbols under s -> s + 1, as ((block size,
-    multiplicity), ...) in descending size.  One row per monomial, in
-    the order of its weight, the sum of its symbols, its image by
-    _shifted, goes to power_ranks, and jordan_type_from_ranks reads the
-    type off the exact ranks.  Cached for the life of the process."""
+    multiplicity), ...) in descending size.  The monomials are graded by
+    their weight, the sum of their symbols, which N raises by one, so
+    graded_jordan_type reads the type off one persistence pass over the
+    weight pieces, each monomial's image read by _shifted.  Cached for
+    the life of the process."""
     pieces = {}
     for combo in combinations(range(length), k):
         pieces.setdefault(sum(combo), []).append(sum(1 << s for s in combo))
-    masks = [m for group in pieces.values() for m in group]
-    column = {m: i for i, m in enumerate(masks)}
     interior = (1 << length - 1) - 1
-    rows = [{column[target]: 1 for target in _shifted(mono, interior)} for mono in masks]
+    images = {m: dict.fromkeys(_shifted(m, interior), 1) for g in pieces.values() for m in g}
+    blocks = graded_jordan_type([pieces[w] for w in sorted(pieces)], images)
     # the type comes in descending size, and Counter keeps that order
-    return tuple(Counter(jordan_type_from_ranks(len(masks), power_ranks(rows))).items())
+    return tuple(Counter(blocks).items())
 
 
 def _binomial_shift(counts, w, m):
@@ -420,7 +428,7 @@ def _binomial_shift(counts, w, m):
 def _walk(weights, terms):
     """The rank of D on each block of a graded complex, by key, from one
     fold over the Jordan blocks of its strings (module docstring); a
-    block of rank zero may be missing.
+    block of rank zero is missing.
 
     `weights` maps each symbol to its block weight, an int; a monomial's
     block key, the sum of its symbols' weights, determines its degree.
@@ -428,18 +436,27 @@ def _walk(weights, terms):
     _d_mask applies them.  A monomial divisible by a symbol of
     _cocycle_symbols(terms) has an empty image, so no walk visits it.
 
-    The fold maps (key, sorted block sizes > 1) to a count.  Each string
-    of length L >= 2 and weight w multiplies in the blocks of each
-    Lambda^k J_L: the key grows by k w and the counts multiply.  A walk
-    that is not strings ranks the monomials of its whole symbols block
-    by block, straight into the ranks, and its other symbols are all
-    strings of length 1, so its fold stays at the empty product.  The
-    strings of length 1 are counted per weight and applied last, m of
-    weight w as one _binomial_shift of the ranks: such a symbol s has no
-    rule and no rule names it, so D(x ^ s) = +-D(x) ^ s and the complex
-    is the rest (x) Lambda(s)."""
+    Counts by key are packed in one int, a count per key of nbytes =
+    len(weights) // 8 + 1 bytes, as sl2._knapsack packs its weights: a
+    block has fewer than 2^len(weights) monomials, so no count it bounds
+    carries into the next key, and a polynomial in x = 2^(8 nbytes) is
+    multiplied as one int.  The fold maps each sorted multiset of block
+    sizes > 1 to the polynomial of its counts by key, in the order the
+    walk first meets it.  Each string of length L >= 2 and weight w
+    multiplies in the blocks of each Lambda^k J_L: a block size b adds
+    the factor sum over k of its multiplicity x^(k w).  The ranks are
+    then sum _shape_rank(sizes) x its polynomial.  A walk that is not
+    strings ranks the monomials of its whole symbols block by block,
+    straight into the ranks, and its other symbols are all strings of
+    length 1, so its fold stays at the empty product.  The strings of
+    length 1 are counted per weight and applied last, m of weight w as
+    the factor (1 + x^w)^m on the ranks: such a symbol s has no rule and
+    no rule names it, so D(x ^ s) = +-D(x) ^ s and the complex is the
+    rest (x) Lambda(s).  The ranks are unpacked once, at the end."""
     chains, whole = _chains(weights, terms, _cocycle_symbols(terms))
-    ranks = {}
+    nbytes = len(weights) // 8 + 1
+    width = 8 * nbytes
+    ranks = 0
     if whole is not None:
         pieces = {}
         for k in range(len(whole) + 1):
@@ -447,27 +464,35 @@ def _walk(weights, terms):
                 key = sum(weights[s] for s in combo)
                 pieces.setdefault(key, []).append(sum(1 << s for s in combo))
         for key, masks in pieces.items():
-            ranks[key] = sparse_rank([img for m in masks if (img := _d_mask(m, terms))])
-    fold = {(0, ()): 1}
+            ranks += sparse_rank([img for m in masks if (img := _d_mask(m, terms))]) << key * width
+    fold = {(): 1}
     singles = Counter()
     for chain in chains:
         length, w = len(chain), weights[chain[0]]
         if length == 1:
             singles[w] += 1
             continue
+        factors = {}
+        for k in range(length + 1):
+            for size, ways in _chain_jordan(length, k):
+                factors[size] = factors.get(size, 0) + (ways << k * w * width)
         merged = {}
-        for (key, sizes), count in fold.items():
-            for k in range(length + 1):
-                for size, ways in _chain_jordan(length, k):
-                    grown = (key + k * w, sizes if size == 1 else tuple(sorted(sizes + (size,))))
-                    merged[grown] = merged.get(grown, 0) + count * ways
+        for sizes, poly in fold.items():
+            for size, factor in factors.items():
+                grown = sizes if size == 1 else tuple(sorted(sizes + (size,)))
+                merged[grown] = merged.get(grown, 0) + poly * factor
         fold = merged
-    for (key, sizes), count in fold.items():
+    for sizes, poly in fold.items():
         if sizes:
-            ranks[key] = ranks.get(key, 0) + count * _shape_rank(sizes)
+            ranks += _shape_rank(sizes) * poly
     for w, m in singles.items():
-        ranks = _binomial_shift(ranks, w, m)
-    return ranks
+        ranks *= ((1 << w * width) + 1) ** m
+    raw = ranks.to_bytes(-(-ranks.bit_length() // width) * nbytes, "little")
+    return {
+        key: rank
+        for key in range(len(raw) // nbytes)
+        if (rank := int.from_bytes(raw[key * nbytes : (key + 1) * nbytes], "little"))
+    }
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,24 @@
 """Exact linear algebra over the rationals, in plain ints and Fractions.
 
-One elimination kernel, one pass, three outputs: rank, canonical rows,
-null space.  The kernel is an incremental fraction-free echelon pass
-over sparse rows, as in the boundary-matrix reduction of computational
-homology: it reduces each new row at its lowest column against the row
-stored there until that column is free, and stores what is left.  A
-row is scaled, and then divided by its content, only when the pivot
-does not divide its entry, so +-1 pivots cost one subtraction, and no
-row handed in is written to.  The rank is the number of stored rows.
-Back-substituted, the stored rows give a `Subspace` its canonical rows,
-the reduced row echelon rows over Q each times its least common
-denominator, so no Fraction arises on integer input; the null space is
-read off those rows.  The tests cross-check all three against textbook
-elimination over Fraction and the dense integer echelon.
+One elimination kernel, one pass, four outputs: rank, canonical rows,
+null space, and the Jordan type of a nilpotent map that raises a
+grading by one.  The kernel is an incremental fraction-free echelon
+pass over sparse rows, as in the boundary-matrix reduction of
+computational homology: it reduces each new row at its lowest column
+against the row stored there until that column is free, and stores
+what is left.  A row is scaled, and then divided by its content, only
+when the pivot does not divide its entry, so +-1 pivots cost one
+subtraction, and no row handed in is written to.  The rank is the
+number of stored rows.  Back-substituted, the stored rows give a
+`Subspace` its canonical rows, the reduced row echelon rows over Q
+each times its least common denominator, so no Fraction arises on
+integer input; the null space is read off those rows.  The Jordan type
+of a graded map comes from one upward persistence pass,
+`graded_jordan_type`, whose images of the live chains go through the
+same reduction, oldest chain first.  The tests cross-check rank, rows
+and null space against textbook elimination over Fraction and the
+dense integer echelon, and the Jordan type against the ranks of every
+power.
 """
 
 from fractions import Fraction
@@ -103,9 +109,18 @@ def _pivot_rows(rows):
     pass: {pivot column: stored row}, whose length is the rank.
 
     `pivots` maps a column to the stored row whose lowest column it is.
-    The rows are taken in the order given: each is reduced at its
-    lowest column c, against the pivot row stored there, until c has no
-    pivot row or the row is empty, and a nonzero result is stored at c.
+    The rows are taken in the order given, each stored by `_store`.
+    """
+    pivots = {}
+    for row in rows:
+        _store(row, pivots)
+    return pivots
+
+
+def _store(row, pivots):
+    """Reduce `row` at its lowest column c against the pivot row stored
+    there, until c has no pivot row or the row is empty, and store a
+    nonzero result at c; returns c, or None when the row reduced to zero.
     Each reduction step is `_cancel`, exact, visiting the pivot row's
     columns only; a row it scaled is then divided by its content.
 
@@ -113,24 +128,75 @@ def _pivot_rows(rows):
     step, an unreduced row is stored as it is, and a stored row is
     never changed.
     """
-    pivots = {}
-    for row in rows:
-        owned = False
-        while row:
-            c = min(row)
-            prow = pivots.get(c)
-            if prow is None:
-                pivots[c] = row
-                break
-            if not owned:
-                row = dict(row)
-                owned = True
-            if _cancel(row, prow, c):
-                g = gcd(*row.values())
-                if g > 1:
-                    for j in row:
-                        row[j] //= g
-    return pivots
+    owned = False
+    while row:
+        c = min(row)
+        prow = pivots.get(c)
+        if prow is None:
+            pivots[c] = row
+            return c
+        if not owned:
+            row = dict(row)
+            owned = True
+        if _cancel(row, prow, c):
+            g = gcd(*row.values())
+            if g > 1:
+                for j in row:
+                    row[j] //= g
+    return None
+
+
+def graded_jordan_type(pieces, images):
+    """The Jordan type of a nilpotent map N that raises a grading by one,
+    as its block sizes in descending order, from one upward persistence
+    pass (Zomorodian-Carlsson, "Computing persistent homology", 2005).
+
+    `pieces` lists the weight pieces in ascending weight, each a list of
+    the columns of its basis, no column in two pieces.  `images` maps
+    each column of every piece but the last to its image under N, a
+    {column: int} dict without zero entries, in the columns of the next
+    piece; past the last piece N is zero.  No power of N is formed.
+
+    Each live chain keeps its birth weight and a vector in the current
+    piece, oldest chain first; the columns of the first piece start one
+    chain each.  Step to the next piece: each chain's image, `sparse_apply`
+    of `images` to its vector, is reduced by `_store` against the images
+    stored before it at this step; one that reduces to zero ends its
+    chain, of length w - birth at the new weight w, and one that does not
+    is the chain's new vector.  The columns that are no pivot of a stored
+    image start new chains, born at w, and the chains alive past the
+    last piece end there.
+
+    Why the lengths are the Jordan type (the elder rule).  The vectors of
+    the live chains at a weight are the images N^(w - b) g of homogeneous
+    generators g, one per chain born at b, and they are a basis of the
+    piece: the stored images have distinct lowest columns, so with the
+    unit vectors of the other columns they are triangular.  An image that
+    reduces to zero says N^(w - b) g_c is a combination of images
+    N^(w - b_i) g_i of chains stored before it, each born at b_i <= b;
+    replacing g_c by g_c - sum a_i N^(b - b_i) g_i, a generator of the
+    same weight, changes each earlier vector of chain c by a combination
+    of vectors of older chains live at that weight, so every piece keeps
+    a basis, and it makes N^(w - b) g_c = 0.  A stored image is such a
+    combination too, up to a nonzero scalar from the fraction-free steps.
+    At the end the chains N^i g, 0 <= i < length, are a basis of the
+    whole space with N^length g = 0: V is the direct sum of one Jordan
+    block per chain.
+    """
+    blocks = []
+    live = [(0, {c: 1}) for c in pieces[0]] if pieces else []
+    for w, piece in enumerate(pieces[1:], 1):
+        pivots = {}
+        kept = []
+        for birth, vec in live:
+            c = _store(sparse_apply(images, vec), pivots)
+            if c is None:
+                blocks.append(w - birth)
+            else:
+                kept.append((birth, pivots[c]))
+        live = kept + [(w, {c: 1}) for c in piece if c not in pivots]
+    blocks.extend(len(pieces) - birth for birth, _ in live)
+    return sorted(blocks, reverse=True)
 
 
 def sparse_rank(row_dicts):

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from almostabelian import cli, cohomology, sl2
+from almostabelian import cli, cohomology, exactla, sl2
 from almostabelian.cohomology import (
     CHECKS,
     CohomologyTable,
@@ -721,18 +721,21 @@ class TestCocycleSkip:
 
     def test_images_built_for_verify_dim12(self, monkeypatch):
         # a walk images a monomial through _d_mask or, when its chains are
-        # strings, as a row of a chain piece that _chain_jordan hands
-        # power_ranks or of the canonical core of a block product that
-        # _shape_rank hands the kernel; all are counted, one per image
+        # strings, as the image of a chain vector that the persistence pass
+        # of _chain_jordan builds by sparse_apply, or as a row of the
+        # canonical core of a block product that _shape_rank hands the
+        # kernel; all are counted, one per image
         real_d_mask = cohomology._d_mask
         real_shape_rank = cohomology._shape_rank
         real_sparse_rank = cohomology.sparse_rank
-        real_power_ranks = cohomology.power_ranks
+        real_pass = cohomology.graded_jordan_type
+        real_apply = exactla.sparse_apply
         real_walk = cohomology._walk
         dead = []
         calls = []
         walking = []
         ranking = []
+        passing = []
 
         def counted_d_mask(mono, terms):
             if walking:
@@ -754,12 +757,19 @@ class TestCocycleSkip:
                 calls.extend([True] * len(rows))
             return real_sparse_rank(rows)
 
-        def counted_power_ranks(rows):
-            if walking:
-                # a chain piece: every entry +1
-                assert all(set(row.values()) <= {1} for row in rows)
-                calls.extend([True] * len(rows))
-            return real_power_ranks(rows)
+        def scoped_pass(pieces, images):
+            # a chain piece: every entry of N +1
+            assert walking and all(set(row.values()) <= {1} for row in images.values())
+            passing.append(True)
+            try:
+                return real_pass(pieces, images)
+            finally:
+                passing.pop()
+
+        def counted_apply(lines, v):
+            if passing:
+                calls.append(True)
+            return real_apply(lines, v)
 
         def scoped_walk(weights, terms):
             walking.append(True)
@@ -774,7 +784,8 @@ class TestCocycleSkip:
         monkeypatch.setattr(cohomology, "_d_mask", counted_d_mask)
         monkeypatch.setattr(cohomology, "_shape_rank", scoped_shape_rank)
         monkeypatch.setattr(cohomology, "sparse_rank", counted_sparse_rank)
-        monkeypatch.setattr(cohomology, "power_ranks", counted_power_ranks)
+        monkeypatch.setattr(cohomology, "graded_jordan_type", scoped_pass)
+        monkeypatch.setattr(exactla, "sparse_apply", counted_apply)
         monkeypatch.setattr(cohomology, "_walk", scoped_walk)
         lines, all_ok = cli.run_verify(12)
         assert all_ok
@@ -789,10 +800,12 @@ class TestCocycleSkip:
         # fold took the place of parts and core shapes, 704 (126 rows of 27
         # chain pieces, Lambda^0 J_1 and Lambda^1 J_1 among them) before
         # the strings of length 1 left the fold for one binomial shift per
-        # weight; now 20 through _d_mask, the Heisenberg type's whole
-        # monomials, 124 rows of 25 chain pieces, the degrees 0 and L
-        # among them, and the same 558 rows of 49 block products
-        assert calls.count(True) == 702
+        # weight, 702 (124 rows of 25 chain pieces handed to power_ranks)
+        # before the persistence pass; now 20 through _d_mask, the
+        # Heisenberg type's whole monomials, 99 images of chain vectors in
+        # the passes over 25 chain pieces, the degrees 0 and L among them,
+        # and the same 558 rows of 49 block products
+        assert calls.count(True) == 677
         # outside the walks, each model's CE and Dolbeault records check
         # D^2 once each, imaging each ruled generator and each monomial of
         # its image, dead symbols included; d_squared and the Betti
@@ -800,8 +813,9 @@ class TestCocycleSkip:
         # the Dolbeault one (17700 while each oracle checked D^2 again,
         # 17044 before the mirror, 8308 before the shape ranks, 2891
         # before the Jordan types, 1448 before the fold, 1360 before the
-        # binomial shift, with 27 chain pieces)
-        assert len(calls) == 1358
+        # binomial shift, with 27 chain pieces, 1358 before the persistence
+        # pass)
+        assert len(calls) == 1333
         assert cohomology._chain_jordan.cache_info().misses == 25
         assert real_shape_rank.cache_info().misses == 49
 
@@ -992,10 +1006,11 @@ def expanded(counts, w, m):
 
 
 class TestBinomialShift:
-    """_walk applies its strings of length 1 to the ranks as one
-    _binomial_shift per weight, and _Complex.dims sizes its blocks with
-    the same helper, so both must multiply by (1 + x^w)^m exactly, and
-    no walk may fold a string of length 1 in through _chain_jordan."""
+    """_Complex.dims sizes its blocks with _binomial_shift, one per
+    weight, and _walk multiplies its packed ranks by the same (1 + x^w)^m
+    for its strings of length 1, so both must multiply by (1 + x^w)^m
+    exactly, and no walk may fold a string of length 1 in through
+    _chain_jordan."""
 
     @pytest.mark.parametrize("g", [1, 3, 4])
     def test_against_the_product_of_factors(self, g):
@@ -1046,6 +1061,51 @@ class TestBinomialShift:
         assert 1 not in lengths
         # the Heisenberg type's walks are whole, so they fold no string
         assert bool(lengths) is not heisenberg(c)
+
+
+def string_walk(lengths, dead, heavy):
+    """The weights and generator rules of a walk of strings of the given
+    lengths on consecutive symbols, the string at index i of weight
+    heavy.get(i, 1): the rules s -> s + 1 along each string, coefficients
+    2, -1, 3 in turn, one-factor rules, or with dead, two-factor rules
+    (s + 1, x0) with x0 a symbol that kills every monomial it divides."""
+    base = 1 if dead else 0
+    weights = dict.fromkeys(range(base), 1)
+    d1 = {}
+    for i, length in enumerate(lengths):
+        for s in range(base, base + length):
+            weights[s] = heavy.get(i, 1)
+            if s + 1 < base + length:
+                coef = (2, -1, 3)[s % 3]
+                d1[s] = ((coef, (s + 1, 0) if dead else (s + 1,)),)
+        base += length
+    return weights, d1
+
+
+class TestPackedFold:
+    """_walk packs its counts by key into ints, len(weights) // 8 + 1
+    bytes per key.  Walks of 7, 8, 15 and 16 symbols sit on both sides of
+    the byte boundaries, and their ranks are those of the walk over every
+    monomial; at 15 symbols some rank needs a second byte."""
+
+    @pytest.mark.parametrize(
+        "lengths, dead, heavy",
+        [
+            pytest.param((4, 2, 1), False, {0: 3}, id="7-symbols"),
+            pytest.param((3, 3, 1), True, {}, id="8-symbols"),
+            pytest.param((5, 4, 3, 2, 1), False, {}, id="15-symbols"),
+            pytest.param((6, 4, 3, 1, 1), True, {1: 2}, id="16-symbols"),
+        ],
+    )
+    def test_walks_at_the_byte_boundaries(self, lengths, dead, heavy):
+        weights, d1 = string_walk(lengths, dead, heavy)
+        terms = cohomology._slot_terms(d1)
+        chains, whole = chains_of(weights, terms)
+        assert whole is None and sorted(map(len, chains), reverse=True) == list(lengths)
+        ranks = cohomology._walk(weights, terms)
+        assert ranks == nonzero(weighted_reference(weights, terms)[0])
+        if len(weights) == 15:
+            assert max(ranks.values()) > 255
 
 
 def chains_of(weights, terms):
@@ -1521,18 +1581,32 @@ class TestStringRows:
         self.assert_string_walk(weights, cohomology._slot_terms(d1), seen)
         assert len(seen) == cohomology._shape_rank.cache_info().misses
 
-    def test_walks_share_their_shapes(self):
-        # q = 3,3,2 at j = 4: the Dolbeault walk's fold meets more (key,
-        # block sizes) entries than block products; the CE walk of the
-        # model after it finds most of its block products ranked
+    def test_walks_share_their_shapes(self, monkeypatch):
+        # q = 3,3,2 at j = 4: within one walk the fold keeps one polynomial
+        # per multiset of block sizes, so _shape_rank is called once per
+        # multiset; the CE walk that follows the Dolbeault walk finds its
+        # block products already ranked
         ce, dolbeault, _ = model_walks(M([3, 3, 2], 4))
         assert strings(*dolbeault) and strings(*ce)
+        real_shape_rank = cohomology._shape_rank
+        met = []
+
+        def spied_shape_rank(sizes):
+            met.append(sizes)
+            return real_shape_rank(sizes)
+
+        monkeypatch.setattr(cohomology, "_shape_rank", spied_shape_rank)
         cohomology._walk(*dolbeault)
-        first = cohomology._shape_rank.cache_info()
-        assert 0 < first.misses < first.hits
+        first = list(met)
+        assert first and len(set(first)) == len(first)
+        assert real_shape_rank.cache_info().misses == len(first)
+        assert real_shape_rank.cache_info().hits == 0
+        met.clear()
         cohomology._walk(*ce)
-        second = cohomology._shape_rank.cache_info()
-        assert second.misses - first.misses < second.hits - first.hits
+        assert met and len(set(met)) == len(met)
+        assert set(met) <= set(first)
+        assert real_shape_rank.cache_info().misses == len(first)
+        assert real_shape_rank.cache_info().hits == len(met)
 
 
 def own_string_cores(weights, terms):
@@ -1639,18 +1713,37 @@ class TestShapeRanks:
 
 def dense_jordan_type(length, k):
     """The Jordan type of N on Lambda^k J_length, apart from _chain_jordan:
-    the canonical chain's rules s -> s + 1 through _slot_terms, a dense
-    RationalMatrix of _d_mask's images of the degree-k monomials, and the
-    ranks of its powers by RationalMatrix.mul and .rank."""
+    the canonical chain's rules s -> s + 1 through _slot_terms, _d_mask's
+    images of the degree-k monomials, and the ranks of the powers of N.
+    N raises a monomial's weight, the sum of its symbols, by one, so N^j
+    is zero but on the dense RationalMatrix maps from piece w to piece
+    w + j, products of j piece maps by RationalMatrix.mul, whose blocks
+    meet no row or column twice: rank N^j is the sum of their ranks by
+    RationalMatrix.rank."""
     terms = cohomology._slot_terms({s: ((1, (s + 1,)),) for s in range(length - 1)})
-    monos = [sum(1 << s for s in combo) for combo in combinations(range(length), k)]
-    images = [cohomology._d_mask(m, terms) for m in monos]
-    matrix = RationalMatrix([[img.get(t, 0) for t in monos] for img in images])
-    ranks, power = [], matrix
-    while rank := power.rank():
+    pieces = {}
+    for combo in combinations(range(length), k):
+        pieces.setdefault(sum(combo), []).append(sum(1 << s for s in combo))
+    low, high = min(pieces), max(pieces)
+    maps = []
+    for w in range(low, high):
+        images = [cohomology._d_mask(m, terms) for m in pieces[w]]
+        assert all(set(img) <= set(pieces[w + 1]) for img in images)
+        maps.append(
+            RationalMatrix([[img.get(t, 0) for img in images] for t in pieces[w + 1]])
+        )
+    ranks = []
+    for j in range(1, high - low + 1):
+        rank = 0
+        for w in range(high - low - j + 1):
+            power = maps[w]
+            for step in maps[w + 1 : w + j]:
+                power = step.mul(power)
+            rank += power.rank()
+        if not rank:
+            break
         ranks.append(rank)
-        power = power.mul(matrix)
-    return jordan_type_from_ranks(len(monos), ranks)
+    return jordan_type_from_ranks(sum(map(len, pieces.values())), ranks)
 
 
 class TestCoreRanks:
@@ -1716,7 +1809,7 @@ class TestCoreRanks:
                 assert {-t for row in rows for t in row} <= set(pieces[w + 1])
             assert rank == canonical_rank(shape), sizes
 
-    @pytest.mark.parametrize("length", range(1, 9))
+    @pytest.mark.parametrize("length", range(1, 11))
     def test_chain_jordan_against_a_dense_matrix(self, length):
         for k in range(length + 1):
             blocks = cohomology._chain_jordan(length, k)
@@ -1725,6 +1818,17 @@ class TestCoreRanks:
             expanded = [size for size, count in blocks for _ in range(count)]
             assert expanded == dense_jordan_type(length, k)
             assert sum(expanded) == comb(length, k)
+
+    @pytest.mark.parametrize("length", range(1, 15))
+    def test_chain_jordan_is_the_sl2_wedge(self, length):
+        # Jacobson-Morozov: on an sl2-module the raising operator has one
+        # Jordan block per irreducible summand, of its dimension, and
+        # Lambda^k J_L is Lambda^k W(L) with N as that operator
+        for k in range(length + 1):
+            blocks = cohomology._chain_jordan(length, k)
+            summands = wedge(W(length), k).items()
+            assert blocks == summands
+            assert sum(size * count for size, count in blocks) == comb(length, k)
 
     @pytest.mark.parametrize(
         "bumped", [(length, k) for length in range(2, 6) for k in range(1, length)]

@@ -5,10 +5,12 @@ from math import gcd, lcm
 
 import pytest
 
+from almostabelian import exactla
 from almostabelian.exactla import (
     NotNilpotentError,
     RationalMatrix,
     Subspace,
+    graded_jordan_type,
     jordan_block,
     jordan_type_from_ranks,
     power_ranks,
@@ -532,6 +534,73 @@ class TestPowerRanks:
                 assert got[0] is ValueError
             elif m.rows:
                 assert got[0] is NotNilpotentError
+
+
+def random_graded_map(rng):
+    """A nilpotent map that raises a grading by one: up to seven pieces
+    of one to five columns each, the columns a random labelling of
+    0..d-1, and each column's image a random combination of the next
+    piece's columns with entries in -3..3, dense or sparse."""
+    sizes = [rng.randint(1, 5) for _ in range(rng.randint(1, 7))]
+    labels = rng.sample(range(sum(sizes)), sum(sizes))
+    pieces = []
+    for size in sizes:
+        pieces.append(labels[:size])
+        labels = labels[size:]
+    density = rng.choice((0.3, 0.7, 1.0))
+    images = {}
+    for piece, following in zip(pieces, pieces[1:]):
+        for c in piece:
+            images[c] = {
+                t: x for t in following if rng.random() < density and (x := rng.randint(-3, 3))
+            }
+    return pieces, images
+
+
+class TestGradedJordanType:
+    """The persistence pass against the Jordan type read off the ranks of
+    every power, power_ranks and jordan_type_from_ranks."""
+
+    def test_random_graded_maps(self, monkeypatch):
+        real_cancel = exactla._cancel
+        passing = []
+        scaled = []
+
+        def counted_cancel(row, prow, c):
+            was_scaled = real_cancel(row, prow, c)
+            if passing:
+                scaled.append(was_scaled)
+            return was_scaled
+
+        monkeypatch.setattr(exactla, "_cancel", counted_cancel)
+        rng = random.Random(32)
+        lengths = set()
+        for _ in range(300):
+            pieces, images = random_graded_map(rng)
+            copies = {c: dict(row) for c, row in images.items()}
+            d = sum(map(len, pieces))
+            rows = [images.get(c, {}) for c in range(d)]
+            expected = jordan_type_from_ranks(d, power_ranks(rows))
+            passing.append(True)
+            assert graded_jordan_type(pieces, images) == expected
+            passing.pop()
+            assert images == copies
+            lengths.update(expected)
+        # the entries in -3..3 make the pass take scaled steps, and the
+        # blocks reach every length up to the number of pieces
+        assert any(scaled) and not all(scaled)
+        assert lengths == set(range(1, 8))
+
+    def test_small_cases(self):
+        assert graded_jordan_type([], {}) == []
+        assert graded_jordan_type([[4, 2]], {}) == [1, 1]
+        # a single Jordan block, and the zero map on three pieces
+        assert graded_jordan_type([[0], [1], [2]], {0: {1: 5}, 1: {2: -1}}) == [3]
+        assert graded_jordan_type([[0], [1], [2]], {0: {}, 1: {}}) == [1, 1, 1]
+        # two chains meet: e0 -> e2 and e1 -> 2 e2, so one chain ends at
+        # once, and e2 -> e3 carries the elder one on
+        images = {0: {2: 1}, 1: {2: 2}, 2: {3: 1}}
+        assert graded_jordan_type([[0, 1], [2], [3]], images) == [3, 1]
 
 
 class TestMatrixBasics:
