@@ -2,10 +2,12 @@
 
 Subcommands: enumerate, classify, invariants, verify, export.  Exit
 statuses: 0 success / all checks passed, 1 usage or parse error, input
-over a size limit or an --output path that cannot be written, 2
-classification answered "no complex structure", 3 verification failure,
-141 standard output closed by its reader before all output was written
-(as in `enumerate --dim 40 | head -1`; nothing is printed on stderr).
+over a size limit, an --output path that cannot be written or a
+standard output that cannot be written (as in `enumerate --dim 40 >
+/dev/full`; one "error:" line on stderr), 2 classification answered "no
+complex structure", 3 verification failure, 141 standard output closed
+by its reader before all output was written (as in `enumerate --dim 40
+| head -1`; nothing is printed on stderr).
 All output is deterministic: identical inputs give identical bytes.
 
 Size limits, checked before any work starts (one "error:" line on
@@ -22,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from math import comb
 
 from .cohomology import CHECKS, run_checks
-from .exactla import jordan_block
+from .exactla import graded_jordan_type
 from .model import (
     ComplexModel,
     InvalidModelError,
@@ -46,7 +48,7 @@ WORKERS_ENV = "ALMOSTABELIAN_WORKERS"
 # input takes up to about a minute on one CPU, or where memory grows
 # first: the closed forms grow with the largest part of q, through the
 # knapsacks over the exterior algebras of b01 and g10 (q = [150] takes
-# about 4-5 s and 82 MB), and memory, not time, holds MAX_MODEL_N at
+# about 2.4 s and 82 MB cold), and memory, not time, holds MAX_MODEL_N at
 # 150: at n = 200, --q 199,1 --j 200 peaks at about 312 MB, above CI's
 # 300 MB bound.  The rank oracles and the verify sweep grow
 # exponentially in n, and enumerate walks every partition of n.  With
@@ -128,10 +130,25 @@ def build_parser():
     return parser
 
 
+class _StdoutError(Exception):
+    """Standard output could not be written; the OSError is its cause."""
+
+
+def _write(text, flush=False):
+    """Write to standard output, then flush it if asked; an OSError there
+    is raised as _StdoutError, so main tells it from any other."""
+    try:
+        sys.stdout.write(text)
+        if flush:
+            sys.stdout.flush()
+    except OSError as exc:
+        raise _StdoutError from exc
+
+
 def _emit(text, output):
     """Write to stdout or to the --output path; returns the exit status."""
     if output is None:
-        sys.stdout.write(text)
+        _write(text)
         return EXIT_OK
     try:
         with open(output, "w") as handle:
@@ -163,7 +180,7 @@ def cmd_enumerate(parser, args):
     n = (args.dim - 2) // 2
     for c in enumerate_models(n):
         m = c.m
-        sys.stdout.write(
+        _write(
             "m=%s q=%s j=%d eps=%d step=%d commutator=%d\n"
             % (m, c.q, c.j, c.epsilon, c.step, 2 * n + 1 - len(m))
         )
@@ -178,9 +195,9 @@ def cmd_classify(parser, args):
         return _over_limit("the total size of --jordan", m.n, MAX_CLASSIFY_TOTAL)
     witness = admits_complex_structure(m)
     if witness is None:
-        sys.stdout.write("no complex structure for m=%s\n" % m)
+        _write("no complex structure for m=%s\n" % m)
         return EXIT_NO_COMPLEX
-    sys.stdout.write("complex structure exists for m=%s: q=%s j=%d\n" % (m, witness.q, witness.j))
+    _write("complex structure exists for m=%s: q=%s j=%d\n" % (m, witness.q, witness.j))
     return EXIT_OK
 
 
@@ -230,8 +247,10 @@ def _representation_identity_checks():
         for r in range(0, v.dim() + 1):
             checks.append(wedge(v, r) == wedge_weight_oracle(v, r))
     for i in range(1, 11):
-        # the one-block module has one-dimensional kernel and cokernel
-        checks.append(jordan_block(i).rank() == i - 1)
+        # the one-block module J_i, one column at each weight 0..i - 1 and
+        # N: c -> c + 1, through the oracles' persistence pass: one chain
+        images = {c: {c + 1: 1} for c in range(i - 1)}
+        checks.append(graded_jordan_type([[c] for c in range(i)], images) == [i])
     return checks
 
 
@@ -331,7 +350,7 @@ def cmd_verify(parser, args):
     if max_dim > MAX_VERIFY_DIM:
         return _over_limit("--max-dim", args.max_dim, MAX_VERIFY_DIM)
     lines, all_ok = run_verify(max_dim)
-    sys.stdout.write("\n".join(lines) + "\n")
+    _write("\n".join(lines) + "\n")
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 
@@ -340,11 +359,18 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         status = args.handler(args.parser, args)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader left; devnull keeps the flush at exit from failing again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_BROKEN_PIPE
+        _write("", flush=True)
+    except _StdoutError as failed:
+        # devnull keeps the flush at exit from failing again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        exc = failed.__cause__
+        if isinstance(exc, BrokenPipeError):
+            # the reader left
+            return EXIT_BROKEN_PIPE
+        sys.stderr.write("error: cannot write standard output: %s\n" % (exc.strerror or exc))
+        return EXIT_USAGE
     return status
 
 

@@ -64,12 +64,13 @@ model meets it first; no sl2 formula or piece size enters.  A string
 of length 1, a symbol s with no rule that no rule names, never enters
 the fold: D(x ^ s) = +-D(x) ^ s, a sign per monomial, so the complex
 is (the rest) (x) Lambda(s), and m such symbols of weight w multiply
-the rest's ranks by (1 + x^w)^m, one int power per weight.  A walk
-that is not strings ranks the monomials of its named live symbols,
-those a rule names, whole through _d_mask, block by block, each
-block's rank written straight into the ranks, so its fold stays at
-the empty product; its unnamed symbols are strings of length 1 and
-take the same factor.
+the rest's ranks by (1 + x^w)^m (_exterior).  A walk that is not
+strings ranks the monomials of its named live symbols, those a rule
+names, whole through _d_mask, block by block, each block's rank
+written straight into the ranks, so its fold stays at the empty
+product; its unnamed symbols are strings of length 1 and take the same
+factor.  _cohomology subtracts (1 + x) times the packed ranks from the
+block sizes, that factor over every symbol, and unpacks once.
 The walks only rank: D^2 = 0 is checked on the generators, which
 suffices since D^2 is a derivation.  _chain_jordan keeps (L, k) and
 (L, L - k) apart, each type read off one persistence pass over the
@@ -117,7 +118,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
-from math import comb
 
 from .exactla import (
     NotNilpotentError,
@@ -412,23 +412,40 @@ def _chain_jordan(length, k):
     return tuple(Counter(blocks).items())
 
 
-def _binomial_shift(counts, w, m):
-    """counts times (1 + x^w)^m, a dict keyed by exponent: the count c
-    at key K gives comb(m, i) c at K + i w for i = 0..m.  A graded
-    space tensored with the exterior algebra of m symbols of weight w
-    has its block sizes times (1 + x^w)^m, and so has D's rank on it
-    when no rule has or names those symbols (module docstring)."""
-    out = {}
-    for key, count in counts.items():
-        for i in range(m + 1):
-            out[key + i * w] = out.get(key + i * w, 0) + comb(m, i) * count
-    return out
+def _exterior(poly, counts, width):
+    """poly times (1 + x^w)^m for each item (w, m) of counts, x = 2^width:
+    the exterior algebra of m symbols of weight w multiplies a graded
+    space's block sizes by it, and D's ranks when no rule has or names
+    those symbols (module docstring)."""
+    for w, m in counts.items():
+        poly *= ((1 << w * width) + 1) ** m
+    return poly
+
+
+def _cohomology(ranks, symbols, counts):
+    """The cohomology's dimension at each block key, 0 to the top: the
+    block sizes _exterior(1, counts) less (1 + x) times the packed ranks
+    of a _walk over `symbols` symbols, unpacked once, nbytes = symbols
+    // 8 + 1 bytes per key, as packed.  Every size fits: a block of the
+    walk has fewer than 2^symbols monomials, and the ideal action's
+    C(symbols + 1, k) < 2^(symbols + 1) <= 2^(8 nbytes).  The subtraction
+    never borrows: each coefficient is a cohomology dimension, >= 0 and
+    below 2^(8 nbytes)."""
+    nbytes = symbols // 8 + 1
+    top = sum(w * m for w, m in counts.items())
+    dims = _exterior(1, counts, 8 * nbytes) - (ranks << 8 * nbytes) - ranks
+    raw = dims.to_bytes((top + 1) * nbytes, "little")
+    return tuple(int.from_bytes(raw[k * nbytes : (k + 1) * nbytes], "little") for k in range(top + 1))
 
 
 def _walk(weights, terms):
-    """The rank of D on each block of a graded complex, by key, from one
-    fold over the Jordan blocks of its strings (module docstring); a
-    block of rank zero is missing.
+    """The rank of D on each block of a graded complex, from one fold
+    over the Jordan blocks of its strings (module docstring), packed in
+    one int with nbytes = len(weights) // 8 + 1 bytes per block key, as
+    sl2._knapsack packs its weights: a block has fewer than
+    2^len(weights) monomials, so no count it bounds carries into the
+    next key, and a polynomial in x = 2^(8 nbytes) is multiplied as one
+    int.  _cohomology unpacks the ranks.
 
     `weights` maps each symbol to its block weight, an int; a monomial's
     block key, the sum of its symbols' weights, determines its degree.
@@ -436,26 +453,21 @@ def _walk(weights, terms):
     _d_mask applies them.  A monomial divisible by a symbol of
     _cocycle_symbols(terms) has an empty image, so no walk visits it.
 
-    Counts by key are packed in one int, a count per key of nbytes =
-    len(weights) // 8 + 1 bytes, as sl2._knapsack packs its weights: a
-    block has fewer than 2^len(weights) monomials, so no count it bounds
-    carries into the next key, and a polynomial in x = 2^(8 nbytes) is
-    multiplied as one int.  The fold maps each sorted multiset of block
-    sizes > 1 to the polynomial of its counts by key, in the order the
-    walk first meets it.  Each string of length L >= 2 and weight w
-    multiplies in the blocks of each Lambda^k J_L: a block size b adds
-    the factor sum over k of its multiplicity x^(k w).  The ranks are
-    then sum _shape_rank(sizes) x its polynomial.  A walk that is not
-    strings ranks the monomials of its whole symbols block by block,
-    straight into the ranks, and its other symbols are all strings of
-    length 1, so its fold stays at the empty product.  The strings of
-    length 1 are counted per weight and applied last, m of weight w as
-    the factor (1 + x^w)^m on the ranks: such a symbol s has no rule and
-    no rule names it, so D(x ^ s) = +-D(x) ^ s and the complex is the
-    rest (x) Lambda(s).  The ranks are unpacked once, at the end."""
+    The fold maps each sorted multiset of block sizes > 1 to the
+    polynomial of its counts by key, in the order the walk first meets
+    it.  Each string of length L >= 2 and weight w multiplies in the
+    blocks of each Lambda^k J_L: a block size b adds the factor sum over
+    k of its multiplicity x^(k w).  The ranks are then sum
+    _shape_rank(sizes) x its polynomial.  A walk that is not strings
+    ranks the monomials of its whole symbols block by block, straight
+    into the ranks, and its other symbols are all strings of length 1,
+    so its fold stays at the empty product.  The strings of length 1 are
+    counted per weight and applied last, m of weight w as _exterior's
+    factor (1 + x^w)^m on the ranks: such a symbol s has no rule and no
+    rule names it, so D(x ^ s) = +-D(x) ^ s and the complex is the rest
+    (x) Lambda(s)."""
     chains, whole = _chains(weights, terms, _cocycle_symbols(terms))
-    nbytes = len(weights) // 8 + 1
-    width = 8 * nbytes
+    width = 8 * (len(weights) // 8 + 1)
     ranks = 0
     if whole is not None:
         pieces = {}
@@ -485,14 +497,7 @@ def _walk(weights, terms):
     for sizes, poly in fold.items():
         if sizes:
             ranks += _shape_rank(sizes) * poly
-    for w, m in singles.items():
-        ranks *= ((1 << w * width) + 1) ** m
-    raw = ranks.to_bytes(-(-ranks.bit_length() // width) * nbytes, "little")
-    return {
-        key: rank
-        for key in range(len(raw) // nbytes)
-        if (rank := int.from_bytes(raw[key * nbytes : (key + 1) * nbytes], "little"))
-    }
+    return _exterior(ranks, singles, width)
 
 
 @dataclass(frozen=True)
@@ -513,17 +518,12 @@ class _Complex:
 
     @cached_property
     def dims(self):
-        """The cohomology's dimension at each block key, in key order: the
-        block size (one _binomial_shift per weight) less the ranks of D
-        out of the block and into it, from one _walk.  Raises
-        DifferentialError if D^2 fails on a generator."""
+        """The cohomology's dimensions in key order, _cohomology of one
+        _walk; raises DifferentialError if D^2 fails on a generator."""
         if not self.squares:
             raise DifferentialError("%s^2 != 0" % self.name)
         ranks = _walk(self.weights, self.terms)
-        sizes = {0: 1}
-        for w, m in Counter(self.weights.values()).items():
-            sizes = _binomial_shift(sizes, w, m)
-        return tuple(n - ranks.get(k, 0) - ranks.get(k - 1, 0) for k, n in sorted(sizes.items()))
+        return _cohomology(ranks, len(self.weights), Counter(self.weights.values()))
 
 
 # -- Chevalley-Eilenberg oracle -----------------------------------------------
@@ -646,16 +646,15 @@ def betti_via_ideal_action(alg):
     the dual ideal: it sends dual generator r to -A[r][c] times c, a
     one-factor rule whose sign _slot_terms applies.  It checks the CE
     oracle's rules, read here off A instead of the bracket tensor, and
-    the cone formula, not the walk or the rank kernel, which it shares.
+    the cone formula; it shares the walk, _cohomology and the kernel.
     """
     size = alg.dim - 1
     terms = _slot_terms(
         {r: tuple((-a, (c,)) for c, a in enumerate(row) if a) for r, row in enumerate(alg.A)}
     )
-    ranks = _walk(dict.fromkeys(range(size), 1), terms)
-    # L_k is square, so its kernel and cokernel have the same dimension
-    kernel = [comb(size, k) - ranks.get(k, 0) for k in range(size + 1)] + [0]
-    return tuple(kernel[k] + (kernel[k - 1] if k else 0) for k in range(size + 2))
+    # L_k is square, so its kernel and cokernel have the same dimension,
+    # and b_k = C(size + 1, k) - rank L_k - rank L_(k-1)
+    return _cohomology(_walk(dict.fromkeys(range(size), 1), terms), size, {1: size + 1})
 
 
 # -- tables and verification ----------------------------------------------------

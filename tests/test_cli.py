@@ -1,6 +1,8 @@
 import doctest
+import errno
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -492,6 +494,87 @@ class TestEntryPoint:
         proc.stderr.close()
         assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE
         assert err == b""
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+    @pytest.mark.parametrize(
+        "argv", [["enumerate", "--dim", "40"], ["invariants", "--q", "2", "--j", "3"]]
+    )
+    def test_full_stdout_gives_one_error_line(self, argv):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "almostabelian", *argv],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        assert proc.returncode == cli.EXIT_USAGE
+        assert proc.stderr == "error: cannot write standard output: No space left on device\n"
+
+
+class FailingStdout:
+    """A standard output whose writes raise `error`, on a real descriptor
+    that main may point at devnull."""
+
+    def __init__(self, error, fd):
+        self.error, self.fd = error, fd
+
+    def write(self, text):
+        raise self.error
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+class TestStdoutErrors:
+    @pytest.mark.parametrize(
+        "error, code, err",
+        [
+            (
+                OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+                cli.EXIT_USAGE,
+                "error: cannot write standard output: %s\n" % os.strerror(errno.ENOSPC),
+            ),
+            (BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)), cli.EXIT_BROKEN_PIPE, ""),
+        ],
+        ids=["ENOSPC", "EPIPE"],
+    )
+    @pytest.mark.parametrize(
+        "argv", [["invariants", "--q", "2", "--j", "3"], ["classify", "--jordan", "5"]]
+    )
+    def test_failed_write(self, argv, error, code, err, tmp_path, monkeypatch, capsys):
+        with open(tmp_path / "out", "w") as handle:
+            monkeypatch.setattr(sys, "stdout", FailingStdout(error, handle.fileno()))
+            assert main(argv) == code
+            # the descriptor now writes to devnull, so the flush at exit
+            # cannot fail again
+            assert os.path.samestat(os.fstat(handle.fileno()), os.stat(os.devnull))
+        assert capsys.readouterr().err == err
+
+    def test_failed_flush(self, tmp_path, monkeypatch, capsys):
+        class FailingFlush(FailingStdout):
+            def write(self, text):
+                pass
+
+            def flush(self):
+                raise self.error
+
+        with open(tmp_path / "out", "w") as handle:
+            error = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            monkeypatch.setattr(sys, "stdout", FailingFlush(error, handle.fileno()))
+            assert main(["verify", "--max-dim", "4"]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: cannot write standard output: ")
+
+    def test_other_os_errors_surface(self, monkeypatch):
+        def failed(max_dim):
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(cli, "run_verify", failed)
+        with pytest.raises(OSError) as info:
+            main(["verify", "--max-dim", "4"])
+        assert info.value.errno == errno.EAGAIN
 
 
 class TestRecords:

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
@@ -658,9 +659,22 @@ def weighted_reference(weights, terms):
 
 
 def nonzero(ranks):
-    """A walk's nonzero ranks: a block that no walk lists and a block of
-    rank zero mean the same."""
+    """A reference walk's nonzero ranks: a block that a walk does not
+    list and a block of rank zero mean the same."""
     return {key: rank for key, rank in ranks.items() if rank}
+
+
+def unpacked(ranks, weights):
+    """_walk's ranks over the symbols of `weights`, one int with
+    len(weights) // 8 + 1 bytes per key, lowest key first, as {key: rank}
+    of the nonzero ones."""
+    width = 8 * (len(weights) // 8 + 1)
+    assert ranks >= 0
+    out = {}
+    for key in range(-(-ranks.bit_length() // width)):
+        if rank := ranks >> key * width & (1 << width) - 1:
+            out[key] = rank
+    return out
 
 
 class TestCocycleSkip:
@@ -675,7 +689,7 @@ class TestCocycleSkip:
 
         def both_walks(weights, terms):
             got = real_walk(weights, terms)
-            assert nonzero(got) == nonzero(weighted_reference(weights, terms)[0])
+            assert unpacked(got, weights) == nonzero(weighted_reference(weights, terms)[0])
             walks.append(cohomology._cocycle_symbols(terms))
             return got
 
@@ -716,8 +730,8 @@ class TestCocycleSkip:
         # its image is not zero; only x2 is skipped
         terms = cohomology._slot_terms({0: (), 1: ((1, (1, 2)),), 2: ()})
         assert cohomology._cocycle_symbols(terms) == 0b100
-        ranks = cohomology._walk(dict.fromkeys(range(3), 1), terms)
-        assert ranks[1] == 1
+        weights = dict.fromkeys(range(3), 1)
+        assert unpacked(cohomology._walk(weights, terms), weights)[1] == 1
 
     def test_images_built_for_verify_dim12(self, monkeypatch):
         # a walk images a monomial through _d_mask or, when its chains are
@@ -880,7 +894,7 @@ def assert_ce_walk_equals_reference(alg):
             comb(dim, k) - ranks.get(k, 0) - ranks.get(k - 1, 0) for k in range(dim + 1)
         )
     else:
-        assert nonzero(cohomology._walk(ce.weights, ce.terms)) == nonzero(ranks)
+        assert unpacked(cohomology._walk(ce.weights, ce.terms), ce.weights) == nonzero(ranks)
     return squares
 
 
@@ -900,8 +914,8 @@ def assert_dolbeault_walk_equals_reference(symbols):
             for p in range(g + 1)
         )
     else:
-        walked = cohomology._walk(dolbeault.weights, dolbeault.terms)
-        assert nonzero({divmod(k, g + 1): r for k, r in walked.items()}) == nonzero(ranks)
+        walked = unpacked(cohomology._walk(dolbeault.weights, dolbeault.terms), dolbeault.weights)
+        assert {divmod(k, g + 1): r for k, r in walked.items()} == nonzero(ranks)
     return squares
 
 
@@ -1006,31 +1020,38 @@ def expanded(counts, w, m):
 
 
 class TestBinomialShift:
-    """_Complex.dims sizes its blocks with _binomial_shift, one per
-    weight, and _walk multiplies its packed ranks by the same (1 + x^w)^m
-    for its strings of length 1, so both must multiply by (1 + x^w)^m
+    """_exterior multiplies a packed polynomial by (1 + x^w)^m per
+    weight: _walk's packed ranks for its strings of length 1, and 1 for
+    the block sizes of _cohomology, so it must multiply by (1 + x^w)^m
     exactly, and no walk may fold a string of length 1 in through
     _chain_jordan."""
 
     @pytest.mark.parametrize("g", [1, 3, 4])
     def test_against_the_product_of_factors(self, g):
+        # 15 symbols pack 2 bytes per key, room for every count here
+        weights = dict.fromkeys(range(15), 1)
         rng = random.Random(g)
         starts = [{}, {0: 1}] + [
             {rng.randrange(12): rng.randrange(1, 20) for _ in range(rng.randrange(1, 6))}
             for _ in range(4)
         ]
         for counts in starts:
+            poly = sum(count << key * 16 for key, count in counts.items())
             for w in (1, 2, g + 1):
                 for m in range(5):
-                    assert cohomology._binomial_shift(counts, w, m) == expanded(counts, w, m)
-        # m = 0 is the identity, and the start is left as it was
-        counts = {3: 2, 7: 5}
-        assert cohomology._binomial_shift(counts, g + 1, 0) == counts == {3: 2, 7: 5}
+                    got = cohomology._exterior(poly, {w: m}, 16)
+                    assert unpacked(got, weights) == expanded(counts, w, m)
+                    # m = 0 is the identity
+                    assert (got == poly) is (m == 0 or not poly)
+            # two weights at once, one factor after the other
+            both = cohomology._exterior(poly, {1: 2, g + 1: 3}, 16)
+            assert unpacked(both, weights) == expanded(expanded(counts, 1, 2), g + 1, 3)
+        assert cohomology._exterior(5, {}, 16) == 5
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_block_sizes_count_the_monomials(self, n, monkeypatch):
         # with no rank, dims is the block sizes themselves
-        monkeypatch.setattr(cohomology, "_walk", lambda weights, terms: {})
+        monkeypatch.setattr(cohomology, "_walk", lambda weights, terms: 0)
         for c in enumerate_models(n):
             alg = build_algebra(c)
             dim = alg.dim
@@ -1084,9 +1105,12 @@ def string_walk(lengths, dead, heavy):
 
 class TestPackedFold:
     """_walk packs its counts by key into ints, len(weights) // 8 + 1
-    bytes per key.  Walks of 7, 8, 15 and 16 symbols sit on both sides of
-    the byte boundaries, and their ranks are those of the walk over every
-    monomial; at 15 symbols some rank needs a second byte."""
+    bytes per key, and _cohomology unpacks the dimensions in the same
+    bytes.  Walks of 7, 8, 15 and 16 symbols sit on both sides of the
+    byte boundaries, and their ranks are those of the walk over every
+    monomial; at 15 symbols some rank needs a second byte.  The ideal
+    action sizes its blocks with one symbol more than it walks, and at
+    n = 3 and 7 it walks 7 and 15 symbols, one under a byte boundary."""
 
     @pytest.mark.parametrize(
         "lengths, dead, heavy",
@@ -1102,10 +1126,35 @@ class TestPackedFold:
         terms = cohomology._slot_terms(d1)
         chains, whole = chains_of(weights, terms)
         assert whole is None and sorted(map(len, chains), reverse=True) == list(lengths)
-        ranks = cohomology._walk(weights, terms)
-        assert ranks == nonzero(weighted_reference(weights, terms)[0])
+        packed = cohomology._walk(weights, terms)
+        ranks = unpacked(packed, weights)
+        reference = weighted_reference(weights, terms)[0]
+        assert ranks == nonzero(reference)
         if len(weights) == 15:
             assert max(ranks.values()) > 255
+        # with a dead symbol D raises the key by one; otherwise D keeps it,
+        # and the cone of one more symbol of weight 1, as for the ideal
+        # action, raises it: dims = sizes - r_k - r_(k-1) either way
+        counts = Counter(weights.values())
+        counts[1] += not dead
+        sizes = {0: 1}
+        for w, m in counts.items():
+            sizes = expanded(sizes, w, m)
+        dims = tuple(
+            sizes.get(k, 0) - reference.get(k, 0) - reference.get(k - 1, 0)
+            for k in range(max(sizes) + 1)
+        )
+        assert cohomology._cohomology(packed, len(weights), counts) == dims
+        assert min(dims) >= 0
+
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_ideal_action_one_symbol_under_a_byte(self, n):
+        models = list(enumerate_models(n))
+        for c in models:
+            alg = build_algebra(c)
+            assert alg.dim - 1 == 2 * n + 1
+            assert betti_via_ideal_action(alg) == ideal_action_reference(alg)
+        assert models
 
 
 def chains_of(weights, terms):
@@ -1174,7 +1223,7 @@ class TestChainParts:
 
     @staticmethod
     def assert_walk_equals_reference(weights, terms):
-        assert nonzero(cohomology._walk(weights, terms)) == nonzero(
+        assert unpacked(cohomology._walk(weights, terms), weights) == nonzero(
             weighted_reference(weights, terms)[0]
         )
 
@@ -1187,7 +1236,7 @@ class TestChainParts:
         terms = cohomology._slot_terms({1: ((1, (0, 1)),), 2: ((-1, (0, 2)),)})
         assert cohomology._chains(weights, terms, 0b1) == ([], [1, 2])
         self.assert_walk_equals_reference(weights, terms)
-        assert nonzero(cohomology._walk(weights, terms)) == {1: 2}
+        assert unpacked(cohomology._walk(weights, terms), weights) == {1: 2}
         assert cohomology._squares_vanish(terms)
 
     @pytest.mark.parametrize(
@@ -1335,8 +1384,8 @@ class TestMirror:
         for c in enumerate_models(n):
             for weights, terms in model_walks(c):
                 assert strings(weights, terms) is not heisenberg(c), c
-                assert nonzero(cohomology._walk(weights, terms)) == nonzero(
-                    full_walk(weights, terms)
+                assert unpacked(cohomology._walk(weights, terms), weights) == unpacked(
+                    full_walk(weights, terms), weights
                 )
 
     def test_walk_ranks_up_to_n7_as_pinned(self):
@@ -1345,7 +1394,7 @@ class TestMirror:
         for n in range(1, 8):
             for c in enumerate_models(n):
                 ranks = [
-                    sorted(nonzero(cohomology._walk(weights, terms)).items())
+                    sorted(unpacked(cohomology._walk(weights, terms), weights).items())
                     for weights, terms in model_walks(c)
                 ]
                 digest.update(repr((str(c), ranks)).encode())
@@ -1356,7 +1405,7 @@ class TestMirror:
     def test_strings_with_non_unit_coefficients(self, weights, d1):
         terms = cohomology._slot_terms(d1)
         assert strings(weights, terms)
-        assert nonzero(cohomology._walk(weights, terms)) == nonzero(
+        assert unpacked(cohomology._walk(weights, terms), weights) == nonzero(
             weighted_reference(weights, terms)[0]
         )
 
@@ -1381,7 +1430,7 @@ class TestMirror:
         weights = dict.fromkeys(range(6), 1)
         terms = cohomology._slot_terms(d1)
         assert not strings(weights, terms)
-        assert nonzero(cohomology._walk(weights, terms)) == nonzero(
+        assert unpacked(cohomology._walk(weights, terms), weights) == nonzero(
             weighted_reference(weights, terms)[0]
         )
 
@@ -1391,7 +1440,7 @@ class TestMirror:
         weights = {0: 1, 1: 1, 2: 2, 3: 3}
         terms = cohomology._slot_terms({1: ((3, (0, 2)),), 2: ((-2, (0, 3)),)})
         assert not strings(weights, terms)
-        assert nonzero(cohomology._walk(weights, terms)) == nonzero(
+        assert unpacked(cohomology._walk(weights, terms), weights) == nonzero(
             weighted_reference(weights, terms)[0]
         )
 
@@ -1668,7 +1717,7 @@ class TestShapeRanks:
                     for s in (0, weights[chain[0]]):
                         shifted[k + s] = shifted.get(k + s, 0) + rank
                 ranks = shifted
-        assert nonzero(cohomology._walk(weights, terms)) == nonzero(ranks)
+        assert unpacked(cohomology._walk(weights, terms), weights) == nonzero(ranks)
         return cores
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -1706,7 +1755,7 @@ class TestShapeRanks:
         terms = cohomology._slot_terms(d1)
         assert chains_of(weights, terms) == ([[0, 1, 2, 3], [4, 5, 6, 7, 8]], None)
         assert {(4, 7), (3, 4)} <= set(walked_products([(weights, terms)]))
-        assert nonzero(cohomology._walk(weights, terms)) == nonzero(
+        assert unpacked(cohomology._walk(weights, terms), weights) == nonzero(
             weighted_reference(weights, terms)[0]
         )
 
