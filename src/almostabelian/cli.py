@@ -4,10 +4,11 @@ Subcommands: enumerate, classify, invariants, verify, export.  Exit
 statuses: 0 success / all checks passed, 1 usage or parse error, input
 over a size limit, an --output path that cannot be written or a
 standard output that cannot be written (as in `enumerate --dim 40 >
-/dev/full`; one "error:" line on stderr), 2 classification answered "no
-complex structure", 3 verification failure, 141 standard output closed
-by its reader before all output was written (as in `enumerate --dim 40
-| head -1`; nothing is printed on stderr).
+/dev/full` or `verify --help > /dev/full`; one "error:" line on
+stderr), 2 classification answered "no complex structure", 3
+verification failure (an exception inside a check fails that check),
+141 standard output closed by its reader before all output was written
+(as in `enumerate --dim 40 | head -1`; nothing is printed on stderr).
 All output is deterministic: identical inputs give identical bytes.
 
 Size limits, checked before any work starts (one "error:" line on
@@ -20,7 +21,6 @@ verify takes --max-dim <= 22.
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from math import comb
 
 from .cohomology import CHECKS, run_checks
@@ -42,8 +42,6 @@ EXIT_NO_COMPLEX = 2
 EXIT_VERIFY_FAILED = 3
 EXIT_BROKEN_PIPE = 141  # what a shell reports for a process ended by SIGPIPE
 
-WORKERS_ENV = "ALMOSTABELIAN_WORKERS"
-
 # Size limits (see the module docstring), each set where its slowest
 # input takes up to about a minute on one CPU, or where memory grows
 # first: the closed forms grow with the largest part of q, through the
@@ -55,7 +53,7 @@ WORKERS_ENV = "ALMOSTABELIAN_WORKERS"
 # each walk one fold over its strings' Jordan blocks, each string's
 # types read off one persistence pass, the oracles' worst case,
 # invariants --q 12 --j 13 --oracle, takes about 0.7 s and 20 MB, and
-# verify --max-dim 22, 412 models, about 2.5 s and 21 MB on one worker;
+# verify --max-dim 22, 412 models, about 2.6 s and 19 MB in one process;
 # both limits stay where CI pins their outputs against older code:
 # n = 12 against the walks that read each string's types off the ranks
 # of its powers (16.8 s at q = 12, j = 13), and dim 22 against the
@@ -76,6 +74,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, "%s: error: %s\n" % (self.prog, message))
+
+    def _print_message(self, message, file=None):
+        # argparse drops an OSError from this write, so --help into a full
+        # stdout would exit 0 with nothing written; _write raises it instead
+        if file is sys.stdout:
+            _write(message, flush=True)
+        else:
+            super()._print_message(message, file)
 
 
 def partition_argument(text):
@@ -290,18 +296,6 @@ def _enumeration_checks(max_n):
     return checks
 
 
-def _worker_count():
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        requested = int(raw)
-    except ValueError:
-        sys.stderr.write(
-            "warning: ignoring %s=%r: not an integer; using 1 worker\n" % (WORKERS_ENV, raw)
-        )
-        return 1
-    return max(1, min(requested, os.cpu_count() or 1))
-
-
 def run_verify(max_dim):
     """The full sweep; returns (summary lines, then one line per failing
     model check, and whether all passed)."""
@@ -312,12 +306,7 @@ def run_verify(max_dim):
     categories.append(("enumeration", _enumeration_checks(min(max_n, 6))))
 
     models = [c for n in range(1, max_n + 1) for c in enumerate_models(n)]
-    workers = _worker_count()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_model = list(pool.map(run_checks, models))
-    else:
-        per_model = list(map(run_checks, models))
+    per_model = list(map(run_checks, models))
 
     buckets = {}
     for results in per_model:
@@ -356,8 +345,8 @@ def cmd_verify(parser, args):
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         status = args.handler(args.parser, args)
         _write("", flush=True)
     except _StdoutError as failed:

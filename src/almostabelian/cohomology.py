@@ -120,7 +120,6 @@ from functools import cache, cached_property
 from itertools import combinations
 
 from .exactla import (
-    NotNilpotentError,
     graded_jordan_type,
     jordan_type_from_ranks,
     power_ranks,
@@ -128,7 +127,6 @@ from .exactla import (
     sparse_rank,
 )
 from .model import (
-    StableSeriesError,
     build_algebra,
     g10_partition,
     nijenhuis_vanishes,
@@ -730,14 +728,10 @@ def verify_symmetry(model, table=None):
 
 # -- the per-model check registry ------------------------------------------------
 
-# package errors that mark a check failed instead of escaping run_checks
-_CHECK_ERRORS = (DifferentialError, StableSeriesError, NotNilpotentError)
-
-
 class _shared(cached_property):
-    """A cached_property that also keeps a package error its build
-    raised: later reads raise it again instead of rebuilding.  A built
-    value lives in the instance dict, so reads of it skip this code."""
+    """A cached_property that also keeps the exception its build raised:
+    later reads raise it again instead of rebuilding.  A built value
+    lives in the instance dict, so reads of it skip this code."""
 
     def __get__(self, instance, owner=None):
         if instance is None:
@@ -747,7 +741,7 @@ class _shared(cached_property):
             raise errors[self.attrname]
         try:
             return super().__get__(instance, owner)
-        except _CHECK_ERRORS as exc:
+        except Exception as exc:
             errors[self.attrname] = exc
             raise
 
@@ -755,7 +749,7 @@ class _shared(cached_property):
 @dataclass
 class _ModelFacts:
     """What the checks of one model share, each value built on first use
-    and then kept, or the package error its build raised: the algebra,
+    and then kept, or the exception its build raised: the algebra,
     the power ranks of A, the closed table, the CE and Dolbeault records
     (each complex's D^2 verdict and cohomology computed once, shared by
     its structural check and its oracle check; building the Dolbeault
@@ -830,14 +824,15 @@ CHECKS = (
 def run_checks(model):
     """Every check of CHECKS on one model, as booleans in registry order.
 
-    A DifferentialError, StableSeriesError or NotNilpotentError raised
-    inside a check marks that check failed.
+    Any Exception raised inside a check, a DifferentialError from a d
+    that does not split or an error no check means to raise, marks that
+    check failed; KeyboardInterrupt and SystemExit still escape.
     """
     facts = _ModelFacts(model)
     results = []
     for _, _, predicate in CHECKS:
         try:
             results.append(bool(predicate(facts)))
-        except _CHECK_ERRORS:
+        except Exception:
             results.append(False)
     return tuple(results)

@@ -385,33 +385,28 @@ class TestVerify:
         code, _, _ = run_cli(["verify", "--max-dim", "2"], capsys)
         assert code == 1
 
-    def test_worker_pool_path_matches(self, capsys, monkeypatch):
-        _, sequential, _ = run_cli(["verify", "--max-dim", "6"], capsys)
-        monkeypatch.setattr(cli, "_worker_count", lambda: 2)
-        _, pooled, _ = run_cli(["verify", "--max-dim", "6"], capsys)
-        assert pooled == sequential
+    @pytest.mark.parametrize("value", ["2", "abc"])
+    def test_former_workers_variable_is_ignored(self, capsys, monkeypatch, value):
+        # verify reads no environment variable: this one, set to a count
+        # or to no integer at all, changes neither its output nor stderr
+        monkeypatch.setenv("ALMOSTABELIAN_WORKERS", value)
+        assert run_cli(["verify", "--max-dim", "8"], capsys) == (0, VERIFY_STDOUT[8], "")
 
-    def test_process_pool_matches_pinned_stdout(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.WORKERS_ENV, "2")
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        assert cli._worker_count() == 2
-        code, out, err = run_cli(["verify", "--max-dim", "8"], capsys)
-        assert (code, out, err) == (0, VERIFY_STDOUT[8], "")
+    def test_unexpected_error_in_a_check_is_a_failed_check(self, capsys, monkeypatch):
+        def overflows(*args):
+            raise OverflowError("int too large to convert")
 
-    def test_worker_env_cap(self, monkeypatch):
-        monkeypatch.setenv(cli.WORKERS_ENV, "banana")
-        assert cli._worker_count() == 1
-        monkeypatch.setenv(cli.WORKERS_ENV, "0")
-        assert cli._worker_count() == 1
-
-    def test_non_integer_workers_warns_on_stderr(self, capsys, monkeypatch):
-        _, expected, quiet = run_cli(["verify", "--max-dim", "6"], capsys)
-        assert quiet == ""
-        monkeypatch.setenv(cli.WORKERS_ENV, "abc")
+        monkeypatch.setattr(cohomology, "_cohomology", overflows)
         code, out, err = run_cli(["verify", "--max-dim", "6"], capsys)
-        assert code == 0 and out == expected
-        assert err.count("\n") == 1
-        assert err.startswith("warning: ignoring %s='abc'" % cli.WORKERS_ENV)
+        assert code == 3
+        assert "Traceback" not in out + err
+        lines = out.splitlines()
+        assert "result: FAIL" in lines
+        for c in list(enumerate_models(1)) + list(enumerate_models(2)):
+            for check in ("betti_oracle_eq", "hodge_oracle_eq"):
+                assert "failed: q=%s j=%d check=%s" % (c.q, c.j, check) in lines
+            for check in ("d_squared", "dbar_squared", "frolicher_closed", "symmetry_closed"):
+                assert "failed: q=%s j=%d check=%s" % (c.q, c.j, check) not in lines
 
 
 class TestSizeLimits:
@@ -482,6 +477,19 @@ class TestEntryPoint:
         )
         assert proc.returncode == 2
 
+    def test_import_loads_no_process_pool(self):
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, almostabelian.cli; "
+                "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
     def test_closed_stdout_exits_quietly(self):
         proc = subprocess.Popen(
             [sys.executable, "-m", "almostabelian", "enumerate", "--dim", "40"],
@@ -497,7 +505,13 @@ class TestEntryPoint:
 
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
     @pytest.mark.parametrize(
-        "argv", [["enumerate", "--dim", "40"], ["invariants", "--q", "2", "--j", "3"]]
+        "argv",
+        [
+            ["enumerate", "--dim", "40"],
+            ["invariants", "--q", "2", "--j", "3"],
+            ["--help"],
+            ["verify", "--help"],
+        ],
     )
     def test_full_stdout_gives_one_error_line(self, argv):
         with open("/dev/full", "w") as full:
@@ -542,7 +556,14 @@ class TestStdoutErrors:
         ids=["ENOSPC", "EPIPE"],
     )
     @pytest.mark.parametrize(
-        "argv", [["invariants", "--q", "2", "--j", "3"], ["classify", "--jordan", "5"]]
+        "argv",
+        [
+            ["invariants", "--q", "2", "--j", "3"],
+            ["classify", "--jordan", "5"],
+            # argparse writes the help itself, and would drop the OSError
+            ["--help"],
+            ["verify", "--help"],
+        ],
     )
     def test_failed_write(self, argv, error, code, err, tmp_path, monkeypatch, capsys):
         with open(tmp_path / "out", "w") as handle:
@@ -552,6 +573,12 @@ class TestStdoutErrors:
             # cannot fail again
             assert os.path.samestat(os.fstat(handle.fileno()), os.stat(os.devnull))
         assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    def test_help_still_exits_0(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: almostabelian ")
 
     def test_failed_flush(self, tmp_path, monkeypatch, capsys):
         class FailingFlush(FailingStdout):

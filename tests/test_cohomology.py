@@ -547,6 +547,30 @@ class TestDifferentialChecks:
             "serre",
         ]
 
+    def test_unexpected_error_is_a_failed_check(self, monkeypatch):
+        # an exception no check means to raise fails the checks that read
+        # the failed build, each complex's cohomology built once per model
+        calls = []
+
+        def overflows(ranks, symbols, counts):
+            calls.append(symbols)
+            raise OverflowError("int too large to convert")
+
+        monkeypatch.setattr(cohomology, "_cohomology", overflows)
+        for c in list(enumerate_models(1)) + list(enumerate_models(2)):
+            calls.clear()
+            failed = [name for name, ok in registry_results(c).items() if not ok]
+            assert failed == [
+                "betti_oracle_eq",
+                "hodge_oracle_eq",
+                "frolicher_oracle",
+                "symmetry_oracle",
+                "poincare",
+                "serre",
+            ]
+            # one CE and one Dolbeault build, 2n + 2 symbols each
+            assert calls == [2 * c.n + 2, 2 * c.n + 2]
+
     @pytest.mark.parametrize("n", range(1, 4))
     def test_one_square_verdict_per_complex(self, n, monkeypatch):
         # d_squared and the Betti numbers read one CE verdict, dbar_squared
@@ -588,7 +612,6 @@ class TestDifferentialChecks:
         ]
         with pytest.raises(DifferentialError, match=r"^dbar\^2 != 0$"):
             hodge_oracle(M([3], 1))
-        monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
         assert cli.main(["verify", "--max-dim", "8"]) == 3
         lines = capsys.readouterr().out.splitlines()
         assert "failed: q=[3] j=1 check=dbar_squared" in lines
@@ -794,7 +817,6 @@ class TestCocycleSkip:
                 walking.pop()
                 dead.pop()
 
-        monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
         monkeypatch.setattr(cohomology, "_d_mask", counted_d_mask)
         monkeypatch.setattr(cohomology, "_shape_rank", scoped_shape_rank)
         monkeypatch.setattr(cohomology, "sparse_rank", counted_sparse_rank)
@@ -1810,7 +1832,6 @@ class TestCoreRanks:
             met.append(sizes)
             return real_shape_rank(sizes)
 
-        monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
         monkeypatch.setattr(cohomology, "_shape_rank", spied_shape_rank)
         _, all_ok = cli.run_verify(16)
         assert all_ok
