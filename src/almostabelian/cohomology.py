@@ -118,6 +118,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
+from operator import add
 
 from .exactla import (
     graded_jordan_type,
@@ -177,25 +178,27 @@ def closed_table(model):
 
     Lambda^r V and Lambda^{dim V - r} V are isomorphic, and g10 and b01
     have dimensions n+1 and n, so D[p][q] = D[n+1-p][q] = D[p][n-q] and
-    D[p][n+1] = 0: only the corner p <= (n+1)/2, q <= n/2 is counted.
-    The Serre symmetry of the Hodge grid then holds by construction."""
+    D[p][n+1] = 0: only the corner p <= (n+1)/2, q <= n/2 is counted,
+    and each corner row is mirrored into a row of D by slicing, then the
+    rows into D.  A Hodge row depends on its row of D alone, so the
+    Hodge rows mirror alike, and the Serre symmetry of the grid holds by
+    construction."""
     triple = module_triple(model)
     n = model.n
     size = n + 2
     wb = [wedge_profile(triple.b01, q) for q in range(n // 2 + 1)]
-    corner = []
+    rows = []
     for p in range((n + 1) // 2 + 1):
         wg = wedge_profile(triple.g10, p)
-        corner.append([tensor_count(wg, b) for b in wb])
+        half = [tensor_count(wg, b) for b in wb]
+        rows.append(half + half[(n - 1) // 2 :: -1] + [0])
+    hodge = [(row[0], *map(add, row[1:], row)) for row in rows]
+    hodge += hodge[n // 2 :: -1]
+    rows += rows[n // 2 :: -1]
     deltas = [0] * (2 * size - 1)
-    hodge = []
-    for p in range(size):
-        half = corner[min(p, n + 1 - p)]
-        row = [half[min(q, n - q)] for q in range(n + 1)] + [0]
-        for q, d in enumerate(row):
-            deltas[p + q] += d
-        hodge.append(tuple([row[0]] + [row[q] + row[q - 1] for q in range(1, size)]))
-    betti = tuple([deltas[0]] + [deltas[k] + deltas[k - 1] for k in range(1, len(deltas))])
+    for p, row in enumerate(rows):
+        deltas[p : p + size] = map(add, deltas[p : p + size], row)
+    betti = (deltas[0], *map(add, deltas[1:], deltas))
     return CohomologyTable(betti=betti, hodge=tuple(hodge), source="closed-form")
 
 

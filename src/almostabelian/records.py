@@ -5,14 +5,19 @@ ExportRecord is one model's record, written as the JSON record that the
 `invariants` and `export` commands share (EXPORT_SCHEMA is its
 published JSON Schema) or as the text tables of `invariants`.  The
 record's checks are named once, in RECORD_CHECKS, which every format
-reads.  The compact format of `export --format salamon` writes each
-differential as sums of wedge pairs of generator indices, conjugates
-suffixed with `b`, as customary in the low-dimensional classification
-tables.
+reads.  to_json writes the exact bytes of json.dumps(to_dict(),
+indent=2) straight from the fields, so a new field goes into to_dict,
+to_json and EXPORT_SCHEMA together; the tests compare to_json with
+json.dumps and catch a field that one of them misses.  The compact
+format of `export --format salamon` writes each differential as sums of
+wedge pairs of generator indices, conjugates suffixed with `b`, as
+customary in the low-dimensional classification tables.
 """
 
 import json
 from dataclasses import dataclass
+from itertools import starmap
+from json.encoder import encode_basestring_ascii as _quoted
 
 from .cohomology import closed_table, oracle_table, frolicher_holds, verify_symmetry
 from .model import (
@@ -31,6 +36,19 @@ RECORD_CHECKS = (
     ("nijenhuis", "boolean"),
 )
 _CHECK_TEXT = {True: "yes", False: "no", None: "n/a"}
+_CHECK_JSON = {True: "true", False: "false", None: "null"}
+
+# The record as json.dumps(to_dict(), indent=2) lays it out, key by key,
+# and the objects of its equations and their terms, at depths 2 and 4;
+# to_json fills in each value already encoded.
+_RECORD_JSON = (
+    '{\n  "n": %d,\n  "q": %s,\n  "j": %d,\n  "epsilon": %d,\n  "m": %s,\n'
+    '  "step": %d,\n  "betti": %s,\n  "hodge": %s,\n  "equations": %s,\n'
+    '  "checks": %s,\n  "source": %s\n}\n'
+)
+_EQUATION_JSON = '{\n      "gen": %s,\n      "d": %s\n    }'
+_TERM_JSON = '{\n          "coef": %d,\n          "factors": %s\n        }'
+_INDENT = ["\n" + "  " * depth for depth in range(7)]
 
 EXPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -87,6 +105,24 @@ EXPORT_SCHEMA = {
         "source": {"enum": ["closed-form", "oracle"]},
     },
 }
+
+
+def _json_block(items, depth, brackets="[]"):
+    """Encoded items as json.dumps(indent=2) lays out a list (or, with
+    brackets "{}", an object's "key": value items) whose closing bracket
+    is indented to depth."""
+    body = ("," + _INDENT[depth + 1]).join(items)
+    if not body:
+        return brackets
+    return brackets[0] + _INDENT[depth + 1] + body + _INDENT[depth] + brackets[1]
+
+
+def _equation_json(gen, terms):
+    """One object of the record's equations, at depth 2."""
+    d = _json_block(
+        (_TERM_JSON % (coef, _json_block(map(_quoted, factors), 5)) for coef, factors in terms), 3
+    )
+    return _EQUATION_JSON % (_quoted(gen), d)
 
 
 def factor_label(factor):
@@ -162,7 +198,24 @@ class ExportRecord:
         }
 
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        """The bytes of json.dumps(self.to_dict(), indent=2) and a newline,
+        written straight from the fields: indent would send json.dumps
+        through its pure-Python encoder."""
+        return _RECORD_JSON % (
+            self.n,
+            _json_block(map(str, self.q), 1),
+            self.j,
+            self.epsilon,
+            _json_block(map(str, self.m), 1),
+            self.step,
+            _json_block(map(str, self.betti), 1),
+            _json_block((_json_block(map(str, row), 2) for row in self.hodge), 1),
+            _json_block(starmap(_equation_json, self.equations), 1),
+            _json_block(
+                (_quoted(name) + ": " + _CHECK_JSON[value] for name, value in self.checks), 1, "{}"
+            ),
+            _quoted(self.source),
+        )
 
     @classmethod
     def from_dict(cls, data):

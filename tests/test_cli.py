@@ -634,6 +634,32 @@ class TestRecords:
             record = ExportRecord.for_model(c)
             assert ExportRecord.from_json(record.to_json()) == record
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_json_is_what_json_dumps_writes(self, n):
+        # the closed-form record of each model with n <= 8, and the oracle
+        # record of each with n <= 4
+        sources = ("closed-form", "oracle") if n <= 4 else ("closed-form",)
+        for c in enumerate_models(n):
+            for source in sources:
+                record = ExportRecord.for_model(c, source)
+                assert record.to_json() == json.dumps(record.to_dict(), indent=2) + "\n"
+
+    def test_json_of_edge_records_is_what_json_dumps_writes(self):
+        record = ExportRecord.for_model(ComplexModel(2, Partition([2]), 1))
+        gen, terms = next(eq for eq in record.equations if eq[1])
+        (_, factors), *_ = terms
+        edges = [
+            replace(record, checks=tuple((name, False) for name, _ in record.checks)),
+            replace(record, checks=tuple((name, None) for name, _ in record.checks)),
+            replace(record, equations=((gen, ()),) + record.equations),
+            replace(record, equations=((gen, ((-2, factors), (10, factors))),)),
+            replace(record, equations=(('b"\\éta', terms),), source='x"\\é'),
+            replace(record, q=(), betti=(), hodge=((),), equations=(), checks=()),
+        ]
+        for edge in edges:
+            assert edge.to_json() == json.dumps(edge.to_dict(), indent=2) + "\n"
+        assert '"gen": "b\\"\\\\\\u00e9ta"' in edges[4].to_json()
+
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 

@@ -245,6 +245,54 @@ class TestFoldedGrid:
         assert calls == [W(5) + W(3)]
 
 
+def per_cell_tables(c):
+    """closed_table as it read each cell of D off the corner by index,
+    D[p][q] = corner[min(p, n+1-p)][min(q, n-q)], and summed deltas and
+    Hodge rows cell by cell: the reference for its slices."""
+    t = module_triple(c)
+    n = c.n
+    size = n + 2
+    wb = [wedge_profile(t.b01, q) for q in range(n // 2 + 1)]
+    corner = []
+    for p in range((n + 1) // 2 + 1):
+        wg = wedge_profile(t.g10, p)
+        corner.append([tensor_count(wg, b) for b in wb])
+    deltas = [0] * (2 * size - 1)
+    hodge = []
+    for p in range(size):
+        half = corner[min(p, n + 1 - p)]
+        row = [half[min(q, n - q)] for q in range(n + 1)] + [0]
+        for q, d in enumerate(row):
+            deltas[p + q] += d
+        hodge.append(tuple([row[0]] + [row[q] + row[q - 1] for q in range(1, size)]))
+    betti = tuple([deltas[0]] + [deltas[k] + deltas[k - 1] for k in range(1, len(deltas))])
+    return betti, tuple(hodge)
+
+
+class TestSlicedGrid:
+    """closed_table mirrors its corner rows and then its rows by slices,
+    whose bounds differ for odd and even n; the per-cell fold gives the
+    same tables."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_model(self, n):
+        for c in enumerate_models(n):
+            table = closed_table(c)
+            assert (table.betti, table.hodge) == per_cell_tables(c), c
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_one_block_two_blocks_and_all_ones_every_overlap(self, n):
+        shapes = [[n], [n - 1, 1], [1] * n] if n > 1 else [[1]]
+        for parts in shapes:
+            q = Partition(parts)
+            for j in _overlap_indices(q):
+                c = ComplexModel(n, q, j)
+                table = closed_table(c)
+                assert (table.betti, table.hodge) == per_cell_tables(c), c
+                assert type(table.betti) is tuple
+                assert all(type(row) is tuple for row in table.hodge)
+
+
 class TestBettiOracle:
     def test_heisenberg_plus_r3(self):
         b = betti_oracle(build_algebra(M([1, 1], 2)))
