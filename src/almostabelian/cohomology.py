@@ -169,6 +169,16 @@ class CohomologyTable:
     source: str  # "closed-form" | "oracle"
 
 
+def _antidiagonal_sums(grid):
+    """[sum over p + q = k of grid[p][q] for k = 0 .. 2 (size - 1)] of a
+    square grid of `size` rows, each row added in by one slice."""
+    size = len(grid)
+    sums = [0] * (2 * size - 1)
+    for p, row in enumerate(grid):
+        sums[p : p + size] = map(add, sums[p : p + size], row)
+    return sums
+
+
 def closed_table(model):
     """Betti vector and Hodge grid read off one grid: D[p][q] counts the
     summands of Lambda^p g10 (x) Lambda^q b01 (tensor_count of their
@@ -185,7 +195,6 @@ def closed_table(model):
     construction."""
     triple = module_triple(model)
     n = model.n
-    size = n + 2
     wb = [wedge_profile(triple.b01, q) for q in range(n // 2 + 1)]
     rows = []
     for p in range((n + 1) // 2 + 1):
@@ -195,9 +204,7 @@ def closed_table(model):
     hodge = [(row[0], *map(add, row[1:], row)) for row in rows]
     hodge += hodge[n // 2 :: -1]
     rows += rows[n // 2 :: -1]
-    deltas = [0] * (2 * size - 1)
-    for p, row in enumerate(rows):
-        deltas[p : p + size] = map(add, deltas[p : p + size], row)
+    deltas = _antidiagonal_sums(rows)
     betti = (deltas[0], *map(add, deltas[1:], deltas))
     return CohomologyTable(betti=betti, hodge=tuple(hodge), source="closed-form")
 
@@ -646,13 +653,15 @@ def betti_via_ideal_action(alg):
     L is the degree-zero derivation extension of the coadjoint action on
     the dual ideal: it sends dual generator r to -A[r][c] times c, a
     one-factor rule whose sign _slot_terms applies.  It checks the CE
-    oracle's rules, read here off A instead of the bracket tensor, and
+    oracle's rules, read here off A's columns, not the bracket tensor, and
     the cone formula; it shares the walk, _cohomology and the kernel.
     """
     size = alg.dim - 1
-    terms = _slot_terms(
-        {r: tuple((-a, (c,)) for c, a in enumerate(row) if a) for r, row in enumerate(alg.A)}
-    )
+    rules = dict.fromkeys(range(size), ())
+    for c, col in enumerate(alg.A):
+        for r, a in col.items():
+            rules[r] += ((-a, (c,)),)
+    terms = _slot_terms(rules)
     # L_k is square, so its kernel and cokernel have the same dimension,
     # and b_k = C(size + 1, k) - rank L_k - rank L_(k-1)
     return _cohomology(_walk(dict.fromkeys(range(size), 1), terms), size, {1: size + 1})
@@ -670,13 +679,8 @@ def oracle_table(model):
 
 
 def frolicher_holds(betti, hodge):
-    """b_k = sum over p+q=k of h^{p,q}, for every k."""
-    size = len(hodge)
-    for k in range(len(betti)):
-        total = sum(hodge[p][k - p] for p in range(size) if 0 <= k - p < size)
-        if betti[k] != total:
-            return False
-    return True
+    """b_k = sum over p+q=k of h^{p,q}, for each k of the grid and no other k."""
+    return list(betti) == _antidiagonal_sums(hodge)
 
 
 @dataclass(frozen=True)
@@ -761,9 +765,8 @@ class _ModelFacts:
 
     model: object
     alg = _shared(lambda s: build_algebra(s.model))
-    a_ranks = _shared(
-        lambda s: power_ranks([{c: x for c, x in enumerate(row) if x} for row in s.alg.A])
-    )
+    # A's columns are the rows of its transpose, which has A's power ranks
+    a_ranks = _shared(lambda s: power_ranks(s.alg.A))
     jordan = _shared(lambda s: Partition(jordan_type_from_ranks(len(s.alg.A), s.a_ranks)))
     closed = _shared(lambda s: closed_table(s.model))
     ce = _shared(lambda s: _ce(s.alg))
@@ -776,9 +779,9 @@ class _ModelFacts:
 
 
 def _j_squared(f):
-    """J^2 = -1, by the sparse product of J's rows with themselves."""
-    rows = [{c: x for c, x in enumerate(row) if x} for row in f.alg.J]
-    return sparse_product(rows, rows) == [{r: -1} for r in range(f.alg.dim)]
+    """J^2 = -1, by the sparse product of J's columns with themselves:
+    taken as rows they are J^T, and (J^T)^2 = -1 exactly when J^2 = -1."""
+    return sparse_product(f.alg.J, f.alg.J) == [{r: -1} for r in range(f.alg.dim)]
 
 
 def _commutator_rule(f):

@@ -5,10 +5,10 @@ Conventions, fixed once for the whole package:
 * the algebra has basis e_0, ..., e_{2n+1} and the codimension one
   abelian ideal is spanned by e_1, ..., e_{2n+1};
 * the only nonzero brackets are [e_0, e_k] for k >= 1, encoded by the
-  nilpotent matrix `A` acting on the ideal coordinates;
-* `A` has a zero first row, a link entry A[1][0] = epsilon, and two
-  identical copies of a lower triangular Jordan-form matrix `B` with
-  one chain per part of the partition q;
+  nilpotent matrix `A` acting on the ideal coordinates 0..2n;
+* `A` has a zero first row, a link entry epsilon in row 1 of column 0,
+  and two identical copies of a lower triangular Jordan-form matrix `B`
+  with one chain per part of the partition q;
 * `_chain_layout` fixes the order of those chains: when the overlap
   index j is > 1, the overlap chain of size j-1 comes first (labelled
   0) and epsilon = 1, so the link extends that chain by e_1 to a block
@@ -16,7 +16,11 @@ Conventions, fixed once for the whole package:
   A, the structure equations and the generator coordinates all follow
   this one layout;
 * the complex structure J sends e_0 -> e_1 and e_{1+k} -> e_{1+n+k}
-  for k = 1..n, pairing the two copies of the `B` basis.
+  for k = 1..n, pairing the two copies of the `B` basis;
+* `AlgebraModel` stores A and J as the tuples of their columns, each
+  column a sparse {row: int} dict without zero entries: A[k], column k
+  of A, is [e_0, e_{k+1}] in the ideal coordinates, and J[i] = J e_i.
+  No dense form of either matrix is built.
 
 A model is determined by (n, q, j); the Jordan type of `A` is q
 together with `g10_partition(q, j)`, q with one (j-1) block raised to a
@@ -174,48 +178,38 @@ def _chain_layout(model):
 
 @dataclass(frozen=True)
 class AlgebraModel:
-    """The model realised on the basis e_0, ..., e_{2n+1}."""
+    """The model realised on the basis e_0, ..., e_{2n+1}, A and J as sparse columns."""
 
     dim: int
-    A: tuple  # (2n+1) x (2n+1), adjoint action of e_0 on the ideal
-    J: tuple  # (2n+2) x (2n+2), the complex structure
+    A: tuple  # 2n+1 columns, A[k] = [e_0, e_{k+1}] in ideal coordinates
+    J: tuple  # 2n+2 columns, J[i] = J e_i, the complex structure
 
     def bracket_tensor(self):
         """All structure constants: {(i, k): {target: coefficient}} for i < k.
 
-        The ideal is abelian, so only [e_0, e_k] = sum_r A[r][k-1] e_{r+1}
-        is nonzero."""
-        out = {}
-        for k in range(1, self.dim):
-            entry = {r + 1: row[k - 1] for r, row in enumerate(self.A) if row[k - 1]}
-            if entry:
-                out[(0, k)] = entry
-        return out
+        The ideal is abelian, so only [e_0, e_k] = A e_{k-1}, shifted
+        into the coordinates of the algebra, is nonzero."""
+        return {
+            (0, k + 1): {r + 1: x for r, x in col.items()} for k, col in enumerate(self.A) if col
+        }
 
 
 def build_algebra(model):
-    """Assemble the adjoint matrix A and the complex structure J."""
+    """Assemble the columns of the adjoint matrix A and of the complex
+    structure J, in O(n) steps."""
     n = model.n
-    size = 2 * n + 1
-    a = [[0] * size for _ in range(size)]
-    a[1][0] = model.epsilon
+    a = [{} for _ in range(2 * n + 1)]
+    if model.epsilon:
+        a[0][1] = 1
     for _, s, offset in _chain_layout(model):
         for t in range(offset + 1, offset + s):
             # two identical copies of each chain of B
-            a[t + 1][t] = 1
-            a[t + 1 + n][t + n] = 1
-    dim = size + 1
-    j = [[0] * dim for _ in range(dim)]
-    j[1][0] = 1
-    j[0][1] = -1
-    for t in range(n):
-        j[2 + n + t][2 + t] = 1
-        j[2 + t][2 + n + t] = -1
-    return AlgebraModel(
-        dim=dim,
-        A=tuple(tuple(r) for r in a),
-        J=tuple(tuple(r) for r in j),
-    )
+            a[t][t + 1] = 1
+            a[t + n][t + 1 + n] = 1
+    j = [{1: 1}, {0: -1}]
+    j += [{2 + n + t: 1} for t in range(n)]
+    j += [{2 + t: -1} for t in range(n)]
+    return AlgebraModel(dim=2 * n + 2, A=tuple(a), J=tuple(j))
 
 
 def _nijenhuis_pairs(tensor, cols):
@@ -251,7 +245,7 @@ def nijenhuis_vanishes(alg):
     structure constants only.
     """
     tensor = alg.bracket_tensor()
-    cols = _sparse_rows(zip(*alg.J))
+    cols = alg.J
 
     def add_bracket(out, x, y, scale):
         """out += scale [x, y]."""
@@ -279,14 +273,9 @@ def nijenhuis_vanishes(alg):
     return True
 
 
-def _sparse_rows(matrix, shift=0):
-    """Row r of the matrix as {column + shift: entry} at index r + shift,
-    zeros left out, after `shift` empty rows."""
-    return [{}] * shift + [{c + shift: x for c, x in enumerate(row) if x} for row in matrix]
-
-
 def _ad_span(alg):
-    """The map V -> vectors spanning [g, span V], read straight off A.
+    """The map V -> vectors spanning [g, span V], read off the columns
+    [e_0, e_k] of ad(e_0) in the bracket tensor.
 
     [e_0, v] = (0, A v'), v' the ideal coordinates of v, and for k >= 1
     [e_k, v] = -v_0 A e_k, a multiple of column k of A.  So [g, span V]
@@ -294,7 +283,8 @@ def _ad_span(alg):
     taken once, as soon as some v has v_0 != 0; the other ad images
     are multiples of these.  Vectors are sparse {index: int} dicts.
     """
-    cols = _sparse_rows(zip(*alg.A), 1)
+    tensor = alg.bracket_tensor()
+    cols = [tensor.get((0, k), {}) for k in range(alg.dim)]
     nonzero = [col for col in cols if col]
 
     def span(vectors):
@@ -313,10 +303,15 @@ def _ascending_centre(alg, prev):
     for every i: f o ad(e_0) = (0, f_ideal A), and for k >= 1
     f o ad(e_k) = -(f_ideal A e_k) e^0.  The latter are multiples of
     e^0, which joins the constraints once if some f_ideal A is nonzero.
+    f o ad(e_0) is f times the rows of ad(e_0), whose columns
+    [e_0, e_k] the bracket tensor holds.
     """
     if prev.dim == alg.dim:
         return prev
-    rows = _sparse_rows(alg.A, 1)
+    rows = [{} for _ in range(alg.dim)]
+    for (_, k), col in alg.bracket_tensor().items():
+        for t, c in col.items():
+            rows[t][k] = c
     constraints = [fa for fa in (sparse_apply(rows, f) for f in prev.annihilator().rows) if fa]
     if constraints:
         constraints.append({0: 1})
@@ -366,10 +361,9 @@ def stable_series(alg, model):
             raise StableSeriesError("filtration is not increasing")
         if t != filtration[-1]:
             filtration.append(t)
-    j_cols = _sparse_rows(zip(*alg.J))
     for t in filtration:
         for v in t.rows:
-            if not t.contains(sparse_apply(j_cols, v)):
+            if not t.contains(sparse_apply(alg.J, v)):
                 raise StableSeriesError("term of dimension %d is not J-invariant" % t.dim)
     for prev, nxt in zip(filtration, filtration[1:]):
         for img in ad_span(nxt.rows):

@@ -1,9 +1,10 @@
-"""Test helpers: a model written in another order of its basis.
+"""Test helpers: a model written in another order of its basis, and the
+dense form of the matrices an `AlgebraModel` stores as sparse columns.
 
-Each helper takes an order `perm` (or `order`) whose entry i is the old
-position that moves to position i, so the result is the same algebra or
-the same structure equations in a permuted basis.  Every invariant the
-package computes must come out unchanged.
+Each permuting helper takes an order `perm` (or `order`) whose entry i
+is the old position that moves to position i, so the result is the same
+algebra or the same structure equations in a permuted basis.  Every
+invariant the package computes must come out unchanged.
 """
 
 from dataclasses import replace
@@ -11,9 +12,25 @@ from dataclasses import replace
 from almostabelian.model import AlgebraModel, _chain_layout
 
 
-def _conjugate(matrix, order):
-    """The matrix P M P^-1 with P moving basis vector order[i] to i."""
-    return tuple(tuple(matrix[r][c] for c in order) for r in order)
+def columns_of(matrix):
+    """A square dense matrix, a sequence of rows, as `AlgebraModel`
+    stores it: the tuple of its columns, each a {row: entry} dict
+    without zero entries."""
+    return tuple(
+        {r: row[c] for r, row in enumerate(matrix) if row[c]} for c in range(len(matrix))
+    )
+
+
+def dense_of(columns):
+    """The square matrix whose columns are `columns`, as a tuple of rows."""
+    return tuple(tuple(col.get(r, 0) for col in columns) for r in range(len(columns)))
+
+
+def _conjugate(columns, order):
+    """The columns of P M P^-1, M given by its columns, with P moving
+    basis vector order[i] to i."""
+    moved = {old: new for new, old in enumerate(order)}
+    return tuple({moved[r]: x for r, x in columns[old].items()} for old in order)
 
 
 def permuted_algebra(alg, perm):

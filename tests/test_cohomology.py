@@ -47,7 +47,7 @@ from almostabelian.model import (
 from almostabelian.partitions import Partition
 from almostabelian.sl2 import delta, tensor_count, wedge, wedge_profile
 from almostabelian.sl2 import irreducible as W
-from permuted import chain_order, permuted_algebra, permuted_equations
+from permuted import chain_order, columns_of, dense_of, permuted_algebra, permuted_equations
 
 
 def M(qparts, j):
@@ -293,6 +293,59 @@ class TestSlicedGrid:
                 assert all(type(row) is tuple for row in table.hodge)
 
 
+def per_cell_frolicher(betti, hodge):
+    """frolicher_holds as it summed each anti-diagonal cell by cell, for
+    each k below len(betti): the reference for the one-slice sums.  It
+    passes a Betti vector that is too short when its prefix matches."""
+    size = len(hodge)
+    for k in range(len(betti)):
+        total = sum(hodge[p][k - p] for p in range(size) if 0 <= k - p < size)
+        if betti[k] != total:
+            return False
+    return True
+
+
+class TestFrolicherSums:
+    """frolicher_holds and closed_table share one anti-diagonal sum; the
+    verdicts are those of the per-cell sum, except on a Betti vector of
+    the wrong length, which the per-cell sum passed on a matching
+    prefix."""
+
+    @staticmethod
+    def assert_verdicts(table):
+        betti, hodge = table.betti, table.hodge
+        assert frolicher_holds(betti, hodge) is per_cell_frolicher(betti, hodge) is True
+        size = len(hodge)
+        for p, q in ((size // 2, (size - 1) // 2), (0, 0), (size - 1, size - 1)):
+            bumped = [list(row) for row in hodge]
+            bumped[p][q] += 1
+            assert frolicher_holds(betti, bumped) is per_cell_frolicher(betti, bumped) is False
+        assert per_cell_frolicher(betti[:-1], hodge)
+        assert not frolicher_holds(betti[:-1], hodge)
+        assert per_cell_frolicher(betti + (0,), hodge)
+        assert not frolicher_holds(betti + (0,), hodge)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_closed_tables(self, n):
+        for c in enumerate_models(n):
+            self.assert_verdicts(closed_table(c))
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_oracle_tables(self, n):
+        for c in enumerate_models(n):
+            self.assert_verdicts(oracle_table(c))
+
+    def test_sums_match_cell_by_cell(self):
+        rng = random.Random(36)
+        for size in range(8):
+            grid = [[rng.randint(-3, 9) for _ in range(size)] for _ in range(size)]
+            expected = [
+                sum(grid[p][k - p] for p in range(size) if 0 <= k - p < size)
+                for k in range(2 * size - 1)
+            ]
+            assert cohomology._antidiagonal_sums(grid) == expected
+
+
 class TestBettiOracle:
     def test_heisenberg_plus_r3(self):
         b = betti_oracle(build_algebra(M([1, 1], 2)))
@@ -358,7 +411,7 @@ def permuted_hodge(c, order):
 
 
 def jordan_type(alg):
-    rows = [{c: x for c, x in enumerate(row) if x} for row in alg.A]
+    rows = [{c: x for c, x in enumerate(row) if x} for row in dense_of(alg.A)]
     return Partition(jordan_type_from_ranks(len(alg.A), power_ranks(rows)))
 
 
@@ -397,9 +450,7 @@ class TestBasisPermutations:
 def algebra_of(a):
     """The almost abelian algebra with ad(e_0) = a on the ideal (J unused)."""
     dim = len(a) + 1
-    return AlgebraModel(
-        dim=dim, A=tuple(tuple(r) for r in a), J=tuple((0,) * dim for _ in range(dim))
-    )
+    return AlgebraModel(dim=dim, A=columns_of(a), J=columns_of([(0,) * dim] * dim))
 
 
 class TestThirdRoute:
@@ -927,9 +978,11 @@ def dolbeault_reference(symbols):
 
 
 def ideal_action_terms(alg):
-    """The ideal action's rules, as betti_via_ideal_action states them."""
+    """The ideal action's rules, read off the rows of the dense A: rule r
+    lists -A[r][c] times c in the order of c."""
+    rows = dense_of(alg.A)
     return cohomology._slot_terms(
-        {r: tuple((-a, (c,)) for c, a in enumerate(row) if a) for r, row in enumerate(alg.A)}
+        {r: tuple((-a, (c,)) for c, a in enumerate(row) if a) for r, row in enumerate(rows)}
     )
 
 
@@ -2048,13 +2101,13 @@ class TestSquaresOnGenerators:
 
 
 class TestJSquared:
-    """_j_squared multiplies the sparse rows of J; the reference squares
-    the dense J with RationalMatrix.mul."""
+    """_j_squared multiplies the sparse columns of J; the reference
+    squares the dense J with RationalMatrix.mul."""
 
     @staticmethod
     def verdicts(j):
         dim = len(j)
-        alg = AlgebraModel(dim=dim, A=(), J=tuple(tuple(r) for r in j))
+        alg = AlgebraModel(dim=dim, A=(), J=columns_of(j))
         dense = RationalMatrix([list(r) for r in j])
         minus_one = RationalMatrix([[-int(a == b) for b in range(dim)] for a in range(dim)])
         return cohomology._j_squared(SimpleNamespace(alg=alg)), dense.mul(dense) == minus_one
@@ -2062,11 +2115,11 @@ class TestJSquared:
     @pytest.mark.parametrize("n", range(1, 5))
     def test_models(self, n):
         for c in enumerate_models(n):
-            assert self.verdicts(build_algebra(c).J) == (True, True)
+            assert self.verdicts(dense_of(build_algebra(c).J)) == (True, True)
 
     def test_not_a_signed_permutation(self):
         # P J P^-1 with P = I + E_{2,3} still squares to -1
-        j = build_algebra(M([2], 1)).J
+        j = dense_of(build_algebra(M([2], 1)).J)
         dim = len(j)
 
         def unipotent(c):
@@ -2079,7 +2132,7 @@ class TestJSquared:
         assert self.verdicts(conj) == (True, True)
 
     def test_square_is_not_minus_one(self):
-        j = [list(r) for r in build_algebra(M([2], 3)).J]
+        j = [list(r) for r in dense_of(build_algebra(M([2], 3)).J)]
         dim = len(j)
         identity = [[int(a == b) for b in range(dim)] for a in range(dim)]
         assert self.verdicts(identity) == (False, False)
