@@ -610,7 +610,14 @@ def _dbar_rules(symbols):
     return _slot_terms(rules)
 
 
-def _dolbeault(symbols):
+def _dolbeault(model):
+    """The model's Dolbeault record: `_dbar_complex` of the symbol table
+    of its structure equations.  Raises DifferentialError if d does not
+    split by bidegree."""
+    return _dbar_complex(_dolbeault_symbols(structure_equations(model)))
+
+
+def _dbar_complex(symbols):
     """The Dolbeault complex of dbar's rules: block (p, q) has key
     p * (g + 1) + q, so dbar raises it by one, keys order blocks as
     (p, q) does, and (p - 1, g), the key below (p, 0), has rank zero.
@@ -633,14 +640,14 @@ def hodge_oracle(model):
     keep the holomorphic degree.  Raises DifferentialError if d does not
     split into (1,0) + (0,1) parts, checked on the generator rules
     before any rank, or if dbar^2 fails on a generator."""
-    return _hodge_grid(_dolbeault(_dolbeault_symbols(structure_equations(model))))
+    return _hodge_grid(_dolbeault(model))
 
 
 def dbar_squared_vanishes(model):
     """Check dbar^2 = 0 on every generator of the Dolbeault complex, which
     suffices since dbar^2 is a derivation; raises DifferentialError if d
     does not split by bidegree (checked on the generator rules)."""
-    return _dolbeault(_dolbeault_symbols(structure_equations(model))).squares
+    return _dolbeault(model).squares
 
 
 # -- auxiliary routes ----------------------------------------------------------
@@ -770,7 +777,7 @@ class _ModelFacts:
     jordan = _shared(lambda s: Partition(jordan_type_from_ranks(len(s.alg.A), s.a_ranks)))
     closed = _shared(lambda s: closed_table(s.model))
     ce = _shared(lambda s: _ce(s.alg))
-    dolbeault = _shared(lambda s: _dolbeault(_dolbeault_symbols(structure_equations(s.model))))
+    dolbeault = _shared(lambda s: _dolbeault(s.model))
     betti = _shared(lambda s: s.ce.dims)
     hodge = _shared(lambda s: _hodge_grid(s.dolbeault))
     oracle = _shared(lambda s: CohomologyTable(s.betti, s.hodge, "oracle"))

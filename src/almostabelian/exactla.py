@@ -42,11 +42,7 @@ class RationalMatrix:
             for row in data:
                 if len(row) != cols:
                     raise ValueError("ragged rows")
-                for x in row:
-                    if type(x) is not int and (
-                        not isinstance(x, (int, Fraction)) or isinstance(x, bool)
-                    ):
-                        raise ValueError("entries must be int or Fraction, got %r" % (x,))
+                _check_entries(row)
         elif cols is None:
             cols = 0
         object.__setattr__(self, "rows", rows)
@@ -92,12 +88,21 @@ class RationalMatrix:
         return [_sparse(row, self.cols) for row in self.data]
 
 
+def _check_entries(vec):
+    """ValueError unless every entry is an int or a Fraction, not a bool."""
+    for x in vec:
+        if type(x) is not int and (not isinstance(x, (int, Fraction)) or isinstance(x, bool)):
+            raise ValueError("entries must be int or Fraction, got %r" % (x,))
+
+
 def _sparse(vec, d):
     """A vector of d ints and Fractions, scaled by the least common
-    denominator of its entries, as a {column: int} dict without zeros."""
+    denominator of its entries, as a {column: int} dict without zeros;
+    ValueError for any other entry."""
     if len(vec) != d:
         raise ValueError("vector length != ambient dimension")
     if not set(map(type, vec)) <= {int}:
+        _check_entries(vec)
         denom = lcm(*(x.denominator for x in vec))
         vec = [int(x * denom) for x in vec]
     return {j: x for j, x in enumerate(vec) if x}

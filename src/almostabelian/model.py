@@ -5,7 +5,11 @@ Conventions, fixed once for the whole package:
 * the algebra has basis e_0, ..., e_{2n+1} and the codimension one
   abelian ideal is spanned by e_1, ..., e_{2n+1};
 * the only nonzero brackets are [e_0, e_k] for k >= 1, encoded by the
-  nilpotent matrix `A` acting on the ideal coordinates 0..2n;
+  nilpotent matrix `A` acting on the ideal coordinates 0..2n.  So
+  ad(e_0) has column 0 empty and column k equal to A e_{k-1} shifted by
+  one (`_ad0`), and every bracket is read off those columns by the
+  bracket formula [x, y] = x_0 ad(e_0) y - y_0 ad(e_0) x: the bracket
+  tensor, the Nijenhuis check and the stable series all use it;
 * `A` has a zero first row, a link entry epsilon in row 1 of column 0,
   and two identical copies of a lower triangular Jordan-form matrix `B`
   with one chain per part of the partition q;
@@ -187,11 +191,8 @@ class AlgebraModel:
     def bracket_tensor(self):
         """All structure constants: {(i, k): {target: coefficient}} for i < k.
 
-        The ideal is abelian, so only [e_0, e_k] = A e_{k-1}, shifted
-        into the coordinates of the algebra, is nonzero."""
-        return {
-            (0, k + 1): {r + 1: x for r, x in col.items()} for k, col in enumerate(self.A) if col
-        }
+        The ideal is abelian, so only [e_0, e_k], column k of `_ad0`, is nonzero."""
+        return {(0, k): col for k, col in enumerate(_ad0(self)) if col}
 
 
 def build_algebra(model):
@@ -212,110 +213,94 @@ def build_algebra(model):
     return AlgebraModel(dim=2 * n + 2, A=tuple(a), J=tuple(j))
 
 
-def _nijenhuis_pairs(tensor, cols):
-    """The pairs i < k of basis indices on which N(e_i, e_k) can be nonzero.
+def _ad0(alg):
+    """The columns of ad(e_0) in the coordinates of the algebra: column 0
+    is empty and column k is [e_0, e_k] = A e_(k-1), shifted by one."""
+    return [{}] + [{r + 1: x for r, x in col.items()} for col in alg.A]
 
-    With S_i = {i} together with the support of J e_i (`cols[i]`), each
-    of the four brackets in N(e_i, e_k) pairs an index of S_i with one
-    of S_k, so it is an empty sum unless some key {a, b} of `tensor`
-    has a in S_i and b in S_k.  Inverting S gives those pairs in
-    O(|tensor| |S|^2) steps, for any J and any tensor.
+
+def _nijenhuis_pairs(heads, moved):
+    """The pairs i < k of basis indices on which N(e_i, e_k) can be nonzero:
+    i in `heads`, the indices where e_i or J e_i has an e_0 entry, and k
+    in `moved`, those where ad(e_0) e_k or ad(e_0) J e_k is nonzero, or
+    the other way round.  By the bracket formula each term of N's four
+    brackets pairs an e_0 entry of one side with an image of the other,
+    so on every other pair all four are zero.
     """
-    holders = {}  # a -> every i with a in S_i
-    for i, col in enumerate(cols):
-        for a in col.keys() | {i}:
-            holders.setdefault(a, []).append(i)
-    pairs = set()
-    for a, b in tensor:
-        for i in holders.get(a, ()):
-            for k in holders.get(b, ()):
-                if i != k:
-                    pairs.add((i, k) if i < k else (k, i))
-    return sorted(pairs)
+    return sorted({(min(i, k), max(i, k)) for i in heads for k in moved if i != k})
 
 
 def nijenhuis_vanishes(alg):
     """Whether N(x, y) = [Jx, Jy] - [x, y] - J[Jx, y] - J[x, Jy] vanishes
     on all pairs of basis vectors.
 
-    N is evaluated on the pairs of `_nijenhuis_pairs` only: on every
-    other pair each of its four brackets is an empty sum, so N is zero
-    there by construction.  Vectors are sparse {index: coefficient}
-    dicts: J e_i is column i of J, and brackets expand over the nonzero
-    structure constants only.
+    With b_i the e_0 entry of J e_i, u_i = ad(e_0) e_i and
+    v_i = ad(e_0) J e_i, the bracket formula expands N, for i < k, to
+
+        N(e_i, e_k) = b_i P_k - b_k P_i - [i = 0] Q_k,
+
+    P_i = v_i - J u_i and Q_i = u_i + J v_i, each computed once per index;
+    e_k has no e_0 entry as k > 0.  N is evaluated on the pairs of
+    `_nijenhuis_pairs` only, where it can be nonzero.  Vectors are sparse
+    {index: coefficient} dicts.
     """
-    tensor = alg.bracket_tensor()
-    cols = alg.J
-
-    def add_bracket(out, x, y, scale):
-        """out += scale [x, y]."""
-        for a, xa in x.items():
-            for b, yb in y.items():
-                if a < b:
-                    coefs, s = tensor.get((a, b)), scale * xa * yb
-                else:
-                    coefs, s = tensor.get((b, a)), -scale * xa * yb
-                if coefs:
-                    for t, c in coefs.items():
-                        out[t] = out.get(t, 0) + s * c
-        return out
-
-    for i, k in _nijenhuis_pairs(tensor, cols):
-        ei, ek = {i: 1}, {k: 1}
-        # J is linear: J[Jx, y] + J[x, Jy] = J([Jx, y] + [x, Jy])
-        inner = add_bracket(add_bracket({}, cols[i], ek, 1), ei, cols[k], 1)
-        n = add_bracket(add_bracket({}, cols[i], cols[k], 1), ei, ek, -1)
-        for a, xa in inner.items():
-            for t, c in cols[a].items():
-                n[t] = n.get(t, 0) - xa * c
+    ad0, cols = _ad0(alg), alg.J
+    b = [col.get(0, 0) for col in cols]
+    heads = [i for i, x in enumerate(b) if i == 0 or x]
+    moved, p, q = [], [], []
+    for i, col in enumerate(cols):
+        u, v = ad0[i], sparse_apply(ad0, col)
+        if u or v:
+            moved.append(i)
+        p_i, q_i = dict(v), dict(u)
+        for t, x in sparse_apply(cols, u).items():
+            p_i[t] = p_i.get(t, 0) - x
+        for t, x in sparse_apply(cols, v).items():
+            q_i[t] = q_i.get(t, 0) + x
+        p.append(p_i)
+        q.append(q_i)
+    for i, k in _nijenhuis_pairs(heads, moved):
+        n = {}
+        for c, vec in ((b[i], p[k]), (-b[k], p[i]), (-1 if i == 0 else 0, q[k])):
+            if c:
+                for t, x in vec.items():
+                    n[t] = n.get(t, 0) + c * x
         if any(n.values()):
             return False
     return True
 
 
-def _ad_span(alg):
-    """The map V -> vectors spanning [g, span V], read off the columns
-    [e_0, e_k] of ad(e_0) in the bracket tensor.
+def _spans(alg):
+    """The maps V -> vectors spanning [g, span V] and F -> functionals
+    spanning F o ad(g), both read off the columns of ad(e_0).
 
-    [e_0, v] = (0, A v'), v' the ideal coordinates of v, and for k >= 1
-    [e_k, v] = -v_0 A e_k, a multiple of column k of A.  So [g, span V]
-    is spanned by the A v, together with the nonzero columns of A,
-    taken once, as soon as some v has v_0 != 0; the other ad images
-    are multiples of these.  Vectors are sparse {index: int} dicts.
+    By the bracket formula, [g, span V] is spanned by the ad(e_0) v,
+    together with the nonzero columns of ad(e_0), taken once, as soon as
+    some v has v_0 != 0.  And F o ad(g) is spanned by the f o ad(e_0),
+    f times the rows of ad(e_0), together with e^0 as soon as one of these
+    is nonzero, since f o ad(e_k) is -(f o ad(e_0))_k e^0 for k >= 1.
+    Vectors are sparse {index: int} dicts.
     """
-    tensor = alg.bracket_tensor()
-    cols = [tensor.get((0, k), {}) for k in range(alg.dim)]
+    cols = _ad0(alg)
+    rows = [{} for _ in cols]
+    for k, col in enumerate(cols):
+        for t, c in col.items():
+            rows[t][k] = c
     nonzero = [col for col in cols if col]
 
-    def span(vectors):
+    def ad_span(vectors):
         out = [img for img in (sparse_apply(cols, v) for v in vectors) if img]
         if any(0 in v for v in vectors):
             out.extend(nonzero)
         return out
 
-    return span
+    def coad_span(functionals):
+        out = [img for img in (sparse_apply(rows, f) for f in functionals) if img]
+        if out:
+            out.append({0: 1})
+        return out
 
-
-def _ascending_centre(alg, prev):
-    """{x : [g, x] in prev for every basis vector g}.
-
-    A functional f vanishing on prev gives the constraint f o ad(e_i)
-    for every i: f o ad(e_0) = (0, f_ideal A), and for k >= 1
-    f o ad(e_k) = -(f_ideal A e_k) e^0.  The latter are multiples of
-    e^0, which joins the constraints once if some f_ideal A is nonzero.
-    f o ad(e_0) is f times the rows of ad(e_0), whose columns
-    [e_0, e_k] the bracket tensor holds.
-    """
-    if prev.dim == alg.dim:
-        return prev
-    rows = [{} for _ in range(alg.dim)]
-    for (_, k), col in alg.bracket_tensor().items():
-        for t, c in col.items():
-            rows[t][k] = c
-    constraints = [fa for fa in (sparse_apply(rows, f) for f in prev.annihilator().rows) if fa]
-    if constraints:
-        constraints.append({0: 1})
-    return Subspace(alg.dim, constraints).annihilator()
+    return ad_span, coad_span
 
 
 def _descending_series(alg, ad_span):
@@ -340,10 +325,14 @@ def stable_series(alg, model):
     the corresponding quotient; violations raise StableSeriesError.
     """
     dim = alg.dim
+    ad_span, coad_span = _spans(alg)
+    # the centres Z_i = {x : [g, x] in Z_(i-1)} are the annihilators of the
+    # coadjoint series C_0 = g*, C_i = C_(i-1) o ad(g)
     centres = [Subspace(dim)]
+    coadjoint = Subspace.full(dim)
     for _ in range(model.j - 1):
-        centres.append(_ascending_centre(alg, centres[-1]))
-    ad_span = _ad_span(alg)
+        coadjoint = Subspace(dim, coad_span(coadjoint.rows))
+        centres.append(coadjoint.annihilator())
     descending = _descending_series(alg, ad_span)
     nu = len(descending) - 1
     if nu != model.step:

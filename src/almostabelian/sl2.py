@@ -29,7 +29,9 @@ class Sl2Module:
     """Formal direct sum of irreducibles: dimension -> multiplicity.
 
     Zero multiplicities are dropped on construction, so equality of
-    modules is structural equality of the stored vectors.
+    modules is structural equality of the stored vectors.  Dimensions
+    and multiplicities must be ints, not bools, as `Partition`'s parts;
+    ValueError otherwise.
     """
 
     __slots__ = ("_mult",)
@@ -38,6 +40,11 @@ class Sl2Module:
         items = mult.items() if hasattr(mult, "items") else mult
         acc = {}
         for i, m in items:
+            if type(i) is not int or type(m) is not int:
+                # names a bad entry; int subclasses other than bool pass
+                for what, x in (("irreducible dimension", i), ("multiplicity", m)):
+                    if not isinstance(x, int) or isinstance(x, bool):
+                        raise ValueError("%s must be an int, got %r" % (what, x))
             if i < 1:
                 raise ValueError("irreducible dimension must be positive, got %r" % (i,))
             if m < 0:

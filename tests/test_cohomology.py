@@ -407,7 +407,7 @@ def permuted_symbols(c, order):
 def permuted_hodge(c, order):
     """hodge_oracle on c's structure equations with the generators taken
     in `order`."""
-    return cohomology._hodge_grid(cohomology._dolbeault(permuted_symbols(c, order)))
+    return cohomology._hodge_grid(cohomology._dbar_complex(permuted_symbols(c, order)))
 
 
 def jordan_type(alg):
@@ -691,9 +691,9 @@ class TestDifferentialChecks:
         real = cohomology._dolbeault
         builds = []
 
-        def counted(symbols):
-            builds.append(symbols)
-            return real(symbols)
+        def counted(model):
+            builds.append(model)
+            return real(model)
 
         monkeypatch.setattr(
             cohomology, "structure_equations", beta12_gains_a_11_term(cohomology.structure_equations)
@@ -824,8 +824,7 @@ class TestCocycleSkip:
         for c in models:
             alg = build_algebra(c)
             cohomology._ce(alg).dims
-            symbols = cohomology._dolbeault_symbols(cohomology.structure_equations(c))
-            cohomology._dolbeault(symbols).dims
+            cohomology._dolbeault(c).dims
             betti_via_ideal_action(alg)
         assert len(compared) == 3 * len(models)
         # the CE walks skip e^0 (symbol 0), the Dolbeault walks conj(alpha)
@@ -1024,7 +1023,7 @@ def assert_ce_walk_equals_reference(alg):
 def assert_dolbeault_walk_equals_reference(symbols):
     """The same for the Dolbeault record and dbar^2, its cohomology as
     the grid of h^{p,q} that the reference's (p, q) blocks give."""
-    dolbeault = cohomology._dolbeault(symbols)
+    dolbeault = cohomology._dbar_complex(symbols)
     ranks, squares = dolbeault_reference(symbols)
     assert dolbeault.squares is squares
     g = symbols[1]
@@ -1179,9 +1178,8 @@ class TestBinomialShift:
             alg = build_algebra(c)
             dim = alg.dim
             assert cohomology._ce(alg).dims == tuple(comb(dim, k) for k in range(dim + 1))
-            symbols = cohomology._dolbeault_symbols(cohomology.structure_equations(c))
-            g = symbols[1]
-            assert cohomology._dolbeault(symbols).dims == tuple(
+            g = c.n + 1
+            assert cohomology._dolbeault(c).dims == tuple(
                 comb(g, p) * comb(g, q) for p in range(g + 1) for q in range(g + 1)
             )
 
@@ -1417,9 +1415,7 @@ def model_walks(c):
     """The (weights, terms) of the CE, Dolbeault and ideal-action walks."""
     alg = build_algebra(c)
     ce = cohomology._ce(alg)
-    dolbeault = cohomology._dolbeault(
-        cohomology._dolbeault_symbols(cohomology.structure_equations(c))
-    )
+    dolbeault = cohomology._dolbeault(c)
     return [
         (ce.weights, ce.terms),
         (dolbeault.weights, dolbeault.terms),

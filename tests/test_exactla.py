@@ -712,6 +712,17 @@ class TestSubspace:
         with pytest.raises(ValueError):
             s.contains((1, 2))
 
+    @pytest.mark.parametrize("vec", [(1.5, 0, 0), (True, 0, 0), (1, 0, False), (1, "0", 0)])
+    def test_rejects_bad_dense_entries(self, vec):
+        # RationalMatrix's check: a float once raised AttributeError, and
+        # a bool was taken as 0 or 1
+        with pytest.raises(ValueError, match="entries must be int or Fraction"):
+            Subspace(3, [vec])
+        with pytest.raises(ValueError, match="entries must be int or Fraction"):
+            Subspace(3, [(1, 0, 0)]).contains(vec)
+        with pytest.raises(ValueError, match="entries must be int or Fraction"):
+            RationalMatrix([vec])
+
 
 # -- the dense integer echelon the sparse core replaced, as a reference -----
 

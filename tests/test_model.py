@@ -820,6 +820,28 @@ class TestStructureEquations:
                 expect = {k: v for k, v in expect.items() if v != CZERO}
                 assert got == expect, (c, gen)
 
+    @staticmethod
+    def is_10_form(j_cols, w):
+        """w(J e_i) = i w(e_i) for every basis vector e_i, J given by its columns."""
+        for i, col in enumerate(j_cols):
+            got = CZERO
+            for r, x in col.items():
+                got = cadd(got, cscale(x, w[r]))
+            if got != cmul((Fraction(0), Fraction(1)), w[i]):
+                return False
+        return True
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_generators_are_10_forms(self, n):
+        """Every generator is a (1,0)-form for the built J, and for -J,
+        an integrable complex structure too, none is."""
+        for c in enumerate_models(n):
+            j_cols = build_algebra(c).J
+            minus_j = [{r: -x for r, x in col.items()} for col in j_cols]
+            for gen, w in generator_coordinates(c).items():
+                assert self.is_10_form(j_cols, w), (c, gen)
+                assert not self.is_10_form(minus_j, w), (c, gen)
+
 
 
 # sha256 over A, J, the structure equations and the generator coordinates
@@ -831,10 +853,11 @@ BUILDER_DIGEST = "5aec5d6d80479cb1e9ee3e2eaf8aa05eae35038d372a7c0a7226e0b5f96e59
 
 
 def test_builders_are_pinned():
-    # The pin is the one guard against J's rows stored as its columns:
-    # that stores J^T = -J, and -J is a complex structure integrable
-    # exactly when J is, so every verify check accepts it.  A stored
-    # transposed is caught elsewhere, by nijenhuis and stable_series.
+    # With TestStructureEquations' (1,0)-form test, the pin guards against
+    # J's rows stored as its columns: that stores J^T = -J, and -J is a
+    # complex structure integrable exactly when J is, so every verify
+    # check accepts it.  A stored transposed is caught elsewhere, by
+    # nijenhuis and stable_series.
     digest = hashlib.sha256()
     count = 0
     for n in range(1, 9):

@@ -45,6 +45,15 @@ class TestModuleType:
         with pytest.raises(ValueError):
             Sl2Module({2: -1})
 
+    @pytest.mark.parametrize(
+        "mult", [{2: 0.5}, {2.0: 1}, {True: 2}, {2: True}, [(2, 1), (3, False)], {"2": 1}]
+    )
+    def test_rejects_non_int_entries(self, mult):
+        # as Partition does: {2: 0.5} would print 0*W(2) with dim() 1.0,
+        # and {True: 2} would be 2*W(1)
+        with pytest.raises(ValueError, match="must be an int"):
+            Sl2Module(mult)
+
     def test_dim_and_delta(self):
         v = 2 * W(1) + 3 * W(2)
         assert v.dim() == 8
