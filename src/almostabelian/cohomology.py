@@ -135,7 +135,7 @@ from .model import (
     structure_equations,
 )
 from .partitions import Partition
-from .sl2 import Sl2Module, tensor_count, wedge_profile
+from .sl2 import Sl2Module, slot_bytes, tensor_count, unpack, wedge_profile
 
 
 class DifferentialError(RuntimeError):
@@ -189,6 +189,7 @@ def closed_table(model):
     Lambda^r V and Lambda^{dim V - r} V are isomorphic, and g10 and b01
     have dimensions n+1 and n, so D[p][q] = D[n+1-p][q] = D[p][n-q] and
     D[p][n+1] = 0: only the corner p <= (n+1)/2, q <= n/2 is counted,
+    from the lower halves of the two exterior algebras that sl2 keeps,
     and each corner row is mirrored into a row of D by slicing, then the
     rows into D.  A Hodge row depends on its row of D alone, so the
     Hodge rows mirror alike, and the Serre symmetry of the grid holds by
@@ -433,24 +434,23 @@ def _exterior(poly, counts, width):
 def _cohomology(ranks, symbols, counts):
     """The cohomology's dimension at each block key, 0 to the top: the
     block sizes _exterior(1, counts) less (1 + x) times the packed ranks
-    of a _walk over `symbols` symbols, unpacked once, nbytes = symbols
-    // 8 + 1 bytes per key, as packed.  Every size fits: a block of the
-    walk has fewer than 2^symbols monomials, and the ideal action's
-    C(symbols + 1, k) < 2^(symbols + 1) <= 2^(8 nbytes).  The subtraction
-    never borrows: each coefficient is a cohomology dimension, >= 0 and
-    below 2^(8 nbytes)."""
-    nbytes = symbols // 8 + 1
+    of a _walk over `symbols` symbols, unpacked once by sl2.unpack,
+    nbytes = slot_bytes(symbols) bytes per key, as packed.  Every size
+    fits: a block of the walk has fewer than 2^symbols monomials, and
+    the ideal action's C(symbols + 1, k) < 2^(symbols + 1) <=
+    2^(8 nbytes).  The subtraction never borrows: each coefficient is a
+    cohomology dimension, >= 0 and below 2^(8 nbytes)."""
+    nbytes = slot_bytes(symbols)
     top = sum(w * m for w, m in counts.items())
     dims = _exterior(1, counts, 8 * nbytes) - (ranks << 8 * nbytes) - ranks
-    raw = dims.to_bytes((top + 1) * nbytes, "little")
-    return tuple(int.from_bytes(raw[k * nbytes : (k + 1) * nbytes], "little") for k in range(top + 1))
+    return tuple(unpack(dims, nbytes, top + 1))
 
 
 def _walk(weights, terms):
     """The rank of D on each block of a graded complex, from one fold
     over the Jordan blocks of its strings (module docstring), packed in
-    one int with nbytes = len(weights) // 8 + 1 bytes per block key, as
-    sl2._knapsack packs its weights: a block has fewer than
+    one int with nbytes = slot_bytes(len(weights)) bytes per block key,
+    as sl2._knapsack packs its weights: a block has fewer than
     2^len(weights) monomials, so no count it bounds carries into the
     next key, and a polynomial in x = 2^(8 nbytes) is multiplied as one
     int.  _cohomology unpacks the ranks.
@@ -475,7 +475,7 @@ def _walk(weights, terms):
     rule names it, so D(x ^ s) = +-D(x) ^ s and the complex is the rest
     (x) Lambda(s)."""
     chains, whole = _chains(weights, terms, _cocycle_symbols(terms))
-    width = 8 * (len(weights) // 8 + 1)
+    width = 8 * slot_bytes(len(weights))
     ranks = 0
     if whole is not None:
         pieces = {}

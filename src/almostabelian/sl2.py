@@ -5,9 +5,12 @@ summands; the irreducible of dimension i has weight string
 i-1, i-3, ..., -(i-1).  Its summand profile a(t), the number of
 summands of dimension >= t, is read straight off its weights.  One
 knapsack over the weight multiset of a module gives the weights of
-every exterior power at once, each degree held as one big int with a
-fixed-width count per weight; summands W(1) are added afterwards by
-binomial sums, and the memo keeps the profile of each power.
+the lower half of its exterior algebra, degrees 0 to dim // 2, at once,
+each degree held as one big int with a fixed-width count per weight and
+read back by one unpack; summands W(1) are added afterwards by binomial
+sums, and the memo keeps the profile of each of those powers.  An upper
+degree is read off its mirror: Lambda^r V and Lambda^(dim V - r) V are
+isomorphic for every sl2-module V.
 The profiles count the summands of a tensor product without expanding
 it; a module is the differences of its profile.  Tensor products also
 expand by the Clebsch-Gordan rule, and a brute-force weight oracle is
@@ -19,6 +22,7 @@ from functools import lru_cache
 from itertools import combinations, pairwise, repeat
 from math import comb
 from operator import add, mul
+from sys import byteorder
 
 
 class InvalidWeightSystemError(ValueError):
@@ -181,46 +185,66 @@ def tensor_count(a, b):
     return sum(map(mul, a, b))
 
 
+def slot_bytes(bits):
+    """Bytes per slot of a packed int whose counts are below 2^bits:
+    bits // 8 + 1, rounded up to 1, 2, 4 or 8 so that unpack reads the
+    slots with one memoryview cast; wider slots stay as they are."""
+    nbytes = bits // 8 + 1
+    return next((b for b in (1, 2, 4, 8) if b >= nbytes), nbytes)
+
+
+_CAST = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def unpack(packed, nbytes, count):
+    """The first `count` slots of nbytes bytes each of the int packed,
+    lowest first, as a list: one to_bytes, read back by one memoryview
+    cast when nbytes is 1, 2, 4 or 8, else by one int.from_bytes per
+    slot."""
+    raw = packed.to_bytes(count * nbytes, byteorder)
+    if nbytes in _CAST:
+        return memoryview(raw).cast(_CAST[nbytes]).tolist()
+    return [int.from_bytes(raw[i : i + nbytes], byteorder) for i in range(0, len(raw), nbytes)]
+
+
 def _knapsack(v):
-    """The summand profile of every exterior power of v, degrees 0 to
-    dim v, by a 0/1 knapsack over the full weight multiset of v (each
-    weight slot is used at most once).
+    """The summand profile of the exterior powers of v of degrees 0 to
+    dim v // 2, by a 0/1 knapsack over the full weight multiset of v
+    (each weight slot is used at most once).  The upper degrees are not
+    built: Lambda^r v and Lambda^(dim v - r) v are isomorphic, as
+    wedge_profile reads them.
 
     The weights of degree k are kept in one int, a count per slot of
-    B = 8 ceil((dim v + 1) / 8) bits: a count is at most C(dim v, k) <
-    2^dim v, so no slot carries into the next.  A weight w of v sits at
-    slot (w + D) / step, D the top weight and step 2 when every weight
-    has the parity of D, else 1, so slot i of degree k holds the weight
+    slot_bytes(dim v) bytes: a count is at most C(dim v, k) < 2^dim v,
+    so no slot carries into the next.  A weight w of v sits at slot
+    (w + D) / step, D the top weight and step 2 when every weight has
+    the parity of D, else 1, so slot i of degree k holds the weight
     i step - k D, and adding a weight slot is one shift-and-add per
     degree.  The weights are added in ascending order, which keeps the
     ints short until the last ones.  Each degree's weights >= 0 are read
-    back from one to_bytes.
+    back by one unpack.
     """
     dim = v.dim()
     if not dim:
         return ((1,),)
     top = v.items()[0][0] - 1
     step = 2 if all((i - 1 - top) % 2 == 0 for i, _ in v.items()) else 1
-    nbytes = (dim + 8) // 8
+    nbytes = slot_bytes(dim)
     width = 8 * nbytes
-    layers = [1] + [0] * dim
+    half = dim // 2
+    layers = [1] + [0] * half
     filled = 0
     for w, c in sorted(v.weights().items()):
         shift = (w + top) // step * width
         for _ in range(c):
             filled += 1
-            for k in range(filled, 0, -1):
+            for k in range(min(filled, half), 0, -1):
                 layers[k] += layers[k - 1] << shift
     profiles = []
-    for k in range(dim + 1):
+    for k in range(half + 1):
         layer, layers[k] = layers[k], None  # each degree is freed once read
-        slots = (layer.bit_length() + width - 1) // width
-        raw = layer.to_bytes(slots * nbytes, "little")
         first = -(-k * top // step)  # the slot of the least weight >= 0
-        mu = [
-            int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little")
-            for i in range(first, slots)
-        ]
+        mu = unpack(layer, nbytes, (layer.bit_length() + width - 1) // width)[first:]
         # a(t) = mu(t-1) + mu(t), as in weight_profile, and a list first
         # for the same reason
         if step == 1:
@@ -239,8 +263,9 @@ def _knapsack(v):
 
 @lru_cache(maxsize=256)
 def _wedge_sum(v):
-    """The summand profile of every exterior power of v, degrees 0 to
-    dim v, as a tuple.
+    """The summand profile of the exterior powers of v of degrees 0 to
+    dim v // 2, as a tuple; wedge_profile reads the upper degrees off
+    their mirrors.
 
     With V the summands of v of dimension > 1 and c the multiplicity of
     W(1), Lambda^k v = sum_i C(c, i) Lambda^{k-i} V, so only V goes
@@ -250,27 +275,37 @@ def _wedge_sum(v):
     ones = v.mult(1)
     if not ones:
         return _knapsack(v)
-    base = _wedge_sum(Sl2Module(tuple(item for item in v.items() if item[0] > 1)))
+    rest = Sl2Module(tuple(item for item in v.items() if item[0] > 1))
+    base, d = _wedge_sum(rest), rest.dim()
+    every = base + base[(d - 1) // 2 :: -1]  # degrees 0 to d, the upper ones mirrored
     # lists, then frozen: see weight_profile
     profiles = []
-    for k in range(len(base) + ones):
-        terms = range(max(0, k - len(base) + 1), min(ones, k) + 1)
-        acc = [0] * max(len(base[k - i]) for i in terms)
-        for i in terms:
-            a = base[k - i]
-            times = comb(ones, i)
-            acc[: len(a)] = map(add, acc, a if times == 1 else map(mul, repeat(times), a))
+    for k in range(v.dim() // 2 + 1):
+        acc = []
+        for i in range(max(0, k - d), min(ones, k) + 1):
+            a, times = every[k - i], comb(ones, i)
+            if times > 1:
+                a = list(map(mul, repeat(times), a))
+            if len(a) > len(acc):  # the longer profile is copied, the shorter added in
+                acc, a = list(a), acc
+            acc[: len(a)] = map(add, acc, a)
         profiles.append(tuple(acc))
     return tuple(profiles)
 
 
 def wedge_profile(v, r):
     """Summand profile of the r-th exterior power of v (see weight_profile),
-    read off the memoised exterior algebra of v; empty above dim v."""
+    read off the memoised lower half of the exterior algebra of v; empty
+    above dim v.
+
+    Degree r > dim v / 2 is read at dim v - r: Lambda^r V is isomorphic to
+    (Lambda^(dim V - r) V)* (x) Lambda^(dim V) V, the top power of an
+    sl2-module is trivial (its one weight is the sum of all weights, 0),
+    and every sl2-module is self-dual."""
     if r < 0:
         raise ValueError("exterior power must be non-negative")
-    profiles = _wedge_sum(v)
-    return profiles[r] if r < len(profiles) else ()
+    d = v.dim()
+    return _wedge_sum(v)[min(r, d - r)] if r <= d else ()
 
 
 def wedge(v, r):

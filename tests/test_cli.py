@@ -416,9 +416,9 @@ class TestSizeLimits:
         "argv",
         [
             ["invariants", "--q", "99999999999999999999", "--j", "1"],
-            ["invariants", "--q", "151", "--j", "1"],
+            ["invariants", "--q", "201", "--j", "1"],
             ["invariants", "--q", str(cli.MAX_ORACLE_N + 1), "--j", "1", "--oracle"],
-            ["export", "--q", "146,5", "--j", "1", "--format", "json"],
+            ["export", "--q", "196,5", "--j", "1", "--format", "json"],
             ["enumerate", "--dim", "200"],
             ["enumerate", "--dim", "102"],
             ["classify", "--jordan", "500001,500000"],

@@ -45,7 +45,7 @@ from almostabelian.model import (
     structure_equations,
 )
 from almostabelian.partitions import Partition
-from almostabelian.sl2 import delta, tensor_count, wedge, wedge_profile
+from almostabelian.sl2 import delta, slot_bytes, tensor_count, wedge, wedge_profile
 from almostabelian.sl2 import irreducible as W
 from permuted import chain_order, columns_of, dense_of, permuted_algebra, permuted_equations
 
@@ -190,8 +190,14 @@ class TestClosedFormsAgainstModules:
             assert (table.betti, table.hodge) == reference_tables(c)
 
     def test_one_exterior_algebra_each_for_b01_and_g10(self):
+        """One memo entry each for b01 and g10, each its lower half."""
+        c = M([3, 2], 3)
+        t = module_triple(c)
         sl2._wedge_sum.cache_clear()
-        closed_table(M([3, 2], 3))
+        closed_table(c)
+        assert sl2._wedge_sum.cache_info().misses == 2
+        for v in (t.b01, t.g10):
+            assert len(sl2._wedge_sum(v)) == v.dim() // 2 + 1
         assert sl2._wedge_sum.cache_info().misses == 2
 
 
@@ -235,14 +241,22 @@ class TestFoldedGrid:
                 assert (table.betti, table.hodge) == full_grid_tables(c), c
 
     def test_overlap_one_reuses_the_b01_knapsack(self, monkeypatch):
-        """At j = 1, g10 is b01 + W(1): one knapsack serves both."""
+        """At j = 1, g10 is b01 + W(1): one knapsack serves both, and it
+        builds the lower half of b01's exterior algebra, degrees 0 to 4,
+        from which g10's lower half, degrees 0 to 4 of dimension 9, is
+        summed, its degree 4 from b01's degrees 4 and 3."""
         knapsack = sl2._knapsack
         calls = []
-        monkeypatch.setattr(sl2, "_knapsack", lambda v: calls.append(v) or knapsack(v))
+
+        def spy(v):
+            calls.append((v, knapsack(v)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(sl2, "_knapsack", spy)
         sl2._wedge_sum.cache_clear()
         closed_table(M([5, 3], 1))
         sl2._wedge_sum.cache_clear()
-        assert calls == [W(5) + W(3)]
+        assert [(v, len(profiles)) for v, profiles in calls] == [(W(5) + W(3), 5)]
 
 
 def per_cell_tables(c):
@@ -788,9 +802,9 @@ def nonzero(ranks):
 
 def unpacked(ranks, weights):
     """_walk's ranks over the symbols of `weights`, one int with
-    len(weights) // 8 + 1 bytes per key, lowest key first, as {key: rank}
-    of the nonzero ones."""
-    width = 8 * (len(weights) // 8 + 1)
+    slot_bytes(len(weights)) bytes per key, lowest key first, as
+    {key: rank} of the nonzero ones, each key shifted out on its own."""
+    width = 8 * slot_bytes(len(weights))
     assert ranks >= 0
     out = {}
     for key in range(-(-ranks.bit_length() // width)):
@@ -1225,10 +1239,11 @@ def string_walk(lengths, dead, heavy):
 
 
 class TestPackedFold:
-    """_walk packs its counts by key into ints, len(weights) // 8 + 1
+    """_walk packs its counts by key into ints, slot_bytes(len(weights))
     bytes per key, and _cohomology unpacks the dimensions in the same
     bytes.  Walks of 7, 8, 15 and 16 symbols sit on both sides of the
-    byte boundaries, and their ranks are those of the walk over every
+    width boundaries (1 to 2 bytes, 2 to 4), and their ranks are those
+    of the walk over every
     monomial; at 15 symbols some rank needs a second byte.  The ideal
     action sizes its blocks with one symbol more than it walks, and at
     n = 3 and 7 it walks 7 and 15 symbols, one under a byte boundary."""

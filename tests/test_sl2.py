@@ -14,9 +14,12 @@ from almostabelian.sl2 import (
     decompose_from_weights,
     delta,
     irreducible,
+    slot_bytes,
     tensor,
     tensor_count,
+    unpack,
     wedge,
+    wedge_profile,
     weight_profile,
     wedge_weight_oracle,
 )
@@ -217,7 +220,7 @@ class TestWedge:
 
 
 def counter_wedge_sum(v):
-    """Reference for _wedge_sum: a 0/1 knapsack over the full weight
+    """Reference for wedge_profile: a 0/1 knapsack over the full weight
     multiset of v, W(1) summands included, keeping the weights of each
     exterior degree in one Counter, each read as a profile by
     weight_profile (which also checks symmetry and unimodality)."""
@@ -238,18 +241,27 @@ def random_module(rng, dims, max_mult, ones=0):
     return Sl2Module({i: rng.randrange(max_mult + 1) for i in dims}) + ones * W(1)
 
 
+def every_profile(v):
+    """wedge_profile(v, r) for r = 0 .. dim v + 1: the memoised lower
+    half, the upper degrees read off their mirrors, and the empty profile
+    above the top."""
+    return tuple(wedge_profile(v, r) for r in range(v.dim() + 2))
+
+
 class TestWedgeSumAgainstCounterKnapsack:
-    """_wedge_sum's big-int layers and W(1) binomial sums against the
-    Counter knapsack over every weight."""
+    """wedge_profile, read off _wedge_sum's big-int layers and W(1)
+    binomial sums over the lower half and mirrored above it, against the
+    Counter knapsack over every weight and every degree."""
 
     def test_zero_module(self):
-        assert _wedge_sum(ZERO) == ((1,),) == counter_wedge_sum(ZERO)
+        assert _wedge_sum(ZERO) == ((1,),)
+        assert every_profile(ZERO) == counter_wedge_sum(ZERO) + ((),)
 
     @pytest.mark.parametrize("c", range(1, 13))
     def test_only_trivial_summands(self, c):
-        got = _wedge_sum(c * W(1))
-        assert got == counter_wedge_sum(c * W(1))
-        assert got == tuple((comb(c, k),) for k in range(c + 1))
+        got = every_profile(c * W(1))
+        assert got == counter_wedge_sum(c * W(1)) + ((),)
+        assert got[:-1] == tuple((comb(c, k),) for k in range(c + 1))
 
     def test_mixed_weight_parities(self):
         rng = random.Random(23)
@@ -257,7 +269,7 @@ class TestWedgeSumAgainstCounterKnapsack:
             v = random_module(rng, range(2, 9), 2, ones=rng.randrange(3))
             if len({i % 2 for i, _ in v.items() if i > 1}) < 2:
                 v = v + W(2) + W(3)
-            assert _wedge_sum(v) == counter_wedge_sum(v), v
+            assert every_profile(v) == counter_wedge_sum(v) + ((),), v
 
     def test_one_parity(self):
         rng = random.Random(29)
@@ -266,18 +278,27 @@ class TestWedgeSumAgainstCounterKnapsack:
             v = random_module(rng, dims, 2)
             if v.is_zero():
                 v = W(dims[0])
-            assert _wedge_sum(v) == counter_wedge_sum(v), v
+            assert every_profile(v) == counter_wedge_sum(v) + ((),), v
 
     def test_trivial_heavy_modules(self):
         rng = random.Random(31)
         for _ in range(20):
             v = random_module(rng, range(2, 7), 1, ones=rng.randrange(5, 21))
-            assert _wedge_sum(v) == counter_wedge_sum(v), v
+            assert every_profile(v) == counter_wedge_sum(v) + ((),), v
 
     @pytest.mark.parametrize("i", list(range(1, 25)) + [31, 40, 49, 60])
     def test_single_blocks(self, i):
-        assert _wedge_sum(W(i)) == counter_wedge_sum(W(i))
-        assert _wedge_sum(W(i) + W(1)) == counter_wedge_sum(W(i) + W(1))
+        assert every_profile(W(i)) == counter_wedge_sum(W(i)) + ((),)
+        assert every_profile(W(i) + W(1)) == counter_wedge_sum(W(i) + W(1)) + ((),)
+
+    def test_memo_keeps_the_lower_half(self):
+        """_wedge_sum holds degrees 0 .. dim v // 2 and no more, for
+        modules of even and odd dimension, with and without W(1)s."""
+        rng = random.Random(41)
+        mods = [ZERO, W(1), 2 * W(1), W(2), W(7) + W(1), W(8) + 3 * W(1), W(60)]
+        mods += [random_module(rng, range(1, 9), 2) for _ in range(20)]
+        for v in mods:
+            assert len(_wedge_sum(v)) == v.dim() // 2 + 1, v
 
     def test_duality_on_reducible_modules(self):
         """wedge(v, r) = wedge(v, dim v - r), the identity closed_table's
@@ -294,6 +315,32 @@ class TestWedgeSumAgainstCounterKnapsack:
                 got = wedge(v, r)
                 assert got == wedge_weight_oracle(v, r) == wedge_weight_oracle(v, d - r)
                 assert got == wedge(v, d - r)
+
+
+class TestUnpack:
+    """slot_bytes rounds a slot up to 1, 2, 4 or 8 bytes, which unpack
+    reads by one memoryview cast, and leaves wider slots as they are."""
+
+    @pytest.mark.parametrize(
+        "bits, nbytes", [(0, 1), (7, 1), (8, 2), (15, 2), (16, 4), (23, 4), (31, 4), (32, 8), (63, 8), (64, 9), (200, 26)]
+    )
+    def test_slot_bytes(self, bits, nbytes):
+        assert slot_bytes(bits) == nbytes
+        assert 8 * nbytes > bits
+
+    @pytest.mark.parametrize("bits", [0, 8, 16, 56, 64])
+    def test_each_slot_at_zero_and_full(self, bits):
+        """Slots of 1, 2, 3 (rounded to 4), 8 and 9 bytes, each empty or
+        full, against one int.from_bytes per slot."""
+        nbytes = slot_bytes(bits)
+        full = (1 << 8 * nbytes) - 1
+        for count in (1, 2, 7):
+            for start in (0, 1):
+                slots = [full if (i + start) % 2 else 0 for i in range(count)]
+                packed = sum(c << 8 * nbytes * i for i, c in enumerate(slots))
+                raw = packed.to_bytes(count * nbytes, "little")
+                per_slot = [int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little") for i in range(count)]
+                assert unpack(packed, nbytes, count) == per_slot == slots
 
 
 class TestWedgeIrreducibleOracle:
